@@ -1,12 +1,13 @@
 //! Inner-loop throughput of the Interchange candidate (replacement-test)
-//! path: the optimized loop (tournament-tree Shrink + zero-allocation
+//! path: the optimized loop (block-max Shrink + zero-allocation
 //! spatial queries) against the retained pre-optimization legacy loop,
 //! swept across every `LocalityIndex` backend, measured in the same run on
 //! the same stream.
 //!
 //! The figure of merit is **throughput on rejected-candidate tuples** — the
 //! overwhelmingly common case once the sample has converged, and the case
-//! the max-responsibility structure turns from `O(K)` into near-`O(1)`.
+//! the max-responsibility tracker turns from an `O(K)` scan into an `O(1)`
+//! read.
 //! The accepted-replacement path is tracked separately, with a micro-measured
 //! cost split (the two radius queries vs the index remove/insert churn) per
 //! backend.

@@ -386,7 +386,7 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// Spatial index over the sample (ids are slot indices); only maintained
     /// by the locality strategy.
     index: L,
-    /// Tournament tree over `rsp`, giving the Shrink step its maximum in
+    /// Block-max tracker over `rsp`, giving the Shrink step its maximum in
     /// `O(1)`; only maintained by the (non-legacy) locality strategy.
     max_tracker: MaxTracker,
     /// Whether `max_tracker` currently mirrors `rsp`. Cleared by every path
@@ -734,7 +734,7 @@ impl VasSampler {
                 ("points", (sampler.points.len() as u64).into()),
             ],
         );
-        // The tournament tree is a pure function of `rsp`; leaving it stale
+        // The max tracker is a pure function of `rsp`; leaving it stale
         // triggers the same lazy deterministic rebuild every other
         // rsp-mutating path uses.
         sampler.max_tracker = MaxTracker::new();
@@ -1185,7 +1185,8 @@ impl<L: LocalityIndex> VasSampler<L> {
         let was_filling = self.config.k > 0 && len_before < self.config.k;
         self.observe_chunk_inner(chunk);
         // Chunk-granularity observability accounting: every point of the
-        // chunk was either a fill, an accepted replacement or a rejection.
+        // chunk was either a fill, an accepted replacement or a rejection
+        // (skipped non-finite points count as rejections).
         let accepts = self.replacements - replacements_before;
         let filled = (self.points.len() - len_before) as u64;
         self.recorder.inc(Counter::CoreAccepts, accepts);
@@ -1242,23 +1243,34 @@ impl<L: LocalityIndex> VasSampler<L> {
             && !self.config.legacy_inner_loop
             && self.config.k > 0
             && self.kernel.is_some();
-        if !speculative {
-            let mut rest = chunk;
-            if self.points.len() < self.config.k {
-                let fill = (self.config.k - self.points.len()).min(rest.len());
-                let started = self.recorder.timing_enabled().then(Instant::now);
-                {
-                    let _span = self.recorder.span("fill");
-                    for p in &rest[..fill] {
-                        self.observe(*p);
-                    }
+        let mut rest = chunk;
+        // The fill phase (and a possible mid-chunk fill → candidate
+        // transition) stays sequential: it mutates the index per point.
+        if self.points.len() < self.config.k {
+            // The shortest prefix that fills the sample: skipped non-finite
+            // points (see `observe`) take no slot.
+            let mut need = self.config.k - self.points.len();
+            let fill = rest
+                .iter()
+                .position(|p| {
+                    need -= usize::from(p.is_finite());
+                    need == 0
+                })
+                .map_or(rest.len(), |i| i + 1);
+            let started = self.recorder.timing_enabled().then(Instant::now);
+            {
+                let _span = self.recorder.span("fill");
+                for p in &rest[..fill] {
+                    self.observe(*p);
                 }
-                if let Some(t0) = started {
-                    self.recorder
-                        .record_phase_ns(Phase::Fill, t0.elapsed().as_nanos() as u64);
-                }
-                rest = &rest[fill..];
             }
+            if let Some(t0) = started {
+                self.recorder
+                    .record_phase_ns(Phase::Fill, t0.elapsed().as_nanos() as u64);
+            }
+            rest = &rest[fill..];
+        }
+        if !speculative {
             if rest.is_empty() {
                 return;
             }
@@ -1274,24 +1286,6 @@ impl<L: LocalityIndex> VasSampler<L> {
                     .record_phase_ns(Phase::CandidateEval, t0.elapsed().as_nanos() as u64);
             }
             return;
-        }
-        let mut rest = chunk;
-        // The fill phase (and a possible mid-chunk fill → candidate
-        // transition) stays sequential: it mutates the index per point.
-        if self.points.len() < self.config.k {
-            let fill = (self.config.k - self.points.len()).min(rest.len());
-            let started = self.recorder.timing_enabled().then(Instant::now);
-            {
-                let _span = self.recorder.span("fill");
-                for p in &rest[..fill] {
-                    self.observe(*p);
-                }
-            }
-            if let Some(t0) = started {
-                self.recorder
-                    .record_phase_ns(Phase::Fill, t0.elapsed().as_nanos() as u64);
-            }
-            rest = &rest[fill..];
         }
         while !rest.is_empty() {
             // Adaptive batch sizing: aim for ≈ 1 accept per batch. The
@@ -1375,9 +1369,7 @@ impl<L: LocalityIndex> VasSampler<L> {
                 {
                     let _span = self.recorder.span("accept_churn");
                     for p in rest {
-                        self.seen += 1;
-                        self.observe_candidate(*p);
-                        self.maybe_report_progress();
+                        self.observe(*p);
                     }
                 }
                 if let Some(t0) = started {
@@ -1410,9 +1402,7 @@ impl<L: LocalityIndex> VasSampler<L> {
                 {
                     let _span = self.recorder.span("accept_churn");
                     for p in rest {
-                        self.seen += 1;
-                        self.observe_candidate(*p);
-                        self.maybe_report_progress();
+                        self.observe(*p);
                     }
                 }
                 if let Some(t0) = started {
@@ -1546,7 +1536,10 @@ impl<L: LocalityIndex> VasSampler<L> {
                 let vals = &scratch.vals[w][cursor..cursor + len as usize];
                 cursor += len as usize;
                 self.seen += 1;
-                self.shrink_apply_es_locality(point, ids, vals, cand_rsp);
+                // The same skip as `observe`.
+                if point.is_finite() {
+                    self.shrink_apply_es_locality(point, ids, vals, cand_rsp);
+                }
                 self.maybe_report_progress();
                 applied += 1;
             }
@@ -1699,7 +1692,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.tracker_fresh = false;
     }
 
-    /// Rebuilds the max-responsibility tournament from `rsp` if a
+    /// Rebuilds the max-responsibility tracker from `rsp` if a
     /// non-tracking path (fill, naive, legacy) has touched `rsp` since the
     /// tracker last mirrored it.
     fn ensure_tracker(&mut self) {
@@ -1791,13 +1784,14 @@ impl<L: LocalityIndex> VasSampler<L> {
     }
 
     /// "ES+Loc": Expand/Shrink with spatial-index locality **and** the
-    /// max-responsibility tournament.
+    /// max-responsibility tracker.
     ///
     /// A rejected candidate — the overwhelmingly common case once the sample
     /// has converged — costs only its neighbourhood kernel evaluations plus
-    /// an `O(1)` read of the tournament root: the `O(K)` Shrink scan of the
-    /// legacy loop is gone. An accepted candidate additionally pays
-    /// `O(log K)` per touched neighbour to repair the tournament.
+    /// an `O(1)` read of the tracked maximum: the `O(K)` Shrink scan of the
+    /// legacy loop is gone. An accepted candidate additionally rescans each
+    /// 64-slot block its responsibility updates touched, then the `K/64`
+    /// block winners (see [`MaxTracker`]).
     fn candidate_es_locality(&mut self, point: Point) {
         let kernel = self.kernel.expect("kernel resolved");
 
@@ -1856,9 +1850,9 @@ impl<L: LocalityIndex> VasSampler<L> {
 
         // --- Shrink: the expanded-set maximum is either the candidate, a
         // neighbour slot raised by its delta, or the standing maximum over
-        // all base responsibilities — which the tournament hands over in
+        // all base responsibilities — which the tracker hands over in
         // O(1). Tie-breaking matches the legacy first-wins linear scan
-        // because the tournament resolves ties to the lowest index.
+        // because the tracker resolves ties to the lowest index.
         self.ensure_tracker();
         let mut max_idx = usize::MAX; // usize::MAX encodes "the candidate"
         let mut max_val = cand_rsp;
@@ -1881,11 +1875,12 @@ impl<L: LocalityIndex> VasSampler<L> {
         }
 
         // --- Accept: replace slot `max_idx` ("s_j") with the candidate.
-        // Responsibility updates are written into the tournament lazily
-        // (`set_deferred`) and the dirtied ancestor matches are replayed once
-        // at the end (`flush`): one accept touches up to 2·|neighbourhood|
-        // slots whose paths overlap heavily, so the batched replay costs
-        // `O(D)` node matches instead of `O(D·log K)`.
+        // Responsibility updates are written into the tracker lazily
+        // (`set_deferred` only marks the slot's 64-slot block dirty) and the
+        // maximum is restored once at the end (`flush`). One accept touches
+        // up to 2·|neighbourhood| slots scattered over the whole sample, so
+        // the flush rescans each dirty block once and then the `K/64` block
+        // winners.
         let removed = self.points[max_idx];
         let removed_rsp = self.rsp[max_idx];
 
@@ -2033,7 +2028,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.rsp[max_idx] = new_rsp;
         self.objective += new_rsp - removed_rsp;
         self.replacements += 1;
-        // The legacy loop never maintains the tournament.
+        // The legacy loop never maintains the tracker.
         self.tracker_fresh = false;
     }
 
@@ -2095,10 +2090,15 @@ impl<L: LocalityIndex> Sampler for VasSampler<L> {
         if self.config.k == 0 {
             return;
         }
-        if self.points.len() < self.config.k {
-            self.observe_fill(point);
-        } else {
-            self.observe_candidate(point);
+        // A non-finite coordinate has no kernel distance to anything: the
+        // point would fail every radius test, look maximally isolated and
+        // leave a NaN responsibility behind. It is skipped, not sampled.
+        if point.is_finite() {
+            if self.points.len() < self.config.k {
+                self.observe_fill(point);
+            } else {
+                self.observe_candidate(point);
+            }
         }
         self.maybe_report_progress();
     }
@@ -2466,7 +2466,7 @@ mod tests {
 
     #[test]
     fn optimized_inner_loop_matches_legacy_bitwise_per_tuple() {
-        // The tentpole refactor's contract: the tournament-tree Shrink and
+        // The optimized loop's contract: the block-max Shrink and
         // the zero-allocation queries must not change a single replacement
         // decision. Lock-step the optimized and legacy samplers and compare
         // the full sample bit-for-bit after *every* observation.
@@ -2726,6 +2726,43 @@ mod tests {
         );
         assert_eq!(chunked.replacements(), plain.replacements());
         assert_eq!(chunked.seen, plain.seen);
+    }
+
+    #[test]
+    fn non_finite_points_never_enter_the_sample() {
+        // A NaN coordinate fails every radius test, so an unskipped NaN
+        // candidate has no neighbours, replaces the maximum slot and leaves
+        // a NaN responsibility in the Shrink step's tracker.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut points: Vec<Point> = (0..20_000)
+            .map(|_| Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+            .collect();
+        // Mixed in after the K = 200 fill.
+        for i in 0..20 {
+            points.insert(
+                1_000 + 900 * i,
+                Point::new(f64::NAN, rng.gen_range(0.0..1.0)),
+            );
+        }
+        let base = VasConfig::new(200).with_epsilon(0.02);
+        let run = |config: VasConfig| {
+            let mut s = VasSampler::new(config);
+            for chunk in points.chunks(1_024) {
+                s.observe_chunk(chunk);
+            }
+            (s.current_sample().to_vec(), s.current_objective())
+        };
+        let (optimized, objective) = run(base.clone());
+        assert_eq!(optimized.len(), 200);
+        assert!(optimized.iter().all(Point::is_finite));
+        assert!(objective.is_finite(), "objective {objective}");
+        let (legacy, legacy_objective) = run(base.clone().with_legacy_inner_loop(true));
+        assert_samples_bitwise_equal(&optimized, &legacy, "optimized vs legacy");
+        assert_eq!(objective.to_bits(), legacy_objective.to_bits());
+        // The speculative front skips the same points.
+        let (threaded, _) = run(base.with_threads(2));
+        assert_samples_bitwise_equal(&optimized, &threaded, "threads 1 vs 2");
     }
 
     #[test]

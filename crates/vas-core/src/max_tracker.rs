@@ -1,13 +1,25 @@
-//! A tournament tree tracking the maximum of a mutable array of scores.
+//! Block-max tracking of the maximum of a mutable array of scores.
 //!
 //! The Interchange Shrink step must find the element with the **largest
 //! responsibility** in the expanded sample for every candidate tuple. A
 //! linear scan makes every candidate — including the overwhelmingly common
-//! *rejected* ones — cost `O(K)`. [`MaxTracker`] keeps a complete binary
-//! tournament over the responsibility array instead, so the running maximum
-//! is an `O(1)` read and each of the sparse updates produced by an accepted
-//! replacement is an `O(log K)` path fix. Rejected candidates therefore cost
-//! only their neighbourhood kernel evaluations.
+//! *rejected* ones — cost `O(K)`. [`MaxTracker`] caches the maximum instead,
+//! so the read is `O(1)` and rejected candidates cost only their
+//! neighbourhood kernel evaluations.
+//!
+//! ## Cost of an update
+//!
+//! Slots are grouped into fixed blocks of [`BLOCK`] slots, and each block
+//! keeps its own argmax. An accepted replacement changes about
+//! 2·|neighbourhood| responsibilities (about 500 on dense data). Slot ids
+//! follow stream order, not space, so those slots are scattered over the
+//! whole array. [`set_deferred`](MaxTracker::set_deferred) only writes the
+//! value and marks its block dirty in a bitmask; [`flush`](MaxTracker::flush)
+//! rescans each dirty block once, a contiguous pass over at most [`BLOCK`]
+//! values, then re-picks the winner among the `⌈K/BLOCK⌉` block winners.
+//! One flush of `D` scattered writes therefore costs
+//! `O(BLOCK·min(D, K/BLOCK) + K/BLOCK)` sequential comparisons, with no
+//! sort and no pointer chasing.
 //!
 //! ## Tie-breaking contract
 //!
@@ -16,31 +28,28 @@
 //! is exactly what the pre-existing Interchange implementation did — the
 //! contract that keeps the optimized inner loop bit-identical to the legacy
 //! one even when responsibilities tie (e.g. many isolated slots at 0.0).
-//!
-//! The tree compares slot *values* only; values must never be NaN (kernel
-//! sums are finite and non-negative). Unused capacity leaves hold
-//! `f64::NEG_INFINITY` so they can never win a match.
+//! Blocks and the scan over block winners are both first-wins, so their
+//! composition is too. Values must never be NaN (kernel sums of finite
+//! points are finite and non-negative).
 
-/// Indexed max-tournament over a dense array of `f64` scores.
+/// Slots per block: one dirty bit per block, rescanned whole on flush.
+const BLOCK: usize = 64;
+
+/// Block-max argmax over a dense array of `f64` scores.
 ///
-/// Slots are addressed `0..len`. The structure is rebuilt in `O(len)` and
-/// updated in `O(log len)` per changed slot.
+/// Slots are addressed `0..len`. The structure is rebuilt in `O(len)`;
+/// updates are batched per [`flush`](Self::flush).
 #[derive(Debug, Clone, Default)]
 pub struct MaxTracker {
-    /// Number of live slots.
-    len: usize,
-    /// Leaf capacity; a power of two (or 0 when empty).
-    cap: usize,
-    /// Slot values, padded to `cap` with `NEG_INFINITY`.
+    /// Slot values; `values.len()` is the number of live slots.
     values: Vec<f64>,
-    /// Match winners: `winners[node]` for `node in 1..2*cap` is the leaf index
-    /// winning the subtree rooted at `node`; leaves live at `cap + i`.
-    winners: Vec<u32>,
-    /// Slots written by [`set_deferred`](Self::set_deferred) whose ancestor
-    /// matches have not been replayed yet.
-    dirty: Vec<u32>,
-    /// Reusable frontier buffer for [`flush`](Self::flush).
-    scratch: Vec<u32>,
+    /// `block_best[b]` is the first-wins argmax (a slot index) of block `b`.
+    block_best: Vec<usize>,
+    /// One bit per block written by [`set_deferred`](Self::set_deferred)
+    /// since the last flush.
+    dirty: Vec<u64>,
+    /// The first-wins argmax over all slots, valid when nothing is dirty.
+    best: usize,
 }
 
 impl MaxTracker {
@@ -49,47 +58,28 @@ impl MaxTracker {
         Self::default()
     }
 
-    /// Rebuilds the tournament over `values` in `O(len)`.
+    /// Rebuilds the block winners over `values` in `O(len)`.
     pub fn rebuild(&mut self, values: &[f64]) {
-        self.dirty.clear();
-        self.len = values.len();
-        if self.len == 0 {
-            self.cap = 0;
-            self.values.clear();
-            self.winners.clear();
-            return;
-        }
-        // Node ids are u32 and leaves live at `cap + i` with
-        // `cap = len.next_power_of_two()`, so `cap + len` must fit in u32:
-        // at most 2^31 slots.
-        assert!(
-            self.len <= 1usize << 31,
-            "MaxTracker supports at most 2^31 slots"
-        );
-        self.cap = self.len.next_power_of_two();
+        let blocks = values.len().div_ceil(BLOCK);
         self.values.clear();
         self.values.extend_from_slice(values);
-        self.values.resize(self.cap, f64::NEG_INFINITY);
-        self.winners.clear();
-        self.winners.resize(2 * self.cap, 0);
-        for i in 0..self.cap {
-            self.winners[self.cap + i] = i as u32;
-        }
-        // Bottom-up: each internal node takes the better of its two children,
-        // the left (lower-index) child winning ties.
-        for node in (1..self.cap).rev() {
-            self.winners[node] = self.play(self.winners[2 * node], self.winners[2 * node + 1]);
-        }
+        self.dirty.clear();
+        self.dirty.resize(blocks.div_ceil(64), 0);
+        self.block_best.clear();
+        let values = &self.values;
+        self.block_best
+            .extend((0..blocks).map(|b| block_argmax(values, b)));
+        self.best = self.winner_of_blocks();
     }
 
     /// Number of live slots.
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     /// `true` when the tracker holds no slots.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
     }
 
     /// Current value of slot `i`.
@@ -97,77 +87,56 @@ impl MaxTracker {
     /// # Panics
     /// Panics if `i >= len`.
     pub fn get(&self, i: usize) -> f64 {
-        assert!(i < self.len, "slot {i} out of bounds (len {})", self.len);
+        assert!(
+            i < self.len(),
+            "slot {i} out of bounds (len {})",
+            self.len()
+        );
         self.values[i]
     }
 
-    /// Sets slot `i` to `value` and repairs the winner path in `O(log len)`.
+    /// Sets slot `i` to `value` and restores the maximum at once: a
+    /// [`set_deferred`](Self::set_deferred) followed by a
+    /// [`flush`](Self::flush).
     ///
     /// # Panics
     /// Panics if `i >= len`.
     pub fn set(&mut self, i: usize, value: f64) {
-        assert!(i < self.len, "slot {i} out of bounds (len {})", self.len);
-        self.values[i] = value;
-        let mut node = (self.cap + i) / 2;
-        while node >= 1 {
-            self.winners[node] = self.play(self.winners[2 * node], self.winners[2 * node + 1]);
-            node /= 2;
-        }
+        self.set_deferred(i, value);
+        self.flush();
     }
 
-    /// Writes `value` into slot `i` **without** repairing the ancestor
-    /// matches, deferring that work to the next [`flush`](Self::flush).
-    ///
-    /// This is the lazy half of the re-heapify used by an accepted
-    /// Interchange replacement: the sparse responsibility deltas of one
-    /// accept often share most of their ancestor paths, so replaying each
-    /// path once per *batch* (in `flush`) costs `O(D)` node matches instead
-    /// of the `O(D·log K)` a `set` per slot would.
+    /// Writes `value` into slot `i` and marks its block dirty, deferring the
+    /// block rescan to the next [`flush`](Self::flush). An accepted
+    /// Interchange replacement writes all its responsibility deltas this
+    /// way, so a block hit by many of them is rescanned once.
     ///
     /// # Panics
     /// Panics if `i >= len`.
     pub fn set_deferred(&mut self, i: usize, value: f64) {
-        assert!(i < self.len, "slot {i} out of bounds (len {})", self.len);
+        assert!(
+            i < self.len(),
+            "slot {i} out of bounds (len {})",
+            self.len()
+        );
         self.values[i] = value;
-        self.dirty.push(i as u32);
+        let b = i / BLOCK;
+        self.dirty[b / 64] |= 1 << (b % 64);
     }
 
-    /// Replays the matches above every slot written by
-    /// [`set_deferred`](Self::set_deferred) since the last flush (or
-    /// rebuild). Levels are processed bottom-up with shared ancestors
-    /// deduplicated, so each affected node is recomputed exactly once. No-op
-    /// when nothing is dirty.
+    /// Rescans every block written by [`set_deferred`](Self::set_deferred)
+    /// since the last flush (or rebuild), then re-picks the overall winner
+    /// among the block winners.
     pub fn flush(&mut self) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        if self.cap <= 1 {
-            // The root *is* the single leaf; nothing to replay.
-            self.dirty.clear();
-            return;
-        }
-        let mut frontier = std::mem::take(&mut self.scratch);
-        frontier.clear();
-        frontier.extend(self.dirty.drain(..).map(|i| (self.cap as u32 + i) >> 1));
-        frontier.sort_unstable();
-        frontier.dedup();
-        // All leaves sit at the same depth (cap is a power of two), so the
-        // frontier stays level-synchronized as it walks towards the root.
-        loop {
-            for &node in &frontier {
-                let n = node as usize;
-                let w = self.play(self.winners[2 * n], self.winners[2 * n + 1]);
-                self.winners[n] = w;
+        for w in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
+            while bits != 0 {
+                let b = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.block_best[b] = block_argmax(&self.values, b);
             }
-            if frontier[0] == 1 {
-                break;
-            }
-            for node in frontier.iter_mut() {
-                *node >>= 1;
-            }
-            frontier.dedup();
         }
-        self.scratch = frontier;
+        self.best = self.winner_of_blocks();
     }
 
     /// The `(index, value)` of the maximum slot, ties resolved to the lowest
@@ -177,27 +146,41 @@ impl MaxTracker {
     /// Debug-panics if deferred writes have not been flushed.
     pub fn max(&self) -> Option<(usize, f64)> {
         debug_assert!(
-            self.dirty.is_empty(),
+            self.dirty.iter().all(|&w| w == 0),
             "MaxTracker::max read with unflushed deferred writes"
         );
-        if self.len == 0 {
-            return None;
-        }
-        // For cap == 1 the single leaf sits at winners[1] itself.
-        let winner = self.winners[1] as usize;
-        Some((winner, self.values[winner]))
+        (!self.is_empty()).then(|| (self.best, self.values[self.best]))
     }
 
-    /// Winner of a match between leaves `a` and `b`; `a` (always the
-    /// lower-index side in tree order) wins ties.
-    #[inline]
-    fn play(&self, a: u32, b: u32) -> u32 {
-        if self.values[b as usize] > self.values[a as usize] {
-            b
-        } else {
-            a
+    /// First-wins argmax over the block winners; 0 when empty. Blocks are
+    /// in slot order, so a tie between blocks goes to the lower slot.
+    fn winner_of_blocks(&self) -> usize {
+        let winners = self.block_best.iter().map(|&i| self.values[i]);
+        self.block_best
+            .get(first_wins_argmax(winners))
+            .copied()
+            .unwrap_or(0)
+    }
+}
+
+/// First-wins argmax of block `b` of `values`, as a slot index.
+fn block_argmax(values: &[f64], b: usize) -> usize {
+    let start = b * BLOCK;
+    let end = (start + BLOCK).min(values.len());
+    start + first_wins_argmax(values[start..end].iter().copied())
+}
+
+/// Position of the first maximum of `values` (`v > best`, so a later equal
+/// value never wins); 0 when empty.
+#[inline]
+fn first_wins_argmax(values: impl Iterator<Item = f64>) -> usize {
+    let mut best = (0, f64::NEG_INFINITY);
+    for (i, v) in values.enumerate() {
+        if v > best.1 {
+            best = (i, v);
         }
     }
+    best.0
 }
 
 #[cfg(test)]
@@ -276,6 +259,71 @@ mod tests {
         assert_eq!(t.max(), Some((1, 2.0)));
         t.rebuild(&[]);
         assert_eq!(t.max(), None);
+    }
+
+    #[test]
+    fn lengths_at_block_boundaries() {
+        for n in [63usize, 64, 65, 129] {
+            let mut values: Vec<f64> = (0..n).map(|i| ((i * 7919) % 61) as f64).collect();
+            let mut t = MaxTracker::new();
+            t.rebuild(&values);
+            assert_eq!(t.max(), linear_argmax(&values), "n = {n}");
+            // The last slot sits alone in a partial block for n = 65 and 129.
+            values[n - 1] = 100.0;
+            t.set_deferred(n - 1, 100.0);
+            t.flush();
+            assert_eq!(t.max(), Some((n - 1, 100.0)), "n = {n}");
+            values[n - 1] = -1.0;
+            t.set(n - 1, -1.0);
+            assert_eq!(t.max(), linear_argmax(&values), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn equal_maxima_in_different_blocks_resolve_to_the_lower_index() {
+        let mut t = MaxTracker::new();
+        t.rebuild(&vec![0.0; 200]);
+        // Written high block first, so the later block's winner is not just
+        // the one flushed first.
+        t.set_deferred(150, 5.0);
+        t.set_deferred(70, 5.0);
+        t.flush();
+        assert_eq!(t.max(), Some((70, 5.0)));
+        t.set(10, 5.0);
+        assert_eq!(t.max(), Some((10, 5.0)));
+        t.set(10, 0.0);
+        t.set(70, 0.0);
+        assert_eq!(t.max(), Some((150, 5.0)));
+    }
+
+    #[test]
+    fn scattered_accept_batches_over_many_dirty_words() {
+        // 5000 slots are 79 blocks, so the dirty mask spans two words. Each
+        // batch mimics an accepted replacement: ~500 scattered additive
+        // deltas (candidate neighbours up, removed-point neighbours down),
+        // then one flush.
+        let n = 5_000;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Quantized values keep exact ties frequent.
+        let mut reference: Vec<f64> = (0..n).map(|_| (next() % 64) as f64 / 8.0).collect();
+        let mut t = MaxTracker::new();
+        t.rebuild(&reference);
+        for batch in 0..200 {
+            for _ in 0..500 {
+                let i = next() as usize % n;
+                let delta = (next() % 17) as f64 / 8.0 - 1.0;
+                reference[i] += delta;
+                t.set_deferred(i, reference[i]);
+            }
+            t.flush();
+            assert_eq!(t.max(), linear_argmax(&reference), "batch {batch}");
+        }
     }
 
     #[test]
