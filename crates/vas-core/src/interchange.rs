@@ -41,12 +41,12 @@
 //! bit-identical to the sequential loop at every thread count.
 
 use crate::checkpoint::{self, BuildOutcome, CheckpointPolicy};
-use crate::kernel::{GaussianKernel, Kernel};
+use crate::kernel::{GaussianKernel, Kernel, BOUNDED_LANE_DELTA};
 use crate::max_tracker::MaxTracker;
 use crate::objective::objective;
 use std::path::Path;
 use std::time::{Duration, Instant};
-use vas_data::{BoundingBox, Dataset, Point};
+use vas_data::{Dataset, Point};
 use vas_obs::{Counter, Phase, Recorder, ValueSeries};
 use vas_sampling::{Sample, Sampler};
 use vas_spatial::snapshot::{self as snap, SnapshotReader};
@@ -954,9 +954,10 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.replacements
     }
 
-    /// Number of kernel-value lanes evaluated through the batched
-    /// [`Kernel::eval_dist2_batch`] path so far (zero when
-    /// [`VasConfig::scalar_kernel_path`] is set).
+    /// Number of kernel-value lanes gathered by the batched path so far
+    /// (zero when [`VasConfig::scalar_kernel_path`] is set). A lane counts
+    /// once, whether only the bounded rejection filter or also the exact
+    /// [`Kernel::eval_dist2_batch`] evaluated it.
     ///
     /// Thin view over the metrics registry (`Counter::CoreKernelLanes`);
     /// kept for compatibility — new code should read the registry of the
@@ -1563,14 +1564,7 @@ impl<L: LocalityIndex> VasSampler<L> {
     /// Resolves the kernel bandwidth from the points buffered so far
     /// (used when streaming without a pre-declared ε).
     fn resolve_kernel_from_buffer(&mut self) {
-        let bounds = BoundingBox::from_points(&self.points);
-        let diag = bounds.diagonal();
-        let epsilon = if diag.is_finite() && diag > 0.0 {
-            diag / 100.0
-        } else {
-            1.0
-        };
-        self.install_kernel(GaussianKernel::new(epsilon));
+        self.install_kernel(GaussianKernel::for_points(&self.points));
         // Initialize responsibilities of the buffered points.
         self.initialize_state();
     }
@@ -1792,6 +1786,15 @@ impl<L: LocalityIndex> VasSampler<L> {
     /// legacy loop is gone. An accepted candidate additionally rescans each
     /// 64-slot block its responsibility updates touched, then the `K/64`
     /// block winners (see [`MaxTracker`]).
+    ///
+    /// On the batched path a **rejection filter** runs first: bounded lanes
+    /// ([`GaussianKernel::eval_dist2_batch_bounded`]) over the gathered
+    /// distances prove, when they can, that the exact Shrink would reject
+    /// (see [`certifies_reject`]). Approximate lanes
+    /// may only certify a rejection; everything stored comes from libm.
+    /// A certified candidate returns with no state touched; every other one
+    /// (accepts and rare near-ties) runs the exact lanes, fold and Shrink
+    /// below, so the sample is bit-identical to the unfiltered loop.
     fn candidate_es_locality(&mut self, point: Point) {
         let kernel = self.kernel.expect("kernel resolved");
 
@@ -1821,9 +1824,24 @@ impl<L: LocalityIndex> VasSampler<L> {
                 .gather_in_radius_into(&point, self.cutoff, &mut gather);
             vals.clear();
             vals.resize(gather.len(), 0.0);
-            kernel.eval_dist2_batch(&gather.dist2, &mut vals);
             self.recorder
                 .inc(Counter::CoreKernelLanes, gather.len() as u64);
+            self.ensure_tracker();
+            if kernel.eval_dist2_batch_bounded(&gather.dist2, &mut vals)
+                && certifies_reject(
+                    BOUNDED_LANE_DELTA,
+                    &self.rsp,
+                    self.max_tracker.max().map(|(_, r)| r),
+                    &gather.ids,
+                    &vals,
+                )
+            {
+                self.gather = gather;
+                self.scratch_vals = vals;
+                return;
+            }
+            self.recorder.inc(Counter::CoreExactFallbacks, 1);
+            kernel.eval_dist2_batch(&gather.dist2, &mut vals);
             for &v in &vals {
                 cand_rsp += v;
             }
@@ -2114,6 +2132,74 @@ impl<L: LocalityIndex> Sampler for VasSampler<L> {
         self.reset();
         sample
     }
+}
+
+/// `true` when approximate kernel lanes prove that the exact ES+Loc Shrink
+/// test rejects the candidate. The libm lane `e[n]` of neighbour slot
+/// `ids[n]` must satisfy `|approx[n] − e[n]| ≤ δ·approx[n]` with
+/// `δ = lane_delta`, and `tracked` is the tracked maximum responsibility (`None` for an empty
+/// sample).
+///
+/// The exact test rejects iff `cand_rsp ≥ M` and
+/// `cand_rsp ≥ fl(rsp[i] + e[n])` for every lane, where `cand_rsp` is the
+/// left fold of the `e[n]` and `M` the tracked maximum. With `n` lanes,
+/// `u = 2⁻⁵³`, `A` the computed sum of the approximate lanes and `V` the
+/// computed maximum of `rsp[i] + approx[n]`, let `s = δ + 4(n+4)u`. Then:
+/// - `cand_rsp ≥ (1−δ)(1−γₙ)²·A ≥ A·(1−s)` evaluated in `f64`, since any
+///   summation order of `n` non-negative terms is within `γₙ ≈ nu` relative
+///   of the real sum;
+/// - `fl(rsp[i] + e[n]) ≤ V + s·(A + |V|)` evaluated in `f64`, since
+///   `e[n] ≤ approx[n] + δ·A·(1+γₙ)` and each addition rounds by at most
+///   `u` of its magnitude (`s ≥ 16u` covers the `|V|` terms).
+///
+/// So `A·(1−s)` at least both `M` and `V + s·(A + |V|)` certifies the
+/// rejection. Both reductions use independent accumulators: sequential
+/// chains would cost about as much as the libm lanes they stand in for.
+fn certifies_reject(
+    lane_delta: f64,
+    rsp: &[f64],
+    tracked: Option<f64>,
+    ids: &[usize],
+    approx: &[f64],
+) -> bool {
+    let mut sums = [0.0f64; 8];
+    let mut lanes = approx.chunks_exact(8);
+    for c in &mut lanes {
+        for (s, &a) in sums.iter_mut().zip(c) {
+            *s += a;
+        }
+    }
+    let sum = sums.iter().sum::<f64>() + lanes.remainder().iter().sum::<f64>();
+
+    let mut maxes = [f64::NEG_INFINITY; 4];
+    let mut ids4 = ids.chunks_exact(4);
+    let mut approx4 = approx.chunks_exact(4);
+    for (ci, ca) in (&mut ids4).zip(&mut approx4) {
+        for ((m, &i), &a) in maxes.iter_mut().zip(ci).zip(ca) {
+            let r = rsp[i] + a;
+            if r > *m {
+                *m = r;
+            }
+        }
+    }
+    for (&i, &a) in ids4.remainder().iter().zip(approx4.remainder()) {
+        let r = rsp[i] + a;
+        if r > maxes[0] {
+            maxes[0] = r;
+        }
+    }
+    let nbr_max = maxes
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |m, r| if r > m { r } else { m });
+
+    let slack = lane_delta + 4.0 * (approx.len() as f64 + 4.0) * (f64::EPSILON / 2.0);
+    let lower = sum * (1.0 - slack);
+    let nbr_upper = if approx.is_empty() {
+        f64::NEG_INFINITY
+    } else {
+        nbr_max + slack * (sum + nbr_max.abs())
+    };
+    lower >= tracked.unwrap_or(f64::NEG_INFINITY) && lower >= nbr_upper
 }
 
 /// Index and value of the maximum element (ties resolved to the first).
@@ -2763,6 +2849,128 @@ mod tests {
         // The speculative front skips the same points.
         let (threaded, _) = run(base.with_threads(2));
         assert_samples_bitwise_equal(&optimized, &threaded, "threads 1 vs 2");
+    }
+
+    /// The exact ES+Loc Shrink decision over the libm lanes `exact`: the
+    /// comparisons `shrink_apply_es_locality` makes, in its order.
+    fn exact_shrink_rejects(rsp: &[f64], tracked: f64, ids: &[usize], exact: &[f64]) -> bool {
+        let cand_rsp = exact.iter().fold(0.0, |sum, &v| sum + v);
+        // Every value here is finite, so `<=` is the negation of the `>`
+        // the Shrink step tests.
+        tracked <= cand_rsp && ids.iter().zip(exact).all(|(&i, &v)| rsp[i] + v <= cand_rsp)
+    }
+
+    proptest::proptest! {
+        /// Soundness of the Shrink rejection filter: over random
+        /// neighbourhoods with engineered near-ties (a competitor at the
+        /// tracked maximum or at a neighbour slot, from 4 ulps to 1e-6
+        /// relative on either side of `cand_rsp`), a certified candidate is
+        /// always one the exact Shrink rejects. Each lane set stays within
+        /// the error its `lane_delta` admits: the bounded kernel lanes; libm
+        /// lanes pushed by the evaluator's proven error bound against the
+        /// filter (the competitor's lane up, every other lane down); libm
+        /// lanes with random errors within that bound; and the libm lanes
+        /// themselves at δ = 0, which leaves only the fold-rounding slack.
+        #[test]
+        fn certified_rejections_are_exact_rejections(
+            xs in proptest::collection::vec(0.0f64..14.0, 1..300),
+            fracs in proptest::collection::vec(0.0f64..0.999, 300..301),
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            // The proven lane error of `eval_dist2_batch_bounded` (see
+            // `BOUNDED_LANE_DELTA`).
+            const PROVEN: f64 = 1e-8;
+            let kernel = GaussianKernel::new(1.0);
+            let n = xs.len();
+            let dist2: Vec<f64> = xs.iter().map(|&x| 2.0 * x).collect();
+            let mut exact = vec![0.0; n];
+            kernel.eval_dist2_batch(&dist2, &mut exact);
+            let mut bounded = vec![0.0; n];
+            proptest::prop_assert!(kernel.eval_dist2_batch_bounded(&dist2, &mut bounded));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let jittered: Vec<f64> = exact
+                .iter()
+                .map(|&e| e * (1.0 + rng.gen_range(-PROVEN..PROVEN)))
+                .collect();
+            let pushed = |up: Option<usize>| -> Vec<f64> {
+                exact
+                    .iter()
+                    .enumerate()
+                    .map(|(n, &e)| {
+                        let sign = if up.is_none_or(|j| j == n) { 1.0 } else { -1.0 };
+                        e * (1.0 + sign * PROVEN)
+                    })
+                    .collect()
+            };
+
+            let cand = exact.iter().fold(0.0, |sum, &v| sum + v);
+            let mut competitors = vec![cand];
+            for ulps in 1..=4u64 {
+                competitors.push(f64::from_bits(cand.to_bits() + ulps));
+                competitors.push(f64::from_bits(cand.to_bits() - ulps));
+            }
+            for decade in -15..=-6 {
+                for m in [1.0, 2.0, 5.0] {
+                    let t = m * 10f64.powi(decade);
+                    competitors.extend([cand * (1.0 + t), cand * (1.0 - t)]);
+                }
+            }
+
+            let ids: Vec<usize> = (0..n).collect();
+            // Every neighbour strictly or nearly below the candidate.
+            let base: Vec<f64> = exact.iter().zip(&fracs).map(|(&e, &f)| f * (cand - e)).collect();
+            for &c in &competitors {
+                // (competitor slot or the tracker, rsp, tracked maximum)
+                let mut setups = vec![(None, base.clone(), c)];
+                for j in [0, n / 2, n - 1] {
+                    let mut rsp = base.clone();
+                    rsp[j] = c - exact[j];
+                    setups.push((Some(j), rsp, 0.5 * cand));
+                }
+                for (slot, rsp, tracked) in &setups {
+                    let lane_sets = [
+                        (BOUNDED_LANE_DELTA, &bounded),
+                        (BOUNDED_LANE_DELTA, &pushed(*slot)),
+                        (BOUNDED_LANE_DELTA, &jittered),
+                        (0.0, &exact),
+                    ];
+                    for (set, (delta, lanes)) in lane_sets.into_iter().enumerate() {
+                        if certifies_reject(delta, rsp, Some(*tracked), &ids, lanes) {
+                            proptest::prop_assert!(
+                                exact_shrink_rejects(rsp, *tracked, &ids, &exact),
+                                "lane set {set} certified an accept: n = {n}, competitor \
+                                 {c:e} at {slot:?} vs cand_rsp {cand:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_fallbacks_cover_every_accept_and_few_rejects() {
+        let d = GeolifeGenerator::with_size(20_000, 41).generate();
+        let mut s = VasSampler::from_dataset(&d, VasConfig::new(300));
+        s.observe_chunk(&d.points);
+        let registry = s.recorder().registry();
+        let accepts = registry.get(Counter::CoreAccepts);
+        let fallbacks = registry.get(Counter::CoreExactFallbacks);
+        let candidates = accepts + registry.get(Counter::CoreRejects);
+        assert!(accepts > 0);
+        assert!(
+            fallbacks >= accepts,
+            "{fallbacks} fallbacks < {accepts} accepts"
+        );
+        assert!(
+            (fallbacks - accepts) * 1_000 < candidates,
+            "{} near-ties out of {candidates} candidates",
+            fallbacks - accepts
+        );
+        // A per-build counter, reset with the others.
+        let _ = s.finalize();
+        assert_eq!(s.recorder().registry().get(Counter::CoreExactFallbacks), 0);
     }
 
     #[test]

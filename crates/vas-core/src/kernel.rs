@@ -38,6 +38,18 @@
 //! nothing: the sampler's reservoir fill phase, the accept path's
 //! removed-neighbourhood subtraction, objective initialization, and the
 //! legacy (paper-faithful) inner loop.
+//!
+//! ## Bounded lanes: a filter, never a value
+//!
+//! [`GaussianKernel::eval_dist2_batch_bounded`] approximates the Gaussian
+//! without libm, within a proven relative error of the libm value (see
+//! [`BOUNDED_LANE_DELTA`]). Its rule: **approximate lanes may only certify
+//! a rejection; everything stored comes from libm.** The Interchange Shrink
+//! step uses them to prove, with the lane error and the fold rounding
+//! bounded, that the exact test would reject a candidate; every candidate
+//! it cannot prove that for runs the exact `eval_dist2_batch` lanes. No
+//! approximate value ever reaches a responsibility, the objective or the
+//! sample, so the determinism contract above is untouched.
 
 use serde::{Deserialize, Serialize};
 use vas_data::{Dataset, Point};
@@ -125,6 +137,45 @@ pub struct GaussianKernel {
 /// determinism suite still demands bit-identical samples.
 const GAUSSIAN_UNDERFLOW_EXPONENT: f64 = 750.0;
 
+/// Relative error the Shrink filter assumes for every lane of
+/// [`GaussianKernel::eval_dist2_batch_bounded`]: each lane `a` of an
+/// in-range batch and the libm value `e = eval_dist2(dist2)` satisfy
+/// `|a − e| ≤ δ·a`.
+///
+/// The proven bound is below `δ/10 = 1e-8`. Against the true exponential
+/// `t`, `|a − t|` and `|e − t|` together stay below `7.96e-9·t`, and
+/// `t < 1.0001·a`. The terms are:
+/// - truncating the degree-7 Taylor polynomial of `exp(r)` on
+///   `|r| ≤ ln2/2 + 1e-12`: the Lagrange remainder is at most
+///   `e^{0.35}·0.35⁸/8! < 7.95e-9` relative;
+/// - the range reduction: `k·LN2_HI` is exact (`LN2_HI` has 32 significant
+///   bits, `|k| ≤ 1021`) and its subtraction from `−x` is exact by
+///   Sterbenz's lemma, so `r` is off by under `u·|r| + 1e-22` (`u = 2⁻⁵³`),
+///   under `4e-17` relative on `exp(r)`;
+/// - Horner's rule with rounded coefficients: under `32u` relative, since
+///   `Σ|rᵏ/k!| ≤ e^{0.35}` while the polynomial stays above `e^{−0.35}`;
+/// - scaling by `2^k`: exact, because the supported range keeps every
+///   result normal;
+/// - libm's own error against the true exponential: under one ulp.
+///
+/// `kernel::tests::bounded_lanes_stay_ten_times_inside_delta` sweeps the
+/// whole supported range to check that headroom.
+pub(crate) const BOUNDED_LANE_DELTA: f64 = 1e-7;
+
+/// Largest exponent `x = dist2 / 2ε²` the bounded evaluator supports:
+/// `exp(−708)` ≈ 3.3e-308 is still a normal `f64`, so the `2^k` scaling
+/// stays exact. Lanes beyond it (and NaN lanes) are reported out of range.
+const BOUNDED_MAX_EXPONENT: f64 = 708.0;
+
+/// `1.5·2⁵²`: adding it rounds a value below 2⁵¹ in magnitude to the
+/// nearest integer and leaves that integer in the low mantissa bits.
+const ROUND_SHIFT: f64 = 6_755_399_441_055_744.0;
+
+/// Cody–Waite split of ln 2 (the fdlibm constants): `LN2_HI` has its low 21
+/// mantissa bits zero, so `k·LN2_HI` is exact for `|k| < 2²¹`.
+const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+
 impl GaussianKernel {
     /// Creates a Gaussian kernel with bandwidth `epsilon`.
     ///
@@ -145,23 +196,32 @@ impl GaussianKernel {
     /// `ε ≈ max pairwise distance / 100`, where the maximum pairwise distance
     /// is approximated by the diagonal of the dataset's bounding box.
     ///
+    /// Points with a NaN or infinite coordinate are left out of the extent
+    /// (`BoundingBox::extend_finite`): the sampler never admits them, and
+    /// one of them would otherwise make the diagonal infinite.
+    ///
     /// Falls back to `ε = 1` for datasets with fewer than two distinct
-    /// positions (the kernel value is then constant anyway).
+    /// finite positions (the kernel value is then constant anyway).
     pub fn for_dataset(dataset: &Dataset) -> Self {
         Self::for_points(&dataset.points)
     }
 
     /// Same as [`for_dataset`](Self::for_dataset) for a raw point slice.
     pub fn for_points(points: &[Point]) -> Self {
-        Self::for_bounds(&vas_data::BoundingBox::from_points(points))
+        let mut bounds = vas_data::BoundingBox::EMPTY;
+        for p in points {
+            bounds.extend_finite(p);
+        }
+        Self::for_bounds(&bounds)
     }
 
     /// Same as [`for_dataset`](Self::for_dataset) for a pre-computed extent.
     ///
     /// This is the entry point the streaming pipeline uses: a one-pass
-    /// bounds scan over a `PointSource` folds the extent in stream order
-    /// (bit-identical to `BoundingBox::from_points`), so streaming and
-    /// in-memory builds resolve bit-identical bandwidths.
+    /// bounds scan over a `PointSource` folds the finite extent in stream
+    /// order (bit-identical to the fold [`for_points`](Self::for_points)
+    /// makes), so streaming and in-memory builds resolve bit-identical
+    /// bandwidths.
     pub fn for_bounds(bounds: &vas_data::BoundingBox) -> Self {
         let diag = bounds.diagonal();
         if diag.is_finite() && diag > 0.0 {
@@ -183,6 +243,51 @@ impl GaussianKernel {
     /// callers that want the mathematically exact pairwise term.
     pub fn convolved(&self) -> Self {
         Self::new(self.epsilon * std::f64::consts::SQRT_2)
+    }
+
+    /// Bounded approximation of [`eval_dist2_batch`](Kernel::eval_dist2_batch):
+    /// writes each `out[i]` within relative error [`BOUNDED_LANE_DELTA`] of
+    /// the libm value, without calling libm.
+    ///
+    /// `exp(−x)` is reduced to `2^k·exp(r)` with `k = round(−x/ln2)` (the
+    /// shift trick) and `|r| ≤ ln2/2`, and `exp(r)` is a degree-7 Taylor
+    /// polynomial. Returns `false` when some lane's exponent
+    /// `x = dist2/2ε²` is NaN or outside `[0, 708]`; the lane values are then
+    /// unspecified and the caller must fall back to the exact kernel.
+    ///
+    /// These lanes may only certify a rejection (see the module docs).
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub(crate) fn eval_dist2_batch_bounded(&self, dist2: &[f64], out: &mut [f64]) -> bool {
+        assert_eq!(
+            dist2.len(),
+            out.len(),
+            "kernel batch lanes must line up: {} dist2 vs {} out",
+            dist2.len(),
+            out.len()
+        );
+        let inv_two_eps2 = self.inv_two_eps2;
+        let mut in_range = true;
+        for (o, &d2) in out.iter_mut().zip(dist2) {
+            let x = d2 * inv_two_eps2;
+            in_range &= (0.0..=BOUNDED_MAX_EXPONENT).contains(&x);
+            let shifted = -x * std::f64::consts::LOG2_E + ROUND_SHIFT;
+            let k = shifted - ROUND_SHIFT;
+            let r = (-x - k * LN2_HI) - k * LN2_LO;
+            let p = 1.0
+                + r * (1.0
+                    + r * (1.0 / 2.0
+                        + r * (1.0 / 6.0
+                            + r * (1.0 / 24.0
+                                + r * (1.0 / 120.0 + r * (1.0 / 720.0 + r * (1.0 / 5040.0)))))));
+            // The low bits of `shifted` hold `k` in two's complement; adding
+            // the exponent bias and shifting them into the exponent field
+            // builds `2^k` exactly for `k` in `[-1022, 0]`.
+            let scale = f64::from_bits(shifted.to_bits().wrapping_add(1023) << 52);
+            *o = p * scale;
+        }
+        in_range
     }
 }
 
@@ -463,6 +568,71 @@ mod tests {
                 lanes.push(x * two_eps2);
             }
             assert_batch_matches_scalar(&k, &lanes, "prop");
+        }
+    }
+
+    /// Largest `|a − e| / a` of the bounded lanes against the libm lanes over
+    /// `dist2`, asserting that every lane is in range.
+    fn bounded_max_rel_error(k: &GaussianKernel, dist2: &[f64]) -> f64 {
+        let mut approx = vec![f64::NAN; dist2.len()];
+        assert!(k.eval_dist2_batch_bounded(dist2, &mut approx));
+        let mut exact = vec![f64::NAN; dist2.len()];
+        k.eval_dist2_batch(dist2, &mut exact);
+        approx
+            .iter()
+            .zip(&exact)
+            .map(|(&a, &e)| (a - e).abs() / a)
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn bounded_lanes_stay_ten_times_inside_delta() {
+        // The whole supported exponent range `x ∈ [0, 708]`: an even sweep,
+        // plus both sides of every reduction boundary `(j + ½)·ln2`, where
+        // `|r|` and so the truncation error peak.
+        let mut xs: Vec<f64> = (0..=200_000)
+            .map(|i| i as f64 * (707.9 / 200_000.0))
+            .collect();
+        for j in 0..1_021 {
+            let edge = (j as f64 + 0.5) * std::f64::consts::LN_2;
+            xs.extend([edge * (1.0 - 1e-15), edge, edge * (1.0 + 1e-15)]);
+        }
+        for eps in [1.0, 0.013, 37.5] {
+            let k = GaussianKernel::new(eps);
+            let dist2: Vec<f64> = xs.iter().map(|&x| x * 2.0 * eps * eps).collect();
+            let worst = bounded_max_rel_error(&k, &dist2);
+            assert!(
+                worst <= BOUNDED_LANE_DELTA / 10.0,
+                "ε = {eps}: worst relative lane error {worst:e} leaves less than 10× \
+                 headroom under δ = {BOUNDED_LANE_DELTA:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn bounded_lanes_flag_nan_and_out_of_range_exponents() {
+        // ε = 1, so the exponent is x = dist2 / 2.
+        let k = GaussianKernel::new(1.0);
+        let good = [0.0, -0.0, 1.0, 2.0 * 13.8, 2.0 * 708.0];
+        let mut out = vec![0.0; good.len() + 1];
+        assert!(k.eval_dist2_batch_bounded(&good, &mut out[..good.len()]));
+        for bad in [
+            f64::NAN,
+            -1.0,
+            2.0 * 708.5,
+            2.0 * 750.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            // The offending lane at every position of the batch.
+            for at in 0..=good.len() {
+                let mut lanes = good.to_vec();
+                lanes.insert(at, bad);
+                assert!(
+                    !k.eval_dist2_batch_bounded(&lanes, &mut out),
+                    "dist2 = {bad:?} at lane {at} must force the exact path"
+                );
+            }
         }
     }
 

@@ -410,6 +410,36 @@ mod tests {
     }
 
     #[test]
+    fn an_infinite_coordinate_changes_no_build_path() {
+        // One `(∞, y)` point after the fill. Every entry point must derive ε
+        // from the finite points alone and skip the point, so the sample
+        // equals the one built without it, bit for bit.
+        let clean = dataset(3_000);
+        let mut points = clean.points.clone();
+        points.insert(1_700, Point::new(f64::INFINITY, points[0].y));
+        let dirty = Dataset::from_points(clean.name.clone(), points);
+        let config = VasConfig::new(120);
+        use vas_stream::DatasetSource;
+        let both = |what: &str, build: &dyn Fn(&Dataset) -> Sample| {
+            assert_bitwise(&build(&clean).points, &build(&dirty).points, what);
+        };
+        both("in-memory", &|d| VasSampler::new(config.clone()).build(d));
+        both("streaming", &|d| {
+            VasSampler::new(config.clone())
+                .build_from_source(&mut DatasetSource::with_chunk_size(d, 277))
+                .expect("in-memory source cannot fail")
+        });
+        both("sharded", &|d| {
+            ShardedSampler::new(config.clone(), 2).build_sharded(d)
+        });
+        both("sharded streaming", &|d| {
+            ShardedSampler::new(config.clone(), 2)
+                .build_sharded_from_source(&mut DatasetSource::with_chunk_size(d, 277))
+                .expect("in-memory source cannot fail")
+        });
+    }
+
+    #[test]
     fn shard_counts_are_a_quality_knob_not_a_lottery() {
         // Different S may select different samples, but each S is stable:
         // building twice gives the same bits.

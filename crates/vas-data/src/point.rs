@@ -210,6 +210,20 @@ impl BoundingBox {
         self.max_y = self.max_y.max(p.y);
     }
 
+    /// Grows the box to include `p` if both its coordinates are finite, and
+    /// leaves it unchanged otherwise.
+    ///
+    /// This is the extent the kernel-bandwidth rule reads, in memory and
+    /// streaming alike: the sampler never admits a point with a non-finite
+    /// coordinate, so such a point must not stretch ε either (one infinite
+    /// coordinate would make the diagonal infinite).
+    #[inline]
+    pub fn extend_finite(&mut self, p: &Point) {
+        if p.is_finite() {
+            self.extend(p);
+        }
+    }
+
     /// Smallest box containing both inputs.
     #[inline]
     pub fn union(&self, other: &BoundingBox) -> BoundingBox {

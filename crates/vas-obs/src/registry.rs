@@ -22,6 +22,10 @@ pub enum Counter {
     CoreRejects,
     /// Kernel-evaluation lanes swept by the batched SoA path.
     CoreKernelLanes,
+    /// Candidates of the batched sequential ES+Loc path whose rejection the
+    /// bounded-lane filter could not certify, so they ran the exact libm
+    /// lanes: every accept plus the rare near-tie.
+    CoreExactFallbacks,
     /// Speculation worker panics contained by the sequential fallback.
     CoreContainedWorkerPanics,
     /// Checkpoints written by `run_checkpointed`.
@@ -59,10 +63,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 19] = [
         Counter::CoreAccepts,
         Counter::CoreRejects,
         Counter::CoreKernelLanes,
+        Counter::CoreExactFallbacks,
         Counter::CoreContainedWorkerPanics,
         Counter::CoreCheckpointWrites,
         Counter::CoreCheckpointResumes,
@@ -89,6 +94,7 @@ impl Counter {
             Counter::CoreAccepts => "core_accepts",
             Counter::CoreRejects => "core_rejects",
             Counter::CoreKernelLanes => "core_kernel_lanes",
+            Counter::CoreExactFallbacks => "core_exact_fallbacks",
             Counter::CoreContainedWorkerPanics => "core_contained_worker_panics",
             Counter::CoreCheckpointWrites => "core_checkpoint_writes",
             Counter::CoreCheckpointResumes => "core_checkpoint_resumes",
@@ -111,7 +117,7 @@ impl Counter {
     /// counter.
     ///
     /// Mirrors `VasSampler::reset()`: per-build tallies (accepts, rejects,
-    /// kernel lanes) start over with each build, while sampler-lifetime
+    /// kernel lanes, exact fallbacks) start over with each build, while sampler-lifetime
     /// health counters — `CoreContainedWorkerPanics` foremost, matching the
     /// long-standing carve-out — and every non-core layer's counters
     /// survive. The shard aggregates (`CoreShardAccepts`/`CoreShardRejects`)
@@ -121,7 +127,10 @@ impl Counter {
     pub fn resets_with_build(self) -> bool {
         matches!(
             self,
-            Counter::CoreAccepts | Counter::CoreRejects | Counter::CoreKernelLanes
+            Counter::CoreAccepts
+                | Counter::CoreRejects
+                | Counter::CoreKernelLanes
+                | Counter::CoreExactFallbacks
         )
     }
 
@@ -413,6 +422,7 @@ mod tests {
         assert_eq!(r.get(Counter::CoreAccepts), 0);
         assert_eq!(r.get(Counter::CoreRejects), 0);
         assert_eq!(r.get(Counter::CoreKernelLanes), 0);
+        assert_eq!(r.get(Counter::CoreExactFallbacks), 0);
         // The sampler-lifetime health counter and every non-core layer
         // survive, exactly like the plain-field implementation did.
         assert_eq!(r.get(Counter::CoreContainedWorkerPanics), 7);

@@ -1,12 +1,13 @@
 //! One-pass streaming statistics over a [`PointSource`].
 //!
 //! The sampler's kernel bandwidth follows the paper's rule — dataset extent
-//! diagonal / 100 — which an in-memory build reads off
-//! `BoundingBox::from_points`. Out-of-core builds get the same number from a
-//! single streaming scan: [`StreamStats`] folds the bounds in stream order
-//! (bit-identical to `from_points` over the same stream) and keeps
-//! Welford-style moments of the `value` attribute as a by-product, so a
-//! normalization pre-pass never needs a second algorithm.
+//! diagonal / 100 — over the points with finite coordinates, which an
+//! in-memory build folds with `BoundingBox::extend_finite`. Out-of-core
+//! builds get the same number from a single streaming scan: [`StreamStats`]
+//! folds the same extent in stream order (bit-identical to the in-memory
+//! fold over the same stream) and keeps Welford-style moments of the
+//! `value` attribute as a by-product, so a normalization pre-pass never
+//! needs a second algorithm.
 
 use crate::source::PointSource;
 use std::io;
@@ -17,15 +18,16 @@ use vas_data::{BoundingBox, Point};
 pub struct StreamStats {
     /// Points seen.
     pub count: u64,
-    /// Spatial extent, folded with `BoundingBox::extend` in stream order —
+    /// Spatial extent of the points with finite coordinates, folded with
+    /// `BoundingBox::extend_finite` in stream order. For finite data it is
     /// bit-identical to `BoundingBox::from_points` over the same points.
     pub bounds: BoundingBox,
     /// Smallest `value` attribute seen (`+∞` before any point).
     pub value_min: f64,
     /// Largest `value` attribute seen (`-∞` before any point).
     pub value_max: f64,
-    /// Points with a non-finite coordinate or value (still folded into
-    /// `bounds`, exactly as `BoundingBox::from_points` would).
+    /// Points with a non-finite coordinate or value. Those with a
+    /// non-finite coordinate are left out of `bounds`.
     pub non_finite: u64,
     mean: f64,
     m2: f64,
@@ -54,7 +56,7 @@ impl StreamStats {
     /// Folds one point in.
     pub fn push(&mut self, p: &Point) {
         self.count += 1;
-        self.bounds.extend(p);
+        self.bounds.extend_finite(p);
         if !(p.is_finite() && p.value.is_finite()) {
             self.non_finite += 1;
         }
@@ -345,7 +347,8 @@ mod tests {
         );
         let stats = scan_stats(&mut DatasetSource::new(&d)).unwrap();
         assert_eq!(stats.non_finite, 2);
-        // Bounds still folded exactly like BoundingBox::from_points.
+        // The NaN point is left out of the bounds; its y lies inside them
+        // anyway, so they equal BoundingBox::from_points here.
         let reference = d.bounds();
         assert_eq!(stats.bounds.min_x.to_bits(), reference.min_x.to_bits());
         assert_eq!(stats.bounds.max_x.to_bits(), reference.max_x.to_bits());
