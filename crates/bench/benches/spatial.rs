@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the spatial substrates: the three `LocalityIndex`
-//! backends (R-tree, k-d tree, spatial hash) on the ES+Loc fixed-radius
-//! query, plus the k-d tree's density-embedding nearest-neighbour query.
+//! Micro-benchmarks of the spatial substrates: the two `LocalityIndex`
+//! backends (R-tree, spatial hash) on the ES+Loc fixed-radius query, plus
+//! the static k-d tree's density-embedding nearest-neighbour query.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use vas_data::GeolifeGenerator;

@@ -1,8 +1,7 @@
 //! Inner-loop throughput of the Interchange candidate (replacement-test)
-//! path: the optimized loop (block-max Shrink + zero-allocation
-//! spatial queries) against the retained pre-optimization legacy loop,
-//! swept across every `LocalityIndex` backend, measured in the same run on
-//! the same stream.
+//! path — block-max Shrink, bounded rejection filter and batched kernel
+//! lanes over zero-allocation spatial queries — swept across every
+//! `LocalityIndex` backend, measured in the same run on the same stream.
 //!
 //! The figure of merit is **throughput on rejected-candidate tuples** — the
 //! overwhelmingly common case once the sample has converged, and the case
@@ -19,21 +18,11 @@
 //! spatial-hash backend ever regresses below the R-tree baseline.
 //!
 //! With `--threads t1,t2,...` the run additionally sweeps the **speculative
-//! kernel pre-evaluation** front over the optimized ES+Loc/hashgrid loop:
+//! kernel pre-evaluation** front over the ES+Loc/hashgrid loop:
 //! the candidate phase is driven through `VasSampler::observe_chunk` at each
 //! thread count, every run's sample is asserted bit-identical to the
 //! `threads = 1` run (non-zero exit on divergence), and the timings land in
 //! a `fig10_inner_loop` section of `results/BENCH_parallel.json`.
-//!
-//! Every run (unless `--baseline`) also measures the **kernel-evaluation
-//! phase**: the optimized ES+Loc/hashgrid candidate loop with the batched
-//! SoA kernel path (batch-gather + `eval_dist2_batch` lane sweeps, the
-//! default) against the scalar point-at-a-time baseline
-//! (`VasConfig::with_scalar_kernel_path`). The two samples are asserted
-//! bit-identical (non-zero exit on divergence) and the comparison — scalar
-//! vs batched throughput, lanes per rejected tuple, and the
-//! `bit_identical` flag CI gates on — is written to
-//! `results/BENCH_kernel.json`.
 //!
 //! With `--obs` the binary instead runs only the **observability overhead
 //! gate**: the full instrumented stack (chunked reads through fault
@@ -47,17 +36,15 @@
 //!
 //! Usage:
 //! ```text
-//! fig10_inner_loop [--smoke] [--baseline] [--backend rtree|kdtree|hashgrid]
+//! fig10_inner_loop [--smoke] [--backend rtree|hashgrid]
 //!                  [--require-hashgrid-at-least <ratio>] [--threads t1,t2,...]
 //!                  [--obs]
 //! ```
 //! * `--smoke`    — tiny dataset (20K points, K = 500) for CI.
-//! * `--baseline` — measure only the legacy loop (for A/B-ing across
-//!   checkouts; the default measures both in one run).
-//! * `--backend`  — restrict the sweep to one backend (default: all three).
+//! * `--backend`  — restrict the sweep to one backend (default: both).
 //! * `--require-hashgrid-at-least` — exit non-zero unless
-//!   `hashgrid rejected/s ÷ rtree rejected/s` (optimized loop) reaches the
-//!   given ratio; both backends must be part of the sweep.
+//!   `hashgrid rejected/s ÷ rtree rejected/s` reaches the given ratio; both
+//!   backends must be part of the sweep.
 //! * `--threads`  — comma-separated thread counts for the speculative
 //!   pre-evaluation sweep.
 //! * `--obs`      — run only the observability overhead gate (see above).
@@ -82,16 +69,14 @@ use vas_stream::{
     spill_dataset, ChunkedReader, FaultInjectorSource, FaultPlan, RetryPolicy, RetryingSource,
 };
 
-/// One measured (strategy × backend × inner-loop) cell.
+/// One measured (strategy × backend) cell.
 #[derive(Debug, Clone, Serialize)]
 struct VariantResult {
     /// Strategy label ("ES" or "ES+Loc").
     strategy: String,
-    /// Locality backend label ("rtree", "kdtree", "hashgrid"; "n/a" for the
+    /// Locality backend label ("rtree", "hashgrid"; "n/a" for the
     /// backend-independent plain-ES strategy).
     backend: String,
-    /// "legacy" or "optimized".
-    inner_loop: String,
     /// Wall-clock seconds spent filling the first K slots.
     fill_secs: f64,
     /// Wall-clock seconds spent on the candidate (replacement-test) phase.
@@ -116,18 +101,6 @@ struct VariantResult {
     accepted_per_sec: f64,
 }
 
-/// Speed-up of the optimized loop over the legacy loop for one
-/// (strategy, backend) pair.
-#[derive(Debug, Clone, Serialize)]
-struct Speedup {
-    strategy: String,
-    backend: String,
-    /// `optimized.rejected_per_sec / legacy.rejected_per_sec`.
-    rejected_throughput_ratio: f64,
-    /// `optimized.tuples_per_sec / legacy.tuples_per_sec`.
-    tuple_throughput_ratio: f64,
-}
-
 /// Micro-measured cost split of one accepted replacement on one backend:
 /// the two neighbourhood queries (candidate + removed element) vs the index
 /// churn (remove + insert), averaged over a deterministic probe set drawn
@@ -143,7 +116,7 @@ struct AcceptCostSplit {
     probes: usize,
 }
 
-/// Cross-backend standing of the optimized ES+Loc loop.
+/// Cross-backend standing of the ES+Loc loop.
 #[derive(Debug, Clone, Serialize)]
 struct BackendComparison {
     backend: String,
@@ -160,7 +133,6 @@ struct BenchReport {
     mode: String,
     dataset: DatasetInfo,
     variants: Vec<VariantResult>,
-    speedups: Vec<Speedup>,
     accept_cost: Vec<AcceptCostSplit>,
     backend_comparison: Vec<BackendComparison>,
 }
@@ -184,15 +156,13 @@ fn measure(
     strategy: InterchangeStrategy,
     backend: LocalityBackend,
     epsilon: f64,
-    legacy: bool,
 ) -> (VariantResult, Vec<Point>) {
     let mut sampler = VasSampler::from_dataset(
         data,
         VasConfig::new(k)
             .with_strategy(strategy)
             .with_epsilon(epsilon)
-            .with_locality_backend(backend)
-            .with_legacy_inner_loop(legacy),
+            .with_locality_backend(backend),
     );
     let fill_start = Instant::now();
     for p in data.points.iter().take(k) {
@@ -200,8 +170,7 @@ fn measure(
     }
     let fill_secs = fill_start.elapsed().as_secs_f64();
 
-    // The ~2×Instant overhead per tuple is identical for both inner loops
-    // and all backends.
+    // The ~2×Instant overhead per tuple is identical for all backends.
     let candidates = &data.points[k..];
     let mut rejected_secs = 0.0f64;
     let mut accepted_secs = 0.0f64;
@@ -231,7 +200,6 @@ fn measure(
     let result = VariantResult {
         strategy: strategy.label().to_string(),
         backend: backend_label,
-        inner_loop: if legacy { "legacy" } else { "optimized" }.to_string(),
         fill_secs,
         candidate_secs,
         rejected_secs,
@@ -274,7 +242,7 @@ struct PreEvalSection {
 /// streaming default).
 const SWEEP_CHUNK: usize = 8_192;
 
-/// Runs the optimized ES+Loc candidate phase through `observe_chunk` at one
+/// Runs the ES+Loc candidate phase through `observe_chunk` at one
 /// thread count, returning the timing and the final sample for the
 /// bit-identity gate.
 fn measure_pre_eval(
@@ -307,111 +275,6 @@ fn measure_pre_eval(
         accepted: sampler.replacements(),
     };
     (entry, sampler.current_sample().to_vec())
-}
-
-/// One side of the kernel-evaluation phase comparison: the optimized
-/// ES+Loc/hashgrid candidate loop with either the scalar point-at-a-time
-/// kernel path or the batched SoA lane path.
-#[derive(Debug, Clone, Serialize)]
-struct KernelPhaseVariant {
-    /// "scalar" or "batched".
-    kernel_path: String,
-    /// Wall-clock seconds of the candidate phase.
-    candidate_secs: f64,
-    /// Of `candidate_secs`, the share spent on tuples that ended rejected.
-    rejected_secs: f64,
-    /// Candidate tuples streamed after the fill.
-    candidate_tuples: u64,
-    /// Valid replacements performed.
-    accepted: u64,
-    /// Rejected tuples.
-    rejected: u64,
-    /// Candidate tuples per second (whole candidate phase).
-    tuples_per_sec: f64,
-    /// Rejected tuples per second while processing rejected tuples.
-    rejected_per_sec: f64,
-    /// Kernel-value lanes evaluated through `eval_dist2_batch` (0 on the
-    /// scalar path).
-    kernel_lanes: u64,
-    /// `kernel_lanes / rejected` — the average batch width the lane sweep
-    /// amortizes per rejected candidate (0 on the scalar path).
-    lanes_per_rejected_tuple: f64,
-}
-
-/// The whole report, serialized to `results/BENCH_kernel.json`. CI greps it
-/// for `"bit_identical": true`.
-#[derive(Debug, Clone, Serialize)]
-struct KernelReport {
-    bench: String,
-    mode: String,
-    n: usize,
-    k: usize,
-    backend: String,
-    epsilon: f64,
-    scalar: KernelPhaseVariant,
-    batched: KernelPhaseVariant,
-    /// `batched.rejected_per_sec / scalar.rejected_per_sec`.
-    rejected_throughput_ratio: f64,
-    /// `batched.tuples_per_sec / scalar.tuples_per_sec`.
-    tuple_throughput_ratio: f64,
-    /// Whether the scalar and batched runs converged to bitwise-identical
-    /// samples.
-    bit_identical: bool,
-}
-
-/// Streams the dataset through the optimized ES+Loc/hashgrid loop with the
-/// chosen kernel path, timing every observation. Returns the measurement
-/// plus the converged sample for the bit-identity gate.
-fn measure_kernel_phase(
-    data: &Dataset,
-    k: usize,
-    epsilon: f64,
-    scalar: bool,
-) -> (KernelPhaseVariant, Vec<Point>) {
-    let mut sampler = VasSampler::from_dataset(
-        data,
-        VasConfig::new(k)
-            .with_strategy(InterchangeStrategy::ExpandShrinkLocality)
-            .with_epsilon(epsilon)
-            .with_locality_backend(LocalityBackend::HashGrid)
-            .with_scalar_kernel_path(scalar),
-    );
-    for p in data.points.iter().take(k) {
-        sampler.observe(*p);
-    }
-    let candidates = &data.points[k..];
-    let mut rejected_secs = 0.0f64;
-    let mut replacements_before = sampler.replacements();
-    let start = Instant::now();
-    for p in candidates {
-        let t0 = Instant::now();
-        sampler.observe(*p);
-        let dt = t0.elapsed().as_secs_f64();
-        let replacements_now = sampler.replacements();
-        if replacements_now == replacements_before {
-            rejected_secs += dt;
-        } else {
-            replacements_before = replacements_now;
-        }
-    }
-    let candidate_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let accepted = sampler.replacements();
-    let candidate_tuples = candidates.len() as u64;
-    let rejected = candidate_tuples - accepted;
-    let kernel_lanes = sampler.kernel_lanes();
-    let variant = KernelPhaseVariant {
-        kernel_path: if scalar { "scalar" } else { "batched" }.to_string(),
-        candidate_secs,
-        rejected_secs,
-        candidate_tuples,
-        accepted,
-        rejected,
-        tuples_per_sec: candidate_tuples as f64 / candidate_secs,
-        rejected_per_sec: rejected as f64 / rejected_secs.max(1e-9),
-        kernel_lanes,
-        lanes_per_rejected_tuple: kernel_lanes as f64 / rejected.max(1) as f64,
-    };
-    (variant, sampler.current_sample().to_vec())
 }
 
 /// Micro-measures the accepted-replacement cost split on one backend: builds
@@ -837,7 +700,6 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let baseline_only = args.iter().any(|a| a == "--baseline");
     let obs_only = args.iter().any(|a| a == "--obs");
     let mut backends: Vec<LocalityBackend> = Vec::new();
     let mut required_hashgrid_ratio: Option<f64> = None;
@@ -845,7 +707,7 @@ fn main() {
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" | "--baseline" | "--obs" => {}
+            "--smoke" | "--obs" => {}
             "--threads" => {
                 i += 1;
                 let value = args.get(i).map(String::as_str).unwrap_or("");
@@ -860,7 +722,7 @@ fn main() {
             "--backend" => {
                 i += 1;
                 let value = args.get(i).unwrap_or_else(|| {
-                    eprintln!("--backend needs a value (rtree|kdtree|hashgrid)");
+                    eprintln!("--backend needs a value (rtree|hashgrid)");
                     std::process::exit(2);
                 });
                 match value.parse::<LocalityBackend>() {
@@ -888,8 +750,8 @@ fn main() {
             }
             unknown => {
                 eprintln!(
-                    "unknown argument {unknown}; usage: fig10_inner_loop [--smoke] [--baseline] \
-                     [--backend rtree|kdtree|hashgrid] [--require-hashgrid-at-least <ratio>] \
+                    "unknown argument {unknown}; usage: fig10_inner_loop [--smoke] \
+                     [--backend rtree|hashgrid] [--require-hashgrid-at-least <ratio>] \
                      [--threads t1,t2,...] [--obs]"
                 );
                 std::process::exit(2);
@@ -899,13 +761,6 @@ fn main() {
     }
     if backends.is_empty() {
         backends = LocalityBackend::ALL.to_vec();
-    }
-    if baseline_only && required_hashgrid_ratio.is_some() {
-        eprintln!(
-            "--require-hashgrid-at-least compares the optimized loops, which --baseline skips; \
-             drop one of the two flags"
-        );
-        std::process::exit(2);
     }
 
     // The paper-scale configuration: 1M Gaussian points, K = 10K. The smoke
@@ -930,7 +785,6 @@ fn main() {
     }
 
     let mut variants = Vec::new();
-    let mut speedups = Vec::new();
     let mut accept_cost = Vec::new();
     let mut comparison_raw: Vec<(LocalityBackend, f64)> = Vec::new();
 
@@ -938,67 +792,26 @@ fn main() {
     // (smoke only: the quadratic-ish full scan dominates the full-size run
     // without adding information at K = 10K).
     if smoke {
-        let backend = LocalityBackend::default();
         let strategy = InterchangeStrategy::ExpandShrink;
-        let (legacy, _) = measure(&data, k, strategy, backend, epsilon, true);
+        let (es, _) = measure(&data, k, strategy, LocalityBackend::default(), epsilon);
         eprintln!(
-            "[fig10_inner_loop] ES legacy: {:.0} rejected tuples/s",
-            legacy.rejected_per_sec
+            "[fig10_inner_loop] ES: {:.0} rejected tuples/s",
+            es.rejected_per_sec
         );
-        if baseline_only {
-            variants.push(legacy);
-        } else {
-            let (optimized, _) = measure(&data, k, strategy, backend, epsilon, false);
-            eprintln!(
-                "[fig10_inner_loop] ES optimized: {:.0} rejected tuples/s",
-                optimized.rejected_per_sec
-            );
-            assert_eq!(
-                legacy.accepted, optimized.accepted,
-                "legacy and optimized loops must make identical replacement decisions"
-            );
-            speedups.push(Speedup {
-                strategy: strategy.label().to_string(),
-                backend: "n/a".to_string(),
-                rejected_throughput_ratio: optimized.rejected_per_sec / legacy.rejected_per_sec,
-                tuple_throughput_ratio: optimized.tuples_per_sec / legacy.tuples_per_sec,
-            });
-            variants.push(legacy);
-            variants.push(optimized);
-        }
+        variants.push(es);
     }
 
-    // The headline sweep: ES+Loc, legacy and optimized, per backend.
+    // The headline sweep: ES+Loc per backend.
     for &backend in &backends {
         let strategy = InterchangeStrategy::ExpandShrinkLocality;
-        let (legacy, _) = measure(&data, k, strategy, backend, epsilon, true);
+        let (variant, sample) = measure(&data, k, strategy, backend, epsilon);
         eprintln!(
-            "[fig10_inner_loop] ES+Loc/{backend} legacy: {:.0} rejected tuples/s",
-            legacy.rejected_per_sec
+            "[fig10_inner_loop] ES+Loc/{backend}: {:.0} rejected tuples/s",
+            variant.rejected_per_sec
         );
-        if baseline_only {
-            variants.push(legacy);
-            continue;
-        }
-        let (optimized, sample) = measure(&data, k, strategy, backend, epsilon, false);
-        eprintln!(
-            "[fig10_inner_loop] ES+Loc/{backend} optimized: {:.0} rejected tuples/s",
-            optimized.rejected_per_sec
-        );
-        assert_eq!(
-            legacy.accepted, optimized.accepted,
-            "legacy and optimized loops must make identical replacement decisions ({backend})"
-        );
-        speedups.push(Speedup {
-            strategy: strategy.label().to_string(),
-            backend: backend.label().to_string(),
-            rejected_throughput_ratio: optimized.rejected_per_sec / legacy.rejected_per_sec,
-            tuple_throughput_ratio: optimized.tuples_per_sec / legacy.tuples_per_sec,
-        });
-        comparison_raw.push((backend, optimized.rejected_per_sec));
+        comparison_raw.push((backend, variant.rejected_per_sec));
         accept_cost.push(measure_accept_cost(backend, &sample, cutoff));
-        variants.push(legacy);
-        variants.push(optimized);
+        variants.push(variant);
     }
 
     let rtree_rejected = comparison_raw
@@ -1019,7 +832,6 @@ fn main() {
         &[
             "variant",
             "backend",
-            "inner loop",
             "candidate tuples",
             "accepted",
             "rejected/s",
@@ -1032,7 +844,6 @@ fn main() {
         table.push_row(vec![
             v.strategy.clone(),
             v.backend.clone(),
-            v.inner_loop.clone(),
             v.candidate_tuples.to_string(),
             v.accepted.to_string(),
             fmt3(v.rejected_per_sec),
@@ -1041,25 +852,8 @@ fn main() {
             fmt3(v.candidate_secs),
         ]);
     }
-    let mut speedup_table = ReportTable::new(
-        "Optimized vs legacy inner loop",
-        &[
-            "variant",
-            "backend",
-            "rejected-throughput ratio",
-            "tuple-throughput ratio",
-        ],
-    );
-    for s in &speedups {
-        speedup_table.push_row(vec![
-            s.strategy.clone(),
-            s.backend.clone(),
-            format!("{:.2}x", s.rejected_throughput_ratio),
-            format!("{:.2}x", s.tuple_throughput_ratio),
-        ]);
-    }
     let mut backend_table = ReportTable::new(
-        "Locality backends (optimized ES+Loc)",
+        "Locality backends (ES+Loc)",
         &[
             "backend",
             "rejected/s",
@@ -1084,7 +878,7 @@ fn main() {
                 .unwrap_or_else(|| "-".to_string()),
         ]);
     }
-    emit("fig10_inner_loop", &[table, speedup_table, backend_table]);
+    emit("fig10_inner_loop", &[table, backend_table]);
 
     let report = BenchReport {
         bench: "fig10_inner_loop".to_string(),
@@ -1097,7 +891,6 @@ fn main() {
             locality_threshold,
         },
         variants,
-        speedups,
         accept_cost,
         backend_comparison: backend_comparison.clone(),
     };
@@ -1105,66 +898,6 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialize bench report");
     std::fs::write(&path, json).expect("write BENCH_interchange.json");
     eprintln!("[machine-readable report written to {}]", path.display());
-
-    // ---- Kernel-evaluation phase: scalar vs batched SoA lanes. ----
-    if !baseline_only {
-        eprintln!("[fig10_inner_loop] kernel phase: scalar point-at-a-time path");
-        let (scalar, scalar_sample) = measure_kernel_phase(&data, k, epsilon, true);
-        eprintln!("[fig10_inner_loop] kernel phase: batched SoA lane path");
-        let (batched, batched_sample) = measure_kernel_phase(&data, k, epsilon, false);
-        let bit_identical = bitwise_eq(&scalar_sample, &batched_sample);
-        let mut kernel_table = ReportTable::new(
-            format!("Kernel-evaluation phase (ES+Loc/hashgrid, n = {n}, K = {k})"),
-            &[
-                "kernel path",
-                "rejected/s",
-                "tuples/s",
-                "candidate time (s)",
-                "lanes",
-                "lanes/rejected tuple",
-            ],
-        );
-        for v in [&scalar, &batched] {
-            kernel_table.push_row(vec![
-                v.kernel_path.clone(),
-                fmt3(v.rejected_per_sec),
-                fmt3(v.tuples_per_sec),
-                fmt3(v.candidate_secs),
-                v.kernel_lanes.to_string(),
-                fmt3(v.lanes_per_rejected_tuple),
-            ]);
-        }
-        emit("fig10_kernel_phase", &[kernel_table]);
-        eprintln!(
-            "[fig10_inner_loop] batched/scalar rejected-throughput {:.2}x, bit_identical = {}",
-            batched.rejected_per_sec / scalar.rejected_per_sec,
-            bit_identical
-        );
-        let kernel_report = KernelReport {
-            bench: "fig10_kernel_phase".to_string(),
-            mode: mode.to_string(),
-            n,
-            k,
-            backend: LocalityBackend::HashGrid.label().to_string(),
-            epsilon,
-            rejected_throughput_ratio: batched.rejected_per_sec / scalar.rejected_per_sec,
-            tuple_throughput_ratio: batched.tuples_per_sec / scalar.tuples_per_sec,
-            scalar,
-            batched,
-            bit_identical,
-        };
-        let path = results_dir().join("BENCH_kernel.json");
-        let json = serde_json::to_string_pretty(&kernel_report).expect("serialize kernel report");
-        std::fs::write(&path, json).expect("write BENCH_kernel.json");
-        eprintln!("[kernel-phase report written to {}]", path.display());
-        if !bit_identical {
-            eprintln!(
-                "[fig10_inner_loop] FAIL: the batched kernel path changed the converged sample"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("[fig10_inner_loop] kernel phase: scalar and batched paths agree bit-for-bit");
-    }
 
     // ---- Speculative pre-evaluation sweep (--threads). ----
     if !threads_sweep.is_empty() {

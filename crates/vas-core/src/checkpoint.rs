@@ -24,7 +24,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "VASCKPT\0"
-//! 8       4     version (u32 LE) = 1
+//! 8       4     version (u32 LE) = 2
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload (sampler state; see interchange.rs)
 //! 20+n    4     CRC-32 (IEEE) over the payload bytes
@@ -38,12 +38,13 @@ use vas_stream::VasError;
 /// Magic bytes opening every `.vascheckpt` file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VASCKPT\0";
 /// Container version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 /// Container bytes before the payload (magic + version + payload length).
 const HEADER_LEN: usize = 8 + 4 + 8;
 
-/// When and where [`VasSampler::build_from_source_checkpointed`]
-/// (crate::VasSampler::build_from_source_checkpointed) persists its state,
+/// When and where
+/// [`VasSampler::build_from_source_checkpointed`](crate::VasSampler::build_from_source_checkpointed)
+/// persists its state,
 /// plus an optional deterministic kill switch for crash-recovery tests.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {

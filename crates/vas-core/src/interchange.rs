@@ -25,9 +25,9 @@
 //!   function.
 //!
 //! The locality strategy is generic over the spatial index through the
-//! [`LocalityIndex`] trait: the paper's R-tree, a dynamic k-d tree and the
-//! default [`HashGrid`](vas_spatial::HashGrid) (cutoff-sized spatial-hash
-//! cells — the fastest backend on this fixed-radius churn workload) are
+//! [`LocalityIndex`] trait: the paper's R-tree and the default
+//! [`HashGrid`](vas_spatial::HashGrid) (cutoff-sized spatial-hash cells —
+//! the fastest backend on this fixed-radius churn workload) are
 //! interchangeable via [`VasConfig::with_locality_backend`], and
 //! [`VasSampler::with_index`] accepts any statically-typed backend.
 //!
@@ -101,26 +101,12 @@ pub struct VasConfig {
     /// Emit a [`ProgressEvent`] every this many observed tuples
     /// (0 disables progress reporting).
     pub progress_every: u64,
-    /// Use the pre-optimization inner loop (`O(K)` Shrink scan, allocating
-    /// spatial queries). Retained as the measured baseline of the
-    /// `fig10_inner_loop` benchmark and as the reference implementation the
-    /// determinism suite checks the optimized loop against bit-for-bit.
-    pub legacy_inner_loop: bool,
     /// Which spatial index the locality strategy keeps the sample in
     /// (default: [`LocalityBackend::HashGrid`]). Only consulted by the
     /// runtime-dispatched constructors ([`VasSampler::new`],
     /// [`VasSampler::from_dataset`]); statically-typed samplers built with
     /// [`VasSampler::with_index`] bring their own backend.
     pub locality_backend: LocalityBackend,
-    /// Force the point-at-a-time **scalar** kernel-evaluation path instead
-    /// of the batched gather-then-evaluate path (SoA lanes through
-    /// [`Kernel::eval_dist2_batch`]) that `ExpandShrink`/
-    /// `ExpandShrinkLocality` candidates use by default. The two paths are
-    /// bit-identical (pinned in `tests/determinism.rs`); this switch exists
-    /// as the measured baseline of the `fig10_inner_loop` kernel-phase
-    /// benchmark and as the reference the determinism suite compares
-    /// against.
-    pub scalar_kernel_path: bool,
     /// Worker threads for the chunked entry points
     /// ([`VasSampler::observe_chunk`] and the `build*` drivers built on it).
     /// `1` (the default) is the plain sequential loop; above 1 the
@@ -154,8 +140,6 @@ impl VasConfig {
             locality_threshold: 1e-6,
             passes: 1,
             progress_every: 0,
-            legacy_inner_loop: false,
-            scalar_kernel_path: false,
             locality_backend: LocalityBackend::default(),
             threads: 1,
             inject_speculation_panic_at: None,
@@ -189,24 +173,6 @@ impl VasConfig {
     /// Sets the locality threshold used by `ExpandShrinkLocality`.
     pub fn with_locality_threshold(mut self, threshold: f64) -> Self {
         self.locality_threshold = threshold;
-        self
-    }
-
-    /// Selects the pre-optimization inner loop (see
-    /// [`legacy_inner_loop`](Self::legacy_inner_loop)). Benchmarking and
-    /// regression-testing only — the optimized loop produces bit-identical
-    /// samples faster.
-    pub fn with_legacy_inner_loop(mut self, legacy: bool) -> Self {
-        self.legacy_inner_loop = legacy;
-        self
-    }
-
-    /// Forces the scalar kernel-evaluation path (see
-    /// [`scalar_kernel_path`](Self::scalar_kernel_path)). Benchmarking and
-    /// regression-testing only — the batched path produces bit-identical
-    /// samples faster.
-    pub fn with_scalar_kernel_path(mut self, scalar: bool) -> Self {
-        self.scalar_kernel_path = scalar;
         self
     }
 
@@ -322,17 +288,15 @@ impl PreEvalScratch {
 /// delta block substitutes for the live computation bit-for-bit as long as
 /// the snapshot is still valid.
 ///
-/// By default each candidate is gather-then-batch-evaluated: the index fills
-/// `gather`'s SoA lanes in visitation order, [`Kernel::eval_dist2_batch`]
-/// maps them in one vectorizable sweep, and `cand_rsp` folds the value lanes
-/// left-to-right — the exact association order of the scalar visitor, which
-/// `scalar` selects instead (the benchmarked baseline).
+/// Each candidate is gather-then-batch-evaluated: the index fills `gather`'s
+/// SoA lanes in visitation order, [`Kernel::eval_dist2_batch`] maps them in
+/// one vectorizable sweep, and `cand_rsp` folds the value lanes
+/// left-to-right, in visitation order.
 #[allow(clippy::too_many_arguments)]
 fn pre_eval_range<L: LocalityIndex>(
     index: &L,
     kernel: GaussianKernel,
     cutoff: f64,
-    scalar: bool,
     candidates: &[Point],
     ids: &mut Vec<usize>,
     vals: &mut Vec<f64>,
@@ -345,21 +309,12 @@ fn pre_eval_range<L: LocalityIndex>(
     for p in candidates {
         let start = ids.len();
         let mut cand_rsp = 0.0;
-        if scalar {
-            index.for_each_in_radius_with_dist2(p, cutoff, |i, _, d2| {
-                let v = kernel.eval_dist2(d2);
-                ids.push(i);
-                vals.push(v);
-                cand_rsp += v;
-            });
-        } else {
-            index.gather_in_radius_into(p, cutoff, gather);
-            ids.extend_from_slice(&gather.ids);
-            vals.resize(start + gather.len(), 0.0);
-            kernel.eval_dist2_batch(&gather.dist2, &mut vals[start..]);
-            for &v in &vals[start..] {
-                cand_rsp += v;
-            }
+        index.gather_in_radius_into(p, cutoff, gather);
+        ids.extend_from_slice(&gather.ids);
+        vals.resize(start + gather.len(), 0.0);
+        kernel.eval_dist2_batch(&gather.dist2, &mut vals[start..]);
+        for &v in &vals[start..] {
+            cand_rsp += v;
         }
         meta.push(((ids.len() - start) as u32, cand_rsp));
     }
@@ -387,15 +342,15 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// by the locality strategy.
     index: L,
     /// Block-max tracker over `rsp`, giving the Shrink step its maximum in
-    /// `O(1)`; only maintained by the (non-legacy) locality strategy.
+    /// `O(1)`; only maintained by the locality strategy.
     max_tracker: MaxTracker,
     /// Whether `max_tracker` currently mirrors `rsp`. Cleared by every path
-    /// that mutates `rsp` without updating the tracker (fill, legacy loop,
+    /// that mutates `rsp` without updating the tracker (fill, plain ES,
     /// naive rebuilds) and restored lazily on the next candidate.
     tracker_fresh: bool,
     /// Reusable SoA gather scratch for the per-candidate neighbourhood query
     /// (`ids` lane-parallel to `dist2`), so the steady-state replacement test
-    /// performs no allocation. The scalar path reuses its `ids` buffer too.
+    /// performs no allocation.
     gather: NeighborBatch,
     /// Reusable buffer of per-candidate kernel values, lane-parallel to
     /// `gather.ids` (the other half of the SoA delta representation).
@@ -479,7 +434,6 @@ fn strategy_from_tag(tag: u8) -> Result<InterchangeStrategy, VasError> {
 fn backend_tag(backend: LocalityBackend) -> u8 {
     match backend {
         LocalityBackend::RTree => 0,
-        LocalityBackend::KdTree => 1,
         LocalityBackend::HashGrid => 2,
     }
 }
@@ -487,7 +441,6 @@ fn backend_tag(backend: LocalityBackend) -> u8 {
 fn backend_from_tag(tag: u8) -> Result<LocalityBackend, VasError> {
     match tag {
         0 => Ok(LocalityBackend::RTree),
-        1 => Ok(LocalityBackend::KdTree),
         2 => Ok(LocalityBackend::HashGrid),
         other => Err(VasError::Checkpoint {
             detail: format!("unknown locality backend tag {other}"),
@@ -533,8 +486,6 @@ impl VasSampler {
         let mut out = Vec::new();
         snap::put_u64(&mut out, self.config.k as u64);
         snap::put_u8(&mut out, strategy_tag(self.config.strategy));
-        snap::put_u8(&mut out, self.config.legacy_inner_loop as u8);
-        snap::put_u8(&mut out, self.config.scalar_kernel_path as u8);
         snap::put_u8(&mut out, backend_tag(self.config.locality_backend));
         snap::put_f64(&mut out, self.config.locality_threshold);
         snap::put_u64(&mut out, self.config.passes.max(1) as u64);
@@ -629,15 +580,11 @@ impl VasSampler {
 
         let k = r.take_usize("k").map_err(ck)?;
         let strategy = strategy_from_tag(r.take_u8("strategy").map_err(ck)?)?;
-        let legacy = r.take_u8("legacy flag").map_err(ck)? != 0;
-        let scalar = r.take_u8("scalar flag").map_err(ck)? != 0;
         let backend = backend_from_tag(r.take_u8("backend").map_err(ck)?)?;
         let threshold = r.take_f64("locality threshold").map_err(ck)?;
         let passes = r.take_u64("passes").map_err(ck)?;
         require_match("sample budget k", k, config.k)?;
         require_match("strategy", strategy, config.strategy)?;
-        require_match("legacy_inner_loop", legacy, config.legacy_inner_loop)?;
-        require_match("scalar_kernel_path", scalar, config.scalar_kernel_path)?;
         require_match("locality_backend", backend, config.locality_backend)?;
         require_match(
             "locality_threshold bits",
@@ -694,19 +641,45 @@ impl VasSampler {
         }
         r.expect_end().map_err(ck)?;
 
+        let inconsistent = |detail: String| Err(VasError::Checkpoint { detail });
+        if points.len() > k {
+            return inconsistent(format!("{} sample points for budget k = {k}", points.len()));
+        }
         if rsp.len() != points.len() {
-            return Err(VasError::Checkpoint {
-                detail: format!(
-                    "{} responsibilities for {} sample points",
-                    rsp.len(),
-                    points.len()
-                ),
-            });
+            return inconsistent(format!(
+                "{} responsibilities for {} sample points",
+                rsp.len(),
+                points.len()
+            ));
         }
         let index = AnyLocalityIndex::restore(&index_bytes).map_err(|e| VasError::Checkpoint {
             detail: e.to_string(),
         })?;
         require_match("index backend", index.backend(), backend)?;
+        // The index is restored, not rebuilt (its visitation order is
+        // checkpointed state). ES+Loc keeps exactly one entry per slot, at
+        // that slot's point; the other strategies never insert. A CRC-valid
+        // file that says otherwise would send the Shrink step out of bounds
+        // or past the budget.
+        let indexed = strategy == InterchangeStrategy::ExpandShrinkLocality;
+        let expected_entries = if indexed { points.len() } else { 0 };
+        if index.len() != expected_entries {
+            return inconsistent(format!(
+                "index holds {} entries for {} sample points under {strategy:?}",
+                index.len(),
+                points.len()
+            ));
+        }
+        for (slot, p) in points.iter().enumerate().take(expected_entries) {
+            let mut found = false;
+            index.for_each_in_radius_with_dist2(p, 0.0, |id, q, _| {
+                found |=
+                    id == slot && q.x.to_bits() == p.x.to_bits() && q.y.to_bits() == p.y.to_bits();
+            });
+            if !found {
+                return inconsistent(format!("index does not hold slot {slot} at {p:?}"));
+            }
+        }
 
         let mut sampler = VasSampler::new(config);
         sampler.recorder = recorder;
@@ -954,9 +927,8 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.replacements
     }
 
-    /// Number of kernel-value lanes gathered by the batched path so far
-    /// (zero when [`VasConfig::scalar_kernel_path`] is set). A lane counts
-    /// once, whether only the bounded rejection filter or also the exact
+    /// Number of kernel-value lanes gathered so far. A lane counts once,
+    /// whether only the bounded rejection filter or also the exact
     /// [`Kernel::eval_dist2_batch`] evaluated it.
     ///
     /// Thin view over the metrics registry (`Counter::CoreKernelLanes`);
@@ -988,6 +960,13 @@ impl<L: LocalityIndex> VasSampler<L> {
     /// Current sample contents (slot order).
     pub fn current_sample(&self) -> &[Point] {
         &self.points
+    }
+
+    /// Current responsibilities, lane-parallel to
+    /// [`current_sample`](Self::current_sample): `Σ_{j≠i} κ̃(s_i, s_j)` over
+    /// the pairs the strategy evaluates, maintained incrementally.
+    pub fn current_responsibilities(&self) -> &[f64] {
+        &self.rsp
     }
 
     /// Occupancy statistics of the locality index's cell decomposition, when
@@ -1164,7 +1143,7 @@ impl<L: LocalityIndex> VasSampler<L> {
     /// does not cover) this is exactly the sequential `observe` loop. Above
     /// 1, `ExpandShrinkLocality` candidates run through **speculative kernel
     /// pre-evaluation**: the chunk is cut into batches of at most
-    /// [`PRE_EVAL_BATCH`] candidates; for each batch, scoped workers
+    /// `PRE_EVAL_BATCH` (2 048) candidates; for each batch, scoped workers
     /// partition the candidates into contiguous ranges and compute every
     /// candidate's neighbourhood `(slot, κ̃)` deltas against the *frozen*
     /// sample index (the batch's epoch snapshot); the calling thread then
@@ -1241,7 +1220,6 @@ impl<L: LocalityIndex> VasSampler<L> {
         let threads = vas_par::effective_threads(self.config.threads);
         let speculative = threads > 1
             && self.config.strategy == InterchangeStrategy::ExpandShrinkLocality
-            && !self.config.legacy_inner_loop
             && self.config.k > 0
             && self.kernel.is_some();
         let mut rest = chunk;
@@ -1427,7 +1405,6 @@ impl<L: LocalityIndex> VasSampler<L> {
     fn pre_evaluate(&mut self, candidates: &[Point], threads: usize) -> bool {
         let kernel = self.kernel.expect("kernel resolved");
         let cutoff = self.cutoff;
-        let scalar = self.config.scalar_kernel_path;
         let batch_index = self.speculated;
         self.speculated += 1;
         let inject_panic = self.config.inject_speculation_panic_at == Some(batch_index);
@@ -1477,9 +1454,7 @@ impl<L: LocalityIndex> VasSampler<L> {
                     if worker_injects {
                         panic!("injected speculation fault (batch {batch_index})");
                     }
-                    pre_eval_range(
-                        index, kernel, cutoff, scalar, stripe, ids, vals, meta, gather,
-                    );
+                    pre_eval_range(index, kernel, cutoff, stripe, ids, vals, meta, gather);
                 }));
             }
             // The calling thread is worker 0; contain its own stripe too so
@@ -1494,9 +1469,7 @@ impl<L: LocalityIndex> VasSampler<L> {
                 if inject_panic && workers == 1 {
                     panic!("injected speculation fault (batch {batch_index})");
                 }
-                pre_eval_range(
-                    index, kernel, cutoff, scalar, stripe, ids, vals, meta, gather,
-                );
+                pre_eval_range(index, kernel, cutoff, stripe, ids, vals, meta, gather);
             }));
             drop(span);
             poisoned |= own.is_err();
@@ -1507,13 +1480,11 @@ impl<L: LocalityIndex> VasSampler<L> {
         if poisoned {
             return false;
         }
-        if !scalar {
-            let lanes = self.pre_eval.vals[..workers]
-                .iter()
-                .map(|v| v.len() as u64)
-                .sum::<u64>();
-            self.recorder.inc(Counter::CoreKernelLanes, lanes);
-        }
+        let lanes = self.pre_eval.vals[..workers]
+            .iter()
+            .map(|v| v.len() as u64)
+            .sum::<u64>();
+        self.recorder.inc(Counter::CoreKernelLanes, lanes);
         true
     }
 
@@ -1642,14 +1613,10 @@ impl<L: LocalityIndex> VasSampler<L> {
     /// Handles a candidate point once the sample is full: the Expand/Shrink
     /// replacement test.
     fn observe_candidate(&mut self, point: Point) {
-        match (self.config.strategy, self.config.legacy_inner_loop) {
-            (InterchangeStrategy::Naive, _) => self.candidate_naive(point),
-            (InterchangeStrategy::ExpandShrink, false) => self.candidate_es_full(point),
-            (InterchangeStrategy::ExpandShrinkLocality, false) => self.candidate_es_locality(point),
-            (InterchangeStrategy::ExpandShrink, true) => self.candidate_es_legacy(point, false),
-            (InterchangeStrategy::ExpandShrinkLocality, true) => {
-                self.candidate_es_legacy(point, true)
-            }
+        match self.config.strategy {
+            InterchangeStrategy::Naive => self.candidate_naive(point),
+            InterchangeStrategy::ExpandShrink => self.candidate_es_full(point),
+            InterchangeStrategy::ExpandShrinkLocality => self.candidate_es_locality(point),
         }
     }
 
@@ -1687,7 +1654,7 @@ impl<L: LocalityIndex> VasSampler<L> {
     }
 
     /// Rebuilds the max-responsibility tracker from `rsp` if a
-    /// non-tracking path (fill, naive, legacy) has touched `rsp` since the
+    /// non-tracking path (fill, naive, plain ES) has touched `rsp` since the
     /// tracker last mirrored it.
     fn ensure_tracker(&mut self) {
         if !self.tracker_fresh {
@@ -1704,38 +1671,27 @@ impl<L: LocalityIndex> VasSampler<L> {
         let k = self.points.len();
 
         // --- Expand: vals[i] = κ̃(t, s_i) for every slot, in slot order (the
-        // deltas are dense, so the slot index IS the lane index). By default
-        // the squared distances are laid out as flat lanes and mapped in one
-        // vectorizable `eval_dist2_batch` sweep; the scalar baseline
-        // evaluates point-at-a-time. Both compute `eval_dist2(dist2(t, s_i))`
-        // per lane in the same order, so they are bit-identical.
+        // deltas are dense, so the slot index IS the lane index): the squared
+        // distances are laid out as flat lanes and mapped in one vectorizable
+        // `eval_dist2_batch` sweep, which computes `eval_dist2(dist2(t, s_i))`
+        // per lane.
         let mut gather = std::mem::take(&mut self.gather);
         let mut vals = std::mem::take(&mut self.scratch_vals);
         gather.clear();
+        for q in self.points.iter() {
+            gather.dist2.push(point.dist2(q));
+        }
         vals.clear();
+        vals.resize(k, 0.0);
+        kernel.eval_dist2_batch(&gather.dist2, &mut vals);
+        self.recorder.inc(Counter::CoreKernelLanes, k as u64);
         let mut cand_rsp = 0.0;
-        if self.config.scalar_kernel_path {
-            for q in self.points.iter() {
-                let v = kernel.eval(&point, q);
-                vals.push(v);
-                cand_rsp += v;
-            }
-        } else {
-            for q in self.points.iter() {
-                gather.dist2.push(point.dist2(q));
-            }
-            vals.resize(k, 0.0);
-            kernel.eval_dist2_batch(&gather.dist2, &mut vals);
-            self.recorder.inc(Counter::CoreKernelLanes, k as u64);
-            for &v in &vals {
-                cand_rsp += v;
-            }
+        for &v in &vals {
+            cand_rsp += v;
         }
 
-        // --- Shrink: largest responsibility in the expanded set. Because
-        // the deltas are dense and slot-ordered, `vals[i]` plays the role
-        // the legacy loop's scattered `delta_of` vector played, without the
-        // per-tuple allocation.
+        // --- Shrink: largest responsibility in the expanded set, a
+        // first-wins scan over the dense, slot-ordered deltas.
         let mut max_idx = usize::MAX; // usize::MAX encodes "the candidate"
         let mut max_val = cand_rsp;
         for (i, &r) in self.rsp.iter().enumerate() {
@@ -1782,12 +1738,12 @@ impl<L: LocalityIndex> VasSampler<L> {
     ///
     /// A rejected candidate — the overwhelmingly common case once the sample
     /// has converged — costs only its neighbourhood kernel evaluations plus
-    /// an `O(1)` read of the tracked maximum: the `O(K)` Shrink scan of the
-    /// legacy loop is gone. An accepted candidate additionally rescans each
+    /// an `O(1)` read of the tracked maximum instead of an `O(K)` Shrink
+    /// scan. An accepted candidate additionally rescans each
     /// 64-slot block its responsibility updates touched, then the `K/64`
     /// block winners (see [`MaxTracker`]).
     ///
-    /// On the batched path a **rejection filter** runs first: bounded lanes
+    /// A **rejection filter** runs first: bounded lanes
     /// ([`GaussianKernel::eval_dist2_batch_bounded`]) over the gathered
     /// distances prove, when they can, that the exact Shrink would reject
     /// (see [`certifies_reject`]). Approximate lanes
@@ -1799,52 +1755,38 @@ impl<L: LocalityIndex> VasSampler<L> {
         let kernel = self.kernel.expect("kernel resolved");
 
         // --- Expand: evaluate the kernel against the candidate's
-        // neighbourhood only. By default the index batch-gathers the
-        // neighbourhood's `(id, dist2)` SoA lanes (in visitation order) and
-        // one `eval_dist2_batch` sweep maps the distance lanes to kernel
-        // values; `cand_rsp` then folds the value lanes left-to-right —
-        // exactly the association order of the scalar visitor path
-        // (`scalar_kernel_path`, the benchmarked baseline), so the two are
-        // bit-identical.
+        // neighbourhood only. The index batch-gathers the neighbourhood's
+        // `(id, dist2)` SoA lanes (in visitation order) and one
+        // `eval_dist2_batch` sweep maps the distance lanes to kernel values;
+        // `cand_rsp` then folds the value lanes left-to-right, in visitation
+        // order.
         let mut gather = std::mem::take(&mut self.gather);
         let mut vals = std::mem::take(&mut self.scratch_vals);
+        self.index
+            .gather_in_radius_into(&point, self.cutoff, &mut gather);
+        vals.clear();
+        vals.resize(gather.len(), 0.0);
+        self.recorder
+            .inc(Counter::CoreKernelLanes, gather.len() as u64);
+        self.ensure_tracker();
+        if kernel.eval_dist2_batch_bounded(&gather.dist2, &mut vals)
+            && certifies_reject(
+                BOUNDED_LANE_DELTA,
+                &self.rsp,
+                self.max_tracker.max().map(|(_, r)| r),
+                &gather.ids,
+                &vals,
+            )
+        {
+            self.gather = gather;
+            self.scratch_vals = vals;
+            return;
+        }
+        self.recorder.inc(Counter::CoreExactFallbacks, 1);
+        kernel.eval_dist2_batch(&gather.dist2, &mut vals);
         let mut cand_rsp = 0.0;
-        if self.config.scalar_kernel_path {
-            gather.clear();
-            vals.clear();
-            self.index
-                .for_each_in_radius_with_dist2(&point, self.cutoff, |i, _, d2| {
-                    let v = kernel.eval_dist2(d2);
-                    gather.ids.push(i);
-                    vals.push(v);
-                    cand_rsp += v;
-                });
-        } else {
-            self.index
-                .gather_in_radius_into(&point, self.cutoff, &mut gather);
-            vals.clear();
-            vals.resize(gather.len(), 0.0);
-            self.recorder
-                .inc(Counter::CoreKernelLanes, gather.len() as u64);
-            self.ensure_tracker();
-            if kernel.eval_dist2_batch_bounded(&gather.dist2, &mut vals)
-                && certifies_reject(
-                    BOUNDED_LANE_DELTA,
-                    &self.rsp,
-                    self.max_tracker.max().map(|(_, r)| r),
-                    &gather.ids,
-                    &vals,
-                )
-            {
-                self.gather = gather;
-                self.scratch_vals = vals;
-                return;
-            }
-            self.recorder.inc(Counter::CoreExactFallbacks, 1);
-            kernel.eval_dist2_batch(&gather.dist2, &mut vals);
-            for &v in &vals {
-                cand_rsp += v;
-            }
+        for &v in &vals {
+            cand_rsp += v;
         }
 
         self.shrink_apply_es_locality(point, &gather.ids, &vals, cand_rsp);
@@ -1869,8 +1811,9 @@ impl<L: LocalityIndex> VasSampler<L> {
         // --- Shrink: the expanded-set maximum is either the candidate, a
         // neighbour slot raised by its delta, or the standing maximum over
         // all base responsibilities — which the tracker hands over in
-        // O(1). Tie-breaking matches the legacy first-wins linear scan
-        // because the tracker resolves ties to the lowest index.
+        // O(1). Tie-breaking matches a first-wins linear scan over the base
+        // responsibilities because the tracker resolves ties to the lowest
+        // index; the neighbour lanes follow in visitation order.
         self.ensure_tracker();
         let mut max_idx = usize::MAX; // usize::MAX encodes "the candidate"
         let mut max_val = cand_rsp;
@@ -1940,114 +1883,6 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.max_tracker.flush();
         self.objective += new_rsp - removed_rsp;
         self.replacements += 1;
-    }
-
-    /// The pre-optimization "ES" / "ES+Loc" inner loop, retained verbatim as
-    /// the benchmark baseline and the bit-identity reference (see
-    /// [`VasConfig::legacy_inner_loop`]).
-    fn candidate_es_legacy(&mut self, point: Point, locality: bool) {
-        let kernel = self.kernel.expect("kernel resolved");
-        let k = self.points.len();
-
-        // --- Expand: responsibilities the candidate would add.
-        // deltas[i] = κ̃(t, s_i) for the slots we evaluate.
-        let (neighbor_ids, mut cand_rsp): (Vec<usize>, f64) = if locality {
-            let neighbors = self.index.query_radius(&point, self.cutoff2.sqrt());
-            let ids: Vec<usize> = neighbors.iter().map(|(id, _)| *id).collect();
-            (ids, 0.0)
-        } else {
-            ((0..k).collect(), 0.0)
-        };
-        let mut deltas: Vec<(usize, f64)> = Vec::with_capacity(neighbor_ids.len());
-        for &i in &neighbor_ids {
-            let v = kernel.eval(&point, &self.points[i]);
-            deltas.push((i, v));
-            cand_rsp += v;
-        }
-
-        // --- Shrink: find the largest responsibility in the expanded set.
-        // Non-neighbour slots keep their current responsibility; neighbour
-        // slots gain their delta.
-        let mut max_idx = usize::MAX; // usize::MAX encodes "the candidate"
-        let mut max_val = cand_rsp;
-        // Apply deltas temporarily by scanning: rsp_i' = rsp_i (+ delta_i).
-        // To avoid a hash lookup per slot we scan deltas separately.
-        let mut delta_of = vec![0.0; 0];
-        if locality {
-            // Sparse deltas: first scan all slots with their base value, then
-            // adjust the neighbour slots.
-            for (i, &r) in self.rsp.iter().enumerate() {
-                if r > max_val {
-                    max_val = r;
-                    max_idx = i;
-                }
-            }
-            for &(i, v) in &deltas {
-                let r = self.rsp[i] + v;
-                if r > max_val {
-                    max_val = r;
-                    max_idx = i;
-                }
-            }
-        } else {
-            delta_of = vec![0.0; k];
-            for &(i, v) in &deltas {
-                delta_of[i] = v;
-            }
-            for (i, &r) in self.rsp.iter().enumerate() {
-                let r = r + delta_of[i];
-                if r > max_val {
-                    max_val = r;
-                    max_idx = i;
-                }
-            }
-        }
-
-        if max_idx == usize::MAX {
-            return; // candidate is the most redundant element: reject
-        }
-
-        // --- Accept: replace slot `max_idx` ("s_j") with the candidate.
-        let removed = self.points[max_idx];
-        let removed_rsp = self.rsp[max_idx];
-
-        // Add the candidate's contributions to its neighbours.
-        for &(i, v) in &deltas {
-            if i != max_idx {
-                self.rsp[i] += v;
-            }
-        }
-        // Subtract the removed element's contributions from its neighbours.
-        let kappa_t_removed;
-        if locality {
-            kappa_t_removed = deltas
-                .iter()
-                .find(|(i, _)| *i == max_idx)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| kernel.eval(&point, &removed));
-            for (i, q) in self.index.query_radius(&removed, self.cutoff2.sqrt()) {
-                if i != max_idx {
-                    self.rsp[i] -= kernel.eval(&removed, &q);
-                }
-            }
-            self.index.remove(max_idx, &removed);
-            self.index.insert(max_idx, point);
-        } else {
-            kappa_t_removed = delta_of[max_idx];
-            for i in 0..k {
-                if i != max_idx {
-                    self.rsp[i] -= kernel.eval(&removed, &self.points[i]);
-                }
-            }
-        }
-
-        let new_rsp = cand_rsp - kappa_t_removed;
-        self.points[max_idx] = point;
-        self.rsp[max_idx] = new_rsp;
-        self.objective += new_rsp - removed_rsp;
-        self.replacements += 1;
-        // The legacy loop never maintains the tracker.
-        self.tracker_fresh = false;
     }
 
     fn maybe_report_progress(&mut self) {
@@ -2503,119 +2338,81 @@ mod tests {
         }
     }
 
+    /// The most negative objective change any single swap achieves: every
+    /// sample slot against every data point not in the sample, under the
+    /// kernel truncated to pairs within `cutoff2` (`f64::INFINITY` for the
+    /// full objective). Returns `(best change, objective)`.
+    fn best_single_swap(
+        kernel: &GaussianKernel,
+        data: &[Point],
+        sample: &[Point],
+        cutoff2: f64,
+    ) -> (f64, f64) {
+        let kappa = |a: &Point, b: &Point| {
+            if a.dist2(b) <= cutoff2 {
+                kernel.eval(a, b)
+            } else {
+                0.0
+            }
+        };
+        let mut rsp = vec![0.0; sample.len()];
+        for (i, a) in sample.iter().enumerate() {
+            for (j, b) in sample.iter().enumerate() {
+                if i != j {
+                    rsp[i] += kappa(a, b);
+                }
+            }
+        }
+        let objective = rsp.iter().sum::<f64>() / 2.0;
+        let mut best = f64::INFINITY;
+        for t in data.iter().filter(|t| !sample.contains(t)) {
+            let row: Vec<f64> = sample.iter().map(|s| kappa(t, s)).collect();
+            let total: f64 = row.iter().sum();
+            for (i, &r) in rsp.iter().enumerate() {
+                // Swapping slot i for t drops s_i's pairs and adds t's pairs
+                // with the other K-1 slots.
+                best = best.min(total - row[i] - r);
+            }
+        }
+        (best, objective)
+    }
+
     #[test]
     fn build_until_converged_reaches_a_local_optimum() {
+        // Converged means Interchange's fixpoint: no single swap of a sample
+        // point for a data point outside the sample lowers the objective the
+        // strategy optimizes — the full one for ES, the cutoff-truncated one
+        // for ES+Loc (which ignores kernel values past the locality radius).
         let d = GeolifeGenerator::with_size(800, 23).generate();
         let kernel = GaussianKernel::for_dataset(&d);
-        let mut sampler = VasSampler::from_dataset(
-            &d,
-            VasConfig::new(40)
-                .with_strategy(InterchangeStrategy::ExpandShrink)
-                .with_epsilon(kernel.bandwidth()),
-        );
-        let (sample, passes) = sampler.build_until_converged(&d, 20);
-        assert_eq!(sample.len(), 40);
-        assert!(
-            passes >= 2,
-            "needs at least one refinement pass, got {passes}"
-        );
-        assert!(passes <= 20);
-        // Converged means: one more pass over the data changes nothing.
-        let mut again = VasSampler::from_dataset(
-            &d,
-            VasConfig::new(40)
-                .with_strategy(InterchangeStrategy::ExpandShrink)
-                .with_epsilon(kernel.bandwidth()),
-        );
-        let (first, p1) = again.build_until_converged(&d, 20);
-        if p1 < 20 {
-            let obj_first = objective_of(&kernel, &first.points);
-            // Re-running from that converged sample performs no improving swap,
-            // so the objective cannot decrease further within one extra pass.
-            let mut resume = VasSampler::from_dataset(
-                &d,
-                VasConfig::new(40)
-                    .with_strategy(InterchangeStrategy::ExpandShrink)
-                    .with_epsilon(kernel.bandwidth()),
-            );
-            for p in &first.points {
-                resume.observe(*p);
-            }
-            for p in d.iter() {
-                resume.observe(*p);
-            }
-            let resumed = resume.finalize();
-            let obj_resumed = objective_of(&kernel, &resumed.points);
-            assert!(obj_resumed <= obj_first + 1e-9);
-        }
-    }
-
-    #[test]
-    fn optimized_inner_loop_matches_legacy_bitwise_per_tuple() {
-        // The optimized loop's contract: the block-max Shrink and
-        // the zero-allocation queries must not change a single replacement
-        // decision. Lock-step the optimized and legacy samplers and compare
-        // the full sample bit-for-bit after *every* observation.
-        let d = GeolifeGenerator::with_size(3_000, 41).generate();
-        let k = 120;
-        // ES ignores the index entirely; ES+Loc must hold the contract on
-        // every locality backend.
-        let mut cases = vec![(
+        for strategy in [
             InterchangeStrategy::ExpandShrink,
-            LocalityBackend::default(),
-        )];
-        for backend in LocalityBackend::ALL {
-            cases.push((InterchangeStrategy::ExpandShrinkLocality, backend));
-        }
-        for (strategy, backend) in cases {
-            let eps = GaussianKernel::for_dataset(&d).bandwidth();
-            let base = VasConfig::new(k)
+            InterchangeStrategy::ExpandShrinkLocality,
+        ] {
+            let config = VasConfig::new(40)
                 .with_strategy(strategy)
-                .with_epsilon(eps)
-                .with_locality_backend(backend);
-            let mut optimized = VasSampler::from_dataset(&d, base.clone());
-            let mut legacy = VasSampler::from_dataset(&d, base.with_legacy_inner_loop(true));
-            for (t, p) in d.iter().enumerate() {
-                optimized.observe(*p);
-                legacy.observe(*p);
-                let (a, b) = (optimized.current_sample(), legacy.current_sample());
-                assert_eq!(a.len(), b.len());
-                for (i, (pa, pb)) in a.iter().zip(b).enumerate() {
-                    assert!(
-                        pa.x.to_bits() == pb.x.to_bits() && pa.y.to_bits() == pb.y.to_bits(),
-                        "{}/{backend}: slot {i} diverged at tuple {t}: {pa:?} vs {pb:?}",
-                        strategy.label()
-                    );
+                .with_epsilon(kernel.bandwidth());
+            let cutoff2 = match strategy {
+                InterchangeStrategy::ExpandShrinkLocality => {
+                    kernel.effective_radius(config.locality_threshold).powi(2)
                 }
-                assert_eq!(
-                    optimized.replacements(),
-                    legacy.replacements(),
-                    "{}/{backend}: replacement count diverged at tuple {t}",
-                    strategy.label()
-                );
-            }
-            assert_eq!(
-                optimized.current_objective().to_bits(),
-                legacy.current_objective().to_bits(),
-                "{}/{backend}: objective bits diverged",
-                strategy.label()
+                _ => f64::INFINITY,
+            };
+            let (sample, passes) =
+                VasSampler::from_dataset(&d, config).build_until_converged(&d, 20);
+            let label = strategy.label();
+            assert_eq!(sample.len(), 40, "{label}");
+            assert!(
+                (2..20).contains(&passes),
+                "{label}: needs at least one refinement pass and must converge, got {passes}"
+            );
+            let (best, objective) = best_single_swap(&kernel, &d.points, &sample.points, cutoff2);
+            assert!(
+                best >= -1e-9 * objective,
+                "{label}: a single swap lowers the objective {objective} by {}",
+                -best
             );
         }
-    }
-
-    #[test]
-    fn optimized_loop_survives_multiple_passes() {
-        // Multi-pass runs exercise the tracker across fill → candidates →
-        // another full pass without a reset in between.
-        let d = GeolifeGenerator::with_size(1_200, 59).generate();
-        let eps = GaussianKernel::for_dataset(&d).bandwidth();
-        let base = VasConfig::new(80)
-            .with_strategy(InterchangeStrategy::ExpandShrinkLocality)
-            .with_epsilon(eps)
-            .with_passes(3);
-        let fast = VasSampler::from_dataset(&d, base.clone()).build(&d);
-        let slow = VasSampler::from_dataset(&d, base.with_legacy_inner_loop(true)).build(&d);
-        assert_eq!(fast.points, slow.points);
     }
 
     #[test]
@@ -2814,43 +2611,6 @@ mod tests {
         assert_eq!(chunked.seen, plain.seen);
     }
 
-    #[test]
-    fn non_finite_points_never_enter_the_sample() {
-        // A NaN coordinate fails every radius test, so an unskipped NaN
-        // candidate has no neighbours, replaces the maximum slot and leaves
-        // a NaN responsibility in the Shrink step's tracker.
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut points: Vec<Point> = (0..20_000)
-            .map(|_| Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
-            .collect();
-        // Mixed in after the K = 200 fill.
-        for i in 0..20 {
-            points.insert(
-                1_000 + 900 * i,
-                Point::new(f64::NAN, rng.gen_range(0.0..1.0)),
-            );
-        }
-        let base = VasConfig::new(200).with_epsilon(0.02);
-        let run = |config: VasConfig| {
-            let mut s = VasSampler::new(config);
-            for chunk in points.chunks(1_024) {
-                s.observe_chunk(chunk);
-            }
-            (s.current_sample().to_vec(), s.current_objective())
-        };
-        let (optimized, objective) = run(base.clone());
-        assert_eq!(optimized.len(), 200);
-        assert!(optimized.iter().all(Point::is_finite));
-        assert!(objective.is_finite(), "objective {objective}");
-        let (legacy, legacy_objective) = run(base.clone().with_legacy_inner_loop(true));
-        assert_samples_bitwise_equal(&optimized, &legacy, "optimized vs legacy");
-        assert_eq!(objective.to_bits(), legacy_objective.to_bits());
-        // The speculative front skips the same points.
-        let (threaded, _) = run(base.with_threads(2));
-        assert_samples_bitwise_equal(&optimized, &threaded, "threads 1 vs 2");
-    }
-
     /// The exact ES+Loc Shrink decision over the libm lanes `exact`: the
     /// comparisons `shrink_apply_es_locality` makes, in its order.
     fn exact_shrink_rejects(rsp: &[f64], tracked: f64, ids: &[usize], exact: &[f64]) -> bool {
@@ -3004,7 +2764,6 @@ mod tests {
         assert_send::<VasSampler>();
         assert_send::<VasSampler<vas_spatial::HashGrid>>();
         assert_send::<VasSampler<vas_spatial::RTree>>();
-        assert_send::<VasSampler<vas_spatial::KdTree>>();
         let d = GeolifeGenerator::with_size(500, 3).generate();
         let handle = std::thread::spawn(move || {
             let mut s = VasSampler::from_dataset(&d, VasConfig::new(50));
@@ -3154,6 +2913,75 @@ mod tests {
             "{err}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A CRC-valid checkpoint whose sample contradicts its budget or its own
+    /// index is refused with a typed error, instead of resuming into an
+    /// out-of-bounds Shrink step or finalizing an over-budget sample.
+    #[test]
+    fn resume_rejects_checkpoints_that_contradict_their_config() {
+        let d = GeolifeGenerator::with_size(2_000, 5).generate();
+        let loc = VasConfig::new(60);
+        let es = VasConfig::new(60).with_strategy(InterchangeStrategy::ExpandShrink);
+        let resume_tampered = |tag: &str, config: &VasConfig, tamper: &dyn Fn(&mut VasSampler)| {
+            let mut sampler = VasSampler::from_dataset(&d, config.clone());
+            sampler.observe_chunk(&d.points[..1_000]);
+            tamper(&mut sampler);
+            let path = temp_checkpoint(tag);
+            sampler.write_checkpoint(&path, 0, 4, "src", 256).unwrap();
+            let resumed = VasSampler::resume_from_checkpoint(&path, config.clone());
+            std::fs::remove_file(&path).ok();
+            resumed.map(|_| ())
+        };
+        // Plain ES never indexes its sample, so its empty index is consistent.
+        assert!(resume_tampered("untampered", &loc, &|_| {}).is_ok());
+        assert!(resume_tampered("untampered-es", &es, &|_| {}).is_ok());
+        let refused = |tag: &str, configs: &[&VasConfig], tamper: &dyn Fn(&mut VasSampler)| {
+            for config in configs {
+                let err = resume_tampered(tag, config, tamper).unwrap_err();
+                assert!(
+                    matches!(err, VasError::Checkpoint { .. }),
+                    "{tag} {:?}: {err}",
+                    config.strategy
+                );
+            }
+        };
+        refused("slot-moved", &[&loc], &|s| {
+            let p = s.points[5];
+            assert!(s.index.remove(5, &p));
+            s.index.insert(500, p);
+        });
+        refused("extra-entry", &[&loc, &es], &|s| {
+            s.index.insert(500, s.points[5])
+        });
+        refused("over-budget", &[&loc, &es], &|s| {
+            for p in &d.points[1_000..1_040] {
+                s.index.insert(s.points.len(), *p);
+                s.points.push(*p);
+                s.rsp.push(0.0);
+            }
+        });
+    }
+
+    /// Version 1 checkpoints carried two flag bytes this build no longer
+    /// reads; the container refuses them before decoding the payload.
+    #[test]
+    fn v1_checkpoints_resume_to_unsupported_version() {
+        let d = GeolifeGenerator::with_size(1_000, 5).generate();
+        let config = VasConfig::new(40);
+        let mut sampler = VasSampler::from_dataset(&d, config.clone());
+        sampler.observe_chunk(&d.points);
+        let path = temp_checkpoint("v1");
+        sampler.write_checkpoint(&path, 0, 1, "src", 256).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = VasSampler::resume_from_checkpoint(&path, config).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(err, VasError::UnsupportedVersion { found: 1, .. }),
+            "{err}"
+        );
     }
 
     /// An injected worker panic in the speculative front is contained: the

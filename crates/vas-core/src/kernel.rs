@@ -30,20 +30,20 @@
 //!    underflow early-out). Overrides may restructure control flow (e.g.
 //!    branch-free select instead of an early return) but not the arithmetic.
 //! 2. **Fixed lane order** — callers fill lanes in the exact visitation
-//!    order of the scalar visitor path and fold reductions left-to-right
-//!    over the lanes, so every floating-point sum associates in the same
-//!    order as the scalar loop it replaces.
+//!    order of the index's visitor and fold reductions left-to-right over
+//!    the lanes, so every floating-point sum associates in the same order
+//!    as a scalar loop over the visitor (the reference Interchange oracle in
+//!    `tests/determinism.rs` is that loop).
 //!
 //! The scalar `eval`/`eval_dist2` path is still used where batching buys
 //! nothing: the sampler's reservoir fill phase, the accept path's
-//! removed-neighbourhood subtraction, objective initialization, and the
-//! legacy (paper-faithful) inner loop.
+//! removed-neighbourhood subtraction and objective initialization.
 //!
 //! ## Bounded lanes: a filter, never a value
 //!
-//! [`GaussianKernel::eval_dist2_batch_bounded`] approximates the Gaussian
+//! `GaussianKernel::eval_dist2_batch_bounded` approximates the Gaussian
 //! without libm, within a proven relative error of the libm value (see
-//! [`BOUNDED_LANE_DELTA`]). Its rule: **approximate lanes may only certify
+//! `BOUNDED_LANE_DELTA`). Its rule: **approximate lanes may only certify
 //! a rejection; everything stored comes from libm.** The Interchange Shrink
 //! step uses them to prove, with the lane error and the fold rounding
 //! bounded, that the exact test would reject a candidate; every candidate

@@ -25,10 +25,11 @@
 //! ## Crate layout
 //!
 //! * [`kernel`] — proximity kernels and bandwidth (ε) selection.
-//! * [`objective`] — the optimization objective and responsibilities.
+//! * [`objective`](mod@objective) — the optimization objective and
+//!   responsibilities.
 //! * [`interchange`] — the Interchange algorithm in its three variants
 //!   (`Naive`, `ExpandShrink`, `ExpandShrinkLocality`) behind the
-//!   [`VasSampler`](interchange::VasSampler) type, which implements the common
+//!   [`VasSampler`] type, which implements the common
 //!   [`Sampler`](vas_sampling::Sampler) trait. Out-of-core datasets stream
 //!   through
 //!   [`VasSampler::build_from_source`](interchange::VasSampler::build_from_source),

@@ -9,13 +9,13 @@
 //!
 //! ## Cost of an update
 //!
-//! Slots are grouped into fixed blocks of [`BLOCK`] slots, and each block
+//! Slots are grouped into fixed blocks of `BLOCK` (64) slots, and each block
 //! keeps its own argmax. An accepted replacement changes about
 //! 2·|neighbourhood| responsibilities (about 500 on dense data). Slot ids
 //! follow stream order, not space, so those slots are scattered over the
 //! whole array. [`set_deferred`](MaxTracker::set_deferred) only writes the
 //! value and marks its block dirty in a bitmask; [`flush`](MaxTracker::flush)
-//! rescans each dirty block once, a contiguous pass over at most [`BLOCK`]
+//! rescans each dirty block once, a contiguous pass over at most `BLOCK`
 //! values, then re-picks the winner among the `⌈K/BLOCK⌉` block winners.
 //! One flush of `D` scattered writes therefore costs
 //! `O(BLOCK·min(D, K/BLOCK) + K/BLOCK)` sequential comparisons, with no
@@ -25,9 +25,10 @@
 //!
 //! [`max`](MaxTracker::max) returns the **lowest index** attaining the
 //! maximum value. This mirrors a first-wins linear scan (`v > best`), which
-//! is exactly what the pre-existing Interchange implementation did — the
-//! contract that keeps the optimized inner loop bit-identical to the legacy
-//! one even when responsibilities tie (e.g. many isolated slots at 0.0).
+//! is exactly the Shrink step of the reference Interchange oracle in
+//! `tests/determinism.rs` — the contract that keeps the ES+Loc loop
+//! bit-identical to it even when responsibilities tie (e.g. many isolated
+//! slots at 0.0).
 //! Blocks and the scan over block winners are both first-wins, so their
 //! composition is too. Values must never be NaN (kernel sums of finite
 //! points are finite and non-negative).
@@ -187,8 +188,8 @@ fn first_wins_argmax(values: impl Iterator<Item = f64>) -> usize {
 mod tests {
     use super::*;
 
-    /// Reference: first-wins linear argmax, exactly the scan the legacy
-    /// Interchange Shrink step performed.
+    /// Reference: first-wins linear argmax, exactly the scan the reference
+    /// Interchange oracle's Shrink step performs.
     fn linear_argmax(values: &[f64]) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (i, &v) in values.iter().enumerate() {

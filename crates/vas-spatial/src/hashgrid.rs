@@ -35,6 +35,7 @@
 //! given operation history, which the Interchange determinism contract
 //! relies on.
 
+use crate::locality::same_bits;
 use crate::{snapshot, LocalityIndex, NeighborBatch};
 use vas_data::Point;
 
@@ -399,7 +400,10 @@ impl LocalityIndex for HashGrid {
             return false;
         };
         let items = &mut self.slots[i].items;
-        match items.iter().position(|(eid, ep)| *eid == id && ep == point) {
+        match items
+            .iter()
+            .position(|(eid, ep)| *eid == id && same_bits(ep, point))
+        {
             Some(pos) => {
                 items.swap_remove(pos);
                 if items.is_empty() {

@@ -5,13 +5,10 @@
 //! The fixed-radius neighbourhood query at the heart of the `ES+Loc`
 //! Interchange variant (Section IV-B, "Speed-Up using the Locality of
 //! Proximity function") is abstracted behind the [`LocalityIndex`] trait,
-//! with three interchangeable backends:
+//! with two interchangeable backends:
 //!
 //! * an **R-tree** — the paper's original choice, also serving region and
-//!   nearest-neighbour queries,
-//! * a **k-d tree** — used for the nearest-neighbour pass of the density
-//!   embedding extension (Section V), made dynamic by a tombstone/overflow
-//!   overlay, and
+//!   nearest-neighbour queries, and
 //! * a **spatial hash** ([`HashGrid`]) — cutoff-sized cells in an
 //!   open-addressed table, the fastest backend for the Interchange loop's
 //!   fixed-radius churn workload (and the default).
@@ -19,9 +16,10 @@
 //! Runtime backend selection goes through [`LocalityBackend`] /
 //! [`AnyLocalityIndex`].
 //!
-//! We also provide a **uniform grid** over a fixed extent, which backs
-//! stratified sampling (the paper's strongest baseline) and the
-//! rendering-perception models.
+//! A static **k-d tree** ([`KdTree`]) serves the nearest-neighbour pass of
+//! the density embedding extension (Section V). We also provide a **uniform
+//! grid** over a fixed extent, which backs stratified sampling (the paper's
+//! strongest baseline) and the rendering-perception models.
 //!
 //! All structures are dynamic or cheaply rebuildable, hold `(id, Point)`
 //! entries where `id` is an opaque `usize` chosen by the caller, and contain

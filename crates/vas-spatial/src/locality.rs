@@ -11,24 +11,22 @@
 //!
 //! * [`RTree`] — the paper's original choice; good all-rounder, also serves
 //!   region and nearest-neighbour queries.
-//! * [`KdTree`] — balanced median-split tree with a small dynamic overlay
-//!   (tombstones + an insertion buffer, compacted periodically).
 //! * [`HashGrid`] — a dynamic spatial hash over cutoff-sized cells; the
 //!   fastest backend for the fixed-radius query the Interchange loop performs
 //!   (see `results/BENCH_interchange.json`).
 //!
 //! Every backend must produce a **deterministic visitation order** for a
 //! given operation history: the Interchange determinism contract
-//! (`tests/determinism.rs`) compares optimized and legacy inner loops
-//! bit-for-bit, which only holds when both observe neighbours in the same
-//! order.
+//! (`tests/determinism.rs`) lock-steps the sampler against a reference
+//! oracle bit-for-bit, which only holds when both fold neighbours in the
+//! same order.
 //!
 //! The visitor methods take `impl FnMut`, so the trait is not object-safe;
 //! runtime backend selection goes through the [`AnyLocalityIndex`] enum
 //! instead of trait objects (the dispatch cost is one `match` per query call,
 //! not per visited entry).
 
-use crate::{snapshot, GridOccupancy, HashGrid, KdTree, RTree};
+use crate::{snapshot, GridOccupancy, HashGrid, RTree};
 use vas_data::Point;
 
 /// Reusable struct-of-arrays scratch for batch-gather neighbourhood queries
@@ -39,7 +37,8 @@ use vas_data::Point;
 /// to a vectorizable kernel loop (`Kernel::eval_dist2_batch` in `vas-core`)
 /// instead of evaluating point-at-a-time inside a visitor callback. The lane
 /// order is exactly the backend's deterministic visitation order, which is
-/// what keeps the batched Interchange path bit-identical to the scalar one.
+/// what keeps the batched Interchange path bit-identical to a scalar fold
+/// over the visitor.
 ///
 /// Both vectors keep their capacity across [`clear`](Self::clear), so a
 /// reused batch makes the gather allocation-free in the steady state.
@@ -106,8 +105,10 @@ pub trait LocalityIndex: Send + Sync {
     /// Inserts an entry.
     fn insert(&mut self, id: usize, point: Point);
 
-    /// Removes one entry matching `(id, point)` exactly. Returns `true` if an
-    /// entry was removed.
+    /// Removes one entry matching `(id, point)` exactly — bit for bit in
+    /// `x`, `y` and `value`, so a point whose `value` is NaN can still be
+    /// removed.
+    /// Returns `true` if an entry was removed.
     fn remove(&mut self, id: usize, point: &Point) -> bool;
 
     /// Calls `visit(id, point, dist2)` for every entry within Euclidean
@@ -193,14 +194,21 @@ pub trait LocalityIndex: Send + Sync {
     }
 }
 
+/// `true` when two points carry identical bits in every field: the entry
+/// identity [`LocalityIndex::remove`] matches on. Unlike `==`, a NaN `value`
+/// matches itself.
+pub(crate) fn same_bits(a: &Point, b: &Point) -> bool {
+    a.x.to_bits() == b.x.to_bits()
+        && a.y.to_bits() == b.y.to_bits()
+        && a.value.to_bits() == b.value.to_bits()
+}
+
 /// Which [`LocalityIndex`] implementation a runtime-configured consumer (the
 /// Interchange sampler, the benchmark harness) should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LocalityBackend {
     /// Guttman R-tree ([`RTree`]): the paper's original ES+Loc index.
     RTree,
-    /// Median-split k-d tree with a dynamic overlay ([`KdTree`]).
-    KdTree,
     /// Dynamic spatial hash over cutoff-sized cells ([`HashGrid`]) — the
     /// default, fastest on the Interchange fixed-radius workload.
     #[default]
@@ -209,17 +217,12 @@ pub enum LocalityBackend {
 
 impl LocalityBackend {
     /// Every selectable backend, in benchmark-sweep order.
-    pub const ALL: [LocalityBackend; 3] = [
-        LocalityBackend::RTree,
-        LocalityBackend::KdTree,
-        LocalityBackend::HashGrid,
-    ];
+    pub const ALL: [LocalityBackend; 2] = [LocalityBackend::RTree, LocalityBackend::HashGrid];
 
     /// Stable lower-case label used in CLI flags and benchmark reports.
     pub fn label(&self) -> &'static str {
         match self {
             LocalityBackend::RTree => "rtree",
-            LocalityBackend::KdTree => "kdtree",
             LocalityBackend::HashGrid => "hashgrid",
         }
     }
@@ -237,10 +240,9 @@ impl std::str::FromStr for LocalityBackend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "rtree" | "r-tree" => Ok(LocalityBackend::RTree),
-            "kdtree" | "kd-tree" => Ok(LocalityBackend::KdTree),
             "hashgrid" | "hash-grid" | "grid" => Ok(LocalityBackend::HashGrid),
             other => Err(format!(
-                "unknown locality backend {other:?} (expected rtree, kdtree or hashgrid)"
+                "unknown locality backend {other:?} (expected rtree or hashgrid)"
             )),
         }
     }
@@ -252,8 +254,6 @@ impl std::str::FromStr for LocalityBackend {
 pub enum AnyLocalityIndex {
     /// R-tree backend.
     RTree(RTree),
-    /// k-d tree backend.
-    KdTree(KdTree),
     /// Spatial-hash backend.
     HashGrid(HashGrid),
 }
@@ -263,7 +263,6 @@ impl AnyLocalityIndex {
     pub fn new(backend: LocalityBackend) -> Self {
         match backend {
             LocalityBackend::RTree => AnyLocalityIndex::RTree(RTree::new()),
-            LocalityBackend::KdTree => AnyLocalityIndex::KdTree(KdTree::new()),
             LocalityBackend::HashGrid => AnyLocalityIndex::HashGrid(HashGrid::new()),
         }
     }
@@ -272,7 +271,6 @@ impl AnyLocalityIndex {
     pub fn backend(&self) -> LocalityBackend {
         match self {
             AnyLocalityIndex::RTree(_) => LocalityBackend::RTree,
-            AnyLocalityIndex::KdTree(_) => LocalityBackend::KdTree,
             AnyLocalityIndex::HashGrid(_) => LocalityBackend::HashGrid,
         }
     }
@@ -286,10 +284,6 @@ impl AnyLocalityIndex {
         match self {
             AnyLocalityIndex::RTree(t) => {
                 snapshot::put_u8(out, 0);
-                t.snapshot_into(out);
-            }
-            AnyLocalityIndex::KdTree(t) => {
-                snapshot::put_u8(out, 1);
                 t.snapshot_into(out);
             }
             AnyLocalityIndex::HashGrid(g) => {
@@ -313,7 +307,6 @@ impl AnyLocalityIndex {
     ) -> Result<Self, snapshot::SnapshotError> {
         match r.take_u8("locality backend tag")? {
             0 => Ok(AnyLocalityIndex::RTree(RTree::restore_snapshot(r)?)),
-            1 => Ok(AnyLocalityIndex::KdTree(KdTree::restore_snapshot(r)?)),
             2 => Ok(AnyLocalityIndex::HashGrid(HashGrid::restore_snapshot(r)?)),
             other => Err(snapshot::SnapshotError::new(format!(
                 "unknown locality backend tag {other}"
@@ -341,7 +334,6 @@ impl LocalityIndex for AnyLocalityIndex {
     fn len(&self) -> usize {
         match self {
             AnyLocalityIndex::RTree(t) => LocalityIndex::len(t),
-            AnyLocalityIndex::KdTree(t) => LocalityIndex::len(t),
             AnyLocalityIndex::HashGrid(g) => LocalityIndex::len(g),
         }
     }
@@ -349,7 +341,6 @@ impl LocalityIndex for AnyLocalityIndex {
     fn reset(&mut self, radius_hint: f64) {
         match self {
             AnyLocalityIndex::RTree(t) => t.reset(radius_hint),
-            AnyLocalityIndex::KdTree(t) => t.reset(radius_hint),
             AnyLocalityIndex::HashGrid(g) => g.reset(radius_hint),
         }
     }
@@ -357,7 +348,6 @@ impl LocalityIndex for AnyLocalityIndex {
     fn insert(&mut self, id: usize, point: Point) {
         match self {
             AnyLocalityIndex::RTree(t) => LocalityIndex::insert(t, id, point),
-            AnyLocalityIndex::KdTree(t) => LocalityIndex::insert(t, id, point),
             AnyLocalityIndex::HashGrid(g) => LocalityIndex::insert(g, id, point),
         }
     }
@@ -365,7 +355,6 @@ impl LocalityIndex for AnyLocalityIndex {
     fn remove(&mut self, id: usize, point: &Point) -> bool {
         match self {
             AnyLocalityIndex::RTree(t) => LocalityIndex::remove(t, id, point),
-            AnyLocalityIndex::KdTree(t) => LocalityIndex::remove(t, id, point),
             AnyLocalityIndex::HashGrid(g) => LocalityIndex::remove(g, id, point),
         }
     }
@@ -378,7 +367,6 @@ impl LocalityIndex for AnyLocalityIndex {
     ) {
         match self {
             AnyLocalityIndex::RTree(t) => t.for_each_in_radius_with_dist2(center, radius, visit),
-            AnyLocalityIndex::KdTree(t) => t.for_each_in_radius_with_dist2(center, radius, visit),
             AnyLocalityIndex::HashGrid(g) => g.for_each_in_radius_with_dist2(center, radius, visit),
         }
     }
@@ -386,7 +374,6 @@ impl LocalityIndex for AnyLocalityIndex {
     fn gather_in_radius_into(&self, center: &Point, radius: f64, out: &mut NeighborBatch) {
         match self {
             AnyLocalityIndex::RTree(t) => t.gather_in_radius_into(center, radius, out),
-            AnyLocalityIndex::KdTree(t) => t.gather_in_radius_into(center, radius, out),
             AnyLocalityIndex::HashGrid(g) => g.gather_in_radius_into(center, radius, out),
         }
     }
@@ -394,7 +381,6 @@ impl LocalityIndex for AnyLocalityIndex {
     fn occupancy_stats(&self) -> Option<GridOccupancy> {
         match self {
             AnyLocalityIndex::RTree(t) => LocalityIndex::occupancy_stats(t),
-            AnyLocalityIndex::KdTree(t) => LocalityIndex::occupancy_stats(t),
             AnyLocalityIndex::HashGrid(g) => LocalityIndex::occupancy_stats(g),
         }
     }
@@ -421,7 +407,6 @@ mod tests {
     fn every_backend_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<crate::RTree>();
-        assert_send_sync::<crate::KdTree>();
         assert_send_sync::<crate::HashGrid>();
         assert_send_sync::<AnyLocalityIndex>();
     }
@@ -516,6 +501,18 @@ mod tests {
                 with_d2.push((id, *p));
             });
             assert_eq!(with_d2, allocated, "backend {backend}");
+        }
+    }
+
+    #[test]
+    fn every_backend_removes_entries_whose_value_is_nan() {
+        let p = Point::with_value(1.0, 2.0, f64::NAN);
+        for backend in LocalityBackend::ALL {
+            let mut index = AnyLocalityIndex::new(backend);
+            index.reset(1.0);
+            index.insert(3, p);
+            assert!(index.remove(3, &p), "backend {backend}");
+            assert!(index.is_empty(), "backend {backend}");
         }
     }
 
@@ -654,10 +651,16 @@ mod tests {
                 "cut at {cut} accepted"
             );
         }
-        // Unknown backend tag.
-        let mut bad = bytes.clone();
-        bad[0] = 9;
-        assert!(AnyLocalityIndex::restore(&bad).is_err());
+        // Unknown backend tags, including the retired k-d tree tag 1.
+        for tag in [1, 9] {
+            let mut bad = bytes.clone();
+            bad[0] = tag;
+            let err = AnyLocalityIndex::restore(&bad).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown locality backend tag"),
+                "{err}"
+            );
+        }
         // Trailing garbage.
         let mut long = bytes.clone();
         long.push(0);

@@ -12,6 +12,7 @@
 //! a condense-and-reinsert deletion path. Entries are `(id, Point)` pairs; the
 //! tree never inspects `Point::value`.
 
+use crate::locality::same_bits;
 use crate::{snapshot, LocalityIndex};
 use vas_data::{BoundingBox, Point};
 
@@ -241,7 +242,10 @@ impl RTree {
     fn remove_rec(node: &mut Node, id: usize, point: &Point, orphans: &mut Vec<LeafEntry>) -> bool {
         match node {
             Node::Leaf { entries } => {
-                if let Some(pos) = entries.iter().position(|e| e.id == id && e.point == *point) {
+                if let Some(pos) = entries
+                    .iter()
+                    .position(|e| e.id == id && same_bits(&e.point, point))
+                {
                     entries.swap_remove(pos);
                     true
                 } else {

@@ -13,9 +13,6 @@
 //!   `extend` during inserts and drive future child choice via enlargement;
 //!   recomputing them on restore could flip a tie and change the shape of
 //!   future splits.
-//! * [`KdTree`](crate::KdTree) — the entries array, tombstone flags and
-//!   overflow buffer verbatim; the node structure is a pure deterministic
-//!   function of the entries array (stable median build) and is rebuilt.
 //! * [`HashGrid`](crate::HashGrid) — the cell size bits plus every entry in
 //!   cell-grouped scan order; replaying the inserts reproduces each cell's
 //!   item vector exactly, and the geometric query path orders cells

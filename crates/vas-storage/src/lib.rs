@@ -12,13 +12,13 @@
 //! specialized index designed for visualization workloads"). This crate
 //! implements that path end to end:
 //!
-//! * [`table`] — a minimal columnar [`Table`](table::Table) with range-filter
+//! * [`table`] — a minimal columnar [`Table`] with range-filter
 //!   scans and column-pair projection into plot points.
-//! * [`catalog`] — the [`SampleCatalog`](catalog::SampleCatalog): per
+//! * [`catalog`] — the [`SampleCatalog`]: per
 //!   (table, column-pair) a ladder of offline samples of increasing size,
 //!   built with any [`Sampler`](vas_sampling::Sampler).
-//! * [`engine`] — the [`VizEngine`](engine::VizEngine): accepts
-//!   [`VizQuery`](engine::VizQuery)s carrying an optional point budget and
+//! * [`engine`] — the [`VizEngine`]: accepts
+//!   [`VizQuery`]s carrying an optional point budget and
 //!   answers them from the smallest adequate source, exactly like ScalaR's
 //!   dynamic-reduction layer.
 //! * [`persist`] — durable storage of catalogs (JSON manifest + compact

@@ -6,7 +6,7 @@
 //!
 //! Simulated user: it renders the sample at overview zoom and counts the
 //! spatially-separate ink blobs of the bitmap
-//! ([`count_ink_clusters`](crate::perception::count_ink_clusters)), answering
+//! ([`count_ink_clusters`]), answering
 //! with that count. The answer is correct when it matches the number of
 //! generating Gaussians.
 

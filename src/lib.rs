@@ -12,7 +12,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`data`] | dataset generators (Geolife-like GPS traces, SPLOM, Gaussian mixtures), points, zoom workloads |
-//! | [`spatial`] | the `LocalityIndex` trait with R-tree, k-d tree and spatial-hash backends, plus grid substrates |
+//! | [`spatial`] | the `LocalityIndex` trait with R-tree and spatial-hash backends, plus a static k-d tree and grid substrates |
 //! | [`sampling`] | the [`Sampler`](sampling::Sampler) trait and the uniform / stratified baselines |
 //! | [`core`] | the VAS objective, the Interchange algorithm, density embedding |
 //! | [`obs`] | observability: typed counters, phase timers, latency histograms, event journal, JSON/Prometheus exporters |

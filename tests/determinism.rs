@@ -4,6 +4,10 @@
 //! queries, dataset generation) must preserve this property — these tests
 //! are the tripwire.
 
+mod oracle;
+
+use oracle::Oracle;
+use std::sync::{Arc, Mutex};
 use vas::prelude::*;
 
 /// Two points are byte-identical when every coordinate has the same bit
@@ -86,36 +90,89 @@ fn vas_sampler_is_deterministic() {
     }
 }
 
+/// The strategies the reference oracle covers: plain ES, and ES+Loc on
+/// every locality backend.
+fn oracle_cases() -> Vec<(InterchangeStrategy, LocalityBackend)> {
+    let mut cases = vec![(
+        InterchangeStrategy::ExpandShrink,
+        LocalityBackend::default(),
+    )];
+    for backend in LocalityBackend::ALL {
+        cases.push((InterchangeStrategy::ExpandShrinkLocality, backend));
+    }
+    cases
+}
+
+fn assert_matches_oracle(sampler: &VasSampler, oracle: &Oracle, what: impl Fn() -> String) {
+    let bits = |rsp: &[f64]| rsp.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+    if sampler.replacements() != oracle.replacements
+        || sampler.current_objective().to_bits() != oracle.objective.to_bits()
+        || bits(sampler.current_responsibilities()) != bits(&oracle.rsp)
+    {
+        panic!(
+            "{}: (replacements, objective) {:?} vs oracle {:?}, or responsibilities differ",
+            what(),
+            (sampler.replacements(), sampler.current_objective()),
+            (oracle.replacements, oracle.objective)
+        );
+    }
+    assert_points_bitwise_equal(sampler.current_sample(), &oracle.points, &what());
+}
+
+/// Lock-steps a sampler against the reference oracle over `passes` passes
+/// of `data`, comparing the sample, the responsibilities, the replacement
+/// count and the objective bits after *every* tuple.
+fn lock_step_against_oracle(
+    data: &Dataset,
+    strategy: InterchangeStrategy,
+    backend: LocalityBackend,
+    passes: usize,
+) {
+    let config = VasConfig::new(200)
+        .with_strategy(strategy)
+        .with_locality_backend(backend);
+    let mut sampler = VasSampler::from_dataset(data, config.clone());
+    let mut oracle = Oracle::new(data, &config);
+    for pass in 0..passes {
+        for (t, p) in data.iter().enumerate() {
+            sampler.observe(*p);
+            oracle.observe(*p);
+            assert_matches_oracle(&sampler, &oracle, || {
+                format!("{}/{backend}, pass {pass}, tuple {t}", strategy.label())
+            });
+        }
+    }
+    assert!(
+        oracle.replacements > 1_000,
+        "{}/{backend}: only {} replacements; the lock-step is nearly vacuous",
+        strategy.label(),
+        oracle.replacements
+    );
+}
+
 #[test]
 fn optimized_inner_loop_is_bit_identical_to_the_legacy_implementation() {
-    // PR 2 rebuilt the Interchange inner loop (tournament-tree Shrink,
-    // zero-allocation spatial queries, cached cutoff radius). The refactor's
-    // contract is that it is a pure speed-up: on the seeds pinned here, both
-    // `ExpandShrink` and `ExpandShrinkLocality` must produce samples
-    // byte-identical to the pre-refactor implementation, which is retained
-    // behind `VasConfig::with_legacy_inner_loop` exactly for this test and
-    // for the `fig10_inner_loop` benchmark baseline.
+    // The optimized Interchange loop (block-max Shrink, bounded rejection
+    // filter, batched kernel lanes, cached cutoff radius) is a pure
+    // speed-up over the paper's naive loop, which lives on only as the
+    // test-side reference oracle. On the seeds pinned here, plain ES and
+    // ES+Loc on every backend must land on the oracle's sample bit for bit.
     for seed in [21u64, 99] {
         let data = GeolifeGenerator::with_size(10_000, seed).generate();
-        let mut cases = vec![(
-            InterchangeStrategy::ExpandShrink,
-            LocalityBackend::default(),
-        )];
-        for backend in LocalityBackend::ALL {
-            cases.push((InterchangeStrategy::ExpandShrinkLocality, backend));
-        }
-        for (strategy, backend) in cases {
+        for (strategy, backend) in oracle_cases() {
             let config = VasConfig::new(300)
                 .with_strategy(strategy)
                 .with_locality_backend(backend);
             let optimized = VasSampler::from_dataset(&data, config.clone()).sample_dataset(&data);
-            let legacy = VasSampler::from_dataset(&data, config.with_legacy_inner_loop(true))
-                .sample_dataset(&data);
+            let mut legacy = Oracle::new(&data, &config);
+            for p in data.iter() {
+                legacy.observe(*p);
+            }
             assert_points_bitwise_equal(
                 &optimized.points,
                 &legacy.points,
                 &format!(
-                    "VasSampler optimized vs legacy ({}, {backend}, seed {seed})",
+                    "VasSampler optimized vs legacy oracle ({}, {backend}, seed {seed})",
                     strategy.label()
                 ),
             );
@@ -125,35 +182,124 @@ fn optimized_inner_loop_is_bit_identical_to_the_legacy_implementation() {
 
 #[test]
 fn es_loc_over_hashgrid_is_bit_identical_to_the_legacy_loop_per_tuple() {
-    // The PR 3 contract, the same one PR 2 pinned for the R-tree: switching
-    // the locality backend to the spatial hash is a pure speed-up. Lock-step
-    // the optimized and legacy samplers over the HashGrid backend and compare
-    // the full sample bit-for-bit after *every* observation.
+    // Algorithm 1's contract: the optimized loop (block-max Shrink, bounded
+    // rejection filter, batched kernel lanes) performs exactly the valid
+    // replacements of the paper's rule, on the spatial hash as on every
+    // other backend. Lock-step the sampler against the naive reference
+    // oracle after *every* tuple, over two passes, for plain ES and ES+Loc
+    // on every backend.
     let data = GeolifeGenerator::with_size(6_000, 47).generate();
-    let config = VasConfig::new(200)
-        .with_strategy(InterchangeStrategy::ExpandShrinkLocality)
-        .with_locality_backend(LocalityBackend::HashGrid);
-    let mut optimized = VasSampler::from_dataset(&data, config.clone());
-    let mut legacy = VasSampler::from_dataset(&data, config.with_legacy_inner_loop(true));
-    for (t, p) in data.iter().enumerate() {
-        optimized.observe(*p);
-        legacy.observe(*p);
-        assert_points_bitwise_equal(
-            optimized.current_sample(),
-            legacy.current_sample(),
-            &format!("ES+Loc over HashGrid at tuple {t}"),
-        );
-        assert_eq!(
-            optimized.replacements(),
-            legacy.replacements(),
-            "replacement count diverged at tuple {t}"
-        );
+    for (strategy, backend) in oracle_cases() {
+        lock_step_against_oracle(&data, strategy, backend, 2);
     }
-    assert_eq!(
-        optimized.current_objective().to_bits(),
-        legacy.current_objective().to_bits(),
-        "objective bits diverged"
-    );
+}
+
+#[test]
+fn interchange_matches_the_reference_oracle_at_every_thread_count() {
+    // The same contract at 1, 2 and 4 threads: the batched kernel lanes and
+    // the speculative pre-evaluation front must not change a single bit.
+    // `build` runs one `observe_chunk` over the dataset per pass; the same
+    // calls are made here so the full state can be compared against the
+    // oracle after every pass, with progress events giving a per-tuple
+    // (replacements, objective) trace in between. `build` itself must land
+    // on the oracle's final sample. The Gaussian mixture arrives shuffled,
+    // so points accepted inside a speculative batch tend to stay in the
+    // sample, where their pre-evaluated fold shows in the responsibilities
+    // (on the Geolife trajectory the next tuple usually replaces them).
+    let geolife = GeolifeGenerator::with_size(6_000, 47).generate();
+    let gaussian = GaussianMixtureGenerator::paper_clustering_dataset(3, 6_000, 9).generate();
+    for (data, (strategy, backend)) in [&geolife, &gaussian]
+        .into_iter()
+        .flat_map(|data| oracle_cases().into_iter().map(move |case| (data, case)))
+    {
+        let config = VasConfig::new(200)
+            .with_strategy(strategy)
+            .with_locality_backend(backend)
+            .with_passes(2)
+            .with_progress_every(1);
+        for threads in [1usize, 2, 4] {
+            let what = format!(
+                "{}, {}/{backend}, {threads} threads",
+                data.name,
+                strategy.label()
+            );
+            let config = config.clone().with_threads(threads);
+            let trace = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&trace);
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut sampler = VasSampler::from_dataset(data, config.clone())
+                .with_recorder(Recorder::new(Arc::clone(&registry)).with_timing(true));
+            sampler.set_progress_sink(Box::new(move |e| {
+                sink.lock()
+                    .unwrap()
+                    .push((e.replacements, e.objective.to_bits()))
+            }));
+            let mut oracle = Oracle::new(data, &config);
+            let mut expected = Vec::new();
+            for pass in 0..2 {
+                sampler.observe_chunk(&data.points);
+                for p in data.iter() {
+                    oracle.observe(*p);
+                    expected.push((oracle.replacements, oracle.objective.to_bits()));
+                }
+                assert_matches_oracle(&sampler, &oracle, || format!("{what}, after pass {pass}"));
+            }
+            let trace = trace.lock().unwrap();
+            assert_eq!(trace.len(), expected.len(), "{what}: progress events");
+            if let Some(t) = trace.iter().zip(&expected).position(|(a, b)| a != b) {
+                panic!(
+                    "{what}: diverged at tuple {t}: {:?} vs oracle {:?}",
+                    trace[t], expected[t]
+                );
+            }
+            if threads > 1 && strategy == InterchangeStrategy::ExpandShrinkLocality {
+                assert!(
+                    registry.snapshot().phase_calls(Phase::SpeculationReplay) > 0,
+                    "{what}: the speculative front never ran"
+                );
+            }
+            let built = VasSampler::from_dataset(data, config).build(data);
+            assert_points_bitwise_equal(&built.points, &oracle.points, &format!("{what}: build"));
+        }
+    }
+}
+
+#[test]
+fn non_finite_points_are_skipped_like_the_reference_oracle() {
+    // A NaN or infinite coordinate has no kernel distance to anything; the
+    // sampler must skip such tuples, during the fill and after it, exactly
+    // as the oracle does.
+    let clean = GeolifeGenerator::with_size(6_000, 47).generate();
+    let eps = GaussianKernel::for_dataset(&clean).bandwidth();
+    let mut points = clean.points.clone();
+    for i in 0..20 {
+        let bad = if i % 2 == 0 {
+            Point::new(f64::NAN, 1.0)
+        } else {
+            Point::new(1.0, f64::INFINITY)
+        };
+        points.insert(150 + 290 * i, bad);
+    }
+    let data = Dataset::from_points("nan-laced", points);
+    for (strategy, backend) in oracle_cases() {
+        let config = VasConfig::new(200)
+            .with_strategy(strategy)
+            .with_locality_backend(backend)
+            .with_epsilon(eps);
+        let mut sampler = VasSampler::from_dataset(&data, config.clone());
+        let mut oracle = Oracle::new(&data, &config);
+        for (t, p) in data.iter().enumerate() {
+            sampler.observe(*p);
+            oracle.observe(*p);
+            assert_matches_oracle(&sampler, &oracle, || {
+                format!("{}/{backend}, tuple {t}", strategy.label())
+            });
+        }
+        assert!(sampler.current_sample().iter().all(Point::is_finite));
+        assert!(sampler.current_objective().is_finite());
+        let threaded = VasSampler::from_dataset(&data, config.with_threads(2)).build(&data);
+        assert_points_bitwise_equal(&threaded.points, &oracle.points, "2 threads vs oracle");
+    }
 }
 
 #[test]
@@ -314,40 +460,6 @@ fn parallel_pipeline_is_bit_identical_to_sequential_build_per_backend() {
 }
 
 #[test]
-fn batched_kernel_path_is_bit_identical_to_the_scalar_path_per_backend() {
-    // The PR 6 contract: the batched SoA kernel-evaluation path (batch-gather
-    // neighbourhood lanes + `eval_dist2_batch` sweeps, the default) must
-    // reproduce the point-at-a-time scalar path (retained behind
-    // `VasConfig::with_scalar_kernel_path`) bit-for-bit — on every locality
-    // backend, at 1, 2 and 4 worker threads (the speculative pre-evaluation
-    // workers batch too), and for the dense `ExpandShrink` strategy.
-    let data = GeolifeGenerator::with_size(10_000, 21).generate();
-    for backend in LocalityBackend::ALL {
-        let config = VasConfig::new(300).with_locality_backend(backend);
-        let scalar = VasSampler::from_dataset(&data, config.clone().with_scalar_kernel_path(true))
-            .build(&data);
-        for threads in [1usize, 2, 4] {
-            let mut sampler = VasSampler::from_dataset(&data, config.clone().with_threads(threads));
-            let batched = sampler.build(&data);
-            assert_points_bitwise_equal(
-                &batched.points,
-                &scalar.points,
-                &format!("batched vs scalar kernel path ({backend}, {threads} threads)"),
-            );
-        }
-    }
-    let es = VasConfig::new(300).with_strategy(InterchangeStrategy::ExpandShrink);
-    let scalar =
-        VasSampler::from_dataset(&data, es.clone().with_scalar_kernel_path(true)).build(&data);
-    let batched = VasSampler::from_dataset(&data, es).build(&data);
-    assert_points_bitwise_equal(
-        &batched.points,
-        &scalar.points,
-        "batched vs scalar kernel path (dense ES)",
-    );
-}
-
-#[test]
 fn parallel_loss_estimates_are_bit_identical_to_sequential() {
     let data = GeolifeGenerator::with_size(6_000, 33).generate();
     let kernel = GaussianKernel::for_dataset(&data);
@@ -404,6 +516,9 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
     // front mid-stream). The checkpoint carries a byte-exact snapshot of the
     // locality index, so the restored index's future visitation order — and
     // with it every accept/reject decision — is exactly the original's.
+    // Plain ES and No ES keep the sample out of the index, so they checkpoint
+    // an empty one; they must resume too (No ES at a small K, since each of
+    // its candidates costs O(K²)).
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-determinism-ckpt-{}.vaschunk",
@@ -411,8 +526,19 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
     ));
     spill_dataset(&data, &path, 1_024).unwrap();
 
-    for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(300).with_locality_backend(backend);
+    let mut cases: Vec<(String, VasConfig)> = LocalityBackend::ALL
+        .into_iter()
+        .map(|b| (b.to_string(), VasConfig::new(300).with_locality_backend(b)))
+        .collect();
+    cases.push((
+        "es".into(),
+        VasConfig::new(300).with_strategy(InterchangeStrategy::ExpandShrink),
+    ));
+    cases.push((
+        "naive".into(),
+        VasConfig::new(40).with_strategy(InterchangeStrategy::Naive),
+    ));
+    for (case, base) in cases {
         let reference = {
             let mut reader = ChunkedReader::open(&path).unwrap();
             VasSampler::new(base.clone())
@@ -423,7 +549,7 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
             let config = base.clone().with_threads(threads);
             for kill_after in [1u64, 4, 8] {
                 let ckpt = std::env::temp_dir().join(format!(
-                    "vas-determinism-{}-{backend}-{threads}-{kill_after}.vascheckpt",
+                    "vas-determinism-{}-{case}-{threads}-{kill_after}.vascheckpt",
                     std::process::id()
                 ));
                 let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
@@ -433,7 +559,7 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
                     .unwrap();
                 assert!(
                     outcome.is_halted(),
-                    "kill switch did not fire ({backend}, {threads} threads, kill {kill_after})"
+                    "kill switch did not fire ({case}, {threads} threads, kill {kill_after})"
                 );
 
                 let mut reader = ChunkedReader::open(&path).unwrap();
@@ -447,7 +573,7 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
                 assert_points_bitwise_equal(
                     &resumed.points,
                     &reference.points,
-                    &format!("kill-and-resume ({backend}, {threads} threads, kill {kill_after})"),
+                    &format!("kill-and-resume ({case}, {threads} threads, kill {kill_after})"),
                 );
                 std::fs::remove_file(&ckpt).ok();
             }
