@@ -29,9 +29,9 @@
 //! ```
 //!
 //! With `--obs` a fifth scenario runs the fault path fully instrumented:
-//! a retried build with counters + timers + journal + spans + flight ring
+//! a retried build with counters + timers + a tracer (spans and events)
 //! attached must stay bit-identical and yield a valid causal trace, and a
-//! fatal injected fault must fire the flight recorder's post-mortem dump.
+//! fatal injected fault must fire the tracer's post-mortem dump.
 //! The summary lands in an `obs` section of `BENCH_faults.json`.
 
 use bench::obs::{validate_build_trace, ObsBundle};
@@ -307,13 +307,13 @@ fn run_panic_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (
 /// Scenario 5 (`--obs`): the fully instrumented fault path. A retried build
 /// with the whole observability stack attached must stay bit-identical and
 /// yield a valid causal trace, and a fatal injected fault must make the
-/// flight recorder write its post-mortem dump. Returns the `obs` section for
+/// tracer write its post-mortem dump. Returns the `obs` section for
 /// `BENCH_faults.json` and the pass flag.
 fn run_obs_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (Value, bool) {
     let bundle = ObsBundle::new();
     let dump_path = results_dir().join("flight_fault_matrix.jsonl");
     std::fs::remove_file(&dump_path).ok();
-    bundle.flight.set_dump_path(&dump_path);
+    bundle.tracer.set_dump_path(&dump_path);
 
     // The instrumented retried build: every stage reports into the bundle.
     let reader = ChunkedReader::open(spill)
@@ -358,8 +358,8 @@ fn run_obs_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (Va
         }
     };
 
-    // A fatal injected fault must fail the build AND fire the flight
-    // recorder's post-mortem dump.
+    // A fatal injected fault must fail the build AND fire the tracer's
+    // post-mortem dump.
     let reader = ChunkedReader::open(spill)
         .expect("open spill")
         .with_recorder(bundle.recorder.clone());
@@ -369,13 +369,13 @@ fn run_obs_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (Va
     let fatal_result = VasSampler::new(config.clone())
         .with_recorder(bundle.recorder.clone())
         .build_from_source(&mut source);
-    let flight_dumped = fatal_result.is_err() && bundle.flight.dumps() > 0 && dump_path.is_file();
+    let flight_dumped = fatal_result.is_err() && bundle.tracer.dumps() > 0 && dump_path.is_file();
     if !flight_dumped {
         eprintln!(
-            "[fault_matrix] FAIL: the fatal fault did not produce a flight-recorder dump \
+            "[fault_matrix] FAIL: the fatal fault did not produce a post-mortem dump \
              (errored = {}, dumps = {})",
             fatal_result.is_err(),
-            bundle.flight.dumps()
+            bundle.tracer.dumps()
         );
     }
 
@@ -468,11 +468,11 @@ fn main() {
     let (contained, panic_contained) =
         run_panic_scenario(&spill, &base.clone().with_threads(2), &parallel_reference);
 
-    // Scenario 5 (`--obs`): the instrumented fault path + flight recorder.
+    // Scenario 5 (`--obs`): the instrumented fault path + post-mortem dump.
     // Uses threads = 2 so the trace carries cross-thread worker spans, and
     // the parallel reference for the bit-identity check.
     let obs_result = if obs {
-        eprintln!("[fault_matrix] scenario 5: instrumented faults + flight recorder");
+        eprintln!("[fault_matrix] scenario 5: instrumented faults + post-mortem dump");
         Some(run_obs_scenario(
             &spill,
             &base.clone().with_threads(2),
@@ -533,7 +533,7 @@ fn main() {
     ]);
     if obs_result.is_some() {
         table.push_row(vec![
-            "obs + flight recorder".into(),
+            "obs + post-mortem dump".into(),
             "instrumented faults traced, fatal dump written".into(),
             yn(obs_passed),
         ]);

@@ -27,9 +27,9 @@
 //! With `--obs` the binary instead runs only the **observability overhead
 //! gate**: the full instrumented stack (chunked reads through fault
 //! injection, retries, checkpoint halt/resume, and the sampler itself, all
-//! with timers and an event journal attached) against the detached-recorder
-//! no-op build on the same spilled stream. The gate asserts the two samples
-//! are bit-identical, the journal carries checkpoint/retry/phase-transition
+//! with timers and a tracer attached) against the detached-recorder no-op
+//! build on the same spilled stream. The gate asserts the two samples are
+//! bit-identical, the tracer carries checkpoint/retry/phase-transition
 //! events, both exporters round-trip the registry snapshot, and the
 //! instrumentation overhead stays under a fixed ceiling — then writes
 //! `results/BENCH_obs.json` and exits non-zero on any violation.
@@ -323,13 +323,14 @@ fn measure_accept_cost(backend: LocalityBackend, sample: &[Point], cutoff: f64) 
 /// fill→candidate transition all fire.
 const OBS_CHUNK: usize = 1_024;
 /// Maximum tolerated throughput overhead of full instrumentation (timers +
-/// journal) over the detached-recorder no-op build.
+/// tracer) over the detached-recorder no-op build.
 const OBS_OVERHEAD_CEILING: f64 = 0.03;
 /// Seed of the deterministic transient-fault schedule the gate injects so
-/// the retry path is exercised (and journaled) on every run.
+/// the retry path is exercised (and recorded) on every run.
 const OBS_FAULT_SEED: u64 = 20_160_519;
 
-/// Which of the required event kinds the journal actually carried.
+/// Which of the required event kinds the tracer actually carried (the
+/// report keeps the historical `journal_events` key).
 #[derive(Debug, Clone, Serialize)]
 struct ObsJournalEvents {
     checkpoint_write: bool,
@@ -397,7 +398,7 @@ struct ObsReport {
 
 /// The observability overhead gate (`--obs`): builds the same sample from
 /// the same fault-injected chunked stream with a fully instrumented recorder
-/// and with the detached no-op recorder, checks bit-identity, journal
+/// and with the detached no-op recorder, checks bit-identity, event
 /// contents and exporter round-trips, measures the instrumentation overhead
 /// with interleaved min-of-N reps, and writes `results/BENCH_obs.json`.
 /// Exits non-zero on any violation.
@@ -434,16 +435,15 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
             .points
     };
 
-    // One journaled, fully instrumented bundle (counters + timers + journal
-    // + tracer + flight recorder) shared by the halted build, the resume and
-    // a full build, so the journal carries every event kind the gate
-    // requires and the tracer sees every causal tree.
+    // One fully instrumented bundle (counters + timers + tracer) shared by
+    // the halted build, the resume and a full build, so the tracer carries
+    // every event kind the gate requires and sees every causal tree.
     let bundle = ObsBundle::new();
     let registry = Arc::clone(&bundle.registry);
-    let journal = Arc::clone(&bundle.journal);
+    let tracer = Arc::clone(&bundle.tracer);
     let recorder = bundle.recorder.clone();
 
-    eprintln!("[fig10_inner_loop] obs phase: journaled halt/resume build (chunk = {OBS_CHUNK})");
+    eprintln!("[fig10_inner_loop] obs phase: traced halt/resume build (chunk = {OBS_CHUNK})");
     let halted = {
         let mut source = make_source(&recorder);
         let mut sampler = VasSampler::new(config()).with_recorder(recorder.clone());
@@ -519,13 +519,15 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
         && bitwise_eq(&instrumented, &resumed)
         && bitwise_eq(&instrumented, &traced);
 
+    let events = tracer.events();
+    let has = |kind: &str| events.iter().any(|e| e.name == kind);
     let journal_events = ObsJournalEvents {
-        checkpoint_write: journal.contains_event("checkpoint_write"),
-        checkpoint_resume: journal.contains_event("checkpoint_resume"),
-        retry: journal.contains_event("retry"),
-        phase_transition: journal.contains_event("phase_transition"),
+        checkpoint_write: has("checkpoint_write"),
+        checkpoint_resume: has("checkpoint_resume"),
+        retry: has("retry"),
+        phase_transition: has("phase_transition"),
     };
-    let journal_lines = journal.lines().len();
+    let journal_lines = events.len();
 
     // Both exporters must round-trip the live registry snapshot.
     let snap = registry.snapshot();
@@ -550,8 +552,8 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
             stats.time(|| std::hint::black_box(build(&detached)));
         };
         let time_instr = |stats: &mut TimingStats| {
-            // The maximal configuration: counters + timers + journal AND
-            // span recording + flight ring, so the ceiling covers the whole
+            // The maximal configuration: counters + timers AND span and
+            // event recording, so the ceiling covers the whole
             // causal layer too.
             let timed = ObsBundle::new().recorder;
             stats.time(|| std::hint::black_box(build(&timed)));
@@ -610,7 +612,7 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
         bit_identical.to_string(),
     ]);
     let mut phase_table = ReportTable::new(
-        "Instrumented phases (journaled builds)",
+        "Instrumented phases (traced builds)",
         &["phase", "calls", "total (ms)", "p50 (µs)", "p99 (µs)"],
     );
     for p in &phases {
@@ -658,7 +660,7 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
     }
     if !journal_events.all_present() {
         eprintln!(
-            "[fig10_inner_loop] FAIL: journal is missing required events \
+            "[fig10_inner_loop] FAIL: the tracer is missing required events \
              (checkpoint_write = {}, checkpoint_resume = {}, retry = {}, phase_transition = {})",
             journal_events.checkpoint_write,
             journal_events.checkpoint_resume,
@@ -691,7 +693,7 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
     }
     eprintln!(
         "[fig10_inner_loop] obs gate passed: overhead {:.2}% <= {:.0}%, bit-identical, \
-         {journal_lines} journal events",
+         {journal_lines} events",
         overhead_ratio * 100.0,
         OBS_OVERHEAD_CEILING * 100.0
     );

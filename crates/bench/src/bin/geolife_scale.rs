@@ -45,7 +45,7 @@
 //! * `--threads`    — comma-separated thread counts to sweep (e.g. `1,2,4`).
 //! * `--keep-spill` — leave the spill file on disk for inspection.
 //! * `--obs`        — add a fully instrumented pass (counters + timers +
-//!   journal + spans + flight ring) over the same spill, assert it
+//!   a tracer of spans and events) over the same spill, assert it
 //!   bit-identical to the baseline, export a validated Chrome-trace
 //!   artifact, and graft an `obs` section onto `BENCH_streaming.json`.
 
@@ -352,7 +352,7 @@ fn main() {
     };
 
     // ---- Observability pass (`--obs`): the fully instrumented pipeline
-    // (counters + timers + journal + tracer + flight ring) over the same
+    // (counters + timers + a tracer of spans and events) over the same
     // spill with the speculative front and read-ahead on, asserted
     // bit-identical to the baseline sample and exporting a validated
     // Chrome-trace artifact. ----

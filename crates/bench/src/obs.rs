@@ -1,25 +1,22 @@
 //! Shared observability-gate plumbing for the harness binaries.
 //!
-//! PR 8 wired the `--obs` overhead gate into `fig10_inner_loop` only; this
-//! module hoists the pieces every harness needs so `geolife_scale` and
-//! `fault_matrix` can grow their own `--obs` modes without re-implementing
-//! them: a fully instrumented recorder bundle (registry + journal + tracer +
-//! flight recorder), a JSON summary section for the BENCH artifacts, a
-//! Chrome-trace export helper, and the trace validator the CI trace-harness
-//! step runs against a recorded build.
+//! Every harness with an `--obs` mode (`fig10_inner_loop`, `geolife_scale`,
+//! `shard_sweep`, `fault_matrix`) needs the same pieces, hoisted here: a
+//! fully instrumented recorder bundle (registry with timing on + a tracer
+//! that stores spans and events and owns the post-mortem dump), a JSON
+//! summary section for the BENCH artifacts, a Chrome-trace export helper,
+//! and the trace validator the CI trace-harness step runs against a
+//! recorded build.
 
 use serde::Value;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use vas_obs::{
-    parse_chrome_trace, Counter, FlightRecorder, Journal, MetricsRegistry, Phase, Recorder,
-    SpanRecord, Tracer,
-};
+use vas_obs::{parse_chrome_trace, Counter, MetricsRegistry, Phase, Recorder, SpanRecord, Tracer};
 
 /// A fully instrumented observability stack behind one [`Recorder`] handle:
-/// typed counters + phase timers ([`MetricsRegistry`]), the JSONL event
-/// [`Journal`], causal spans ([`Tracer`]) and the crash [`FlightRecorder`].
+/// typed counters + phase timers ([`MetricsRegistry`]) and the causal
+/// layer ([`Tracer`]: spans, events and the post-mortem dump).
 ///
 /// This is the maximal configuration — exactly what the overhead gates time
 /// against [`Recorder::detached`].
@@ -27,12 +24,8 @@ use vas_obs::{
 pub struct ObsBundle {
     /// Counter and phase-latency storage.
     pub registry: Arc<MetricsRegistry>,
-    /// Append-only event journal (in memory).
-    pub journal: Arc<Journal>,
-    /// Hierarchical span collector.
+    /// Span and event store, dumped post-mortem on a fatal path.
     pub tracer: Arc<Tracer>,
-    /// Bounded post-mortem ring of recent spans/events.
-    pub flight: Arc<FlightRecorder>,
     /// The handle the stack records through.
     pub recorder: Recorder,
 }
@@ -41,26 +34,21 @@ impl ObsBundle {
     /// Builds a fresh, fully instrumented bundle (timing on).
     pub fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let journal = Arc::new(Journal::in_memory());
         let tracer = Arc::new(Tracer::new());
-        let flight = Arc::new(FlightRecorder::new());
         let recorder = Recorder::new(Arc::clone(&registry))
-            .with_journal(Arc::clone(&journal))
             .with_timing(true)
-            .with_tracer(Arc::clone(&tracer))
-            .with_flight(Arc::clone(&flight));
+            .with_tracer(Arc::clone(&tracer));
         Self {
             registry,
-            journal,
             tracer,
-            flight,
             recorder,
         }
     }
 
     /// Summarizes the bundle into a JSON object suitable for merging into a
-    /// BENCH artifact: non-zero counters, per-phase latency rows, journal
-    /// line count, and span totals (recorded + dropped).
+    /// BENCH artifact: non-zero counters, per-phase latency rows, the event
+    /// count (`journal_lines`, its historical key), and span totals
+    /// (recorded + dropped).
     pub fn section_value(&self) -> Value {
         let snap = self.registry.snapshot();
         let counters: Vec<(String, Value)> = Counter::ALL
@@ -94,11 +82,11 @@ impl ObsBundle {
             ("phases".to_string(), Value::Array(phases)),
             (
                 "journal_lines".to_string(),
-                Value::Number(self.journal.lines().len() as f64),
+                Value::Number(self.tracer.events().len() as f64),
             ),
             (
                 "spans_recorded".to_string(),
-                Value::Number(self.tracer.len() as f64),
+                Value::Number(self.tracer.spans().len() as f64),
             ),
             (
                 "spans_dropped".to_string(),
@@ -210,8 +198,6 @@ mod tests {
         );
         assert_eq!(section.get("spans_recorded"), Some(&Value::Number(1.0)));
         assert_eq!(section.get("journal_lines"), Some(&Value::Number(1.0)));
-        // The journal event was mirrored into the flight ring.
-        assert!(!bundle.flight.is_empty());
     }
 
     #[test]
@@ -220,7 +206,7 @@ mod tests {
         {
             let root = bundle.recorder.root_span("build_from_source");
             let ctx = root.context();
-            let _worker = bundle.recorder.span_under("worker_task", ctx);
+            let _worker = bundle.recorder.phase_under(Phase::WorkerTask, ctx);
         }
         let ok = validate_build_trace(&bundle.tracer.to_chrome_trace()).unwrap();
         assert_eq!(ok.spans, 2);

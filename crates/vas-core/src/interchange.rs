@@ -371,7 +371,7 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// Lifetime count of speculated batches (drives the deterministic
     /// panic-injection hook, [`VasConfig::inject_speculation_panic_at`]).
     speculated: u64,
-    /// Metrics/journal sink ([`Recorder::detached`] by default): kernel
+    /// Metrics/trace sink ([`Recorder::detached`] by default): kernel
     /// lanes, contained panics, accepts/rejects and checkpoint events live
     /// in its registry rather than in dedicated fields. Strictly off the
     /// data path — nothing it measures feeds back into sampled state.
@@ -563,7 +563,7 @@ impl VasSampler {
     /// [`Recorder`] attached to the restored sampler: the checkpointed
     /// kernel-lane and contained-panic totals are restored into its
     /// registry, `core_checkpoint_resumes` is counted and a
-    /// `checkpoint_resume` event is journaled.
+    /// `checkpoint_resume` event is recorded.
     pub fn resume_from_checkpoint_recorded(
         path: &Path,
         config: VasConfig,
@@ -751,7 +751,7 @@ impl VasSampler {
 
     /// [`resume_build_from_source`](Self::resume_build_from_source) with a
     /// [`Recorder`] attached before the restore, so the resumed run's
-    /// counters, phases and journal events land in the caller's registry.
+    /// counters, phases and events land in the caller's registry and tracer.
     pub fn resume_build_from_source_recorded<S: PointSource>(
         config: VasConfig,
         source: &mut S,
@@ -896,7 +896,7 @@ impl<L: LocalityIndex> VasSampler<L> {
 
     /// Attaches a shared [`Recorder`]: kernel lanes, accepts/rejects,
     /// contained panics and checkpoint events count into its registry;
-    /// phase timings and journal events flow to it when enabled. Note that
+    /// phase timings, spans and events flow to it when enabled. Note that
     /// [`finalize`](Sampler::finalize) resets the registry's
     /// build-scoped counters (accepts, rejects, kernel lanes), so a
     /// registry shared across *concurrent* builds will see those views
@@ -1042,9 +1042,10 @@ impl<L: LocalityIndex> VasSampler<L> {
         Ok(self.finalize())
     }
 
-    /// Marks a build-fatal error on the observability side — journals a
-    /// `fatal` event and dumps the flight recorder's ring to its post-mortem
-    /// file, if one is attached — then hands the error back unchanged.
+    /// Marks a build-fatal error on the observability side — records a
+    /// `fatal` event and dumps the tracer's newest records to its
+    /// post-mortem file, if one is attached — then hands the error back
+    /// unchanged.
     /// Purely observational: the error value and the sampler state are
     /// untouched.
     fn fatal(&self, err: VasError) -> VasError {
@@ -1188,7 +1189,7 @@ impl<L: LocalityIndex> VasSampler<L> {
             // (the density-adaptive cell-sizing signal). The probe scans the
             // whole cell table, so it only runs when observability is
             // attached — a detached build never pays for it.
-            if self.recorder.timing_enabled() || self.recorder.journal().is_some() {
+            if self.recorder.timing_enabled() || self.recorder.tracer().is_some() {
                 if let Some(occ) = self.index.occupancy_stats() {
                     self.recorder
                         .record_value(ValueSeries::GridOccupiedCells, occ.cells_occupied as u64);
@@ -1236,16 +1237,11 @@ impl<L: LocalityIndex> VasSampler<L> {
                     need == 0
                 })
                 .map_or(rest.len(), |i| i + 1);
-            let started = self.recorder.timing_enabled().then(Instant::now);
             {
-                let _span = self.recorder.span("fill");
+                let _phase = self.recorder.phase(Phase::Fill);
                 for p in &rest[..fill] {
                     self.observe(*p);
                 }
-            }
-            if let Some(t0) = started {
-                self.recorder
-                    .record_phase_ns(Phase::Fill, t0.elapsed().as_nanos() as u64);
             }
             rest = &rest[fill..];
         }
@@ -1253,16 +1249,9 @@ impl<L: LocalityIndex> VasSampler<L> {
             if rest.is_empty() {
                 return;
             }
-            let started = self.recorder.timing_enabled().then(Instant::now);
-            {
-                let _span = self.recorder.span("candidate_eval");
-                for p in rest {
-                    self.observe(*p);
-                }
-            }
-            if let Some(t0) = started {
-                self.recorder
-                    .record_phase_ns(Phase::CandidateEval, t0.elapsed().as_nanos() as u64);
+            let _phase = self.recorder.phase(Phase::CandidateEval);
+            for p in rest {
+                self.observe(*p);
             }
             return;
         }
@@ -1287,16 +1276,9 @@ impl<L: LocalityIndex> VasSampler<L> {
             if spacing >= MIN_PRE_EVAL_BATCH as u64 && take >= MIN_PRE_EVAL_BATCH {
                 self.observe_candidates_speculative(batch, threads);
             } else {
-                let started = self.recorder.timing_enabled().then(Instant::now);
-                {
-                    let _span = self.recorder.span("candidate_eval");
-                    for p in batch {
-                        self.observe(*p);
-                    }
-                }
-                if let Some(t0) = started {
-                    self.recorder
-                        .record_phase_ns(Phase::CandidateEval, t0.elapsed().as_nanos() as u64);
+                let _phase = self.recorder.phase(Phase::CandidateEval);
+                for p in batch {
+                    self.observe(*p);
                 }
             }
             let accepts = self.replacements - before;
@@ -1321,16 +1303,11 @@ impl<L: LocalityIndex> VasSampler<L> {
             // pre-evaluated deltas are exactly what a live Expand would
             // compute now".
             let snapshot = self.replacements;
-            let started = self.recorder.timing_enabled().then(Instant::now);
             let pre_eval_ok = {
-                let mut span = self.recorder.span("candidate_eval");
-                span.attr("batch_len", rest.len());
+                let mut phase = self.recorder.phase(Phase::CandidateEval);
+                phase.attr("batch_len", rest.len());
                 self.pre_evaluate(rest, threads)
             };
-            if let Some(t0) = started {
-                self.recorder
-                    .record_phase_ns(Phase::CandidateEval, t0.elapsed().as_nanos() as u64);
-            }
             if !pre_eval_ok {
                 // A worker panicked mid-fan-out: the pre-evaluated buffers
                 // are unusable (possibly half-written), but the sample, the
@@ -1340,32 +1317,20 @@ impl<L: LocalityIndex> VasSampler<L> {
                 // which is bit-identical to a successful speculation by the
                 // determinism contract.
                 self.recorder.inc(Counter::CoreContainedWorkerPanics, 1);
-                // A contained panic is the flight recorder's moment: dump
+                // A contained panic is the post-mortem dump's moment: dump
                 // the recent span/event ring before degrading, so the
                 // post-mortem shows what led up to the poisoned fan-out.
                 let _ = self.recorder.fatal("contained_worker_panic");
-                let started = self.recorder.timing_enabled().then(Instant::now);
-                {
-                    let _span = self.recorder.span("accept_churn");
-                    for p in rest {
-                        self.observe(*p);
-                    }
-                }
-                if let Some(t0) = started {
-                    self.recorder
-                        .record_phase_ns(Phase::AcceptChurn, t0.elapsed().as_nanos() as u64);
+                let _phase = self.recorder.phase(Phase::AcceptChurn);
+                for p in rest {
+                    self.observe(*p);
                 }
                 return;
             }
-            let started = self.recorder.timing_enabled().then(Instant::now);
             let applied = {
-                let _span = self.recorder.span("speculation_replay");
+                let _phase = self.recorder.phase(Phase::SpeculationReplay);
                 self.apply_pre_evaluated(rest, snapshot)
             };
-            if let Some(t0) = started {
-                self.recorder
-                    .record_phase_ns(Phase::SpeculationReplay, t0.elapsed().as_nanos() as u64);
-            }
             rest = &rest[applied..];
             if rest.is_empty() {
                 return;
@@ -1377,16 +1342,9 @@ impl<L: LocalityIndex> VasSampler<L> {
             // on the live index directly.
             respeculations += 1;
             if rest.len() < RESPECULATE_MIN_REMAINDER || respeculations > MAX_RESPECULATIONS {
-                let started = self.recorder.timing_enabled().then(Instant::now);
-                {
-                    let _span = self.recorder.span("accept_churn");
-                    for p in rest {
-                        self.observe(*p);
-                    }
-                }
-                if let Some(t0) = started {
-                    self.recorder
-                        .record_phase_ns(Phase::AcceptChurn, t0.elapsed().as_nanos() as u64);
+                let _phase = self.recorder.phase(Phase::AcceptChurn);
+                for p in rest {
+                    self.observe(*p);
                 }
                 return;
             }
@@ -1448,9 +1406,9 @@ impl<L: LocalityIndex> VasSampler<L> {
                 let worker_injects = std::mem::take(&mut inject_in_spawned);
                 let rec = worker_recorder.clone();
                 handles.push(scope.spawn(move || {
-                    let mut span = rec.span_under("worker_task", span_parent);
-                    span.attr("site", "pre_eval");
-                    span.attr("stripe_len", stripe.len());
+                    let mut phase = rec.phase_under(Phase::WorkerTask, span_parent);
+                    phase.attr("site", "pre_eval");
+                    phase.attr("stripe_len", stripe.len());
                     if worker_injects {
                         panic!("injected speculation fault (batch {batch_index})");
                     }
@@ -1462,16 +1420,16 @@ impl<L: LocalityIndex> VasSampler<L> {
             // workers are still running.
             let (range, ((ids, vals), (meta, gather))) = first;
             let stripe = &candidates[range];
-            let mut span = worker_recorder.span_under("worker_task", span_parent);
-            span.attr("site", "pre_eval");
-            span.attr("stripe_len", stripe.len());
+            let mut phase = worker_recorder.phase_under(Phase::WorkerTask, span_parent);
+            phase.attr("site", "pre_eval");
+            phase.attr("stripe_len", stripe.len());
             let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if inject_panic && workers == 1 {
                     panic!("injected speculation fault (batch {batch_index})");
                 }
                 pre_eval_range(index, kernel, cutoff, stripe, ids, vals, meta, gather);
             }));
-            drop(span);
+            drop(phase);
             poisoned |= own.is_err();
             for h in handles {
                 poisoned |= h.join().is_err();

@@ -274,11 +274,10 @@ impl ShardedSampler {
     /// configured passes over the raw data), which is also what keeps the
     /// `S = 1` union — exactly `K` points — an identity fill.
     fn merge_shard_samples(&self, epsilon: f64, shard_samples: Vec<Vec<Point>>) -> Sample {
-        let _guard = self.recorder.phase(Phase::ShardMerge);
-        let mut span = self.recorder.span("shard_merge");
-        span.attr("shards", shard_samples.len());
+        let mut phase = self.recorder.phase(Phase::ShardMerge);
+        phase.attr("shards", shard_samples.len());
         let union: usize = shard_samples.iter().map(Vec::len).sum();
-        span.attr("union_len", union);
+        phase.attr("union_len", union);
         let mut cfg = self.shard_config(self.config.k, epsilon);
         cfg.passes = 1;
         let mut merger = VasSampler::new(cfg).with_recorder(self.recorder.clone());
@@ -291,7 +290,7 @@ impl ShardedSampler {
 
 /// Finalizes one shard worker: captures its tallies *before* `finalize`
 /// resets the shared registry's per-build counters, accumulates them into
-/// the lifetime shard aggregates, and journals a `shard_built` event.
+/// the lifetime shard aggregates, and records a `shard_built` event.
 fn finish_shard(
     recorder: &Recorder,
     shard: usize,
@@ -388,10 +387,7 @@ mod tests {
         use std::sync::Arc;
         let data = dataset(2_000);
         let tracer = Arc::new(vas_obs::Tracer::new());
-        let journal = Arc::new(vas_obs::Journal::in_memory());
-        let recorder = Recorder::detached()
-            .with_tracer(Arc::clone(&tracer))
-            .with_journal(Arc::clone(&journal));
+        let recorder = Recorder::detached().with_tracer(Arc::clone(&tracer));
         let shards = 3;
         let sample = ShardedSampler::new(VasConfig::new(90), shards)
             .with_recorder(recorder.clone())
@@ -399,13 +395,26 @@ mod tests {
         assert_eq!(sample.points.len(), 90);
         let snap = recorder.registry().snapshot();
         assert!(snap.counter(Counter::CoreShardAccepts) >= 90);
-        assert!(journal.contains_event("shard_built"));
+        let built = tracer.events();
+        assert_eq!(
+            built.iter().filter(|e| e.name == "shard_built").count(),
+            shards
+        );
         let spans = tracer.spans();
         let root: Vec<_> = spans.iter().filter(|s| s.parent.is_none()).collect();
         assert_eq!(root.len(), 1, "exactly one build root");
         assert_eq!(root[0].name, "build_sharded");
         let workers = spans.iter().filter(|s| s.name == "worker_task").count();
         assert_eq!(workers, shards, "one worker subtree per shard");
+        let fills: Vec<_> = spans.iter().filter(|s| s.name == "shard_fill").collect();
+        assert_eq!(fills.len(), shards);
+        for fill in fills {
+            let parent = spans.iter().find(|s| Some(s.id) == fill.parent).unwrap();
+            assert_eq!(
+                parent.name, "worker_task",
+                "shard_fill runs inside its worker"
+            );
+        }
         assert!(spans.iter().any(|s| s.name == "shard_merge"));
     }
 

@@ -15,6 +15,7 @@
 use crate::histogram::Histogram;
 use crate::registry::{Counter, Phase, ValueSeries};
 use crate::snapshot::MetricsSnapshot;
+use crate::trace::value_as_u64;
 use serde::Value;
 use std::fmt::Write as _;
 
@@ -39,32 +40,34 @@ fn histogram_to_value(h: &Histogram) -> Value {
 }
 
 fn histogram_from_value(v: &Value) -> Result<Histogram, String> {
-    let count = number_field(v, "count")? as u64;
-    let sum = number_field(v, "sum")? as u64;
+    let count = u64_field(v, "count")?;
+    let sum = u64_field(v, "sum")?;
     let buckets = match v.get("buckets") {
         Some(Value::Array(items)) => items,
         _ => return Err("histogram missing buckets array".to_string()),
     };
     let mut sparse = Vec::with_capacity(buckets.len());
     for item in buckets {
-        match item {
-            Value::Array(pair) if pair.len() == 2 => match (&pair[0], &pair[1]) {
-                (Value::Number(i), Value::Number(c)) => {
-                    sparse.push((*i as usize, *c as u64));
-                }
-                _ => return Err("histogram bucket pair must be numeric".to_string()),
-            },
+        let pair = match item {
+            Value::Array(pair) if pair.len() == 2 => {
+                (value_as_u64(&pair[0]), value_as_u64(&pair[1]))
+            }
             _ => return Err("histogram bucket must be a [index, count] pair".to_string()),
-        }
+        };
+        let (Some(i), Some(c)) = pair else {
+            return Err(format!(
+                "histogram bucket {item:?} must hold two non-negative integers"
+            ));
+        };
+        sparse.push((usize::try_from(i).unwrap_or(usize::MAX), c));
     }
     Histogram::from_parts(&sparse, count, sum)
 }
 
-fn number_field(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Number(n)) => Ok(*n),
-        _ => Err(format!("missing numeric field {key:?}")),
-    }
+fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(value_as_u64)
+        .ok_or_else(|| format!("field {key:?} must be a non-negative integer"))
 }
 
 /// Renders a snapshot as pretty-printed JSON (lossless; see
@@ -119,10 +122,9 @@ pub fn snapshot_from_json(text: &str) -> Result<MetricsSnapshot, String> {
     let mut counters = [0u64; Counter::COUNT];
     if let Some(Value::Object(fields)) = root.get("counters") {
         for (name, value) in fields {
-            if let (Some(c), Value::Number(n)) =
-                (Counter::ALL.iter().find(|c| c.name() == name), value)
-            {
-                counters[*c as usize] = *n as u64;
+            if let Some(c) = Counter::ALL.iter().find(|c| c.name() == name) {
+                counters[*c as usize] = value_as_u64(value)
+                    .ok_or_else(|| format!("counter {name:?} must be a non-negative integer"))?;
             }
         }
     }
@@ -131,7 +133,7 @@ pub fn snapshot_from_json(text: &str) -> Result<MetricsSnapshot, String> {
     if let Some(Value::Object(fields)) = root.get("phases") {
         for (name, value) in fields {
             if let Some(p) = Phase::ALL.iter().find(|p| p.name() == name) {
-                phase_ns[*p as usize] = number_field(value, "total_ns")? as u64;
+                phase_ns[*p as usize] = u64_field(value, "total_ns")?;
                 phase_hist[*p as usize] = histogram_from_value(value)?;
             }
         }
@@ -381,5 +383,27 @@ mod tests {
         let snap = busy_snapshot();
         let text = snapshot_to_json(&snap).replace("\"count\": 4", "\"count\": 5");
         assert!(snapshot_from_json(&text).is_err());
+    }
+
+    #[test]
+    fn json_parser_rejects_overflowing_and_non_integer_input() {
+        let phase = |buckets: &str, count: &str| {
+            format!(
+                r#"{{"phases":{{"fill":{{"total_ns":0,"count":{count},"sum":0,"buckets":{buckets}}}}}}}"#
+            )
+        };
+        // Bucket counts whose sum overflows u64.
+        let overflow = phase("[[0,18446744073709551615],[1,6]]", "5");
+        assert!(snapshot_from_json(&overflow).is_err());
+        // Negative and fractional bucket indices.
+        assert!(snapshot_from_json(&phase("[[-1,1]]", "1")).is_err());
+        assert!(snapshot_from_json(&phase("[[2.7,1]]", "1")).is_err());
+        // A negative counter.
+        assert!(snapshot_from_json(r#"{"counters":{"core_accepts":-5}}"#).is_err());
+        // The well-formed neighbours still parse.
+        let ok = snapshot_from_json(&phase("[[2,1]]", "1")).unwrap();
+        assert_eq!(ok.phase_histogram(Phase::Fill).bucket_counts()[2], 1);
+        let ok = snapshot_from_json(r#"{"counters":{"core_accepts":5}}"#).unwrap();
+        assert_eq!(ok.counter(Counter::CoreAccepts), 5);
     }
 }

@@ -134,7 +134,7 @@ impl Histogram {
     }
 
     /// Rebuilds a histogram from raw parts (exporter/parse path). Bucket
-    /// indices out of range are rejected.
+    /// indices out of range and counts that overflow are rejected.
     pub fn from_parts(buckets: &[(usize, u64)], count: u64, sum: u64) -> Result<Self, String> {
         let mut h = Self::new();
         let mut total = 0u64;
@@ -142,8 +142,9 @@ impl Histogram {
             if i >= HISTOGRAM_BUCKETS {
                 return Err(format!("bucket index {i} out of range"));
             }
-            h.counts[i] += c;
-            total += c;
+            let overflow = || format!("bucket counts overflow at bucket {i}");
+            h.counts[i] = h.counts[i].checked_add(c).ok_or_else(overflow)?;
+            total = total.checked_add(c).ok_or_else(overflow)?;
         }
         if total != count {
             return Err(format!(

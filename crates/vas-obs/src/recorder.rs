@@ -1,29 +1,25 @@
 //! The [`Recorder`] handle every instrumented component records through.
 
-use crate::flight::FlightRecorder;
-use crate::journal::{EventValue, Journal};
 use crate::registry::{Counter, MetricsRegistry, Phase, ValueSeries};
-use crate::trace::{SpanContext, SpanGuard, Tracer};
+use crate::trace::{EventValue, SpanContext, SpanGuard, Tracer};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A cheap, cloneable handle bundling a metrics registry, an optional
-/// event journal, and a timing switch.
+/// tracer, and a timing switch.
 ///
 /// Components hold a `Recorder` by value. The default is
-/// [`Recorder::detached`]: a private registry, timing **off**, no journal —
+/// [`Recorder::detached`]: a private registry, timing **off**, no tracer —
 /// counter-backed getters keep working, while the hot path performs zero
 /// `Instant::now` calls and zero I/O (the off-the-data-path rule; see the
-/// crate docs). Attaching a shared registry/journal via
-/// [`Recorder::new`]/[`Recorder::with_journal`]/[`Recorder::with_timing`]
+/// crate docs). Attaching a shared registry and tracer via
+/// [`Recorder::new`]/[`Recorder::with_tracer`]/[`Recorder::with_timing`]
 /// turns on full observability without touching any algorithmic state.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     registry: Arc<MetricsRegistry>,
-    journal: Option<Arc<Journal>>,
     tracer: Option<Arc<Tracer>>,
-    flight: Option<Arc<FlightRecorder>>,
     timing: bool,
 }
 
@@ -35,17 +31,11 @@ impl Default for Recorder {
 
 impl Recorder {
     /// The disabled/no-op mode: a fresh private registry, timing off, no
-    /// journal. Counters still accumulate (they back public getters such as
+    /// tracer. Counters still accumulate (they back public getters such as
     /// `VasSampler::kernel_lanes()`), but no wall clock is read and nothing
     /// is written anywhere.
     pub fn detached() -> Self {
-        Self {
-            registry: Arc::new(MetricsRegistry::new()),
-            journal: None,
-            tracer: None,
-            flight: None,
-            timing: false,
-        }
+        Self::new(Arc::new(MetricsRegistry::new()))
     }
 
     /// A recorder over a shared registry (timing still off; enable it with
@@ -53,29 +43,15 @@ impl Recorder {
     pub fn new(registry: Arc<MetricsRegistry>) -> Self {
         Self {
             registry,
-            journal: None,
             tracer: None,
-            flight: None,
             timing: false,
         }
     }
 
-    /// Attaches an event journal.
-    pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Attaches a span tracer; [`Recorder::span`] and friends become live.
+    /// Attaches a tracer: phases and [`Recorder::span`] open spans, events
+    /// are recorded, and [`Recorder::fatal`] dumps its ring.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Attaches a crash flight recorder: finished spans and journal events
-    /// are mirrored into its bounded ring, and [`Recorder::fatal`] dumps it.
-    pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
         self
     }
 
@@ -90,19 +66,9 @@ impl Recorder {
         &self.registry
     }
 
-    /// The attached journal, if any.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
-    }
-
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.tracer.as_ref()
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
     }
 
     /// Whether phase timing is enabled.
@@ -128,59 +94,51 @@ impl Recorder {
         self.registry.record_value(series, value);
     }
 
-    /// Starts a phase-scoped timer; the elapsed time is recorded when the
-    /// returned guard drops. When timing is disabled this is a true no-op:
-    /// no `Instant::now` call is made on either end.
+    /// Opens `phase` under the current thread's innermost open span; see
+    /// [`Recorder::phase_under`].
     #[inline]
-    pub fn phase(&self, phase: Phase) -> PhaseGuard<'_> {
-        PhaseGuard {
-            recorder: self,
+    pub fn phase(&self, phase: Phase) -> PhaseGuard {
+        self.phase_under(phase, None)
+    }
+
+    /// Opens `phase`: the one timing probe. With a tracer attached the
+    /// guard opens a span named [`Phase::name`] under `parent` (falling
+    /// back to the implicit rules; see [`crate::trace`]); with timing on it
+    /// records into the phase histogram when it drops. Both read the same
+    /// two clock samples. A detached recorder's guard is inert: no clock
+    /// read, no `Arc` clone, no allocation.
+    pub fn phase_under(&self, phase: Phase, parent: Option<SpanContext>) -> PhaseGuard {
+        if !self.timing && self.tracer.is_none() {
+            return PhaseGuard(None);
+        }
+        let start = Instant::now();
+        PhaseGuard(Some(Box::new(OpenPhase {
             phase,
-            start: if self.timing {
-                Some(Instant::now())
-            } else {
-                None
+            registry: self.timing.then(|| Arc::clone(&self.registry)),
+            span: match &self.tracer {
+                Some(tracer) => tracer.open(phase.name(), parent, false, start),
+                None => SpanGuard::noop(),
             },
-        }
+            start,
+        })))
     }
 
-    /// Records an explicitly measured phase duration (for call sites that
-    /// manage their own clock, e.g. worker stripes timed off-thread).
-    pub fn record_phase_ns(&self, phase: Phase, ns: u64) {
-        self.registry.record_phase(phase, ns);
-    }
-
-    /// Appends an event to the journal, if one is attached (otherwise a
-    /// no-op — not even the timestamp is read), and mirrors it into the
-    /// flight recorder's ring, if one is attached.
+    /// Records an instant event into the tracer, parented to the current
+    /// thread's innermost open span. A no-op without a tracer — not even
+    /// the timestamp is read.
     pub fn event(&self, kind: &str, fields: &[(&str, EventValue)]) {
-        if let Some(journal) = &self.journal {
-            journal.append(kind, fields);
-        }
-        if let Some(flight) = &self.flight {
-            flight.note_event(kind, fields);
+        if let Some(tracer) = &self.tracer {
+            tracer.event(kind, fields);
         }
     }
 
-    /// Opens a span parented under the current thread's innermost open span
-    /// (or the ambient build root). Inert when no tracer is attached: no
-    /// clock read, no lock, no allocation.
+    /// Opens an untimed span parented under the current thread's innermost
+    /// open span (or the ambient build root). Inert when no tracer is
+    /// attached: no clock read, no lock, no allocation.
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard {
         match &self.tracer {
-            Some(tracer) => tracer.span(name).with_flight(self.flight.clone()),
-            None => SpanGuard::noop(),
-        }
-    }
-
-    /// Opens a span under an explicit [`SpanContext`] — the cross-thread
-    /// propagation entry point (`vas-par` workers, the speculation front).
-    #[inline]
-    pub fn span_under(&self, name: &'static str, parent: Option<SpanContext>) -> SpanGuard {
-        match &self.tracer {
-            Some(tracer) => tracer
-                .span_under(name, parent)
-                .with_flight(self.flight.clone()),
+            Some(tracer) => tracer.span(name),
             None => SpanGuard::noop(),
         }
     }
@@ -192,7 +150,7 @@ impl Recorder {
     #[inline]
     pub fn root_span(&self, name: &'static str) -> SpanGuard {
         match &self.tracer {
-            Some(tracer) => tracer.root_span(name).with_flight(self.flight.clone()),
+            Some(tracer) => tracer.root_span(name),
             None => SpanGuard::noop(),
         }
     }
@@ -204,32 +162,57 @@ impl Recorder {
         self.tracer.as_ref().and_then(|t| t.current_context())
     }
 
-    /// Marks a fatal condition: journals/flight-notes a `fatal` event and
-    /// dumps the flight recorder's ring to its post-mortem file. Returns
-    /// the dump path when one was written. Callers invoke this on
-    /// `VasError` fatal paths and contained worker panics *before*
-    /// propagating the error.
+    /// Marks a fatal condition: records a `fatal` event and dumps the
+    /// tracer's newest records to its post-mortem file (see
+    /// [`Tracer::dump`]). Returns the dump path when one was written.
+    /// Callers invoke this on `VasError` fatal paths and contained worker
+    /// panics *before* propagating the error.
     pub fn fatal(&self, reason: &str) -> Option<PathBuf> {
-        self.event("fatal", &[("reason", EventValue::Str(reason.to_string()))]);
-        self.flight.as_ref().and_then(|f| f.dump(reason))
+        let tracer = self.tracer.as_ref()?;
+        tracer.event("fatal", &[("reason", reason.into())]);
+        tracer.dump(reason)
     }
 }
 
-/// RAII guard returned by [`Recorder::phase`]; records the elapsed
-/// wall-clock time into the phase's total and latency histogram on drop.
+/// RAII guard returned by [`Recorder::phase`]/[`Recorder::phase_under`].
+/// When it drops, it closes its span and records the elapsed wall-clock
+/// time into the phase's total and latency histogram. It owns its handles,
+/// so it can stay open across `&mut self` calls of the component that
+/// opened it. An inert guard is one null pointer, so a detached probe adds
+/// almost no code to the loop around it.
 #[derive(Debug)]
-pub struct PhaseGuard<'a> {
-    recorder: &'a Recorder,
+pub struct PhaseGuard(Option<Box<OpenPhase>>);
+
+#[derive(Debug)]
+struct OpenPhase {
     phase: Phase,
-    start: Option<Instant>,
+    /// The registry to record into; `Some` only with timing on.
+    registry: Option<Arc<MetricsRegistry>>,
+    span: SpanGuard,
+    start: Instant,
 }
 
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.recorder.registry.record_phase(self.phase, ns);
+impl PhaseGuard {
+    /// Attaches a key/value attribute to the phase's span (no-op without a
+    /// tracer).
+    pub fn attr(&mut self, key: &str, value: impl std::fmt::Display) {
+        if let Some(open) = &mut self.0 {
+            open.span.attr(key, value);
         }
+    }
+}
+
+impl Drop for PhaseGuard {
+    fn drop(&mut self) {
+        let Some(mut open) = self.0.take() else {
+            return;
+        };
+        let end = Instant::now();
+        if let Some(registry) = &open.registry {
+            let ns = end.saturating_duration_since(open.start).as_nanos();
+            registry.record_phase(open.phase, ns.min(u64::MAX as u128) as u64);
+        }
+        open.span.close_at(end);
     }
 }
 
@@ -242,31 +225,28 @@ mod tests {
         let rec = Recorder::detached();
         rec.inc(Counter::CoreAccepts, 1);
         {
-            let _g = rec.phase(Phase::Fill);
+            let g = rec.phase(Phase::Fill);
+            assert!(g.0.is_none());
         }
         rec.event("checkpoint_write", &[]);
         let snap = rec.registry().snapshot();
         assert_eq!(snap.counter(Counter::CoreAccepts), 1);
         // Timing off: the phase guard recorded nothing.
         assert_eq!(snap.phase_calls(Phase::Fill), 0);
-        assert!(rec.journal().is_none());
+        assert!(rec.tracer().is_none());
     }
 
     #[test]
-    fn enabled_recorder_times_and_journals() {
+    fn timing_only_recorder_times_without_spans() {
         let registry = Arc::new(MetricsRegistry::new());
-        let journal = Arc::new(Journal::in_memory());
-        let rec = Recorder::new(Arc::clone(&registry))
-            .with_journal(Arc::clone(&journal))
-            .with_timing(true);
+        let rec = Recorder::new(Arc::clone(&registry)).with_timing(true);
         {
-            let _g = rec.phase(Phase::ChunkDecode);
+            let g = rec.phase(Phase::ChunkDecode);
+            assert!(!g.0.as_ref().unwrap().span.is_live());
             std::hint::black_box(0u64);
         }
         rec.event("retry", &[("attempt", 1u64.into())]);
-        let snap = registry.snapshot();
-        assert_eq!(snap.phase_calls(Phase::ChunkDecode), 1);
-        assert!(journal.contains_event("retry"));
+        assert_eq!(registry.snapshot().phase_calls(Phase::ChunkDecode), 1);
     }
 
     #[test]
@@ -279,44 +259,50 @@ mod tests {
     }
 
     #[test]
-    fn traced_recorder_records_spans_and_mirrors_to_flight() {
+    fn one_phase_guard_feeds_the_span_and_the_histogram() {
+        let registry = Arc::new(MetricsRegistry::new());
         let tracer = Arc::new(Tracer::new());
-        let flight = Arc::new(FlightRecorder::new());
-        let rec = Recorder::detached()
-            .with_tracer(Arc::clone(&tracer))
-            .with_flight(Arc::clone(&flight));
+        let rec = Recorder::new(Arc::clone(&registry))
+            .with_timing(true)
+            .with_tracer(Arc::clone(&tracer));
         {
             let root = rec.root_span("build");
-            assert!(root.is_live());
             let ctx = rec.current_ctx();
             assert_eq!(ctx, root.context());
-            let _child = rec.span_under("worker_task", ctx);
+            let mut worker = rec.phase_under(Phase::WorkerTask, ctx);
+            worker.attr("stripe_len", 4);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            rec.event("retry", &[("attempt", 1u64.into())]);
         }
-        rec.event("retry", &[("attempt", 1u64.into())]);
         let spans = tracer.spans();
         assert_eq!(spans.len(), 2);
         let worker = spans.iter().find(|s| s.name == "worker_task").unwrap();
         let build = spans.iter().find(|s| s.name == "build").unwrap();
         assert_eq!(worker.parent, Some(build.id));
-        // Flight ring saw both spans plus the event.
-        assert_eq!(flight.lines().len(), 3);
+        assert_eq!(worker.attrs, [("stripe_len".to_string(), "4".to_string())]);
+        // The span and the histogram measured the same interval.
+        let snap = registry.snapshot();
+        assert_eq!(snap.phase_calls(Phase::WorkerTask), 1);
+        assert_eq!(
+            snap.phase_total_ns(Phase::WorkerTask) / 1_000,
+            worker.dur_us
+        );
+        // The event parents under the worker's span, the innermost open one.
+        assert_eq!(tracer.events()[0].parent, Some(worker.id));
     }
 
     #[test]
-    fn fatal_journals_and_dumps_the_flight_ring() {
+    fn fatal_records_an_event_and_dumps_the_ring() {
         let dir = std::env::temp_dir().join(format!("vas-obs-fatal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let flight = Arc::new(FlightRecorder::new());
-        flight.set_dump_path(dir.join("postmortem.jsonl"));
-        let journal = Arc::new(Journal::in_memory());
-        let rec = Recorder::detached()
-            .with_journal(Arc::clone(&journal))
-            .with_flight(Arc::clone(&flight));
+        let tracer = Arc::new(Tracer::new());
+        tracer.set_dump_path(dir.join("postmortem.jsonl"));
+        let rec = Recorder::detached().with_tracer(Arc::clone(&tracer));
         rec.event("retry", &[("attempt", 3u64.into())]);
         let path = rec
             .fatal("retries_exhausted")
             .expect("dump path configured");
-        assert!(journal.contains_event("fatal"));
+        assert!(tracer.events().iter().any(|e| e.name == "fatal"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.lines().next().unwrap().contains("retries_exhausted"));
         assert!(text.contains("\"retry\""), "ring content reaches the dump");

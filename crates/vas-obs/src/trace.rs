@@ -1,5 +1,7 @@
-//! Causal span tracing: hierarchical, cross-thread spans over the
-//! [`crate::Recorder`] handle, exported as Chrome-trace-format JSON.
+//! Causal span tracing and the event store: hierarchical, cross-thread
+//! spans and instant events over the [`crate::Recorder`] handle, exported
+//! as Chrome-trace-format JSON and dumped as a post-mortem file on a fatal
+//! path.
 //!
 //! Where the [`crate::MetricsRegistry`] answers *how much* and *how often*,
 //! a trace answers *why*: one `build_from_source` produces a tree of
@@ -7,7 +9,9 @@
 //! phases, the speculation workers fanned out under each candidate batch,
 //! and the chunk decodes running ahead on the `vas-par` read-ahead thread —
 //! every span carrying its parent's id, so the timeline reconstructs the
-//! causal chain across thread boundaries.
+//! causal chain across thread boundaries. Discrete happenings (checkpoint
+//! writes, retries, phase transitions) land in the same buffer as
+//! [`EventRecord`]s, parented to the span open when they fired.
 //!
 //! ## Parenting rules
 //!
@@ -27,23 +31,37 @@
 //!    context was handed over, but they are still causally inside the
 //!    build.
 //!
+//! ## The ring and the post-mortem dump
+//!
+//! Finished spans and events share one bounded ring
+//! ([`Tracer::with_capacity`]): once full, each new record evicts the
+//! oldest, counted in [`Tracer::dropped`]. [`Tracer::dump`] writes the
+//! newest [`DUMP_RECORDS`] of them to the path set by
+//! [`Tracer::set_dump_path`] as JSONL — a `"kind":"flight_dump"` header,
+//! then one `"kind":"span"` or `"kind":"event"` line per record — so a run
+//! that dies still tells the story of its last moments. Records stay
+//! typed until then: the fatal path, not the hot path, pays for rendering.
+//!
 //! ## Off the data path
 //!
 //! Same contract as the rest of the crate: a [`crate::Recorder`] without a
-//! tracer returns an inert [`SpanGuard`] — no `Instant::now`, no
-//! allocation, no lock. The span buffer is bounded ([`Tracer::with_capacity`]);
-//! once full, further spans are counted as dropped rather than grown.
+//! tracer returns an inert [`SpanGuard`] and drops events — no
+//! `Instant::now`, no allocation, no lock.
 
 use serde::Value;
 use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::flight::FlightRecorder;
-
-/// Default bound on the number of finished spans a [`Tracer`] retains.
+/// Default bound on the number of records (spans and events) a [`Tracer`]
+/// retains.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
+
+/// How many of the newest records a post-mortem [`Tracer::dump`] writes.
+pub const DUMP_RECORDS: usize = 512;
 
 /// Tracer tokens are process-unique so a `SpanContext` can never be
 /// resolved against the wrong tracer.
@@ -62,6 +80,68 @@ thread_local! {
 
 fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
+}
+
+fn micros(d: std::time::Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A typed event field value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EventValue {
+    /// Unsigned integer field.
+    U64(u64),
+    /// Float field.
+    F64(f64),
+    /// String field.
+    Str(String),
+    /// Boolean field.
+    Bool(bool),
+}
+
+impl From<u64> for EventValue {
+    fn from(v: u64) -> Self {
+        EventValue::U64(v)
+    }
+}
+
+impl From<usize> for EventValue {
+    fn from(v: usize) -> Self {
+        EventValue::U64(v as u64)
+    }
+}
+
+impl From<f64> for EventValue {
+    fn from(v: f64) -> Self {
+        EventValue::F64(v)
+    }
+}
+
+impl From<&str> for EventValue {
+    fn from(v: &str) -> Self {
+        EventValue::Str(v.to_string())
+    }
+}
+
+impl From<bool> for EventValue {
+    fn from(v: bool) -> Self {
+        EventValue::Bool(v)
+    }
+}
+
+impl EventValue {
+    fn to_value(&self) -> Value {
+        match self {
+            EventValue::U64(v) => Value::Number(*v as f64),
+            EventValue::F64(v) => Value::Number(*v),
+            EventValue::Str(s) => Value::String(s.clone()),
+            EventValue::Bool(b) => Value::Bool(*b),
+        }
+    }
 }
 
 /// A reference to an open span that can be sent across threads so work
@@ -99,23 +179,122 @@ pub struct SpanRecord {
     pub attrs: Vec<(String, String)>,
 }
 
-/// Collects [`SpanRecord`]s from every thread of an instrumented run.
+/// One instant event (`checkpoint_write`, `retry`, `fatal`, ...).
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventRecord {
+    /// Event kind.
+    pub name: String,
+    /// Id of the innermost span open when the event fired, if any.
+    pub parent: Option<u64>,
+    /// Small process-unique id of the thread that fired the event.
+    pub thread: u64,
+    /// Time in microseconds since the tracer was created.
+    pub t_us: u64,
+    /// Fields in the order given; non-finite floats are left out.
+    pub fields: Vec<(String, EventValue)>,
+}
+
+#[derive(Debug, Clone)]
+enum Record {
+    Span(SpanRecord),
+    Event(EventRecord),
+}
+
+impl Record {
+    /// The record as a Chrome-trace event: a complete `"X"` event for a
+    /// span, a thread-scoped instant `"i"` event for an event.
+    fn to_chrome(&self) -> Value {
+        let parent_id = |parent: Option<u64>| {
+            parent.map(|p| ("parent_id".to_string(), Value::Number(p as f64)))
+        };
+        let event = |name: &str, ph: &str, ts: u64, shape: (&str, Value), thread: u64, args| {
+            Value::Object(vec![
+                ("name".to_string(), Value::String(name.to_string())),
+                ("cat".to_string(), Value::String("vas".to_string())),
+                ("ph".to_string(), Value::String(ph.to_string())),
+                ("ts".to_string(), Value::Number(ts as f64)),
+                (shape.0.to_string(), shape.1),
+                ("pid".to_string(), Value::Number(1.0)),
+                ("tid".to_string(), Value::Number(thread as f64)),
+                ("args".to_string(), Value::Object(args)),
+            ])
+        };
+        match self {
+            Record::Span(s) => {
+                let mut args = vec![("span_id".to_string(), Value::Number(s.id as f64))];
+                args.extend(parent_id(s.parent));
+                args.extend(
+                    s.attrs
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Value::String(v.clone()))),
+                );
+                let dur = ("dur", Value::Number(s.dur_us as f64));
+                event(&s.name, "X", s.start_us, dur, s.thread, args)
+            }
+            Record::Event(e) => {
+                let mut args: Vec<_> = parent_id(e.parent).into_iter().collect();
+                args.extend(e.fields.iter().map(|(k, v)| (k.clone(), v.to_value())));
+                let scope = ("s", Value::String("t".to_string()));
+                event(&e.name, "i", e.t_us, scope, e.thread, args)
+            }
+        }
+    }
+
+    /// The record as one line of a post-mortem dump.
+    fn to_dump_line(&self) -> Value {
+        match self {
+            Record::Span(s) => {
+                let mut obj = vec![
+                    ("kind".to_string(), Value::String("span".to_string())),
+                    ("name".to_string(), Value::String(s.name.clone())),
+                    ("span_id".to_string(), Value::Number(s.id as f64)),
+                ];
+                if let Some(parent) = s.parent {
+                    obj.push(("parent_id".to_string(), Value::Number(parent as f64)));
+                }
+                obj.push(("thread".to_string(), Value::Number(s.thread as f64)));
+                obj.push(("start_us".to_string(), Value::Number(s.start_us as f64)));
+                obj.push(("dur_us".to_string(), Value::Number(s.dur_us as f64)));
+                for (k, v) in &s.attrs {
+                    obj.push((k.clone(), Value::String(v.clone())));
+                }
+                Value::Object(obj)
+            }
+            Record::Event(e) => {
+                let mut obj = vec![
+                    ("kind".to_string(), Value::String("event".to_string())),
+                    ("t_us".to_string(), Value::Number(e.t_us as f64)),
+                    ("event".to_string(), Value::String(e.name.clone())),
+                ];
+                for (k, v) in &e.fields {
+                    obj.push((k.clone(), v.to_value()));
+                }
+                Value::Object(obj)
+            }
+        }
+    }
+}
+
+/// Collects [`SpanRecord`]s and [`EventRecord`]s from every thread of an
+/// instrumented run.
 ///
 /// Shared behind an `Arc` by [`crate::Recorder::with_tracer`]; all state is
-/// interior-mutable. Span ids are monotonic, the finished-span buffer is
-/// bounded, and everything timing-related uses one epoch `Instant` so all
-/// spans share a clock.
+/// interior-mutable. Span ids are monotonic, the record ring is bounded,
+/// and everything timing-related uses one epoch `Instant` so all records
+/// share a clock.
 #[derive(Debug)]
 pub struct Tracer {
     token: u64,
     epoch: Instant,
     capacity: usize,
     next_id: AtomicU64,
-    spans: Mutex<Vec<SpanRecord>>,
+    records: Mutex<VecDeque<Record>>,
     dropped: AtomicU64,
     /// The current build-root span id — the ambient fallback parent for
     /// threads with no open span and no explicit context (see module docs).
     ambient: Mutex<Option<u64>>,
+    dump_path: Mutex<Option<PathBuf>>,
+    dumps: AtomicU64,
 }
 
 impl Default for Tracer {
@@ -125,49 +304,69 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A tracer with the default span capacity.
+    /// A tracer with the default capacity.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_TRACE_CAPACITY)
     }
 
-    /// A tracer retaining at most `capacity` finished spans; further spans
-    /// are dropped (and counted in [`Tracer::dropped`]) rather than grown.
+    /// A tracer retaining at most `capacity` records (at least one); each
+    /// record past that evicts the oldest and counts in
+    /// [`Tracer::dropped`].
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             token: NEXT_TRACER_TOKEN.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
-            capacity,
+            capacity: capacity.max(1),
             next_id: AtomicU64::new(1),
-            spans: Mutex::new(Vec::new()),
+            records: Mutex::new(VecDeque::new()),
             dropped: AtomicU64::new(0),
             ambient: Mutex::new(None),
+            dump_path: Mutex::new(None),
+            dumps: AtomicU64::new(0),
         }
     }
 
-    /// Number of finished spans retained so far.
+    /// Number of records (spans and events) retained.
     pub fn len(&self) -> usize {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).len()
+        lock(&self.records).len()
     }
 
-    /// True when no span has finished yet.
+    /// True when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Spans dropped because the buffer was full.
+    /// Records evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// A copy of every finished span, in finish order.
+    /// A copy of every retained span, in finish order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        lock(&self.records)
+            .iter()
+            .filter_map(|r| match r {
+                Record::Span(s) => Some(s.clone()),
+                Record::Event(_) => None,
+            })
+            .collect()
+    }
+
+    /// A copy of every retained event, in the order they fired.
+    pub fn events(&self) -> Vec<EventRecord> {
+        lock(&self.records)
+            .iter()
+            .filter_map(|r| match r {
+                Record::Event(e) => Some(e.clone()),
+                Record::Span(_) => None,
+            })
+            .collect()
     }
 
     /// The context a new span on this thread would parent under: the
     /// innermost open span on the current thread, else the ambient root.
     /// `None` outside any build.
-    pub fn current_context(self: &Arc<Self>) -> Option<SpanContext> {
+    pub fn current_context(&self) -> Option<SpanContext> {
         let top = SPAN_STACK.with(|stack| {
             stack
                 .borrow()
@@ -176,17 +375,16 @@ impl Tracer {
                 .find(|(token, _)| *token == self.token)
                 .map(|(_, id)| *id)
         });
-        top.or_else(|| *self.ambient.lock().unwrap_or_else(|e| e.into_inner()))
-            .map(|id| SpanContext {
-                token: self.token,
-                id,
-            })
+        top.or_else(|| *lock(&self.ambient)).map(|id| SpanContext {
+            token: self.token,
+            id,
+        })
     }
 
     /// Opens a span parented per the resolution rules (implicit stack, then
     /// ambient root).
     pub fn span(self: &Arc<Self>, name: &'static str) -> SpanGuard {
-        self.span_inner(name, None, false)
+        self.open(name, None, false, Instant::now())
     }
 
     /// Opens a span with an explicit parent context (cross-thread
@@ -197,7 +395,7 @@ impl Tracer {
         name: &'static str,
         parent: Option<SpanContext>,
     ) -> SpanGuard {
-        self.span_inner(name, parent, false)
+        self.open(name, parent, false, Instant::now())
     }
 
     /// Opens a **root** span: besides the normal rules, the span installs
@@ -206,107 +404,145 @@ impl Tracer {
     /// the build. The previous ambient is restored on drop, so nested
     /// roots behave.
     pub fn root_span(self: &Arc<Self>, name: &'static str) -> SpanGuard {
-        self.span_inner(name, None, true)
+        self.open(name, None, true, Instant::now())
     }
 
-    fn span_inner(
+    /// Opens a span that started at `start` (a clock reading the caller
+    /// shares with its own timer).
+    pub(crate) fn open(
         self: &Arc<Self>,
         name: &'static str,
         explicit: Option<SpanContext>,
         root: bool,
+        start: Instant,
     ) -> SpanGuard {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let parent = explicit
             .filter(|ctx| ctx.token == self.token)
             .map(|ctx| ctx.id)
             .or_else(|| self.current_context().map(|ctx| ctx.id));
-        let prev_ambient = if root {
-            let mut ambient = self.ambient.lock().unwrap_or_else(|e| e.into_inner());
-            let prev = *ambient;
-            *ambient = Some(id);
-            Some(prev)
-        } else {
-            None
-        };
+        let restore_ambient = root.then(|| lock(&self.ambient).replace(id));
         SPAN_STACK.with(|stack| stack.borrow_mut().push((self.token, id)));
-        let start = Instant::now();
-        let start_us = start
-            .duration_since(self.epoch)
-            .as_micros()
-            .min(u64::MAX as u128) as u64;
         SpanGuard {
             inner: Some(GuardInner {
                 tracer: Arc::clone(self),
-                flight: None,
                 id,
                 parent,
                 name,
                 thread: current_thread_id(),
                 start,
-                start_us,
+                start_us: micros(start.saturating_duration_since(self.epoch)),
                 attrs: Vec::new(),
-                restore_ambient: prev_ambient,
+                restore_ambient,
             }),
         }
     }
 
-    fn finish(&self, record: SpanRecord) {
-        let mut spans = self.spans.lock().unwrap_or_else(|e| e.into_inner());
-        if spans.len() < self.capacity {
-            spans.push(record);
-        } else {
+    /// Records an instant event parented to the innermost open span (or
+    /// the ambient root). Non-finite float fields are left out; the rest of
+    /// the event is kept.
+    pub fn event(&self, name: &str, fields: &[(&str, EventValue)]) {
+        let record = EventRecord {
+            name: name.to_string(),
+            parent: self.current_context().map(|ctx| ctx.id),
+            thread: current_thread_id(),
+            t_us: micros(self.epoch.elapsed()),
+            fields: fields
+                .iter()
+                .filter(|(_, v)| !matches!(v, EventValue::F64(f) if !f.is_finite()))
+                .map(|(k, v)| ((*k).to_string(), v.clone()))
+                .collect(),
+        };
+        self.push(Record::Event(record));
+    }
+
+    fn push(&self, record: Record) {
+        let mut records = lock(&self.records);
+        if records.len() == self.capacity {
+            records.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        records.push_back(record);
     }
 
-    /// Renders every finished span as Chrome-trace-format JSON (the
-    /// `traceEvents` array of complete `"ph": "X"` events), loadable in
-    /// `chrome://tracing` or <https://ui.perfetto.dev>. Parent links ride in
-    /// `args.parent_id`; [`parse_chrome_trace`] round-trips them.
+    /// Sets the file [`Tracer::dump`] writes to.
+    pub fn set_dump_path(&self, path: impl Into<PathBuf>) {
+        *lock(&self.dump_path) = Some(path.into());
+    }
+
+    /// How many post-mortem dumps have been written.
+    pub fn dumps(&self) -> u64 {
+        self.dumps.load(Ordering::Relaxed)
+    }
+
+    /// Writes the newest [`DUMP_RECORDS`] records to the dump path as
+    /// JSONL, preceded by a header line carrying `reason` and a dump
+    /// sequence number. Returns the path written, or `None` when no dump
+    /// path is set or the write failed. A re-dump never clobbers an earlier
+    /// one: from the second dump on, the path gets a `.N` suffix.
+    pub fn dump(&self, reason: &str) -> Option<PathBuf> {
+        let base = lock(&self.dump_path).clone()?;
+        let seq = self.dumps.fetch_add(1, Ordering::Relaxed);
+        let path = if seq == 0 {
+            base
+        } else {
+            let mut name = base.into_os_string();
+            name.push(format!(".{seq}"));
+            PathBuf::from(name)
+        };
+        let header = Value::Object(vec![
+            ("kind".to_string(), Value::String("flight_dump".to_string())),
+            ("reason".to_string(), Value::String(reason.to_string())),
+            ("seq".to_string(), Value::Number(seq as f64)),
+            (
+                "t_us".to_string(),
+                Value::Number(micros(self.epoch.elapsed()) as f64),
+            ),
+        ]);
+        let mut out = serde_json::to_string(&header).unwrap_or_default();
+        out.push('\n');
+        {
+            let records = lock(&self.records);
+            for record in records
+                .iter()
+                .skip(records.len().saturating_sub(DUMP_RECORDS))
+            {
+                if let Ok(line) = serde_json::to_string(&record.to_dump_line()) {
+                    out.push_str(&line);
+                    out.push('\n');
+                }
+            }
+        }
+        if let Some(parent) = path.parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        std::fs::write(&path, out).ok().map(|()| path)
+    }
+
+    /// Renders every retained record as Chrome-trace-format JSON (the
+    /// `traceEvents` array: complete `"ph": "X"` events for spans, instant
+    /// `"ph": "i"` events for events), loadable in `chrome://tracing` or
+    /// <https://ui.perfetto.dev>. Parent links ride in `args.parent_id`;
+    /// [`parse_chrome_trace`] round-trips the spans.
     pub fn to_chrome_trace(&self) -> String {
-        let spans = self.spans.lock().unwrap_or_else(|e| e.into_inner());
-        spans_to_chrome_trace(&spans, self.dropped())
+        let events: Vec<Value> = lock(&self.records).iter().map(Record::to_chrome).collect();
+        let root = Value::Object(vec![
+            ("traceEvents".to_string(), Value::Array(events)),
+            (
+                "displayTimeUnit".to_string(),
+                Value::String("ms".to_string()),
+            ),
+            (
+                "vasDroppedSpans".to_string(),
+                Value::Number(self.dropped() as f64),
+            ),
+        ]);
+        serde_json::to_string_pretty(&root).expect("trace values are always serializable")
     }
 }
 
-/// Renders a span list as Chrome-trace-format JSON (see
-/// [`Tracer::to_chrome_trace`]).
-pub fn spans_to_chrome_trace(spans: &[SpanRecord], dropped: u64) -> String {
-    let events: Vec<Value> = spans
-        .iter()
-        .map(|s| {
-            let mut args: Vec<(String, Value)> =
-                vec![("span_id".to_string(), Value::Number(s.id as f64))];
-            if let Some(parent) = s.parent {
-                args.push(("parent_id".to_string(), Value::Number(parent as f64)));
-            }
-            for (k, v) in &s.attrs {
-                args.push((k.clone(), Value::String(v.clone())));
-            }
-            Value::Object(vec![
-                ("name".to_string(), Value::String(s.name.clone())),
-                ("cat".to_string(), Value::String("vas".to_string())),
-                ("ph".to_string(), Value::String("X".to_string())),
-                ("ts".to_string(), Value::Number(s.start_us as f64)),
-                ("dur".to_string(), Value::Number(s.dur_us as f64)),
-                ("pid".to_string(), Value::Number(1.0)),
-                ("tid".to_string(), Value::Number(s.thread as f64)),
-                ("args".to_string(), Value::Object(args)),
-            ])
-        })
-        .collect();
-    let root = Value::Object(vec![
-        ("traceEvents".to_string(), Value::Array(events)),
-        (
-            "displayTimeUnit".to_string(),
-            Value::String("ms".to_string()),
-        ),
-        ("vasDroppedSpans".to_string(), Value::Number(dropped as f64)),
-    ]);
-    serde_json::to_string_pretty(&root).expect("trace values are always serializable")
-}
-
-fn value_as_u64(v: &Value) -> Option<u64> {
+/// A JSON number that is a non-negative integer, as `u64` (saturating).
+pub(crate) fn value_as_u64(v: &Value) -> Option<u64> {
     match v {
         Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
         _ => None,
@@ -381,7 +617,6 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<SpanRecord>, String> {
 #[derive(Debug)]
 struct GuardInner {
     tracer: Arc<Tracer>,
-    flight: Option<Arc<FlightRecorder>>,
     id: u64,
     parent: Option<u64>,
     name: &'static str,
@@ -413,15 +648,6 @@ impl SpanGuard {
         self.inner.is_some()
     }
 
-    /// Also mirrors the finished span into `flight`, if given (used by
-    /// [`crate::Recorder`] to feed the flight recorder's ring).
-    pub fn with_flight(mut self, flight: Option<Arc<FlightRecorder>>) -> Self {
-        if let Some(inner) = &mut self.inner {
-            inner.flight = flight;
-        }
-        self
-    }
-
     /// The context other threads can parent under. `None` on an inert
     /// guard.
     pub fn context(&self) -> Option<SpanContext> {
@@ -437,14 +663,13 @@ impl SpanGuard {
             inner.attrs.push((key.to_string(), value.to_string()));
         }
     }
-}
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
+    /// Closes the span as of `end` (a clock reading the caller shares with
+    /// its own timer). No-op on an inert or already closed guard.
+    pub(crate) fn close_at(&mut self, end: Instant) {
         let Some(inner) = self.inner.take() else {
             return;
         };
-        let dur_us = inner.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         // Pop this span from the thread's open-span stack. Guards normally
         // drop in LIFO order, but search from the top so an out-of-order
         // drop cannot corrupt unrelated entries.
@@ -458,25 +683,25 @@ impl Drop for SpanGuard {
             }
         });
         if let Some(prev) = inner.restore_ambient {
-            *inner
-                .tracer
-                .ambient
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = prev;
+            *lock(&inner.tracer.ambient) = prev;
         }
-        let record = SpanRecord {
+        inner.tracer.push(Record::Span(SpanRecord {
             id: inner.id,
             parent: inner.parent,
             name: inner.name.to_string(),
             thread: inner.thread,
             start_us: inner.start_us,
-            dur_us,
+            dur_us: micros(end.saturating_duration_since(inner.start)),
             attrs: inner.attrs,
-        };
-        if let Some(flight) = &inner.flight {
-            flight.note_span(&record);
+        }));
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if self.is_live() {
+            self.close_at(Instant::now());
         }
-        inner.tracer.finish(record);
     }
 }
 
@@ -556,13 +781,86 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_the_buffer_and_counts_drops() {
-        let tracer = Arc::new(Tracer::with_capacity(2));
-        for _ in 0..5 {
-            let _span = tracer.span("s");
+    fn ring_keeps_the_newest_records_and_counts_evictions() {
+        let tracer = Arc::new(Tracer::with_capacity(3));
+        for name in ["s1", "s2", "s3", "s4"] {
+            let _span = tracer.span(name);
         }
-        assert_eq!(tracer.len(), 2);
-        assert_eq!(tracer.dropped(), 3);
+        tracer.event("e5", &[]);
+        assert_eq!(tracer.len(), 3);
+        assert_eq!(tracer.dropped(), 2);
+        let names: Vec<String> = tracer.spans().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["s3", "s4"], "the oldest spans were evicted");
+        assert_eq!(tracer.events()[0].name, "e5");
+    }
+
+    #[test]
+    fn events_parent_under_the_open_span_and_drop_only_non_finite_fields() {
+        let tracer = Arc::new(Tracer::new());
+        tracer.event("outside", &[]);
+        let root = tracer.root_span("build");
+        tracer.event(
+            "grid_occupancy",
+            &[
+                ("cells", 7u64.into()),
+                ("mean", f64::NAN.into()),
+                ("ok", true.into()),
+            ],
+        );
+        let root_id = root.context().unwrap().span_id();
+        drop(root);
+        let events = tracer.events();
+        assert_eq!(events[0].parent, None);
+        assert_eq!(events[1].parent, Some(root_id));
+        let keys: Vec<&str> = events[1].fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["cells", "ok"]);
+        // Instant events ride in the Chrome trace but are not spans.
+        let json = tracer.to_chrome_trace();
+        assert!(json.contains("\"ph\": \"i\""), "{json}");
+        assert_eq!(parse_chrome_trace(&json).unwrap(), tracer.spans());
+    }
+
+    #[test]
+    fn dump_writes_header_plus_newest_records_and_sequences_re_dumps() {
+        let dir = std::env::temp_dir().join(format!("vas-trace-dump-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tracer = Arc::new(Tracer::new());
+        assert_eq!(tracer.dump("early"), None, "no path configured yet");
+        tracer.set_dump_path(dir.join("postmortem.jsonl"));
+        for _ in 0..DUMP_RECORDS {
+            let _span = tracer.span("old");
+        }
+        {
+            let mut span = tracer.span("build");
+            span.attr("k", 9);
+        }
+        tracer.event("retry", &[("attempt", 2u64.into())]);
+        let first = tracer.dump("retries_exhausted").expect("dump path set");
+        let text = std::fs::read_to_string(&first).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1 + DUMP_RECORDS);
+        assert!(lines[0].contains("\"kind\":\"flight_dump\""));
+        assert!(lines[0].contains("retries_exhausted"));
+        for line in &lines {
+            serde_json::from_str::<Value>(line).expect("every dump line is valid JSON");
+        }
+        let span = lines[DUMP_RECORDS - 1];
+        assert!(
+            span.starts_with("{\"kind\":\"span\",\"name\":\"build\""),
+            "{span}"
+        );
+        assert!(span.contains("\"k\":\"9\""), "{span}");
+        assert_eq!(
+            lines[DUMP_RECORDS],
+            format!(
+                "{{\"kind\":\"event\",\"t_us\":{},\"event\":\"retry\",\"attempt\":2}}",
+                tracer.events()[0].t_us
+            )
+        );
+        let second = tracer.dump("again").unwrap();
+        assert_ne!(first, second, "re-dump must not clobber the first file");
+        assert_eq!(tracer.dumps(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -155,8 +155,7 @@ where
     // threads parent under the caller's open span, not float as roots.
     let parent = recorder.and_then(|rec| rec.current_ctx());
     if ranges.len() <= 1 {
-        let _guard = recorder.map(|rec| rec.phase(Phase::WorkerTask));
-        let _span = recorder.map(|rec| rec.span_under("worker_task", parent));
+        let _phase = recorder.map(|rec| rec.phase_under(Phase::WorkerTask, parent));
         return items
             .into_iter()
             .enumerate()
@@ -172,12 +171,11 @@ where
     }
     stripes.reverse();
     let run_stripe = |range: Range<usize>, stripe: Vec<T>| -> Vec<R> {
-        let _guard = recorder.map(|rec| rec.phase(Phase::WorkerTask));
-        let mut span = recorder
-            .map(|rec| rec.span_under("worker_task", parent))
-            .unwrap_or_else(vas_obs::SpanGuard::noop);
-        span.attr("stripe_start", range.start);
-        span.attr("stripe_len", range.len());
+        let mut phase = recorder.map(|rec| rec.phase_under(Phase::WorkerTask, parent));
+        if let Some(phase) = &mut phase {
+            phase.attr("stripe_start", range.start);
+            phase.attr("stripe_len", range.len());
+        }
         stripe
             .into_iter()
             .zip(range)
@@ -300,12 +298,11 @@ where
     // recorder is attached (the off-the-data-path rule: observing a stripe
     // never changes what it computes).
     let run_stripe = |range: Range<usize>| -> Vec<R> {
-        let _guard = recorder.map(|rec| rec.phase(Phase::WorkerTask));
-        let mut span = recorder
-            .map(|rec| rec.span_under("worker_task", parent))
-            .unwrap_or_else(vas_obs::SpanGuard::noop);
-        span.attr("stripe_start", range.start);
-        span.attr("stripe_len", range.len());
+        let mut phase = recorder.map(|rec| rec.phase_under(Phase::WorkerTask, parent));
+        if let Some(phase) = &mut phase {
+            phase.attr("stripe_start", range.start);
+            phase.attr("stripe_len", range.len());
+        }
         items[range.clone()]
             .iter()
             .zip(range)

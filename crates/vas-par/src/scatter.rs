@@ -93,9 +93,8 @@ where
             .map(|(i, ((_, rx), mut consumer))| {
                 let rx = rx.take().expect("receiver taken once");
                 scope.spawn(move || {
-                    let _guard = recorder.phase(Phase::WorkerTask);
-                    let mut span = recorder.span_under("worker_task", parent);
-                    span.attr("shard", i);
+                    let mut phase = recorder.phase_under(Phase::WorkerTask, parent);
+                    phase.attr("shard", i);
                     while let Ok(item) = rx.recv() {
                         work(i, &mut consumer, item);
                     }

@@ -8,7 +8,6 @@
 //! method that produced it, plus the selection rule "largest sample not
 //! exceeding the budget".
 
-use std::time::Instant;
 use vas_data::Dataset;
 use vas_obs::{Counter, Phase, Recorder};
 use vas_sampling::{Sample, Sampler};
@@ -54,15 +53,11 @@ impl SampleCatalog {
         let mut catalog = Self::new();
         for &k in sizes {
             let mut sampler = sampler_factory(k);
-            let started = recorder.timing_enabled().then(Instant::now);
             let sample = {
-                let mut span = recorder.span("catalog_build");
-                span.attr("k", k);
+                let mut phase = recorder.phase(Phase::CatalogBuild);
+                phase.attr("k", k);
                 sampler.sample_dataset(dataset)
             };
-            if let Some(t0) = started {
-                recorder.record_phase_ns(Phase::CatalogBuild, t0.elapsed().as_nanos() as u64);
-            }
             recorder.inc(Counter::StorageCatalogSamplesBuilt, 1);
             catalog.insert(sample);
         }
@@ -118,15 +113,11 @@ impl SampleCatalog {
         let samplers: Vec<S> = sizes.iter().map(|&k| sampler_factory(k)).collect();
         let samples =
             vas_par::par_map_vec_ordered_recorded(recorder, threads, samplers, |i, mut sampler| {
-                let started = recorder.timing_enabled().then(Instant::now);
                 let sample = {
-                    let mut span = recorder.span("catalog_build");
-                    span.attr("size_index", i);
+                    let mut phase = recorder.phase(Phase::CatalogBuild);
+                    phase.attr("size_index", i);
                     sampler.sample_dataset(dataset)
                 };
-                if let Some(t0) = started {
-                    recorder.record_phase_ns(Phase::CatalogBuild, t0.elapsed().as_nanos() as u64);
-                }
                 recorder.inc(Counter::StorageCatalogSamplesBuilt, 1);
                 sample
             });

@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 use vas_data::{DatasetKind, Point};
 use vas_obs::{Counter, Phase, Recorder};
 use vas_sampling::Sample;
@@ -144,24 +143,19 @@ pub fn save_catalog(catalog: &SampleCatalog, dir: impl AsRef<Path>) -> Result<()
     save_catalog_recorded(catalog, dir, &Recorder::detached())
 }
 
-/// [`save_catalog`] with a [`Recorder`]: the save's wall-clock feeds the
-/// `persist_save` phase when timing is enabled, and reaching the manifest
-/// commit point counts `storage_persist_commits` and appends a
-/// `persist_commit` journal event.
+/// [`save_catalog`] with a [`Recorder`]: the save runs in the
+/// `persist_save` phase, and reaching the manifest commit point counts
+/// `storage_persist_commits` and records a `persist_commit` event.
 pub fn save_catalog_recorded(
     catalog: &SampleCatalog,
     dir: impl AsRef<Path>,
     recorder: &Recorder,
 ) -> Result<(), VasError> {
-    let started = recorder.timing_enabled().then(Instant::now);
     let result = {
-        let mut span = recorder.span("persist_commit");
-        span.attr("samples", catalog.len());
+        let mut phase = recorder.phase(Phase::PersistSave);
+        phase.attr("samples", catalog.len());
         save_catalog_inner(catalog, dir.as_ref())
     };
-    if let Some(t0) = started {
-        recorder.record_phase_ns(Phase::PersistSave, t0.elapsed().as_nanos() as u64);
-    }
     if result.is_ok() {
         recorder.inc(Counter::StoragePersistCommits, 1);
         recorder.event(
@@ -377,17 +371,18 @@ mod tests {
     }
 
     #[test]
-    fn recorded_save_counts_and_journals_the_commit() {
+    fn recorded_save_counts_and_records_the_commit() {
         use std::sync::Arc;
         let dir = temp_dir("recorded");
         let catalog = catalog_with_densities();
-        let journal = Arc::new(vas_obs::Journal::in_memory());
+        let tracer = Arc::new(vas_obs::Tracer::new());
         let recorder = Recorder::new(Arc::new(vas_obs::MetricsRegistry::new()))
-            .with_journal(Arc::clone(&journal))
+            .with_tracer(Arc::clone(&tracer))
             .with_timing(true);
         save_catalog_recorded(&catalog, &dir, &recorder).unwrap();
         assert_eq!(recorder.registry().get(Counter::StoragePersistCommits), 1);
-        assert!(journal.contains_event("persist_commit"));
+        assert!(tracer.events().iter().any(|e| e.name == "persist_commit"));
+        assert_eq!(tracer.spans()[0].name, "persist_save");
         assert_eq!(
             recorder
                 .registry()

@@ -63,7 +63,6 @@ use crate::source::PointSource;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 use vas_data::{BoundingBox, Dataset, DatasetKind, Point};
 use vas_obs::{Counter, Phase, Recorder};
 
@@ -477,7 +476,7 @@ impl ChunkedReader {
     /// Attaches a shared [`Recorder`]: decoded chunks, CRC failures and
     /// corruption skips count into its registry, chunk decode latency feeds
     /// the `chunk_decode` phase when timing is enabled, and skipped chunks
-    /// append `corrupt_chunk_skipped` journal events.
+    /// record `corrupt_chunk_skipped` events.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -546,23 +545,16 @@ impl ChunkedReader {
     /// (decoded, or skipped under [`CorruptionPolicy::SkipChunks`]) and no
     /// trailing bytes may remain.
     pub fn next_chunk(&mut self, buf: &mut Vec<Point>) -> io::Result<usize> {
-        // Timed manually rather than via a `PhaseGuard`: the guard would
-        // borrow `self.recorder` across the `&mut self` inner call. The
-        // span guard owns its handles, so it can live across the call —
-        // when decoding happens on the read-ahead pipeline thread it
-        // parents under the build's root span via the tracer's ambient
-        // cell.
-        let started = self.recorder.timing_enabled().then(Instant::now);
-        let mut span = self.recorder.span("chunk_decode");
+        // The phase guard owns its handles, so it stays open across the
+        // `&mut self` inner call. When decoding happens on the read-ahead
+        // pipeline thread, its span parents under the build's root span via
+        // the tracer's ambient cell.
+        let mut phase = self.recorder.phase(Phase::ChunkDecode);
         let result = self.next_chunk_inner(buf);
         if let Ok(m) = &result {
-            span.attr("points", *m);
+            phase.attr("points", *m);
         }
-        drop(span);
-        if let Some(t0) = started {
-            self.recorder
-                .record_phase_ns(Phase::ChunkDecode, t0.elapsed().as_nanos() as u64);
-        }
+        drop(phase);
         if let Ok(m) = &result {
             if *m > 0 {
                 self.recorder.inc(Counter::StreamChunksDecoded, 1);
@@ -1044,7 +1036,7 @@ mod tests {
     }
 
     #[test]
-    fn recorder_counts_decodes_and_journals_corruption_skips() {
+    fn recorder_counts_decodes_and_records_corruption_skips() {
         use std::sync::Arc;
         let d = vas_data::GeolifeGenerator::with_size(300, 5).generate();
         let path = temp_path("recorder.vaschunk");
@@ -1053,9 +1045,9 @@ mod tests {
         let second_chunk = header_len + 8 + 2_400;
         crate::fault::flip_bit_in_file(&path, (second_chunk + 8 + 1_000) * 8 + 3).unwrap();
 
-        let journal = Arc::new(vas_obs::Journal::in_memory());
+        let tracer = Arc::new(vas_obs::Tracer::new());
         let recorder = Recorder::new(Arc::new(vas_obs::MetricsRegistry::new()))
-            .with_journal(Arc::clone(&journal))
+            .with_tracer(Arc::clone(&tracer))
             .with_timing(true);
         let mut reader = ChunkedReader::open(&path)
             .unwrap()
@@ -1068,9 +1060,17 @@ mod tests {
         assert_eq!(reg.get(Counter::StreamCrcFailures), 1);
         assert_eq!(reg.get(Counter::StreamCorruptChunksSkipped), 1);
         assert_eq!(reg.get(Counter::StreamPointsSkipped), 100);
-        assert!(journal.contains_event("corrupt_chunk_skipped"));
-        // Timing was enabled, so every next_chunk call fed the decode phase.
-        assert!(reg.snapshot().phase_calls(Phase::ChunkDecode) >= 3);
+        assert!(tracer
+            .events()
+            .iter()
+            .any(|e| e.name == "corrupt_chunk_skipped"));
+        // Timing was enabled, so every next_chunk call fed the decode phase,
+        // and each one also opened exactly one span.
+        let calls = reg.snapshot().phase_calls(Phase::ChunkDecode);
+        assert!(calls >= 3);
+        let spans = tracer.spans();
+        let decode_spans = spans.iter().filter(|s| s.name == "chunk_decode").count();
+        assert_eq!(decode_spans as u64, calls);
 
         // A second scan keeps accumulating lifetime totals while the
         // per-scan view resets.

@@ -23,7 +23,6 @@
 
 use crate::source::PointSource;
 use std::io;
-use std::time::Instant;
 use vas_data::{DatasetKind, Point};
 use vas_obs::{Phase, Recorder, ValueSeries};
 use vas_par::{ReadAhead, Stage, Step};
@@ -130,15 +129,10 @@ impl PointSource for PrefetchSource {
         buf.clear();
         self.recorder
             .record_value(ValueSeries::ReadAheadOccupancy, self.ahead.occupancy());
-        let started = self.recorder.timing_enabled().then(Instant::now);
         let received = {
-            let _span = self.recorder.span("prefetch_wait");
+            let _phase = self.recorder.phase(Phase::PrefetchWait);
             self.ahead.recv()
         };
-        if let Some(t0) = started {
-            self.recorder
-                .record_phase_ns(Phase::PrefetchWait, t0.elapsed().as_nanos() as u64);
-        }
         match received? {
             Some(mut chunk) => {
                 // Swap the produced chunk in and hand the consumer's spent

@@ -73,7 +73,7 @@ impl<S: PointSource> RetryingSource<S> {
     /// Attaches a shared [`Recorder`]: absorbed/exhausted retries count
     /// into its registry (`stream_retries_absorbed` /
     /// `stream_retries_exhausted`) and each absorbed transient appends a
-    /// `retry` event to its journal.
+    /// `retry` event to its tracer.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -123,10 +123,10 @@ impl<S: PointSource> RetryingSource<S> {
                                 ("attempts", u64::from(attempt + 1).into()),
                             ],
                         );
-                        // Retry exhaustion is build-fatal: dump the flight
-                        // recorder's recent-history ring (if attached) so
-                        // the post-mortem shows the absorbed retries that
-                        // led here.
+                        // Retry exhaustion is build-fatal: dump the
+                        // tracer's recent records (if attached) so the
+                        // post-mortem shows the absorbed retries that led
+                        // here.
                         let _ = self.recorder.fatal("retries_exhausted");
                         return Err(VasError::RetriesExhausted {
                             context: format!("{context} on source {:?}", self.inner.name()),
@@ -221,28 +221,24 @@ mod tests {
     }
 
     #[test]
-    fn attached_recorder_journals_each_absorbed_retry() {
+    fn attached_recorder_records_each_absorbed_retry() {
         use std::sync::Arc;
         let d = vas_data::GeolifeGenerator::with_size(3_000, 5).generate();
         let faulty = FaultInjectorSource::new(
             DatasetSource::with_chunk_size(&d, 256),
             FaultPlan::transient(7, 2, 2),
         );
-        let journal = Arc::new(vas_obs::Journal::in_memory());
+        let tracer = Arc::new(vas_obs::Tracer::new());
         let recorder = Recorder::new(Arc::new(vas_obs::MetricsRegistry::new()))
-            .with_journal(Arc::clone(&journal));
+            .with_tracer(Arc::clone(&tracer));
         let mut src =
             RetryingSource::new(faulty, RetryPolicy::immediate(3)).with_recorder(recorder.clone());
         src.read_all().unwrap();
         let absorbed = recorder.registry().get(Counter::StreamRetriesAbsorbed);
         assert!(absorbed > 0);
         assert_eq!(src.retries(), absorbed, "getter is a thin registry view");
-        let retry_lines = journal
-            .lines()
-            .iter()
-            .filter(|l| l.contains("\"event\":\"retry\""))
-            .count();
-        assert_eq!(retry_lines as u64, absorbed);
+        let retry_events = tracer.events().iter().filter(|e| e.name == "retry").count();
+        assert_eq!(retry_events as u64, absorbed);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`spatial`] | the `LocalityIndex` trait with R-tree and spatial-hash backends, plus a static k-d tree and grid substrates |
 //! | [`sampling`] | the [`Sampler`](sampling::Sampler) trait and the uniform / stratified baselines |
 //! | [`core`] | the VAS objective, the Interchange algorithm, density embedding |
-//! | [`obs`] | observability: typed counters, phase timers, latency histograms, event journal, JSON/Prometheus exporters |
+//! | [`obs`] | observability: typed counters, one phase probe feeding spans and latency histograms, a tracer storing spans and events with a post-mortem dump, JSON/Prometheus exporters |
 //! | [`par`] | deterministic parallel substrate: scoped ordered fan-out/fan-in, background pipeline stage |
 //! | [`exact`] | exact (branch-and-bound) solvers for small instances |
 //! | [`eval`] | Monte-Carlo loss, log-loss-ratio, Spearman correlation |
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use vas_eval::{visual_similarity, LossConfig, LossEstimator, SimilarityConfig};
     pub use vas_exact::ExactSolver;
     pub use vas_obs::{
-        parse_chrome_trace, Counter, FlightRecorder, Journal, MetricsRegistry, MetricsSnapshot,
+        parse_chrome_trace, Counter, EventRecord, EventValue, MetricsRegistry, MetricsSnapshot,
         Phase, Recorder, SpanContext, SpanRecord, Tracer,
     };
     pub use vas_sampling::{

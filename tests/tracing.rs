@@ -3,26 +3,50 @@
 //! tree is complete — every vas-par / pre-evaluation `worker_task` span
 //! reaches the consuming build's root through its parent chain, and the
 //! read-ahead thread's decode spans parent under the same root — plus the
-//! flight recorder's post-mortem dump on the fatal path.
+//! tracer's post-mortem dump on the fatal path, and the one-probe contract:
+//! every timed phase call opens exactly one span of the phase's name.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use vas::prelude::*;
+use vas::storage::save_catalog_recorded;
+
+/// A recorder with timing on and a fresh tracer, plus its registry.
+fn traced_recorder() -> (Recorder, Arc<MetricsRegistry>, Arc<Tracer>) {
+    let registry = Arc::new(MetricsRegistry::new());
+    let tracer = Arc::new(Tracer::new());
+    let recorder = Recorder::new(Arc::clone(&registry))
+        .with_timing(true)
+        .with_tracer(Arc::clone(&tracer));
+    (recorder, registry, tracer)
+}
+
+/// The one-probe contract: for every phase, the histogram's call count
+/// equals the number of spans named after the phase.
+fn assert_one_span_per_phase_call(spans: &[SpanRecord], registry: &MetricsRegistry, what: &str) {
+    let snap = registry.snapshot();
+    for phase in Phase::ALL {
+        let named = spans.iter().filter(|s| s.name == phase.name()).count() as u64;
+        assert_eq!(
+            snap.phase_calls(phase),
+            named,
+            "{what}: {} histogram calls vs spans",
+            phase.name()
+        );
+    }
+}
 
 /// Builds a fully traced sampler run over a spilled chunked stream with the
 /// speculative pre-evaluation front (threads = 2) and read-ahead prefetch,
-/// returning the recorded spans.
-fn traced_build(n: usize, k: usize, threads: usize) -> Vec<SpanRecord> {
+/// returning the recorded spans and the registry the run timed into.
+fn traced_build(n: usize, k: usize, threads: usize) -> (Vec<SpanRecord>, Arc<MetricsRegistry>) {
     let data = GeolifeGenerator::with_size(n, 31).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-tracing-accept-{}-{n}-{threads}.vaschunk",
         std::process::id()
     ));
     spill_dataset(&data, &path, 512).unwrap();
-    let tracer = Arc::new(Tracer::new());
-    let recorder = Recorder::new(Arc::new(MetricsRegistry::new()))
-        .with_timing(true)
-        .with_tracer(Arc::clone(&tracer));
+    let (recorder, registry, tracer) = traced_recorder();
     {
         let reader = ChunkedReader::open(&path)
             .unwrap()
@@ -36,7 +60,8 @@ fn traced_build(n: usize, k: usize, threads: usize) -> Vec<SpanRecord> {
     std::fs::remove_file(&path).ok();
     // The acceptance shape is asserted on the *exported* trace, so the
     // Chrome-trace encoder and parser are part of the contract.
-    parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace parses")
+    let spans = parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace parses");
+    (spans, registry)
 }
 
 /// Walks `span`'s parent chain to its root (bounded, in case of corruption).
@@ -59,8 +84,9 @@ fn traced_build_produces_a_complete_causal_tree() {
     // Big enough n/k that the accept rate cools past the speculation gate
     // (accept spacing >= the minimum pre-eval batch), so the parallel front
     // actually fans out worker stripes.
-    let spans = traced_build(40_000, 150, 2);
+    let (spans, registry) = traced_build(40_000, 150, 2);
     assert!(!spans.is_empty(), "the traced build recorded no spans");
+    assert_one_span_per_phase_call(&spans, &registry, "streaming build, 2 threads");
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
 
     // Exactly one root, and it is the consuming build.
@@ -119,7 +145,8 @@ fn traced_build_produces_a_complete_causal_tree() {
 fn sequential_traced_build_has_no_foreign_roots() {
     // With threads = 1 there is no speculation; the tree still has a single
     // build root and no orphans.
-    let spans = traced_build(6_000, 200, 1);
+    let (spans, registry) = traced_build(6_000, 200, 1);
+    assert_one_span_per_phase_call(&spans, &registry, "streaming build, 1 thread");
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
     let roots: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent.is_none()).collect();
     assert_eq!(roots.len(), 1);
@@ -135,10 +162,48 @@ fn sequential_traced_build_has_no_foreign_roots() {
 }
 
 #[test]
+fn sharded_and_persist_builds_open_one_span_per_phase_call() {
+    let data = GeolifeGenerator::with_size(6_000, 41).generate();
+    let config = VasConfig::new(120).with_threads(2);
+
+    // In-memory sharded build: shard workers fan out through vas-par.
+    let (recorder, registry, tracer) = traced_recorder();
+    ShardedSampler::new(config.clone(), 2)
+        .with_recorder(recorder)
+        .build_sharded(&data);
+    let spans = tracer.spans();
+    assert_eq!(spans.iter().filter(|s| s.name == "shard_fill").count(), 2);
+    assert_one_span_per_phase_call(&spans, &registry, "sharded build, S = 2");
+
+    // Streaming sharded build: shard workers consume scatter queues.
+    let (recorder, registry, tracer) = traced_recorder();
+    let mut source = DatasetSource::with_chunk_size(&data, 1_000);
+    ShardedSampler::new(config, 2)
+        .with_recorder(recorder)
+        .build_sharded_from_source(&mut source)
+        .unwrap();
+    assert_one_span_per_phase_call(&tracer.spans(), &registry, "streaming sharded build, S = 2");
+
+    // A catalog built and persisted through one recorder.
+    let (recorder, registry, tracer) = traced_recorder();
+    let catalog = SampleCatalog::build_recorded(
+        &data,
+        &[50, 100],
+        |k| VasSampler::new(VasConfig::new(k)),
+        &recorder,
+    );
+    let dir = std::env::temp_dir().join(format!("vas-tracing-persist-{}", std::process::id()));
+    save_catalog_recorded(&catalog, &dir, &recorder).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let spans = tracer.spans();
+    assert_eq!(spans.iter().filter(|s| s.name == "persist_save").count(), 1);
+    assert_one_span_per_phase_call(&spans, &registry, "catalog build + persist");
+}
+
+#[test]
 fn fatal_build_error_dumps_the_flight_recorder() {
-    // The crash flight recorder: a typed fatal error inside
-    // `build_from_source` must dump the ring of recent spans/events to the
-    // configured post-mortem path.
+    // The post-mortem dump: a typed fatal error inside `build_from_source`
+    // must dump the tracer's newest spans/events to the configured path.
     let data = GeolifeGenerator::with_size(4_000, 37).generate();
     let spill =
         std::env::temp_dir().join(format!("vas-tracing-fatal-{}.vaschunk", std::process::id()));
@@ -149,13 +214,8 @@ fn fatal_build_error_dumps_the_flight_recorder() {
     ));
     std::fs::remove_file(&dump).ok();
 
-    let flight = Arc::new(FlightRecorder::new());
-    flight.set_dump_path(&dump);
-    let tracer = Arc::new(Tracer::new());
-    let recorder = Recorder::new(Arc::new(MetricsRegistry::new()))
-        .with_timing(true)
-        .with_tracer(tracer)
-        .with_flight(Arc::clone(&flight));
+    let (recorder, _, tracer) = traced_recorder();
+    tracer.set_dump_path(&dump);
 
     let reader = ChunkedReader::open(&spill)
         .unwrap()
@@ -167,7 +227,7 @@ fn fatal_build_error_dumps_the_flight_recorder() {
         .build_from_source(&mut source);
 
     assert!(result.is_err(), "the fatal fault must fail the build");
-    assert!(flight.dumps() > 0, "the fatal path never dumped the ring");
+    assert!(tracer.dumps() > 0, "the fatal path never dumped the ring");
     let text = std::fs::read_to_string(&dump).expect("post-mortem dump exists");
     let mut lines = text.lines();
     let header = lines.next().expect("dump has a header line");
@@ -179,10 +239,16 @@ fn fatal_build_error_dumps_the_flight_recorder() {
         lines.clone().count() > 0,
         "the dump carries no ring entries"
     );
-    // Ring entries are one JSON object per line, spans and events mixed.
+    // Ring entries are one JSON object per line, spans and events mixed;
+    // the last one is the fatal event itself.
     assert!(
-        lines.any(|l| l.contains("\"kind\":\"span\"")),
+        lines.clone().any(|l| l.contains("\"kind\":\"span\"")),
         "no span entries in the dump"
+    );
+    let last = lines.last().unwrap();
+    assert!(
+        last.contains("\"kind\":\"event\"") && last.contains("\"event\":\"fatal\""),
+        "last: {last}"
     );
 
     std::fs::remove_file(&spill).ok();
