@@ -1,8 +1,9 @@
 //! Per-tuple cost of the Interchange inner loop for each strategy — the
-//! micro-benchmark behind the Figure 10 ablation.
+//! micro-benchmark behind the Figure 10 ablation — plus the max tracker's
+//! share of an accepted replacement.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use vas_core::{GaussianKernel, InterchangeStrategy, Kernel, VasConfig, VasSampler};
+use vas_core::{GaussianKernel, InterchangeStrategy, Kernel, MaxTracker, VasConfig, VasSampler};
 use vas_data::GeolifeGenerator;
 use vas_sampling::Sampler;
 
@@ -51,5 +52,42 @@ fn bench_observe(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_observe);
+/// One accept's tracker bookkeeping at the 1M-point Geolife shape: K = 5000
+/// responsibilities (79 blocks, two dirty-mask words), ~430 scattered
+/// in-place deltas, each `mark`ed, then one `flush`.
+fn bench_tracker_accept(c: &mut Criterion) {
+    const K: usize = 5_000;
+    const MARKS: usize = 430;
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut rsp: Vec<f64> = (0..K).map(|_| (next() % 1_000) as f64 / 10.0).collect();
+    let batches: Vec<Vec<(usize, f64)>> = (0..64)
+        .map(|_| {
+            (0..MARKS)
+                .map(|_| (next() as usize % K, (next() % 201) as f64 / 100.0 - 1.0))
+                .collect()
+        })
+        .collect();
+    let mut tracker = MaxTracker::new();
+    tracker.rebuild(&rsp);
+    let mut n = 0usize;
+    c.bench_function("interchange/tracker_mark_flush/5000", |b| {
+        b.iter(|| {
+            for &(i, delta) in &batches[n % batches.len()] {
+                rsp[i] += delta;
+                tracker.mark(i);
+            }
+            tracker.flush(&rsp);
+            n += 1;
+            black_box(tracker.max(&rsp))
+        })
+    });
+}
+
+criterion_group!(benches, bench_observe, bench_tracker_accept);
 criterion_main!(benches);

@@ -7,9 +7,12 @@
 //! overwhelmingly common case once the sample has converged, and the case
 //! the max-responsibility tracker turns from an `O(K)` scan into an `O(1)`
 //! read.
-//! The accepted-replacement path is tracked separately, with a micro-measured
-//! cost split (the two radius queries vs the index remove/insert churn) per
-//! backend.
+//! The accepted-replacement path is tracked separately (`accepted_secs`),
+//! with a micro-measured cost split (the two radius queries vs the index
+//! remove/insert churn) per backend. An accept gathers both neighbourhoods
+//! into SoA lanes, writes each responsibility delta once, in place, marks
+//! its 64-slot block dirty in the tracker, and reduces the dirty blocks'
+//! maxima once per accept.
 //!
 //! Output: a human-readable table on stdout plus machine-readable
 //! `results/BENCH_interchange.json`, so the perf trajectory of this hot path

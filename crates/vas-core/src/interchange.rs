@@ -344,8 +344,8 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// Block-max tracker over `rsp`, giving the Shrink step its maximum in
     /// `O(1)`; only maintained by the locality strategy.
     max_tracker: MaxTracker,
-    /// Whether `max_tracker` currently mirrors `rsp`. Cleared by every path
-    /// that mutates `rsp` without updating the tracker (fill, plain ES,
+    /// Whether `max_tracker` currently tracks `rsp`. Cleared by every path
+    /// that mutates `rsp` without marking the tracker (fill, plain ES,
     /// naive rebuilds) and restored lazily on the next candidate.
     tracker_fresh: bool,
     /// Reusable SoA gather scratch for the per-candidate neighbourhood query
@@ -355,6 +355,9 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// Reusable buffer of per-candidate kernel values, lane-parallel to
     /// `gather.ids` (the other half of the SoA delta representation).
     scratch_vals: Vec<f64>,
+    /// The accept step's gather and kernel-value scratch for the removed
+    /// point's neighbourhood, the same SoA pair as `gather`/`scratch_vals`.
+    removal: (NeighborBatch, Vec<f64>),
     /// Per-worker buffers of the speculative pre-evaluation front, reused
     /// across batches so the steady-state parallel path allocates nothing.
     pre_eval: PreEvalScratch,
@@ -862,6 +865,7 @@ impl<L: LocalityIndex> VasSampler<L> {
             tracker_fresh: false,
             gather: NeighborBatch::new(),
             scratch_vals: Vec::new(),
+            removal: Default::default(),
             pre_eval: PreEvalScratch::default(),
             accept_spacing: 0,
             objective: 0.0,
@@ -1613,7 +1617,7 @@ impl<L: LocalityIndex> VasSampler<L> {
 
     /// Rebuilds the max-responsibility tracker from `rsp` if a
     /// non-tracking path (fill, naive, plain ES) has touched `rsp` since the
-    /// tracker last mirrored it.
+    /// tracker was last rebuilt.
     fn ensure_tracker(&mut self) {
         if !self.tracker_fresh {
             self.max_tracker.rebuild(&self.rsp);
@@ -1697,9 +1701,9 @@ impl<L: LocalityIndex> VasSampler<L> {
     /// A rejected candidate — the overwhelmingly common case once the sample
     /// has converged — costs only its neighbourhood kernel evaluations plus
     /// an `O(1)` read of the tracked maximum instead of an `O(K)` Shrink
-    /// scan. An accepted candidate additionally rescans each
-    /// 64-slot block its responsibility updates touched, then the `K/64`
-    /// block winners (see [`MaxTracker`]).
+    /// scan. An accepted candidate additionally reduces each 64-slot block
+    /// its responsibility updates touched, then the `K/64` block maxima
+    /// (see [`MaxTracker`]).
     ///
     /// A **rejection filter** runs first: bounded lanes
     /// ([`GaussianKernel::eval_dist2_batch_bounded`]) over the gathered
@@ -1731,7 +1735,7 @@ impl<L: LocalityIndex> VasSampler<L> {
             && certifies_reject(
                 BOUNDED_LANE_DELTA,
                 &self.rsp,
-                self.max_tracker.max().map(|(_, r)| r),
+                self.max_tracker.max(&self.rsp).map(|(_, r)| r),
                 &gather.ids,
                 &vals,
             )
@@ -1775,7 +1779,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.ensure_tracker();
         let mut max_idx = usize::MAX; // usize::MAX encodes "the candidate"
         let mut max_val = cand_rsp;
-        if let Some((i, r)) = self.max_tracker.max() {
+        if let Some((i, r)) = self.max_tracker.max(&self.rsp) {
             if r > max_val {
                 max_val = r;
                 max_idx = i;
@@ -1794,12 +1798,12 @@ impl<L: LocalityIndex> VasSampler<L> {
         }
 
         // --- Accept: replace slot `max_idx` ("s_j") with the candidate.
-        // Responsibility updates are written into the tracker lazily
-        // (`set_deferred` only marks the slot's 64-slot block dirty) and the
+        // Every responsibility delta is written into `rsp` once, in place,
+        // and `mark`ed in the tracker (one dirty bit per 64-slot block); the
         // maximum is restored once at the end (`flush`). One accept touches
         // up to 2·|neighbourhood| slots scattered over the whole sample, so
-        // the flush rescans each dirty block once and then the `K/64` block
-        // winners.
+        // the flush reduces each dirty block once and then the `K/64` block
+        // maxima.
         let removed = self.points[max_idx];
         let removed_rsp = self.rsp[max_idx];
 
@@ -1807,29 +1811,28 @@ impl<L: LocalityIndex> VasSampler<L> {
         for (&i, &v) in ids.iter().zip(vals) {
             if i != max_idx {
                 self.rsp[i] += v;
-                self.max_tracker.set_deferred(i, self.rsp[i]);
+                self.max_tracker.mark(i);
             }
         }
-        // Subtract the removed element's contributions from its neighbours.
+        // Subtract the removed element's contributions from its neighbours:
+        // gathered and evaluated as SoA lanes like the Expand step, but not
+        // counted as candidate kernel lanes.
         let kappa_t_removed = ids
             .iter()
             .position(|&i| i == max_idx)
             .map(|n| vals[n])
             .unwrap_or_else(|| kernel.eval(&point, &removed));
-        {
-            let cutoff = self.cutoff;
-            let Self {
-                index,
-                rsp,
-                max_tracker,
-                ..
-            } = self;
-            index.for_each_in_radius_with_dist2(&removed, cutoff, |i, _, d2| {
-                if i != max_idx {
-                    rsp[i] -= kernel.eval_dist2(d2);
-                    max_tracker.set_deferred(i, rsp[i]);
-                }
-            });
+        let (gather, kappas) = &mut self.removal;
+        self.index
+            .gather_in_radius_into(&removed, self.cutoff, gather);
+        kappas.clear();
+        kappas.resize(gather.len(), 0.0);
+        kernel.eval_dist2_batch(&gather.dist2, kappas);
+        for (&i, &v) in gather.ids.iter().zip(kappas.iter()) {
+            if i != max_idx {
+                self.rsp[i] -= v;
+                self.max_tracker.mark(i);
+            }
         }
         self.index.remove(max_idx, &removed);
         self.index.insert(max_idx, point);
@@ -1837,8 +1840,8 @@ impl<L: LocalityIndex> VasSampler<L> {
         let new_rsp = cand_rsp - kappa_t_removed;
         self.points[max_idx] = point;
         self.rsp[max_idx] = new_rsp;
-        self.max_tracker.set_deferred(max_idx, new_rsp);
-        self.max_tracker.flush();
+        self.max_tracker.mark(max_idx);
+        self.max_tracker.flush(&self.rsp);
         self.objective += new_rsp - removed_rsp;
         self.replacements += 1;
     }
@@ -1869,6 +1872,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.tracker_fresh = false;
         self.gather = NeighborBatch::new();
         self.scratch_vals = Vec::new();
+        self.removal = Default::default();
         self.pre_eval = PreEvalScratch::default();
         self.accept_spacing = 0;
         self.objective = 0.0;

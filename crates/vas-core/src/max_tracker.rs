@@ -1,55 +1,61 @@
-//! Block-max tracking of the maximum of a mutable array of scores.
+//! Block-max tracking of the maximum of a caller-owned array of scores.
 //!
 //! The Interchange Shrink step must find the element with the **largest
 //! responsibility** in the expanded sample for every candidate tuple. A
 //! linear scan makes every candidate — including the overwhelmingly common
-//! *rejected* ones — cost `O(K)`. [`MaxTracker`] caches the maximum instead,
-//! so the read is `O(1)` and rejected candidates cost only their
-//! neighbourhood kernel evaluations.
+//! *rejected* ones — cost `O(K)`. [`MaxTracker`] caches the position of the
+//! maximum instead, so the read is `O(1)` and rejected candidates cost only
+//! their neighbourhood kernel evaluations.
+//!
+//! The tracker holds no copy of the array. The caller owns it (the
+//! sampler's `rsp`), writes it in place, [`mark`](MaxTracker::mark)s every
+//! written slot, and hands it to [`flush`](MaxTracker::flush) and
+//! [`max`](MaxTracker::max). Each responsibility delta is therefore
+//! written once.
 //!
 //! ## Cost of an update
 //!
 //! Slots are grouped into fixed blocks of `BLOCK` (64) slots, and each block
-//! keeps its own argmax. An accepted replacement changes about
+//! keeps its maximum **value**. An accepted replacement changes about
 //! 2·|neighbourhood| responsibilities (about 500 on dense data). Slot ids
 //! follow stream order, not space, so those slots are scattered over the
-//! whole array. [`set_deferred`](MaxTracker::set_deferred) only writes the
-//! value and marks its block dirty in a bitmask; [`flush`](MaxTracker::flush)
-//! rescans each dirty block once, a contiguous pass over at most `BLOCK`
-//! values, then re-picks the winner among the `⌈K/BLOCK⌉` block winners.
-//! One flush of `D` scattered writes therefore costs
-//! `O(BLOCK·min(D, K/BLOCK) + K/BLOCK)` sequential comparisons, with no
-//! sort and no pointer chasing.
+//! whole array. [`mark`](MaxTracker::mark) only sets the slot's block bit in
+//! a dirty bitmask; [`flush`](MaxTracker::flush) recomputes each dirty
+//! block's maximum once, a contiguous reduction over at most `BLOCK` values
+//! with independent accumulators (it vectorizes, unlike an argmax scan),
+//! then reduces the `⌈K/BLOCK⌉` block maxima the same way and locates the
+//! winning slot by equality. One flush of `D` scattered marks therefore
+//! costs `O(BLOCK·min(D, K/BLOCK) + K/BLOCK + BLOCK)` sequential
+//! comparisons, with no sort and no pointer chasing.
 //!
 //! ## Tie-breaking contract
 //!
 //! [`max`](MaxTracker::max) returns the **lowest index** attaining the
 //! maximum value. This mirrors a first-wins linear scan (`v > best`), which
 //! is exactly the Shrink step of the reference Interchange oracle in
-//! `tests/determinism.rs` — the contract that keeps the ES+Loc loop
+//! `tests/oracle/mod.rs` — the contract that keeps the ES+Loc loop
 //! bit-identical to it even when responsibilities tie (e.g. many isolated
-//! slots at 0.0).
-//! Blocks and the scan over block winners are both first-wins, so their
-//! composition is too. Values must never be NaN (kernel sums of finite
-//! points are finite and non-negative).
+//! slots at 0.0). The winner is the first slot equal to the overall maximum
+//! in the first block whose maximum equals it; since `==` also equates
+//! `-0.0` and `+0.0`, that is the slot a first-wins scan keeps. Values must
+//! never be NaN (kernel sums of finite points are finite and non-negative).
 
-/// Slots per block: one dirty bit per block, rescanned whole on flush.
+/// Slots per block: one dirty bit per block, reduced whole on flush.
 const BLOCK: usize = 64;
 
-/// Block-max argmax over a dense array of `f64` scores.
+/// Block-max argmax over a caller-owned dense array of `f64` scores.
 ///
 /// Slots are addressed `0..len`. The structure is rebuilt in `O(len)`;
 /// updates are batched per [`flush`](Self::flush).
 #[derive(Debug, Clone, Default)]
 pub struct MaxTracker {
-    /// Slot values; `values.len()` is the number of live slots.
-    values: Vec<f64>,
-    /// `block_best[b]` is the first-wins argmax (a slot index) of block `b`.
-    block_best: Vec<usize>,
-    /// One bit per block written by [`set_deferred`](Self::set_deferred)
-    /// since the last flush.
+    /// Number of slots in the tracked array.
+    len: usize,
+    /// `block_max[b]` is the largest value in block `b`.
+    block_max: Vec<f64>,
+    /// One bit per block [`mark`](Self::mark)ed since the last flush.
     dirty: Vec<u64>,
-    /// The first-wins argmax over all slots, valid when nothing is dirty.
+    /// The lowest index attaining the maximum, valid when nothing is dirty.
     best: usize,
 }
 
@@ -59,129 +65,91 @@ impl MaxTracker {
         Self::default()
     }
 
-    /// Rebuilds the block winners over `values` in `O(len)`.
+    /// Rebuilds the block maxima over `values` in `O(len)`.
     pub fn rebuild(&mut self, values: &[f64]) {
-        let blocks = values.len().div_ceil(BLOCK);
-        self.values.clear();
-        self.values.extend_from_slice(values);
+        self.len = values.len();
+        self.block_max.clear();
+        self.block_max.extend(values.chunks(BLOCK).map(max_of));
         self.dirty.clear();
-        self.dirty.resize(blocks.div_ceil(64), 0);
-        self.block_best.clear();
-        let values = &self.values;
-        self.block_best
-            .extend((0..blocks).map(|b| block_argmax(values, b)));
-        self.best = self.winner_of_blocks();
+        self.dirty.resize(self.block_max.len().div_ceil(64), 0);
+        self.best = self.winner(values);
     }
 
-    /// Number of live slots.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when the tracker holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Current value of slot `i`.
+    /// Marks slot `i` as written, deferring its block's reduction to the
+    /// next [`flush`](Self::flush). An accepted Interchange replacement
+    /// marks every slot it writes, so a block hit by many of them is
+    /// reduced once.
     ///
     /// # Panics
     /// Panics if `i >= len`.
-    pub fn get(&self, i: usize) -> f64 {
-        assert!(
-            i < self.len(),
-            "slot {i} out of bounds (len {})",
-            self.len()
-        );
-        self.values[i]
-    }
-
-    /// Sets slot `i` to `value` and restores the maximum at once: a
-    /// [`set_deferred`](Self::set_deferred) followed by a
-    /// [`flush`](Self::flush).
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    pub fn set(&mut self, i: usize, value: f64) {
-        self.set_deferred(i, value);
-        self.flush();
-    }
-
-    /// Writes `value` into slot `i` and marks its block dirty, deferring the
-    /// block rescan to the next [`flush`](Self::flush). An accepted
-    /// Interchange replacement writes all its responsibility deltas this
-    /// way, so a block hit by many of them is rescanned once.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    pub fn set_deferred(&mut self, i: usize, value: f64) {
-        assert!(
-            i < self.len(),
-            "slot {i} out of bounds (len {})",
-            self.len()
-        );
-        self.values[i] = value;
+    pub fn mark(&mut self, i: usize) {
+        assert!(i < self.len, "slot {i} out of bounds (len {})", self.len);
         let b = i / BLOCK;
         self.dirty[b / 64] |= 1 << (b % 64);
     }
 
-    /// Rescans every block written by [`set_deferred`](Self::set_deferred)
-    /// since the last flush (or rebuild), then re-picks the overall winner
-    /// among the block winners.
-    pub fn flush(&mut self) {
+    /// Recomputes the maximum of every block marked since the last flush
+    /// (or rebuild) from `values`, then re-picks the overall winner.
+    pub fn flush(&mut self, values: &[f64]) {
+        debug_assert_eq!(
+            values.len(),
+            self.len,
+            "MaxTracker flushed over another array"
+        );
         for w in 0..self.dirty.len() {
             let mut bits = std::mem::take(&mut self.dirty[w]);
             while bits != 0 {
                 let b = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.block_best[b] = block_argmax(&self.values, b);
+                let end = (b * BLOCK + BLOCK).min(values.len());
+                self.block_max[b] = max_of(&values[b * BLOCK..end]);
             }
         }
-        self.best = self.winner_of_blocks();
+        self.best = self.winner(values);
     }
 
-    /// The `(index, value)` of the maximum slot, ties resolved to the lowest
-    /// index; `None` when empty.
+    /// The `(index, value)` of the maximum slot of `values`, ties resolved to
+    /// the lowest index; `None` when empty.
     ///
     /// # Panics
-    /// Debug-panics if deferred writes have not been flushed.
-    pub fn max(&self) -> Option<(usize, f64)> {
+    /// Debug-panics if marks have not been flushed.
+    pub fn max(&self, values: &[f64]) -> Option<(usize, f64)> {
         debug_assert!(
             self.dirty.iter().all(|&w| w == 0),
-            "MaxTracker::max read with unflushed deferred writes"
+            "MaxTracker::max read with unflushed marks"
         );
-        (!self.is_empty()).then(|| (self.best, self.values[self.best]))
+        (self.len > 0).then(|| (self.best, values[self.best]))
     }
 
-    /// First-wins argmax over the block winners; 0 when empty. Blocks are
-    /// in slot order, so a tie between blocks goes to the lower slot.
-    fn winner_of_blocks(&self) -> usize {
-        let winners = self.block_best.iter().map(|&i| self.values[i]);
-        self.block_best
-            .get(first_wins_argmax(winners))
-            .copied()
-            .unwrap_or(0)
+    /// The first slot equal to the overall maximum, found in the first block
+    /// whose maximum equals it; 0 when empty.
+    fn winner(&self, values: &[f64]) -> usize {
+        let top = max_of(&self.block_max);
+        let Some(b) = self.block_max.iter().position(|&m| m == top) else {
+            return 0;
+        };
+        let block = &values[b * BLOCK..];
+        b * BLOCK + block.iter().position(|&v| v == top).unwrap_or(0)
     }
 }
 
-/// First-wins argmax of block `b` of `values`, as a slot index.
-fn block_argmax(values: &[f64], b: usize) -> usize {
-    let start = b * BLOCK;
-    let end = (start + BLOCK).min(values.len());
-    start + first_wins_argmax(values[start..end].iter().copied())
-}
-
-/// Position of the first maximum of `values` (`v > best`, so a later equal
-/// value never wins); 0 when empty.
+/// Maximum of `values` (`NEG_INFINITY` when empty), reduced over independent
+/// accumulators in a select form that vectorizes.
 #[inline]
-fn first_wins_argmax(values: impl Iterator<Item = f64>) -> usize {
-    let mut best = (0, f64::NEG_INFINITY);
-    for (i, v) in values.enumerate() {
-        if v > best.1 {
-            best = (i, v);
+fn max_of(values: &[f64]) -> f64 {
+    const LANES: usize = 8;
+    let mut acc = [f64::NEG_INFINITY; LANES];
+    let mut chunks = values.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &v) in acc.iter_mut().zip(chunk) {
+            *m = if v > *m { v } else { *m };
         }
     }
-    best.0
+    for (m, &v) in acc.iter_mut().zip(chunks.remainder()) {
+        *m = if v > *m { v } else { *m };
+    }
+    acc.into_iter()
+        .fold(f64::NEG_INFINITY, |m, v| if v > m { v } else { m })
 }
 
 #[cfg(test)]
@@ -200,43 +168,75 @@ mod tests {
         best
     }
 
+    /// Writes `value` into slot `i` of the caller's array and restores the
+    /// maximum at once, as an eager single-slot update.
+    fn set(t: &mut MaxTracker, values: &mut [f64], i: usize, value: f64) {
+        values[i] = value;
+        t.mark(i);
+        t.flush(values);
+    }
+
     #[test]
     fn empty_tracker() {
         let t = MaxTracker::new();
-        assert!(t.is_empty());
-        assert_eq!(t.max(), None);
+        assert_eq!(t.max(&[]), None);
     }
 
     #[test]
     fn single_slot() {
+        let mut values = [3.5];
         let mut t = MaxTracker::new();
-        t.rebuild(&[3.5]);
-        assert_eq!(t.max(), Some((0, 3.5)));
-        t.set(0, -1.0);
-        assert_eq!(t.max(), Some((0, -1.0)));
+        t.rebuild(&values);
+        assert_eq!(t.max(&values), Some((0, 3.5)));
+        set(&mut t, &mut values, 0, -1.0);
+        assert_eq!(t.max(&values), Some((0, -1.0)));
     }
 
     #[test]
     fn ties_resolve_to_the_lowest_index() {
+        let mut values = [0.0, 1.0, 1.0, 0.5, 1.0];
         let mut t = MaxTracker::new();
-        t.rebuild(&[0.0, 1.0, 1.0, 0.5, 1.0]);
-        assert_eq!(t.max(), Some((1, 1.0)));
+        t.rebuild(&values);
+        assert_eq!(t.max(&values), Some((1, 1.0)));
         // Raising a later slot to the same value must not steal the win.
-        t.set(4, 1.0);
-        assert_eq!(t.max(), Some((1, 1.0)));
+        set(&mut t, &mut values, 4, 1.0);
+        assert_eq!(t.max(&values), Some((1, 1.0)));
         // A strictly greater later slot does win.
-        t.set(4, 1.0 + 1e-12);
-        assert_eq!(t.max().unwrap().0, 4);
+        set(&mut t, &mut values, 4, 1.0 + 1e-12);
+        assert_eq!(t.max(&values).unwrap().0, 4);
         // Dropping it hands the win back to the earliest of the tied slots.
-        t.set(4, 0.0);
-        assert_eq!(t.max(), Some((1, 1.0)));
+        set(&mut t, &mut values, 4, 0.0);
+        assert_eq!(t.max(&values), Some((1, 1.0)));
+    }
+
+    #[test]
+    fn signed_zero_ties_resolve_to_the_lowest_index() {
+        // `-0.0` early, `+0.0` in a later block, everything else negative:
+        // the two zeros compare equal, so a first-wins scan keeps the `-0.0`
+        // slot and the equality search must find it too, whichever zero the
+        // block reductions carry.
+        let mut values = vec![-1.0; 200];
+        values[5] = -0.0;
+        values[130] = 0.0;
+        let mut t = MaxTracker::new();
+        t.rebuild(&values);
+        let (i, v) = t.max(&values).unwrap();
+        assert_eq!(i, 5);
+        assert!(v == 0.0 && v.is_sign_negative());
+        assert_eq!(Some(i), linear_argmax(&values).map(|(i, _)| i));
+        // Same after a flush that reduces both zero blocks again.
+        t.mark(130);
+        t.mark(5);
+        t.flush(&values);
+        assert_eq!(t.max(&values).unwrap().0, 5);
     }
 
     #[test]
     fn all_equal_values_pick_slot_zero() {
+        let values = vec![0.0; 37];
         let mut t = MaxTracker::new();
-        t.rebuild(&vec![0.0; 37]);
-        assert_eq!(t.max(), Some((0, 0.0)));
+        t.rebuild(&values);
+        assert_eq!(t.max(&values), Some((0, 0.0)));
     }
 
     #[test]
@@ -245,8 +245,7 @@ mod tests {
             let values: Vec<f64> = (0..n).map(|i| ((i * 7919) % 101) as f64).collect();
             let mut t = MaxTracker::new();
             t.rebuild(&values);
-            assert_eq!(t.len(), n);
-            assert_eq!(t.max(), linear_argmax(&values), "n = {n}");
+            assert_eq!(t.max(&values), linear_argmax(&values), "n = {n}");
         }
     }
 
@@ -254,12 +253,11 @@ mod tests {
     fn rebuild_replaces_previous_contents() {
         let mut t = MaxTracker::new();
         t.rebuild(&[9.0, 1.0, 2.0]);
-        assert_eq!(t.max(), Some((0, 9.0)));
+        assert_eq!(t.max(&[9.0, 1.0, 2.0]), Some((0, 9.0)));
         t.rebuild(&[1.0, 2.0]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.max(), Some((1, 2.0)));
+        assert_eq!(t.max(&[1.0, 2.0]), Some((1, 2.0)));
         t.rebuild(&[]);
-        assert_eq!(t.max(), None);
+        assert_eq!(t.max(&[]), None);
     }
 
     #[test]
@@ -268,33 +266,33 @@ mod tests {
             let mut values: Vec<f64> = (0..n).map(|i| ((i * 7919) % 61) as f64).collect();
             let mut t = MaxTracker::new();
             t.rebuild(&values);
-            assert_eq!(t.max(), linear_argmax(&values), "n = {n}");
+            assert_eq!(t.max(&values), linear_argmax(&values), "n = {n}");
             // The last slot sits alone in a partial block for n = 65 and 129.
-            values[n - 1] = 100.0;
-            t.set_deferred(n - 1, 100.0);
-            t.flush();
-            assert_eq!(t.max(), Some((n - 1, 100.0)), "n = {n}");
-            values[n - 1] = -1.0;
-            t.set(n - 1, -1.0);
-            assert_eq!(t.max(), linear_argmax(&values), "n = {n}");
+            set(&mut t, &mut values, n - 1, 100.0);
+            assert_eq!(t.max(&values), Some((n - 1, 100.0)), "n = {n}");
+            set(&mut t, &mut values, n - 1, -1.0);
+            assert_eq!(t.max(&values), linear_argmax(&values), "n = {n}");
         }
     }
 
     #[test]
     fn equal_maxima_in_different_blocks_resolve_to_the_lower_index() {
+        let mut values = vec![0.0; 200];
         let mut t = MaxTracker::new();
-        t.rebuild(&vec![0.0; 200]);
-        // Written high block first, so the later block's winner is not just
-        // the one flushed first.
-        t.set_deferred(150, 5.0);
-        t.set_deferred(70, 5.0);
-        t.flush();
-        assert_eq!(t.max(), Some((70, 5.0)));
-        t.set(10, 5.0);
-        assert_eq!(t.max(), Some((10, 5.0)));
-        t.set(10, 0.0);
-        t.set(70, 0.0);
-        assert_eq!(t.max(), Some((150, 5.0)));
+        t.rebuild(&values);
+        // Marked high block first, so the later block is not just the one
+        // flushed first.
+        values[150] = 5.0;
+        t.mark(150);
+        values[70] = 5.0;
+        t.mark(70);
+        t.flush(&values);
+        assert_eq!(t.max(&values), Some((70, 5.0)));
+        set(&mut t, &mut values, 10, 5.0);
+        assert_eq!(t.max(&values), Some((10, 5.0)));
+        set(&mut t, &mut values, 10, 0.0);
+        set(&mut t, &mut values, 70, 0.0);
+        assert_eq!(t.max(&values), Some((150, 5.0)));
     }
 
     #[test]
@@ -312,27 +310,26 @@ mod tests {
             state
         };
         // Quantized values keep exact ties frequent.
-        let mut reference: Vec<f64> = (0..n).map(|_| (next() % 64) as f64 / 8.0).collect();
+        let mut values: Vec<f64> = (0..n).map(|_| (next() % 64) as f64 / 8.0).collect();
         let mut t = MaxTracker::new();
-        t.rebuild(&reference);
+        t.rebuild(&values);
         for batch in 0..200 {
             for _ in 0..500 {
                 let i = next() as usize % n;
-                let delta = (next() % 17) as f64 / 8.0 - 1.0;
-                reference[i] += delta;
-                t.set_deferred(i, reference[i]);
+                values[i] += (next() % 17) as f64 / 8.0 - 1.0;
+                t.mark(i);
             }
-            t.flush();
-            assert_eq!(t.max(), linear_argmax(&reference), "batch {batch}");
+            t.flush(&values);
+            assert_eq!(t.max(&values), linear_argmax(&values), "batch {batch}");
         }
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn set_checks_bounds() {
+    fn mark_checks_bounds() {
         let mut t = MaxTracker::new();
         t.rebuild(&[1.0, 2.0]);
-        t.set(2, 0.0);
+        t.mark(2);
     }
 
     proptest::proptest! {
@@ -348,47 +345,47 @@ mod tests {
                 0..200,
             ),
         ) {
-            let mut reference = initial.clone();
+            let mut values = initial.clone();
             let mut tracker = MaxTracker::new();
-            tracker.rebuild(&initial);
-            proptest::prop_assert_eq!(tracker.max(), linear_argmax(&reference));
+            tracker.rebuild(&values);
+            proptest::prop_assert_eq!(tracker.max(&values), linear_argmax(&values));
             for (slot, value, additive) in ops {
-                let i = slot % reference.len();
+                let i = slot % values.len();
                 // Model both update flavours the sampler performs: additive
                 // responsibility deltas and outright slot replacement.
-                let new = if additive { reference[i] + value } else { value };
-                reference[i] = new;
-                tracker.set(i, new);
-                proptest::prop_assert_eq!(tracker.max(), linear_argmax(&reference));
-                proptest::prop_assert_eq!(tracker.get(i), new);
+                let new = if additive { values[i] + value } else { value };
+                set(&mut tracker, &mut values, i, new);
+                proptest::prop_assert_eq!(tracker.max(&values), linear_argmax(&values));
             }
         }
 
-        /// Deferred batches (`set_deferred` × D then one `flush`) reach the
-        /// same state as eager per-slot `set` calls — the lazy re-heapify an
-        /// accepted replacement relies on.
+        /// Batches (write + `mark` × D, then one `flush`) reach the same
+        /// state as eager per-slot updates — the lazy reduction an accepted
+        /// replacement relies on.
         #[test]
-        fn deferred_batches_match_eager_sets(
+        fn batched_marks_match_eager_updates(
             initial in proptest::collection::vec(-100.0f64..100.0, 1..100),
             batches in proptest::collection::vec(
                 proptest::collection::vec((0usize..100, -100.0f64..100.0), 1..25),
                 0..25,
             ),
         ) {
+            let (mut eager_values, mut lazy_values) = (initial.clone(), initial.clone());
             let mut eager = MaxTracker::new();
             let mut lazy = MaxTracker::new();
-            eager.rebuild(&initial);
-            lazy.rebuild(&initial);
+            eager.rebuild(&eager_values);
+            lazy.rebuild(&lazy_values);
             for batch in batches {
                 for (slot, value) in batch {
                     let i = slot % initial.len();
                     // Duplicate slots within a batch are allowed: the last
-                    // write must win, exactly as with eager sets.
-                    eager.set(i, value);
-                    lazy.set_deferred(i, value);
+                    // write must win, exactly as with eager updates.
+                    set(&mut eager, &mut eager_values, i, value);
+                    lazy_values[i] = value;
+                    lazy.mark(i);
                 }
-                lazy.flush();
-                proptest::prop_assert_eq!(lazy.max(), eager.max());
+                lazy.flush(&lazy_values);
+                proptest::prop_assert_eq!(lazy.max(&lazy_values), eager.max(&eager_values));
             }
         }
 
@@ -398,13 +395,12 @@ mod tests {
             picks in proptest::collection::vec((0usize..40, 0u8..4), 1..120),
         ) {
             // Values drawn from a 4-value alphabet force constant ties.
-            let mut reference = vec![0.0f64; 40];
+            let mut values = vec![0.0f64; 40];
             let mut tracker = MaxTracker::new();
-            tracker.rebuild(&reference);
+            tracker.rebuild(&values);
             for (slot, level) in picks {
-                reference[slot] = level as f64;
-                tracker.set(slot, level as f64);
-                proptest::prop_assert_eq!(tracker.max(), linear_argmax(&reference));
+                set(&mut tracker, &mut values, slot, level as f64);
+                proptest::prop_assert_eq!(tracker.max(&values), linear_argmax(&values));
             }
         }
     }

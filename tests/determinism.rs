@@ -119,16 +119,17 @@ fn assert_matches_oracle(sampler: &VasSampler, oracle: &Oracle, what: impl Fn() 
     assert_points_bitwise_equal(sampler.current_sample(), &oracle.points, &what());
 }
 
-/// Lock-steps a sampler against the reference oracle over `passes` passes
-/// of `data`, comparing the sample, the responsibilities, the replacement
-/// count and the objective bits after *every* tuple.
+/// Lock-steps a sampler of size `k` against the reference oracle over
+/// `passes` passes of `data`, comparing the sample, the responsibilities,
+/// the replacement count and the objective bits after *every* tuple.
 fn lock_step_against_oracle(
     data: &Dataset,
+    k: usize,
     strategy: InterchangeStrategy,
     backend: LocalityBackend,
     passes: usize,
 ) {
-    let config = VasConfig::new(200)
+    let config = VasConfig::new(k)
         .with_strategy(strategy)
         .with_locality_backend(backend);
     let mut sampler = VasSampler::from_dataset(data, config.clone());
@@ -190,8 +191,23 @@ fn es_loc_over_hashgrid_is_bit_identical_to_the_legacy_loop_per_tuple() {
     // on every backend.
     let data = GeolifeGenerator::with_size(6_000, 47).generate();
     for (strategy, backend) in oracle_cases() {
-        lock_step_against_oracle(&data, strategy, backend, 2);
+        lock_step_against_oracle(&data, 200, strategy, backend, 2);
     }
+}
+
+#[test]
+fn es_loc_matches_the_reference_oracle_past_one_dirty_word() {
+    // At K = 200 the max tracker has 4 blocks of 64 slots, all in the first
+    // word of its dirty mask. K = 4200 makes 66 blocks, so an accept's marks
+    // and the winner search cross into the second word.
+    let data = GeolifeGenerator::with_size(10_000, 47).generate();
+    lock_step_against_oracle(
+        &data,
+        4_200,
+        InterchangeStrategy::ExpandShrinkLocality,
+        LocalityBackend::HashGrid,
+        1,
+    );
 }
 
 #[test]
