@@ -310,9 +310,9 @@ fn pre_eval_range<L: LocalityIndex>(
         let start = ids.len();
         let mut cand_rsp = 0.0;
         index.gather_in_radius_into(p, cutoff, gather);
-        ids.extend_from_slice(&gather.ids);
+        ids.extend_from_slice(gather.ids());
         vals.resize(start + gather.len(), 0.0);
-        kernel.eval_dist2_batch(&gather.dist2, &mut vals[start..]);
+        kernel.eval_dist2_batch(gather.dist2(), &mut vals[start..]);
         for &v in &vals[start..] {
             cand_rsp += v;
         }
@@ -353,8 +353,11 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// performs no allocation.
     gather: NeighborBatch,
     /// Reusable buffer of per-candidate kernel values, lane-parallel to
-    /// `gather.ids` (the other half of the SoA delta representation).
+    /// `gather.ids()` (the other half of the SoA delta representation).
     scratch_vals: Vec<f64>,
+    /// Plain ES's dense squared-distance lanes, one per sample slot in slot
+    /// order (reused across candidates).
+    dense_dist2: Vec<f64>,
     /// The accept step's gather and kernel-value scratch for the removed
     /// point's neighbourhood, the same SoA pair as `gather`/`scratch_vals`.
     removal: (NeighborBatch, Vec<f64>),
@@ -865,6 +868,7 @@ impl<L: LocalityIndex> VasSampler<L> {
             tracker_fresh: false,
             gather: NeighborBatch::new(),
             scratch_vals: Vec::new(),
+            dense_dist2: Vec::new(),
             removal: Default::default(),
             pre_eval: PreEvalScratch::default(),
             accept_spacing: 0,
@@ -1637,15 +1641,13 @@ impl<L: LocalityIndex> VasSampler<L> {
         // distances are laid out as flat lanes and mapped in one vectorizable
         // `eval_dist2_batch` sweep, which computes `eval_dist2(dist2(t, s_i))`
         // per lane.
-        let mut gather = std::mem::take(&mut self.gather);
+        let mut dist2 = std::mem::take(&mut self.dense_dist2);
         let mut vals = std::mem::take(&mut self.scratch_vals);
-        gather.clear();
-        for q in self.points.iter() {
-            gather.dist2.push(point.dist2(q));
-        }
+        dist2.clear();
+        dist2.extend(self.points.iter().map(|q| point.dist2(q)));
         vals.clear();
         vals.resize(k, 0.0);
-        kernel.eval_dist2_batch(&gather.dist2, &mut vals);
+        kernel.eval_dist2_batch(&dist2, &mut vals);
         self.recorder.inc(Counter::CoreKernelLanes, k as u64);
         let mut cand_rsp = 0.0;
         for &v in &vals {
@@ -1665,7 +1667,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         }
 
         if max_idx == usize::MAX {
-            self.gather = gather;
+            self.dense_dist2 = dist2;
             self.scratch_vals = vals;
             return; // candidate is the most redundant element: reject
         }
@@ -1691,7 +1693,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.objective += new_rsp - removed_rsp;
         self.replacements += 1;
         self.tracker_fresh = false;
-        self.gather = gather;
+        self.dense_dist2 = dist2;
         self.scratch_vals = vals;
     }
 
@@ -1731,12 +1733,12 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.recorder
             .inc(Counter::CoreKernelLanes, gather.len() as u64);
         self.ensure_tracker();
-        if kernel.eval_dist2_batch_bounded(&gather.dist2, &mut vals)
+        if kernel.eval_dist2_batch_bounded(gather.dist2(), &mut vals)
             && certifies_reject(
                 BOUNDED_LANE_DELTA,
                 &self.rsp,
                 self.max_tracker.max(&self.rsp).map(|(_, r)| r),
-                &gather.ids,
+                gather.ids(),
                 &vals,
             )
         {
@@ -1745,13 +1747,13 @@ impl<L: LocalityIndex> VasSampler<L> {
             return;
         }
         self.recorder.inc(Counter::CoreExactFallbacks, 1);
-        kernel.eval_dist2_batch(&gather.dist2, &mut vals);
+        kernel.eval_dist2_batch(gather.dist2(), &mut vals);
         let mut cand_rsp = 0.0;
         for &v in &vals {
             cand_rsp += v;
         }
 
-        self.shrink_apply_es_locality(point, &gather.ids, &vals, cand_rsp);
+        self.shrink_apply_es_locality(point, gather.ids(), &vals, cand_rsp);
         self.gather = gather;
         self.scratch_vals = vals;
     }
@@ -1827,14 +1829,20 @@ impl<L: LocalityIndex> VasSampler<L> {
             .gather_in_radius_into(&removed, self.cutoff, gather);
         kappas.clear();
         kappas.resize(gather.len(), 0.0);
-        kernel.eval_dist2_batch(&gather.dist2, kappas);
-        for (&i, &v) in gather.ids.iter().zip(kappas.iter()) {
+        kernel.eval_dist2_batch(gather.dist2(), kappas);
+        for (&i, &v) in gather.ids().iter().zip(kappas.iter()) {
             if i != max_idx {
                 self.rsp[i] -= v;
                 self.max_tracker.mark(i);
             }
         }
-        self.index.remove(max_idx, &removed);
+        // A failed removal would leave a ghost lane that every later gather
+        // returns.
+        let removed_from_index = self.index.remove(max_idx, &removed);
+        debug_assert!(
+            removed_from_index,
+            "slot {max_idx} was missing from the locality index"
+        );
         self.index.insert(max_idx, point);
 
         let new_rsp = cand_rsp - kappa_t_removed;
@@ -1872,6 +1880,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.tracker_fresh = false;
         self.gather = NeighborBatch::new();
         self.scratch_vals = Vec::new();
+        self.dense_dist2 = Vec::new();
         self.removal = Default::default();
         self.pre_eval = PreEvalScratch::default();
         self.accept_spacing = 0;

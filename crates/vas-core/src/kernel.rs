@@ -13,9 +13,11 @@
 //!
 //! ## Batched evaluation and the lane-order determinism rule
 //!
-//! The Interchange hot loop spends most of a rejected candidate on kernel
-//! evaluations (~90 `exp` calls behind delta bookkeeping at paper scale), so
-//! kernels can also be evaluated over flat **lanes** of squared distances:
+//! The Interchange hot loop evaluates the kernel over a rejected candidate's
+//! whole neighbourhood (about 242 lanes per rejected candidate on the
+//! benchmark's 1M-point Geolife build at K = 5000, perfbench's
+//! `core.kernel_lanes_per_reject`), so kernels can also be evaluated over
+//! flat **lanes** of squared distances:
 //! [`Kernel::eval_dist2_batch`] maps `dist2[i] → out[i]` over plain `f64`
 //! slices that the compiler can autovectorize, fed by the spatial layer's
 //! `gather_in_radius_into` batch queries.
@@ -35,9 +37,11 @@
 //!    as a scalar loop over the visitor (the reference Interchange oracle in
 //!    `tests/determinism.rs` is that loop).
 //!
-//! The scalar `eval`/`eval_dist2` path is still used where batching buys
-//! nothing: the sampler's reservoir fill phase, the accept path's
-//! removed-neighbourhood subtraction and objective initialization.
+//! The accept path's removed-neighbourhood subtraction is batched the same
+//! way: it gathers the removed point's neighbourhood and maps it with one
+//! `eval_dist2_batch` sweep. The scalar `eval`/`eval_dist2` path is still
+//! used where batching buys nothing: the sampler's reservoir fill phase,
+//! plain ES's removal step, and objective initialization.
 //!
 //! ## Bounded lanes: a filter, never a value
 //!

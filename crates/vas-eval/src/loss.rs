@@ -198,7 +198,7 @@ impl LossEstimator {
                     grid.gather_in_radius_into(probe, radius, &mut gather);
                     vals.clear();
                     vals.resize(gather.len(), 0.0);
-                    kernel.eval_dist2_batch(&gather.dist2, &mut vals);
+                    kernel.eval_dist2_batch(gather.dist2(), &mut vals);
                     let mut total = 0.0;
                     for &v in &vals {
                         total += v;

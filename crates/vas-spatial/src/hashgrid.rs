@@ -4,7 +4,7 @@
 //! query dominating the cost of a *rejected* Interchange candidate (~5µs of
 //! ~8µs at 1M points / K = 10K), and a uniform grid with cells sized to the
 //! kernel's cutoff radius answers the same fixed-radius query ~1.6× faster:
-//! a query walks a small block of cells — each a flat slice of candidates,
+//! a query walks a small block of cells — each a flat run of candidates,
 //! clipped per row to the query circle — with no tree descent and no
 //! bounding-box arithmetic. [`LocalityIndex::reset`] sizes cells at the
 //! hinted radius exactly: a query then probes at most a 3×3 block (~7 cells
@@ -21,8 +21,19 @@
 //!   points (GPS glitches, sentinel values) land in border cells instead of
 //!   overflowing — the exact-distance filter still decides membership, so
 //!   queries stay correct.
+//! * Each cell stores its entries as **columns**: four parallel vectors of
+//!   ids, `x`s, `y`s and values. The radius scan reads only the three it
+//!   needs, each contiguous, instead of striding over 32-byte
+//!   `(id, Point)` rows; the values are read back only to hand a visitor
+//!   its point, to match a removal bit for bit, and to write a snapshot.
+//! * The batch gather ([`LocalityIndex::gather_in_radius_into`]) has no
+//!   data-dependent branch and no per-cell allocation: for each entry it
+//!   writes the id and `d2` at a cursor into the batch's spare lanes and
+//!   advances the cursor by `(d2 <= r²) as usize`, so an out-of-radius
+//!   entry is simply overwritten by the next one. The batch's storage grows
+//!   only at a new high-water mark.
 //! * `insert`/`remove` are O(1) amortized: removal `swap_remove`s within the
-//!   cell's entry list, and a drained cell keeps its slot (and its list's
+//!   cell's columns, and a drained cell keeps its slot (and its columns'
 //!   capacity) instead of leaving a tombstone — probe chains never break, and
 //!   the periodic table growth is the garbage-collection moment at which
 //!   drained cells are dropped.
@@ -71,12 +82,68 @@ pub struct GridOccupancy {
     pub max_points_per_cell: usize,
 }
 
+/// One cell's entries as four parallel columns: entry `k` is
+/// `(ids[k], Point { x: xs[k], y: ys[k], value: values[k] })`. The gather
+/// reads only `ids`, `xs` and `ys`; `values` is read back only by the
+/// visitor, `remove` and the snapshot codec.
+#[derive(Debug, Clone, Default)]
+struct Cell {
+    ids: Vec<usize>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    values: Vec<f64>,
+}
+
+impl Cell {
+    #[inline]
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    fn push(&mut self, id: usize, p: Point) {
+        self.ids.push(id);
+        self.xs.push(p.x);
+        self.ys.push(p.y);
+        self.values.push(p.value);
+    }
+
+    fn swap_remove(&mut self, k: usize) {
+        self.ids.swap_remove(k);
+        self.xs.swap_remove(k);
+        self.ys.swap_remove(k);
+        self.values.swap_remove(k);
+    }
+
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.xs.clear();
+        self.ys.clear();
+        self.values.clear();
+    }
+
+    /// The entries as `(id, point)` rows, in cell order.
+    #[inline]
+    fn entries(&self) -> impl Iterator<Item = (usize, Point)> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.xs)
+            .zip(&self.ys)
+            .zip(&self.values)
+            .map(|(((&id, &x), &y), &value)| (id, Point::with_value(x, y, value)))
+    }
+}
+
 /// One open-addressing slot: a cell's integer coordinates plus its entries.
 #[derive(Debug, Clone, Default)]
 struct Slot {
     key: (i32, i32),
     occupied: bool,
-    items: Vec<(usize, Point)>,
+    cell: Cell,
 }
 
 /// A dynamic spatial-hash index mapping caller-chosen `usize` identifiers to
@@ -166,9 +233,9 @@ impl HashGrid {
         let mut cells_occupied = 0usize;
         let mut max_points_per_cell = 0usize;
         for slot in &self.slots {
-            if slot.occupied && !slot.items.is_empty() {
+            if slot.occupied && !slot.cell.is_empty() {
                 cells_occupied += 1;
-                max_points_per_cell = max_points_per_cell.max(slot.items.len());
+                max_points_per_cell = max_points_per_cell.max(slot.cell.len());
             }
         }
         let mean_points_per_cell = if cells_occupied > 0 {
@@ -268,16 +335,16 @@ impl HashGrid {
     }
 
     /// The shared traversal under both radius-query forms: hands `visit_cell`
-    /// the item slice of every cell that can intersect the query circle, in
-    /// the deterministic order the visitation contract promises — row-major
-    /// over the clipped cell block in the typical case, table order under the
-    /// wide-radius fallback. Entries are *not* distance-filtered here; the
+    /// every cell that can intersect the query circle, in the deterministic
+    /// order the visitation contract promises — row-major over the clipped
+    /// cell block in the typical case, table order under the wide-radius
+    /// fallback. Entries are *not* distance-filtered here; the
     /// caller applies the exact `dist2 <= r²` filter per item.
     fn for_each_candidate_cell(
         &self,
         center: &Point,
         radius: f64,
-        mut visit_cell: impl FnMut(&[(usize, Point)]),
+        mut visit_cell: impl FnMut(&Cell),
     ) {
         if self.len == 0 || radius.is_nan() || radius < 0.0 {
             return;
@@ -319,7 +386,7 @@ impl HashGrid {
                 };
                 for cx in row_min_cx..=row_max_cx {
                     if let Some(i) = self.find_slot((cx, cy)) {
-                        visit_cell(&self.slots[i].items);
+                        visit_cell(&self.slots[i].cell);
                     }
                 }
             }
@@ -335,7 +402,7 @@ impl HashGrid {
                 {
                     continue;
                 }
-                visit_cell(&slot.items);
+                visit_cell(&slot.cell);
             }
         }
     }
@@ -348,7 +415,7 @@ impl HashGrid {
         self.occupied_slots = 0;
         let mask = new_cap - 1;
         for slot in old {
-            if !slot.occupied || slot.items.is_empty() {
+            if !slot.occupied || slot.cell.is_empty() {
                 continue;
             }
             let mut i = Self::hash_key(slot.key) & mask;
@@ -358,7 +425,7 @@ impl HashGrid {
             self.slots[i] = Slot {
                 key: slot.key,
                 occupied: true,
-                items: slot.items,
+                cell: slot.cell,
             };
             self.occupied_slots += 1;
         }
@@ -376,7 +443,7 @@ impl LocalityIndex for HashGrid {
         self.inv_cell_size = 1.0 / cell_size;
         for slot in &mut self.slots {
             slot.occupied = false;
-            slot.items.clear();
+            slot.cell.clear();
         }
         self.occupied_slots = 0;
         self.nonempty_cells = 0;
@@ -386,11 +453,11 @@ impl LocalityIndex for HashGrid {
     fn insert(&mut self, id: usize, point: Point) {
         let key = self.cell_of(&point);
         let i = self.slot_for_insert(key);
-        let items = &mut self.slots[i].items;
-        if items.is_empty() {
+        let cell = &mut self.slots[i].cell;
+        if cell.is_empty() {
             self.nonempty_cells += 1;
         }
-        items.push((id, point));
+        cell.push(id, point);
         self.len += 1;
     }
 
@@ -399,21 +466,19 @@ impl LocalityIndex for HashGrid {
         let Some(i) = self.find_slot(key) else {
             return false;
         };
-        let items = &mut self.slots[i].items;
-        match items
-            .iter()
-            .position(|(eid, ep)| *eid == id && same_bits(ep, point))
-        {
-            Some(pos) => {
-                items.swap_remove(pos);
-                if items.is_empty() {
-                    self.nonempty_cells -= 1;
-                }
-                self.len -= 1;
-                true
-            }
-            None => false,
+        let cell = &mut self.slots[i].cell;
+        let Some(pos) = cell
+            .entries()
+            .position(|(eid, ep)| eid == id && same_bits(&ep, point))
+        else {
+            return false;
+        };
+        cell.swap_remove(pos);
+        if cell.is_empty() {
+            self.nonempty_cells -= 1;
         }
+        self.len -= 1;
+        true
     }
 
     fn for_each_in_radius_with_dist2(
@@ -423,11 +488,11 @@ impl LocalityIndex for HashGrid {
         mut visit: impl FnMut(usize, &Point, f64),
     ) {
         let r2 = radius * radius;
-        self.for_each_candidate_cell(center, radius, |items| {
-            for &(id, ref p) in items {
+        self.for_each_candidate_cell(center, radius, |cell| {
+            for (id, p) in cell.entries() {
                 let d2 = p.dist2(center);
                 if d2 <= r2 {
-                    visit(id, p, d2);
+                    visit(id, &p, d2);
                 }
             }
         });
@@ -436,20 +501,26 @@ impl LocalityIndex for HashGrid {
     fn gather_in_radius_into(&self, center: &Point, radius: f64, out: &mut NeighborBatch) {
         out.clear();
         let r2 = radius * radius;
-        self.for_each_candidate_cell(center, radius, |items| {
-            // Cell-by-cell lane fill: one reservation per cell, then a tight
-            // push loop over the cell's flat entry slice. Same traversal and
-            // same per-item `d2 <= r²` filter as the visitor path, so lanes
-            // land in exactly the visitation order.
-            out.ids.reserve(items.len());
-            out.dist2.reserve(items.len());
-            for &(id, ref p) in items {
-                let d2 = p.dist2(center);
-                if d2 <= r2 {
-                    out.ids.push(id);
-                    out.dist2.push(d2);
-                }
+        self.for_each_candidate_cell(center, radius, |cell| {
+            // Branch-free lane fill: every entry's id and `d2` are written at
+            // the cursor, and the cursor advances only past the ones within
+            // the radius, so a rejected entry is overwritten by the next.
+            // Same traversal, same `d2` bits and same `d2 <= r²` filter as
+            // the visitor path, so lanes land in exactly the visitation
+            // order.
+            let (ids, dist2) = out.spare(cell.len());
+            let mut w = 0;
+            for ((&id, &x), &y) in cell.ids.iter().zip(&cell.xs).zip(&cell.ys) {
+                // `Point::dist2`'s operand order, so the bits match the
+                // visitor's `entry.dist2(center)`.
+                let dx = x - center.x;
+                let dy = y - center.y;
+                let d2 = dx * dx + dy * dy;
+                ids[w] = id;
+                dist2[w] = d2;
+                w += (d2 <= r2) as usize;
             }
+            out.commit(w);
         });
     }
 
@@ -465,7 +536,7 @@ impl HashGrid {
     ///
     /// The table layout itself (slot positions, drained cells, growth
     /// history) is deliberately **not** stored: replaying the inserts in the
-    /// recorded order reproduces each cell's item vector exactly, and every
+    /// recorded order reproduces each cell's columns exactly, and every
     /// observable traversal — the geometric query path walks cells row-major
     /// by coordinates, per-cell items in insertion order — depends only on
     /// that, not on where cells landed in the open-addressed table.
@@ -476,7 +547,7 @@ impl HashGrid {
             if !slot.occupied {
                 continue;
             }
-            for &(id, ref p) in &slot.items {
+            for (id, p) in slot.cell.entries() {
                 snapshot::put_usize(out, id);
                 snapshot::put_f64(out, p.x);
                 snapshot::put_f64(out, p.y);
@@ -641,9 +712,9 @@ mod tests {
             let mut batch = NeighborBatch::new();
             g.gather_in_radius_into(&center, radius, &mut batch);
             let lanes: Vec<(usize, u64)> = batch
-                .ids
+                .ids()
                 .iter()
-                .zip(&batch.dist2)
+                .zip(batch.dist2())
                 .map(|(&id, d2)| (id, d2.to_bits()))
                 .collect();
             assert_eq!(lanes, seq, "radius {radius}: gather diverged from visitor");

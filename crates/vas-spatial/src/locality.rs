@@ -32,23 +32,25 @@ use vas_data::Point;
 /// Reusable struct-of-arrays scratch for batch-gather neighbourhood queries
 /// ([`LocalityIndex::gather_in_radius_into`]).
 ///
-/// Ids and squared distances live in two parallel flat arrays (`ids[i]`
-/// belongs to `dist2[i]`), so a consumer can hand the `dist2` lanes straight
-/// to a vectorizable kernel loop (`Kernel::eval_dist2_batch` in `vas-core`)
-/// instead of evaluating point-at-a-time inside a visitor callback. The lane
-/// order is exactly the backend's deterministic visitation order, which is
-/// what keeps the batched Interchange path bit-identical to a scalar fold
-/// over the visitor.
+/// Ids and squared distances live in two parallel flat arrays
+/// ([`ids`](Self::ids)`[i]` belongs to [`dist2`](Self::dist2)`[i]`), so a
+/// consumer can hand the `dist2` lanes straight to a vectorizable kernel loop
+/// (`Kernel::eval_dist2_batch` in `vas-core`) instead of evaluating
+/// point-at-a-time inside a visitor callback. The lane order is exactly the
+/// backend's deterministic visitation order, which is what keeps the batched
+/// Interchange path bit-identical to a scalar fold over the visitor.
 ///
-/// Both vectors keep their capacity across [`clear`](Self::clear), so a
-/// reused batch makes the gather allocation-free in the steady state.
-#[derive(Debug, Clone, Default)]
+/// The batch counts its live lanes separately from its storage: the storage
+/// only grows when a gather reaches a new high-water mark and is never
+/// shrunk, so a reused batch makes the gather allocation-free in the steady
+/// state, and the [`HashGrid`] can write every scanned entry at a cursor and
+/// keep it by advancing the cursor. Lanes past the live count are stale
+/// scratch: neither the accessors nor `Debug` show them.
+#[derive(Clone, Default)]
 pub struct NeighborBatch {
-    /// Entry ids, in visitation order.
-    pub ids: Vec<usize>,
-    /// Squared distance of each entry to the query center, lane-parallel to
-    /// [`ids`](Self::ids).
-    pub dist2: Vec<f64>,
+    ids: Vec<usize>,
+    dist2: Vec<f64>,
+    len: usize,
 }
 
 impl NeighborBatch {
@@ -57,20 +59,65 @@ impl NeighborBatch {
         Self::default()
     }
 
-    /// Removes all lanes, keeping both buffers' capacity.
+    /// Removes all lanes, keeping the storage.
     pub fn clear(&mut self) {
-        self.ids.clear();
-        self.dist2.clear();
+        self.len = 0;
     }
 
     /// Number of gathered lanes.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// `true` when no lanes are gathered.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
+    }
+
+    /// Entry ids, in visitation order.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids[..self.len]
+    }
+
+    /// Squared distance of each entry to the query center, lane-parallel to
+    /// [`ids`](Self::ids).
+    pub fn dist2(&self) -> &[f64] {
+        &self.dist2[..self.len]
+    }
+
+    /// Appends one lane.
+    pub(crate) fn push(&mut self, id: usize, dist2: f64) {
+        let (ids, d2) = self.spare(1);
+        ids[0] = id;
+        d2[0] = dist2;
+        self.commit(1);
+    }
+
+    /// The `m` writable lanes after the live ones, growing the storage only
+    /// when `len + m` is a new high-water mark. A writer fills a prefix of
+    /// them and then [`commit`](Self::commit)s its length.
+    pub(crate) fn spare(&mut self, m: usize) -> (&mut [usize], &mut [f64]) {
+        let end = self.len + m;
+        if end > self.ids.len() {
+            self.ids.resize(end, 0);
+            self.dist2.resize(end, 0.0);
+        }
+        (&mut self.ids[self.len..end], &mut self.dist2[self.len..end])
+    }
+
+    /// Makes the first `w` lanes written through [`spare`](Self::spare) live.
+    pub(crate) fn commit(&mut self, w: usize) {
+        debug_assert!(self.len + w <= self.ids.len());
+        self.len += w;
+    }
+}
+
+impl std::fmt::Debug for NeighborBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NeighborBatch")
+            .field("ids", &self.ids())
+            .field("dist2", &self.dist2())
+            .finish()
     }
 }
 
@@ -126,20 +173,18 @@ pub trait LocalityIndex: Send + Sync {
 
     /// Writes every entry within Euclidean distance `radius` of `center`
     /// into `out` as struct-of-arrays lanes (`(id, dist2)` pairs split across
-    /// two flat buffers), clearing `out` first.
+    /// two flat buffers), clearing `out` first. Afterwards `out` holds exactly
+    /// this query's lanes, whatever it held before.
     ///
     /// The lane order is **exactly** the visitation order of
     /// [`for_each_in_radius_with_dist2`](Self::for_each_in_radius_with_dist2)
     /// — gather-then-batch-evaluate consumers rely on that to reproduce the
     /// scalar visitor path bit-for-bit. Backends may specialize this for a
-    /// tighter fill loop (the [`HashGrid`] fills lanes cell-by-cell), but
-    /// must preserve the order.
+    /// tighter fill loop (the [`HashGrid`] fills lanes cell-by-cell with a
+    /// branch-free cursor), but must preserve the order.
     fn gather_in_radius_into(&self, center: &Point, radius: f64, out: &mut NeighborBatch) {
         out.clear();
-        self.for_each_in_radius_with_dist2(center, radius, |id, _, d2| {
-            out.ids.push(id);
-            out.dist2.push(d2);
-        });
+        self.for_each_in_radius_with_dist2(center, radius, |id, _, d2| out.push(id, d2));
     }
 
     /// Clears the index (see [`reset`](Self::reset)) and bulk-loads
@@ -670,6 +715,27 @@ mod tests {
         assert!(AnyLocalityIndex::restore(&bytes).is_ok());
     }
 
+    /// A batch's live lanes as `(id, dist2 bits)` pairs.
+    fn lanes(batch: &NeighborBatch) -> Vec<(usize, u64)> {
+        assert_eq!(batch.ids().len(), batch.len());
+        assert_eq!(batch.dist2().len(), batch.len());
+        batch
+            .ids()
+            .iter()
+            .zip(batch.dist2())
+            .map(|(&id, d2)| (id, d2.to_bits()))
+            .collect()
+    }
+
+    /// The visitor's `(id, dist2 bits)` sequence, in visitation order.
+    fn visitor_lanes(index: &AnyLocalityIndex, center: &Point, radius: f64) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        index.for_each_in_radius_with_dist2(center, radius, |id, _, d2| {
+            out.push((id, d2.to_bits()));
+        });
+        out
+    }
+
     #[test]
     fn batch_gather_matches_the_visitor_lane_for_lane_per_backend() {
         // The contract the batched kernel path is built on: the SoA gather
@@ -691,20 +757,98 @@ mod tests {
                 (25.0, Point::new(-10.0, 10.0)),
                 (0.5, Point::new(0.0, 0.0)),
             ] {
-                let mut visited: Vec<(usize, u64)> = Vec::new();
-                index.for_each_in_radius_with_dist2(&center, radius, |id, _, d2| {
-                    visited.push((id, d2.to_bits()));
-                });
+                let visited = visitor_lanes(&index, &center, radius);
                 index.gather_in_radius_into(&center, radius, &mut batch);
                 assert_eq!(batch.len(), visited.len(), "backend {backend}");
                 assert_eq!(batch.is_empty(), visited.is_empty(), "backend {backend}");
-                let gathered: Vec<(usize, u64)> = batch
-                    .ids
-                    .iter()
-                    .zip(&batch.dist2)
-                    .map(|(&id, d2)| (id, d2.to_bits()))
-                    .collect();
-                assert_eq!(gathered, visited, "backend {backend}, radius {radius}");
+                assert_eq!(lanes(&batch), visited, "backend {backend}, radius {radius}");
+            }
+        }
+    }
+
+    #[test]
+    fn reused_batch_reports_only_the_new_lanes_per_backend() {
+        // Many lanes, then few, then none: the storage keeps its high-water
+        // lanes, and none of them may leak into a later, shorter result.
+        let pts = random_points(400, 37);
+        // Centered on an entry, so even the zero radius keeps one lane.
+        let center = pts[0];
+        for backend in LocalityBackend::ALL {
+            let mut index = AnyLocalityIndex::new(backend);
+            index.rebuild(6.0, &pts.iter().copied().enumerate().collect::<Vec<_>>());
+            let mut batch = NeighborBatch::new();
+            let mut sizes = Vec::new();
+            for (radius, query) in [
+                (60.0, center),
+                (6.0, center),
+                (0.0, center),
+                (5.0, Point::new(1e6, 1e6)),
+            ] {
+                index.gather_in_radius_into(&query, radius, &mut batch);
+                let expected = visitor_lanes(&index, &query, radius);
+                assert_eq!(
+                    lanes(&batch),
+                    expected,
+                    "backend {backend}, radius {radius}"
+                );
+                sizes.push(batch.len());
+            }
+            assert!(
+                sizes[0] > sizes[1] && sizes[1] > sizes[2] && sizes[2] > 0 && sizes[3] == 0,
+                "backend {backend}: lane counts {sizes:?}"
+            );
+            assert_eq!(
+                format!("{batch:?}"),
+                format!("{:?}", NeighborBatch::new()),
+                "backend {backend}: Debug shows stale lanes"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// After random insert/remove churn — which reorders cells through
+        /// `swap_remove` — the gather's `(id, dist2 bits)` lanes equal the
+        /// visitor sequence at half, one and two cell sizes, and at a radius
+        /// wide enough to take the grid's table-scan fallback.
+        #[test]
+        fn gather_matches_the_visitor_after_churn_per_backend(
+            ops in proptest::collection::vec(
+                (proptest::bool::ANY, -30.0f64..30.0, -30.0f64..30.0, 0usize..1_000),
+                1..300,
+            ),
+            cell in 0.5f64..8.0,
+            qx in -30.0f64..30.0,
+            qy in -30.0f64..30.0,
+        ) {
+            for backend in LocalityBackend::ALL {
+                let mut index = AnyLocalityIndex::new(backend);
+                index.reset(cell);
+                let mut live: Vec<(usize, Point)> = Vec::new();
+                for (step, &(insert, x, y, pick)) in ops.iter().enumerate() {
+                    if insert || live.is_empty() {
+                        let p = Point::with_value(x, y, step as f64);
+                        index.insert(step, p);
+                        live.push((step, p));
+                    } else {
+                        let (id, p) = live.swap_remove(pick % live.len());
+                        proptest::prop_assert!(index.remove(id, &p));
+                    }
+                }
+                let center = Point::new(qx, qy);
+                let mut batch = NeighborBatch::new();
+                for radius in [0.5 * cell, cell, 2.0 * cell, 1e4 * cell] {
+                    index.gather_in_radius_into(&center, radius, &mut batch);
+                    proptest::prop_assert_eq!(
+                        lanes(&batch),
+                        visitor_lanes(&index, &center, radius),
+                        "backend {}, radius {}", backend, radius
+                    );
+                }
+                if let AnyLocalityIndex::HashGrid(g) = &index {
+                    // The widest radius's cell block dwarfs the table.
+                    let per_axis = 2.0 * 1e4;
+                    proptest::prop_assert!(per_axis * per_axis > 2.0 * g.capacity() as f64);
+                }
             }
         }
     }
