@@ -327,7 +327,9 @@ fn main() {
         // independence of the streamed path.
         let streaming_matches_in_memory = if smoke {
             let mut sampler = ShardedSampler::new(VasConfig::new(k).with_epsilon(epsilon), shards);
-            let in_memory = sampler.build_sharded(&dataset);
+            let in_memory = sampler
+                .build_sharded(&dataset)
+                .expect("in-memory sharded build");
             let identical = bitwise_eq(&reference, &in_memory.points);
             if !identical {
                 eprintln!(

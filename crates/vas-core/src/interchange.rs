@@ -249,36 +249,27 @@ const RESPECULATE_MIN_REMAINDER: usize = 192;
 /// accept rate settles).
 const MAX_RESPECULATIONS: usize = 8;
 
-/// Per-worker output buffers of the speculative pre-evaluation front.
-///
-/// Worker `w` writes its candidates' deltas into the lane-parallel flat
-/// arrays `ids[w]`/`vals[w]` (struct-of-arrays: `ids[w][n]` is the sample
-/// slot whose kernel value is `vals[w][n]`) in candidate-then-visitation
-/// order, with per-candidate `(delta_count, cand_rsp)` records in `meta[w]`;
-/// `gathers[w]` is the worker's reusable batch-gather scratch and `ranges`
-/// records the stripe split of the last fan-out. The consumer walks worker
+/// Reusable output buffers of the speculative pre-evaluation front: one
+/// [`PreEvalStripe`] per worker (capacity is kept across batches), and the
+/// stripe split of the last fan-out in `ranges`. The consumer walks the
 /// stripes in range order, which is exactly stream order.
 #[derive(Debug, Default)]
 struct PreEvalScratch {
-    ids: Vec<Vec<usize>>,
-    vals: Vec<Vec<f64>>,
-    meta: Vec<Vec<(u32, f64)>>,
-    gathers: Vec<NeighborBatch>,
+    stripes: Vec<PreEvalStripe>,
     ranges: Vec<std::ops::Range<usize>>,
 }
 
-impl PreEvalScratch {
-    /// Makes sure `workers` buffer sets exist (capacity is kept across
-    /// batches).
-    fn ensure_workers(&mut self, workers: usize) {
-        self.ids.resize_with(workers.max(self.ids.len()), Vec::new);
-        self.vals
-            .resize_with(workers.max(self.vals.len()), Vec::new);
-        self.meta
-            .resize_with(workers.max(self.meta.len()), Vec::new);
-        self.gathers
-            .resize_with(workers.max(self.gathers.len()), NeighborBatch::new);
-    }
+/// One worker's pre-evaluated stripe. The worker writes its candidates'
+/// deltas into the lane-parallel flat arrays `ids`/`vals` (`ids[n]` is the
+/// sample slot whose kernel value is `vals[n]`) in candidate-then-visitation
+/// order, with one `(delta_count, cand_rsp)` record per candidate in `meta`;
+/// `gather` is the worker's reusable batch-gather scratch.
+#[derive(Debug, Default)]
+struct PreEvalStripe {
+    ids: Vec<usize>,
+    vals: Vec<f64>,
+    meta: Vec<(u32, f64)>,
+    gather: NeighborBatch,
 }
 
 /// The worker body of the speculative pre-evaluation front: for every
@@ -292,17 +283,19 @@ impl PreEvalScratch {
 /// SoA lanes in visitation order, [`Kernel::eval_dist2_batch`] maps them in
 /// one vectorizable sweep, and `cand_rsp` folds the value lanes
 /// left-to-right, in visitation order.
-#[allow(clippy::too_many_arguments)]
 fn pre_eval_range<L: LocalityIndex>(
     index: &L,
     kernel: GaussianKernel,
     cutoff: f64,
     candidates: &[Point],
-    ids: &mut Vec<usize>,
-    vals: &mut Vec<f64>,
-    meta: &mut Vec<(u32, f64)>,
-    gather: &mut NeighborBatch,
+    out: &mut PreEvalStripe,
 ) {
+    let PreEvalStripe {
+        ids,
+        vals,
+        meta,
+        gather,
+    } = out;
     ids.clear();
     vals.clear();
     meta.clear();
@@ -1359,96 +1352,58 @@ impl<L: LocalityIndex> VasSampler<L> {
         }
     }
 
-    /// Fans `candidates` out over `threads` scoped workers, each computing
-    /// its contiguous stripe's neighbourhood deltas against the frozen
-    /// index, into the reusable per-worker buffers.
+    /// Fans `candidates` out over `threads` workers of
+    /// [`vas_par::try_par_map_vec_ordered`], each computing its contiguous
+    /// stripe's neighbourhood deltas against the frozen index, into its own
+    /// reusable [`PreEvalStripe`].
     ///
-    /// Returns `false` when a worker **panicked**: the panic is contained
-    /// (every worker is joined, the calling thread's own stripe runs under
-    /// `catch_unwind`) and the caller must treat the pre-evaluated buffers
-    /// as poison — nothing else is touched, so degrading the batch to the
-    /// sequential path is safe and bit-identical.
+    /// Returns `false` when a worker **panicked**: the fan-out contains the
+    /// panic and joins every worker, and the caller must treat the
+    /// pre-evaluated buffers as poison — nothing else is touched, so
+    /// degrading the batch to the sequential path is safe and bit-identical.
     fn pre_evaluate(&mut self, candidates: &[Point], threads: usize) -> bool {
         let kernel = self.kernel.expect("kernel resolved");
         let cutoff = self.cutoff;
         let batch_index = self.speculated;
         self.speculated += 1;
-        let inject_panic = self.config.inject_speculation_panic_at == Some(batch_index);
         let ranges = vas_par::split_ranges(candidates.len(), threads);
         let workers = ranges.len();
-        self.pre_eval.ensure_workers(workers);
-        self.pre_eval.ranges.clear();
-        self.pre_eval.ranges.extend(ranges.iter().cloned());
-        // Cross-thread span propagation: capture the consuming thread's
-        // open span (the batch's candidate_eval span) before the fan-out so
-        // every worker-task span parents under it. Both are `None`/inert
-        // without an attached tracer.
-        let span_parent = self.recorder.current_ctx();
-        let worker_recorder = self.recorder.clone();
-        // Split the borrows: workers share the frozen index (`&L` is
-        // `Sync`) and each owns one disjoint output buffer set.
-        let Self {
-            index, pre_eval, ..
-        } = &mut *self;
-        let index = &*index;
-        let id_bufs = &mut pre_eval.ids[..workers];
-        let val_bufs = &mut pre_eval.vals[..workers];
-        let meta_bufs = &mut pre_eval.meta[..workers];
-        let gather_bufs = &mut pre_eval.gathers[..workers];
-        let mut poisoned = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers.saturating_sub(1));
-            let mut stripes = ranges.iter().cloned().zip(
-                id_bufs
-                    .iter_mut()
-                    .zip(val_bufs.iter_mut())
-                    .zip(meta_bufs.iter_mut().zip(gather_bufs.iter_mut())),
-            );
-            let first = stripes.next().expect("at least one range");
-            // The injected fault hits a *spawned* worker when there is one
-            // (exercising the cross-thread containment path), else the
-            // calling thread's own stripe.
-            let mut inject_in_spawned = inject_panic && workers > 1;
-            for (range, ((ids, vals), (meta, gather))) in stripes {
-                let stripe = &candidates[range];
-                let worker_injects = std::mem::take(&mut inject_in_spawned);
-                let rec = worker_recorder.clone();
-                handles.push(scope.spawn(move || {
-                    let mut phase = rec.phase_under(Phase::WorkerTask, span_parent);
-                    phase.attr("site", "pre_eval");
-                    phase.attr("stripe_len", stripe.len());
-                    if worker_injects {
-                        panic!("injected speculation fault (batch {batch_index})");
-                    }
-                    pre_eval_range(index, kernel, cutoff, stripe, ids, vals, meta, gather);
-                }));
-            }
-            // The calling thread is worker 0; contain its own stripe too so
-            // a panic here cannot leak past the scope while the spawned
-            // workers are still running.
-            let (range, ((ids, vals), (meta, gather))) = first;
-            let stripe = &candidates[range];
-            let mut phase = worker_recorder.phase_under(Phase::WorkerTask, span_parent);
-            phase.attr("site", "pre_eval");
-            phase.attr("stripe_len", stripe.len());
-            let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if inject_panic && workers == 1 {
+        // The injected fault hits a *spawned* worker when there is one
+        // (exercising the cross-thread containment path), else the calling
+        // thread's own stripe.
+        let inject_at = (self.config.inject_speculation_panic_at == Some(batch_index))
+            .then(|| workers.min(2) - 1);
+        let scratch = &mut self.pre_eval;
+        if scratch.stripes.len() < workers {
+            scratch.stripes.resize_with(workers, PreEvalStripe::default);
+        }
+        scratch.ranges = ranges;
+        // Workers share the frozen index (`&L` is `Sync`) and each owns one
+        // disjoint output stripe.
+        let stripes: Vec<_> = scratch
+            .ranges
+            .iter()
+            .map(|range| &candidates[range.clone()])
+            .zip(&mut scratch.stripes)
+            .collect();
+        let index = &self.index;
+        let fanned = vas_par::try_par_map_vec_ordered(
+            &self.recorder,
+            workers,
+            stripes,
+            |w, (stripe, out)| {
+                if inject_at == Some(w) {
                     panic!("injected speculation fault (batch {batch_index})");
                 }
-                pre_eval_range(index, kernel, cutoff, stripe, ids, vals, meta, gather);
-            }));
-            drop(phase);
-            poisoned |= own.is_err();
-            for h in handles {
-                poisoned |= h.join().is_err();
-            }
-        });
-        if poisoned {
+                pre_eval_range(index, kernel, cutoff, stripe, out);
+            },
+        );
+        if fanned.is_err() {
             return false;
         }
-        let lanes = self.pre_eval.vals[..workers]
+        let lanes = self.pre_eval.stripes[..workers]
             .iter()
-            .map(|v| v.len() as u64)
+            .map(|s| s.vals.len() as u64)
             .sum::<u64>();
         self.recorder.inc(Counter::CoreKernelLanes, lanes);
         true
@@ -1463,15 +1418,15 @@ impl<L: LocalityIndex> VasSampler<L> {
     fn apply_pre_evaluated(&mut self, batch: &[Point], snapshot: u64) -> usize {
         let scratch = std::mem::take(&mut self.pre_eval);
         let mut applied = 0usize;
-        'stripes: for (w, range) in scratch.ranges.iter().enumerate() {
+        'stripes: for (range, stripe) in scratch.ranges.iter().zip(&scratch.stripes) {
             let mut cursor = 0usize;
-            for (j, &(len, cand_rsp)) in scratch.meta[w].iter().enumerate() {
+            for (j, &(len, cand_rsp)) in stripe.meta.iter().enumerate() {
                 if self.replacements != snapshot {
                     break 'stripes;
                 }
                 let point = batch[range.start + j];
-                let ids = &scratch.ids[w][cursor..cursor + len as usize];
-                let vals = &scratch.vals[w][cursor..cursor + len as usize];
+                let ids = &stripe.ids[cursor..cursor + len as usize];
+                let vals = &stripe.vals[cursor..cursor + len as usize];
                 cursor += len as usize;
                 self.seen += 1;
                 // The same skip as `observe`.

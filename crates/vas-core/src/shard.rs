@@ -47,7 +47,7 @@ use vas_obs::{Counter, Phase, Recorder};
 use vas_par::{scatter_ordered, split_ranges};
 use vas_sampling::{Sample, Sampler};
 use vas_spatial::ShardPartitioner;
-use vas_stream::{PointSource, VasError};
+use vas_stream::{DatasetSource, PointSource, VasError};
 
 /// Chunks in flight per shard queue on the streaming path. Bounds producer
 /// run-ahead (memory ≤ `S × depth` chunks) while still letting shard
@@ -144,45 +144,11 @@ impl ShardedSampler {
 
     /// In-memory sharded build: the counterpart of [`VasSampler::build`].
     /// Bit-identical to it at `shards == 1`; deterministic for any fixed
-    /// shard count.
-    pub fn build_sharded(&mut self, dataset: &Dataset) -> Sample {
-        let mut root = self.recorder.root_span("build_sharded");
-        root.attr("n", dataset.len());
-        root.attr("k", self.config.k);
-        root.attr("shards", self.shards);
-        let kernel = match self.config.epsilon {
-            Some(eps) => GaussianKernel::new(eps),
-            None => GaussianKernel::for_dataset(dataset),
-        };
-        let partitioner = self.partitioner(&kernel);
-        let parts: Vec<Vec<Point>> = {
-            let _span = self.recorder.span("shard_partition");
-            let mut parts: Vec<Vec<Point>> = (0..self.shards).map(|_| Vec::new()).collect();
-            partitioner.scatter_chunk(&dataset.points, &mut parts);
-            parts
-        };
-        let epsilon = kernel.epsilon();
-        let budgets = shard_budgets(self.config.k, self.shards);
-        let passes = self.config.passes.max(1);
-        let recorder = self.recorder.clone();
-        let work: Vec<(Vec<Point>, usize)> = parts.into_iter().zip(budgets).collect();
-        let shard_samples = vas_par::par_map_vec_ordered_recorded(
-            &recorder,
-            self.shards,
-            work,
-            |shard, (points, budget)| {
-                let mut sampler = VasSampler::new(self.shard_config(budget, epsilon))
-                    .with_recorder(recorder.clone());
-                {
-                    let _fill = recorder.phase(Phase::ShardFill);
-                    for _ in 0..passes {
-                        sampler.observe_chunk(&points);
-                    }
-                }
-                finish_shard(&recorder, shard, sampler, (passes * points.len()) as u64)
-            },
-        );
-        self.merge_shard_samples(epsilon, shard_samples)
+    /// shard count. It is the streaming build over the whole dataset as one
+    /// chunk, so each shard observes its partition in one call.
+    pub fn build_sharded(&mut self, dataset: &Dataset) -> Result<Sample, VasError> {
+        let mut source = DatasetSource::with_chunk_size(dataset, dataset.len().max(1));
+        self.build("build_sharded", &mut source)
     }
 
     /// Streaming sharded build: the counterpart of
@@ -195,11 +161,30 @@ impl ShardedSampler {
     /// [`vas_par::scatter_ordered`]). Bit-identical to
     /// [`build_sharded`](Self::build_sharded) over the equivalent in-memory
     /// dataset, at any queue depth, chunk size, or thread count.
+    ///
+    /// # Errors
+    /// A source error fails the build with that error. A panic in a shard
+    /// worker, or in the source while it feeds the shards, is contained:
+    /// every worker is joined, the flight recorder is dumped, and the build
+    /// returns [`VasError::WorkerPanic`].
     pub fn build_sharded_from_source<S: PointSource>(
         &mut self,
         source: &mut S,
     ) -> Result<Sample, VasError> {
-        let mut root = self.recorder.root_span("build_sharded_from_source");
+        self.build("build_sharded_from_source", source)
+    }
+
+    /// The one sharded build both entry points run, under a root span named
+    /// `root_name`.
+    fn build<S: PointSource>(
+        &mut self,
+        root_name: &'static str,
+        source: &mut S,
+    ) -> Result<Sample, VasError> {
+        let mut root = self.recorder.root_span(root_name);
+        if let Some(n) = source.len_hint() {
+            root.attr("n", n);
+        }
         root.attr("k", self.config.k);
         root.attr("shards", self.shards);
         root.attr("passes", self.config.passes.max(1));
@@ -213,8 +198,7 @@ impl ShardedSampler {
             None => {
                 // Same ε-resolution as the unsharded streaming path: a
                 // bounds scan in stream order, so the resolved kernel is
-                // bit-identical to the one `build_sharded` derives from the
-                // materialized dataset.
+                // bit-identical to the one the unsharded build derives.
                 source.reset().map_err(|e| fatal(VasError::from(e)))?;
                 let stats = vas_stream::scan_stats(source).map_err(|e| fatal(VasError::from(e)))?;
                 GaussianKernel::for_bounds(&stats.bounds)
@@ -249,7 +233,7 @@ impl ShardedSampler {
                         partitioner.scatter_chunk(&buf, &mut parts);
                         for (shard, points) in parts.into_iter().enumerate() {
                             // A dead queue means that worker panicked; stop
-                            // feeding and let the join surface it.
+                            // feeding and let the fan-out report it.
                             if !points.is_empty() && !send(shard, points) {
                                 return Ok(());
                             }
@@ -264,7 +248,13 @@ impl ShardedSampler {
                 sampler.observe_chunk(&points);
             },
             |shard, (sampler, fed)| finish_shard(&recorder, shard, sampler, fed),
-        )?;
+        )
+        .map_err(|panic| {
+            fatal(VasError::WorkerPanic {
+                context: "sharded build".into(),
+                panicked_workers: panic.panicked_workers,
+            })
+        })??;
         Ok(self.merge_shard_samples(epsilon, shard_samples))
     }
 
@@ -354,7 +344,7 @@ mod tests {
         let data = dataset(3_000);
         let config = VasConfig::new(150);
         let reference = VasSampler::new(config.clone()).build(&data);
-        let sharded = ShardedSampler::new(config, 1).build_sharded(&data);
+        let sharded = ShardedSampler::new(config, 1).build_sharded(&data).unwrap();
         assert_bitwise(
             &reference.points,
             &sharded.points,
@@ -367,7 +357,9 @@ mod tests {
         let data = dataset(3_000);
         for shards in [1usize, 2, 4] {
             let config = VasConfig::new(120);
-            let reference = ShardedSampler::new(config.clone(), shards).build_sharded(&data);
+            let reference = ShardedSampler::new(config.clone(), shards)
+                .build_sharded(&data)
+                .unwrap();
             for chunk in [277usize, 1_024] {
                 let mut source = vas_stream::DatasetSource::with_chunk_size(&data, chunk);
                 let got = ShardedSampler::new(config.clone(), shards)
@@ -391,7 +383,8 @@ mod tests {
         let shards = 3;
         let sample = ShardedSampler::new(VasConfig::new(90), shards)
             .with_recorder(recorder.clone())
-            .build_sharded(&data);
+            .build_sharded(&data)
+            .unwrap();
         assert_eq!(sample.points.len(), 90);
         let snap = recorder.registry().snapshot();
         assert!(snap.counter(Counter::CoreShardAccepts) >= 90);
@@ -439,7 +432,9 @@ mod tests {
                 .expect("in-memory source cannot fail")
         });
         both("sharded", &|d| {
-            ShardedSampler::new(config.clone(), 2).build_sharded(d)
+            ShardedSampler::new(config.clone(), 2)
+                .build_sharded(d)
+                .unwrap()
         });
         both("sharded streaming", &|d| {
             ShardedSampler::new(config.clone(), 2)
@@ -455,8 +450,12 @@ mod tests {
         let data = dataset(2_500);
         for shards in [2usize, 4] {
             let config = VasConfig::new(100);
-            let a = ShardedSampler::new(config.clone(), shards).build_sharded(&data);
-            let b = ShardedSampler::new(config, shards).build_sharded(&data);
+            let a = ShardedSampler::new(config.clone(), shards)
+                .build_sharded(&data)
+                .unwrap();
+            let b = ShardedSampler::new(config, shards)
+                .build_sharded(&data)
+                .unwrap();
             assert_bitwise(&a.points, &b.points, &format!("rebuild at S={shards}"));
             assert_eq!(a.points.len(), 100);
         }

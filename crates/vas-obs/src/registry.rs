@@ -46,7 +46,7 @@ pub enum Counter {
     StreamRetriesExhausted,
     /// Worker stripes executed by the `vas-par` ordered fan-out.
     ParTasksExecuted,
-    /// Worker panics contained by `try_par_map_ordered`.
+    /// Worker panics contained by the `vas-par` fan-out core.
     ParContainedPanics,
     /// Samples built into a `SampleCatalog`.
     StorageCatalogSamplesBuilt,

@@ -18,9 +18,8 @@
 //! A new span resolves its parent in three steps, first match wins:
 //!
 //! 1. **Explicit** — a [`SpanContext`] captured on the consumer thread and
-//!    handed across a fan-out boundary (the `vas-par` combinators and the
-//!    speculative pre-evaluation front do this), provided it belongs to the
-//!    same tracer.
+//!    handed across a fan-out boundary (the `vas-par` fan-out core does
+//!    this for every worker), provided it belongs to the same tracer.
 //! 2. **Implicit** — the innermost open span *on the current thread* of the
 //!    same tracer (a thread-local stack, so nested guards on one thread
 //!    form a chain for free).

@@ -1,16 +1,26 @@
-//! Ordered fan-out/fan-in combinators over scoped threads.
+//! Ordered fan-out/fan-in maps.
 //!
-//! All combinators share one structure: the input is split into contiguous
-//! index ranges with [`split_ranges`], each range is processed by one worker
-//! (the calling thread takes the first range itself, so `threads = 1` spawns
-//! nothing and is exactly the sequential loop), and the per-range results are
-//! combined **in range order**. Because the split depends only on
+//! Every map splits its input into contiguous index ranges with
+//! [`split_ranges`], hands each range to one worker of the crate's fan-out
+//! core (the calling thread takes the first range itself, so `threads = 1`
+//! spawns nothing and is exactly the sequential loop), and concatenates the
+//! per-range results **in range order**. Because the split depends only on
 //! `(len, threads)` and the fan-in order is fixed, a deterministic per-item
 //! function gives a combined result that is bit-identical to the sequential
 //! left-to-right evaluation — the property the determinism suite pins.
+//!
+//! The core contains every worker panic and joins every worker. The pure
+//! maps ([`par_map_ordered`], [`par_chunk_fold_ordered`]) re-raise a panic
+//! on the caller; [`try_par_map_vec_ordered`] returns it as [`WorkerPanic`].
+//! Each range counts one `par_tasks_executed` and runs inside a
+//! `worker_task` phase, parented under the caller's open span and carrying
+//! `stripe_start`/`stripe_len` attributes; a contained panic counts into
+//! `par_contained_panics`.
 
+use crate::fanout::{fan_out, WorkerPanic};
 use std::ops::Range;
-use vas_obs::{Counter, Phase, Recorder};
+use std::sync::OnceLock;
+use vas_obs::{PhaseGuard, Recorder};
 
 /// Resolves a requested worker count: `0` means "ask the OS"
 /// ([`std::thread::available_parallelism`]), anything else is taken
@@ -31,7 +41,7 @@ pub fn effective_threads(requested: usize) -> usize {
 ///
 /// The first `len % parts` ranges are one element longer, so range sizes
 /// differ by at most one. Depends only on `(len, parts)` — the split is the
-/// deterministic backbone of every combinator in this module.
+/// deterministic backbone of every map in this module.
 pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1).min(len);
     if len == 0 {
@@ -50,309 +60,109 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Maps `f(index, &item)` over a slice with up to `threads` scoped workers,
+/// Maps `f(index, &item)` over a slice with up to `threads` workers,
 /// returning the results **in input order** — bit-identical to
 /// `items.iter().enumerate().map(|(i, t)| f(i, t)).collect()` whenever `f`
 /// is deterministic.
 ///
-/// The slice is split into contiguous ranges ([`split_ranges`]); each worker
-/// fills a private vector for its range and the vectors are concatenated in
-/// range order. With `threads <= 1` (or a single-range split) no thread is
-/// spawned.
-///
-/// A panic in `f` propagates to the caller after all workers have joined.
+/// A panic in `f` is re-raised on the caller after all workers have joined.
 pub fn par_map_ordered<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let ranges = split_ranges(items.len(), effective_threads(threads));
-    if ranges.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut per_range: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = ranges[1..]
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                scope.spawn(move || {
-                    items[range.clone()]
-                        .iter()
-                        .zip(range)
-                        .map(|(t, i)| f(i, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        // The calling thread is worker 0.
-        let first: Vec<R> = items[ranges[0].clone()]
-            .iter()
-            .zip(ranges[0].clone())
-            .map(|(t, i)| f(i, t))
-            .collect();
-        let mut out = Vec::with_capacity(ranges.len());
-        out.push(first);
-        for h in handles {
-            out.push(h.join().expect("vas-par worker panicked"));
-        }
-        out
-    });
-    let mut result = Vec::with_capacity(items.len());
-    for v in &mut per_range {
-        result.append(v);
-    }
-    result
+    static UNRECORDED: OnceLock<Recorder> = OnceLock::new();
+    let stripes = split_ranges(items.len(), effective_threads(threads))
+        .into_iter()
+        .map(|range| (range, ()))
+        .collect();
+    map_stripes(
+        UNRECORDED.get_or_init(Recorder::detached),
+        stripes,
+        |range, ()| {
+            items[range.clone()]
+                .iter()
+                .zip(range)
+                .map(|(t, i)| f(i, t))
+                .collect()
+        },
+    )
+    .unwrap_or_else(|e| panic!("vas-par worker panicked: {e}"))
 }
 
-/// Owned-input variant of [`par_map_ordered`]: consumes `items`, hands each
-/// element to exactly one worker, and returns `f(index, item)` results in
-/// input order. Used where the mapped values cannot be borrowed (e.g. running
-/// a ladder of independently-owned samplers).
-pub fn par_map_vec_ordered<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    par_map_vec_inner(threads, items, f, None)
-}
-
-/// [`par_map_vec_ordered`] with observability: bit-identical results, plus
-/// worker stripes counted into `par_tasks_executed` and timed into the
-/// `worker_task` phase when the recorder has timing enabled.
-pub fn par_map_vec_ordered_recorded<T, R, F>(
+/// Owned-input map: consumes `items`, hands each element to exactly one of
+/// up to `threads` workers, and returns `f(index, item)` in input order —
+/// bit-identical to the sequential map whenever `f` is deterministic. Items
+/// may carry `&mut` borrows, so each worker can own a disjoint slice of the
+/// caller's state (the Interchange pre-evaluation front hands every worker
+/// its own output buffers this way).
+///
+/// A panic in `f` is contained: the call returns [`WorkerPanic`] and the
+/// caller decides what it means. Worker stripes are counted and traced
+/// through `recorder` (see the [module docs](self)).
+pub fn try_par_map_vec_ordered<T, R, F>(
     recorder: &Recorder,
     threads: usize,
     items: Vec<T>,
     f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    par_map_vec_inner(threads, items, f, Some(recorder))
-}
-
-fn par_map_vec_inner<T, R, F>(
-    threads: usize,
-    items: Vec<T>,
-    f: F,
-    recorder: Option<&Recorder>,
-) -> Vec<R>
+) -> Result<Vec<R>, WorkerPanic>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
     let ranges = split_ranges(items.len(), effective_threads(threads));
-    if let Some(rec) = recorder {
-        rec.inc(Counter::ParTasksExecuted, ranges.len().max(1) as u64);
-    }
-    // Captured on the consuming thread so worker-task spans on spawned
-    // threads parent under the caller's open span, not float as roots.
-    let parent = recorder.and_then(|rec| rec.current_ctx());
-    if ranges.len() <= 1 {
-        let _phase = recorder.map(|rec| rec.phase_under(Phase::WorkerTask, parent));
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
     // Carve the owned input into one sub-vector per range, preserving order.
-    let mut stripes: Vec<(Range<usize>, Vec<T>)> = Vec::with_capacity(ranges.len());
+    let mut stripes = Vec::with_capacity(ranges.len());
     let mut rest = items;
-    for range in ranges.iter().rev() {
-        let tail = rest.split_off(range.start);
-        stripes.push((range.clone(), tail));
+    for range in ranges.into_iter().rev() {
+        let stripe = match range.start {
+            0 => std::mem::take(&mut rest),
+            start => rest.split_off(start),
+        };
+        stripes.push((range, stripe));
     }
     stripes.reverse();
-    let run_stripe = |range: Range<usize>, stripe: Vec<T>| -> Vec<R> {
-        let mut phase = recorder.map(|rec| rec.phase_under(Phase::WorkerTask, parent));
-        if let Some(phase) = &mut phase {
-            phase.attr("stripe_start", range.start);
-            phase.attr("stripe_len", range.len());
-        }
+    map_stripes(recorder, stripes, |range, stripe: Vec<T>| {
         stripe
             .into_iter()
             .zip(range)
             .map(|(t, i)| f(i, t))
             .collect()
-    };
-    let mut per_range: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let run_stripe = &run_stripe;
-        let mut stripes = stripes.into_iter();
-        let (first_range, first_items) = stripes.next().expect("at least one range");
-        let handles: Vec<_> = stripes
-            .map(|(range, stripe)| scope.spawn(move || run_stripe(range, stripe)))
-            .collect();
-        let first: Vec<R> = run_stripe(first_range, first_items);
-        let mut out = Vec::with_capacity(1 + handles.len());
-        out.push(first);
-        for h in handles {
-            out.push(h.join().expect("vas-par worker panicked"));
-        }
-        out
-    });
-    let mut result = Vec::new();
-    for v in &mut per_range {
-        result.append(v);
-    }
-    result
+    })
 }
 
-/// One or more workers of a contained fan-out panicked.
-///
-/// Returned by [`try_par_map_ordered`] instead of re-raising the panic, so
-/// callers can degrade to a sequential fallback (the pattern the Interchange
-/// speculation front uses) rather than unwind the whole build.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// How many workers (including the calling thread's own stripe)
-    /// panicked.
-    pub panicked_workers: usize,
-}
-
-impl std::fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} parallel worker(s) panicked during a contained fan-out",
-            self.panicked_workers
-        )
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
-
-/// Panic-containing variant of [`par_map_ordered`]: identical split, fan-out
-/// and in-order fan-in, but a panic in `f` is caught instead of propagated.
-///
-/// On success the result is bit-identical to [`par_map_ordered`] (and hence
-/// to the sequential loop). If **any** worker panics the whole fan-out is
-/// discarded and `Err(`[`WorkerPanic`]`)` is returned — partial results are
-/// never exposed, because a poisoned stripe leaves no way to tell which
-/// indices were computed. All workers are always joined before returning, so
-/// no detached thread outlives the call.
-pub fn try_par_map_ordered<T, R, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    try_par_map_inner(threads, items, f, None)
-}
-
-/// [`try_par_map_ordered`] with observability: identical split, fan-out,
-/// fan-in and panic containment (the result is bit-identical), plus each
-/// worker stripe is counted into `par_tasks_executed`, timed into the
-/// `worker_task` phase (busy-time histogram — utilization is busy time over
-/// wall time) when the recorder has timing enabled, and any contained panic
-/// increments `par_contained_panics`. With a detached recorder the only
-/// extra work is two relaxed counter adds per call.
-pub fn try_par_map_ordered_recorded<T, R, F>(
+/// Runs `run(range, stripe)` for every stripe through the fan-out core and
+/// concatenates the per-stripe results in range order.
+fn map_stripes<S, R>(
     recorder: &Recorder,
-    threads: usize,
-    items: &[T],
-    f: F,
+    stripes: Vec<(Range<usize>, S)>,
+    run: impl Fn(Range<usize>, S) -> Vec<R> + Sync,
 ) -> Result<Vec<R>, WorkerPanic>
 where
-    T: Sync,
+    S: Send,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
 {
-    let result = try_par_map_inner(threads, items, f, Some(recorder));
-    if let Err(e) = &result {
-        recorder.inc(Counter::ParContainedPanics, e.panicked_workers as u64);
-    }
-    result
-}
-
-fn try_par_map_inner<T, R, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-    recorder: Option<&Recorder>,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let ranges = split_ranges(items.len(), effective_threads(threads));
-    if let Some(rec) = recorder {
-        rec.inc(Counter::ParTasksExecuted, ranges.len().max(1) as u64);
-    }
-    // Captured on the consuming thread so worker-task spans on spawned
-    // threads parent under the caller's open span, not float as roots.
-    let parent = recorder.and_then(|rec| rec.current_ctx());
-    // Times one stripe of work; a no-op guard when timing is off or no
-    // recorder is attached (the off-the-data-path rule: observing a stripe
-    // never changes what it computes).
-    let run_stripe = |range: Range<usize>| -> Vec<R> {
-        let mut phase = recorder.map(|rec| rec.phase_under(Phase::WorkerTask, parent));
-        if let Some(phase) = &mut phase {
-            phase.attr("stripe_start", range.start);
-            phase.attr("stripe_len", range.len());
-        }
-        items[range.clone()]
-            .iter()
-            .zip(range)
-            .map(|(t, i)| f(i, t))
-            .collect()
+    let work = |_, (range, stripe): (Range<usize>, S), span: &mut PhaseGuard| {
+        span.attr("stripe_start", range.start);
+        span.attr("stripe_len", range.len());
+        run(range, stripe)
     };
-    if ranges.len() <= 1 {
-        let only = ranges.first().cloned().unwrap_or(0..0);
-        return catch_unwind(AssertUnwindSafe(|| run_stripe(only))).map_err(|_| WorkerPanic {
-            panicked_workers: 1,
-        });
+    let mut per_stripe = fan_out(recorder, stripes, work, None)?.into_iter();
+    let mut out = per_stripe.next().unwrap_or_default();
+    for mut stripe in per_stripe {
+        out.append(&mut stripe);
     }
-    let per_range: Vec<Result<Vec<R>, ()>> = std::thread::scope(|scope| {
-        let run_stripe = &run_stripe;
-        let handles: Vec<_> = ranges[1..]
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                scope.spawn(move || run_stripe(range))
-            })
-            .collect();
-        let first =
-            catch_unwind(AssertUnwindSafe(|| run_stripe(ranges[0].clone()))).map_err(|_| ());
-        let mut out = Vec::with_capacity(ranges.len());
-        out.push(first);
-        // Join every handle unconditionally — a poisoned stripe must not
-        // leave threads running (scope would re-panic on unjoined workers).
-        for h in handles {
-            out.push(h.join().map_err(|_| ()));
-        }
-        out
-    });
-    let panicked_workers = per_range.iter().filter(|r| r.is_err()).count();
-    if panicked_workers > 0 {
-        return Err(WorkerPanic { panicked_workers });
-    }
-    let mut result = Vec::with_capacity(items.len());
-    for v in per_range {
-        result.extend(v.expect("checked above"));
-    }
-    Ok(result)
+    Ok(out)
 }
 
 /// Fans a slice out as fixed-size chunks (`items.chunks(chunk_size)`), maps
 /// every chunk to an accumulator with `map`, and folds the accumulators
 /// **left-to-right in chunk order** with `fold` — the "ordered-index
 /// reduction" shape, used by the density-embedding pass
-/// (`vas_core::density_counts_threaded`) and available to any map-reduce
-/// over a slice. (Per-item fan-outs like the loss estimator's probe loop
-/// use [`par_map_ordered`] directly.)
+/// (`vas_core::density_counts_threaded`) and the loss estimator's probe
+/// loop, and available to any map-reduce over a slice.
 ///
 /// The chunk split is fixed by `(len, chunk_size)` and the reduction order is
 /// fixed by chunk index, so the result is independent of the thread count:
@@ -385,6 +195,7 @@ where
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use vas_obs::{Counter, Phase};
 
     #[test]
     fn effective_threads_clamps() {
@@ -433,8 +244,11 @@ mod tests {
         let items: Vec<String> = (0..57).map(|i| format!("item-{i}")).collect();
         let reference: Vec<String> = items.iter().map(|s| format!("{s}!")).collect();
         for threads in [1usize, 2, 5, 8] {
-            let got = par_map_vec_ordered(threads, items.clone(), |_, s| format!("{s}!"));
-            assert_eq!(got, reference, "threads {threads}");
+            let got =
+                try_par_map_vec_ordered(&Recorder::detached(), threads, items.clone(), |_, s| {
+                    format!("{s}!")
+                });
+            assert_eq!(got.unwrap(), reference, "threads {threads}");
         }
     }
 
@@ -442,7 +256,8 @@ mod tests {
     fn empty_inputs_are_fine() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_ordered(4, &empty, |_, v| *v).is_empty());
-        assert!(par_map_vec_ordered(4, empty.clone(), |_, v| v).is_empty());
+        let owned = try_par_map_vec_ordered(&Recorder::detached(), 4, empty.clone(), |_, v| v);
+        assert!(owned.unwrap().is_empty());
         let folded = par_chunk_fold_ordered(4, &empty, 8, |_, c: &[u32]| c.len(), |a, b| a + b);
         assert_eq!(folded, None);
     }
@@ -503,32 +318,18 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_matches_the_propagating_variant_on_success() {
-        let items: Vec<u64> = (0..500).collect();
-        for threads in [1usize, 2, 4, 7] {
-            let reference = par_map_ordered(threads, &items, |i, v| v * 7 + i as u64);
-            let got = try_par_map_ordered(threads, &items, |i, v| v * 7 + i as u64).unwrap();
-            assert_eq!(got, reference, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn recorded_variants_match_and_count() {
+    fn contained_map_counts_and_matches_the_propagating_map() {
         let rec = Recorder::detached().with_timing(true);
         let items: Vec<u64> = (0..200).collect();
         for threads in [1usize, 2, 4] {
             let reference = par_map_ordered(threads, &items, |i, v| v + i as u64);
-            let got =
-                try_par_map_ordered_recorded(&rec, threads, &items, |i, v| v + i as u64).unwrap();
-            assert_eq!(got, reference, "threads {threads}");
-            let got_vec =
-                par_map_vec_ordered_recorded(&rec, threads, items.clone(), |i, v| v + i as u64);
-            assert_eq!(got_vec, reference, "threads {threads}");
+            let got = try_par_map_vec_ordered(&rec, threads, items.clone(), |i, v| v + i as u64);
+            assert_eq!(got.unwrap(), reference, "threads {threads}");
         }
         let snap = rec.registry().snapshot();
-        assert!(snap.counter(Counter::ParTasksExecuted) >= 6);
+        assert_eq!(snap.counter(Counter::ParTasksExecuted), 1 + 2 + 4);
         assert_eq!(snap.counter(Counter::ParContainedPanics), 0);
-        assert!(snap.phase_calls(Phase::WorkerTask) >= 6);
+        assert_eq!(snap.phase_calls(Phase::WorkerTask), 1 + 2 + 4);
     }
 
     #[test]
@@ -541,13 +342,12 @@ mod tests {
         {
             let consumer = rec.span("consumer_build");
             consumer_id = consumer.context().unwrap().span_id();
-            let got = try_par_map_ordered_recorded(&rec, 4, &items, |i, v| v + i as u64).unwrap();
-            assert_eq!(got.len(), items.len());
-            let _ = par_map_vec_ordered_recorded(&rec, 4, items.clone(), |i, v| v + i as u64);
+            let got = try_par_map_vec_ordered(&rec, 4, items.clone(), |i, v| v + i as u64);
+            assert_eq!(got.unwrap().len(), items.len());
         }
         let spans = tracer.spans();
         let workers: Vec<_> = spans.iter().filter(|s| s.name == "worker_task").collect();
-        assert!(workers.len() >= 8, "4 stripes per combinator expected");
+        assert_eq!(workers.len(), 4, "one span per stripe");
         for w in &workers {
             assert_eq!(
                 w.parent,
@@ -562,39 +362,23 @@ mod tests {
     }
 
     #[test]
-    fn recorded_variant_counts_contained_panics() {
-        let rec = Recorder::detached();
+    fn contained_map_returns_and_counts_worker_panics() {
         let items: Vec<u32> = (0..100).collect();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let err = try_par_map_ordered_recorded(&rec, 4, &items, |_, v| {
-            assert!(*v != 57, "boom");
-            *v
-        })
-        .unwrap_err();
-        std::panic::set_hook(prev);
-        assert_eq!(
-            rec.registry().get(Counter::ParContainedPanics),
-            err.panicked_workers as u64
-        );
-        // Timing off on the detached recorder: no worker-task latencies.
-        assert_eq!(rec.registry().snapshot().phase_calls(Phase::WorkerTask), 0);
-    }
-
-    #[test]
-    fn try_par_map_contains_worker_panics() {
-        let items: Vec<u32> = (0..100).collect();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        // Index 57 lands in a spawned worker's stripe at 4 threads and in
-        // the calling thread's stripe at 1 thread — both must be contained.
+        // Index 57 lands in a spawned worker's stripe at 2 and 4 threads and
+        // in the calling thread's stripe at 1 thread — both are contained.
         for threads in [1usize, 2, 4] {
-            let err = try_par_map_ordered(threads, &items, |_, v| {
-                assert!(*v != 57, "boom");
-                *v
+            let rec = Recorder::detached();
+            let err = try_par_map_vec_ordered(&rec, threads, items.clone(), |_, v| {
+                assert!(v != 57, "boom");
+                v
             })
             .unwrap_err();
-            assert!(err.panicked_workers >= 1, "threads {threads}");
+            assert_eq!(err.panicked_workers, 1, "threads {threads}");
+            assert_eq!(rec.registry().get(Counter::ParContainedPanics), 1);
+            // Timing off on the detached recorder: no worker-task latencies.
+            assert_eq!(rec.registry().snapshot().phase_calls(Phase::WorkerTask), 0);
         }
         std::panic::set_hook(prev);
     }

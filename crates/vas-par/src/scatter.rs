@@ -1,19 +1,20 @@
-//! Free-running scatter pipeline: one producer feeding per-consumer bounded
-//! queues, fan-in in consumer order.
+//! Free-running scatter pipeline: the calling thread produces into
+//! per-consumer bounded queues, fan-in in consumer order.
 //!
 //! [`scatter_ordered`] is the execution backbone of the sharded sampling
 //! path (`vas-core::shard`): the calling thread routes stream items to `S`
-//! persistent worker threads through bounded channels, each worker folds its
-//! items into its own consumer state, and when the producer is done every
-//! worker finalizes and the results come back **in consumer order**.
+//! consumer workers through bounded channels, each worker folds its items
+//! into its own consumer state, and when the producer is done every worker
+//! finalizes and the results come back **in consumer order**. It is the
+//! crate's fan-out core with the producer as the caller's share: every
+//! consumer gets a worker, and panics are contained like in every other
+//! shape.
 //!
-//! Unlike the barrier-style combinators in [`crate::exec`], the stages here
-//! are *free-running*: the producer decodes and routes batch `b + 1` while
+//! Unlike the barrier-style maps in [`crate::exec`], the stages here are
+//! *free-running*: the producer decodes and routes batch `b + 1` while
 //! workers are still applying batch `b` — the queue depth is the only
-//! coupling. This retires the long-standing pipelining gap of the chunked
-//! read-ahead path, where the consumer and the pre-evaluation front advanced
-//! in lock-step per batch: here nothing ever waits at a batch boundary
-//! unless a queue is full (back-pressure) or empty (starvation).
+//! coupling. Nothing ever waits at a batch boundary unless a queue is full
+//! (back-pressure) or empty (starvation).
 //!
 //! Determinism is preserved by construction: each channel is FIFO and each
 //! consumer is owned by exactly one worker, so consumer `i` observes exactly
@@ -22,8 +23,9 @@
 //! input. For a deterministic routing function and fold, the result is
 //! therefore bit-identical to feeding each consumer sequentially.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use vas_obs::{Counter, Phase, Recorder};
+use crate::fanout::{fan_out, WorkerPanic};
+use std::sync::mpsc::sync_channel;
+use vas_obs::Recorder;
 
 /// Runs a producer/`S`-consumer scatter pipeline and returns each consumer's
 /// finish value, in consumer order.
@@ -33,10 +35,9 @@ use vas_obs::{Counter, Phase, Recorder};
 /// * `feed` — runs on the calling thread. It receives a `send(i, item)`
 ///   closure that routes `item` to consumer `i`, returning `false` when that
 ///   consumer is gone (its worker panicked); a producer seeing `false`
-///   should stop feeding and return, letting the join below surface the
-///   panic. `feed`'s error aborts the pipeline: queues are closed, workers
-///   drain and finalize, and the error is returned (finish values are
-///   discarded).
+///   should stop feeding and return. `feed`'s error aborts the pipeline:
+///   queues are closed, workers drain and finalize, and the error is
+///   returned (finish values are discarded).
 /// * `work(i, &mut consumer, item)` — applies one item to consumer `i`, on
 ///   that consumer's worker thread, in routed order.
 /// * `finish(i, consumer)` — finalizes consumer `i` on its worker thread
@@ -53,8 +54,12 @@ use vas_obs::{Counter, Phase, Recorder};
 /// caller's open span — a traced sharded build shows `S` worker subtrees
 /// under one root. With a detached recorder all of that is inert.
 ///
-/// A panic in `work` or `finish` propagates to the caller after all workers
-/// have joined.
+/// A panic in `feed`, `work` or `finish` is contained: every queue is
+/// closed, every worker is joined, the panic counts into
+/// `par_contained_panics`, and the call returns the outer
+/// `Err(`[`WorkerPanic`]`)`. A panic outranks a `feed` error raised in the
+/// same run; the inner `Result` carries `feed`'s error only when nothing
+/// panicked.
 pub fn scatter_ordered<T, C, R, E, Feed, Work, Finish>(
     recorder: &Recorder,
     depth: usize,
@@ -62,7 +67,7 @@ pub fn scatter_ordered<T, C, R, E, Feed, Work, Finish>(
     feed: Feed,
     work: Work,
     finish: Finish,
-) -> Result<Vec<R>, E>
+) -> Result<Result<Vec<R>, E>, WorkerPanic>
 where
     T: Send,
     C: Send,
@@ -72,53 +77,39 @@ where
     Finish: Fn(usize, C) -> R + Sync,
 {
     let depth = depth.max(1);
-    let workers = consumers.len();
-    recorder.inc(Counter::ParTasksExecuted, workers.max(1) as u64);
-    // Captured on the producer thread so worker-task spans parent under the
-    // caller's open span (the sharded-build root), not float as roots.
-    let parent = recorder.current_ctx();
-    let mut channels: Vec<(SyncSender<T>, Option<Receiver<T>>)> = (0..workers)
-        .map(|_| {
+    let (senders, stripes): (Vec<_>, Vec<_>) = consumers
+        .into_iter()
+        .map(|consumer| {
             let (tx, rx) = sync_channel::<T>(depth);
-            (tx, Some(rx))
+            (tx, (consumer, rx))
         })
-        .collect();
-    std::thread::scope(|scope| {
-        let work = &work;
-        let finish = &finish;
-        let handles: Vec<_> = channels
-            .iter_mut()
-            .zip(consumers)
-            .enumerate()
-            .map(|(i, ((_, rx), mut consumer))| {
-                let rx = rx.take().expect("receiver taken once");
-                scope.spawn(move || {
-                    let mut phase = recorder.phase_under(Phase::WorkerTask, parent);
-                    phase.attr("shard", i);
-                    while let Ok(item) = rx.recv() {
-                        work(i, &mut consumer, item);
-                    }
-                    finish(i, consumer)
-                })
-            })
-            .collect();
-        let mut send = |i: usize, item: T| channels[i].0.send(item).is_ok();
-        let fed = feed(&mut send);
-        // Close every queue so workers drain and finalize, then join them
-        // unconditionally — a worker panic propagates here even when the
-        // producer bailed out first.
-        drop(channels);
-        let mut results = Vec::with_capacity(workers);
-        for h in handles {
-            results.push(h.join().expect("vas-par scatter worker panicked"));
-        }
-        fed.map(|()| results)
-    })
+        .unzip();
+    let mut fed = Ok(());
+    let produce = Box::new(|| {
+        // Owned here, the senders drop when the producer returns or
+        // unwinds: every queue closes and the workers drain and finalize.
+        let senders = senders;
+        fed = feed(&mut |i, item| senders[i].send(item).is_ok());
+    });
+    let results = fan_out(
+        recorder,
+        stripes,
+        |i, (mut consumer, rx), span| {
+            span.attr("shard", i);
+            while let Ok(item) = rx.recv() {
+                work(i, &mut consumer, item);
+            }
+            finish(i, consumer)
+        },
+        Some(produce),
+    )?;
+    Ok(fed.map(|()| results))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vas_obs::{Counter, Phase};
 
     /// Routes `values` round-robin to `shards` accumulating folds and
     /// returns the per-shard sums.
@@ -137,6 +128,7 @@ mod tests {
             |_, acc, v| *acc = (*acc + v) * 1.000000001,
             |_, acc| acc,
         )
+        .unwrap()
         .unwrap()
     }
 
@@ -167,6 +159,7 @@ mod tests {
             |_, _, _: u32| {},
             |i, ()| i * 10,
         )
+        .unwrap()
         .unwrap();
         assert_eq!(got, vec![0, 10, 20]);
     }
@@ -184,38 +177,114 @@ mod tests {
             |_, acc, v| *acc += v,
             |_, acc| acc,
         )
+        .unwrap()
         .unwrap_err();
         assert_eq!(err, "decode failed");
     }
 
     #[test]
-    fn worker_panic_propagates_and_send_reports_the_dead_shard() {
+    fn worker_panic_is_contained_and_send_reports_the_dead_shard() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let rec = Recorder::detached();
+        let healthy_finished = AtomicU64::new(0);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let result = std::panic::catch_unwind(|| {
-            scatter_ordered(
-                &Recorder::detached(),
-                1,
-                vec![0u64; 2],
-                |send| {
-                    // Shard 0 panics on the first item; keep sending until
-                    // the channel reports it is gone, then stop feeding.
-                    let mut alive = true;
-                    for _ in 0..1_000 {
-                        alive = send(0, 7u64);
-                        if !alive {
-                            break;
-                        }
+        let result = scatter_ordered(
+            &rec,
+            1,
+            vec![0u64; 3],
+            |send| {
+                // Shard 0 panics on its first item; keep sending until the
+                // channel reports it is gone, then stop feeding. The healthy
+                // shards get items of their own before and after.
+                assert!(send(1, 1u64) && send(2, 2u64));
+                let mut alive = true;
+                for _ in 0..1_000 {
+                    alive = send(0, 7u64);
+                    if !alive {
+                        break;
                     }
-                    assert!(!alive, "dead shard must surface through send");
-                    Ok::<(), ()>(())
-                },
-                |_, _, _| panic!("boom"),
-                |_, acc| acc,
-            )
-        });
+                }
+                assert!(!alive, "dead shard must surface through send");
+                assert!(send(1, 3u64) && send(2, 4u64));
+                Ok::<(), ()>(())
+            },
+            |i, acc, v| {
+                assert!(i != 0, "boom");
+                *acc += v;
+            },
+            |_, acc| {
+                healthy_finished.fetch_add(acc, Ordering::SeqCst);
+                acc
+            },
+        );
         std::panic::set_hook(prev);
-        assert!(result.is_err(), "worker panic must propagate after join");
+        assert_eq!(
+            result,
+            Err(WorkerPanic {
+                panicked_workers: 1
+            })
+        );
+        // Both healthy workers drained their queues and finished before the
+        // call returned: every worker is joined.
+        assert_eq!(healthy_finished.load(Ordering::SeqCst), 1 + 2 + 3 + 4);
+        assert_eq!(rec.registry().get(Counter::ParContainedPanics), 1);
+        assert_eq!(rec.registry().get(Counter::ParTasksExecuted), 3);
+    }
+
+    #[test]
+    fn a_worker_panic_outranks_a_feed_error_in_the_same_run() {
+        let rec = Recorder::detached();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let result = scatter_ordered(
+            &rec,
+            4,
+            vec![0u64; 2],
+            |send| {
+                assert!(send(1, 1u64));
+                Err("decode failed")
+            },
+            |_, acc, v| *acc += v,
+            |i, acc| {
+                assert!(i != 1, "boom in finish");
+                acc
+            },
+        );
+        std::panic::set_hook(prev);
+        assert_eq!(
+            result,
+            Err(WorkerPanic {
+                panicked_workers: 1
+            })
+        );
+        assert_eq!(rec.registry().get(Counter::ParContainedPanics), 1);
+    }
+
+    #[test]
+    fn a_producer_panic_is_contained_after_the_workers_finish() {
+        let rec = Recorder::detached();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let result = scatter_ordered(
+            &rec,
+            2,
+            vec![0u64; 2],
+            |send| {
+                assert!(send(0, 5u64));
+                panic!("decoder bug");
+            },
+            |_, acc, v: u64| *acc += v,
+            |_, acc| acc,
+        );
+        std::panic::set_hook(prev);
+        assert_eq!(
+            result,
+            Err::<Result<Vec<u64>, ()>, _>(WorkerPanic {
+                panicked_workers: 1
+            })
+        );
+        assert_eq!(rec.registry().get(Counter::ParContainedPanics), 1);
     }
 
     #[test]
@@ -242,6 +311,7 @@ mod tests {
                 |_, acc, v| *acc += v,
                 |_, acc| acc,
             )
+            .unwrap()
             .unwrap();
             assert_eq!(got.iter().sum::<u64>(), (0..30).sum::<u64>());
         }
@@ -284,6 +354,7 @@ mod tests {
             },
             |_, acc| acc,
         )
+        .unwrap()
         .unwrap();
         assert_eq!(got, vec![8]);
     }

@@ -96,9 +96,10 @@ impl SampleCatalog {
 
     /// [`build_parallel`](Self::build_parallel) with a [`Recorder`]: the
     /// fan-out counts worker tasks into the registry
-    /// ([`vas_par::par_map_vec_ordered_recorded`]), each per-size run counts
+    /// ([`vas_par::try_par_map_vec_ordered`]), each per-size run counts
     /// into `storage_catalog_samples_built` and, with timing enabled, feeds
-    /// the `catalog_build` phase histogram.
+    /// the `catalog_build` phase histogram. A panicking sampler is
+    /// re-raised on the caller once every worker has joined.
     pub fn build_parallel_recorded<S, F>(
         dataset: &Dataset,
         sizes: &[usize],
@@ -112,7 +113,7 @@ impl SampleCatalog {
     {
         let samplers: Vec<S> = sizes.iter().map(|&k| sampler_factory(k)).collect();
         let samples =
-            vas_par::par_map_vec_ordered_recorded(recorder, threads, samplers, |i, mut sampler| {
+            vas_par::try_par_map_vec_ordered(recorder, threads, samplers, |i, mut sampler| {
                 let sample = {
                     let mut phase = recorder.phase(Phase::CatalogBuild);
                     phase.attr("size_index", i);
@@ -120,7 +121,8 @@ impl SampleCatalog {
                 };
                 recorder.inc(Counter::StorageCatalogSamplesBuilt, 1);
                 sample
-            });
+            })
+            .unwrap_or_else(|e| panic!("catalog ladder: {e}"));
         let mut catalog = Self::new();
         for sample in samples {
             catalog.insert(sample);

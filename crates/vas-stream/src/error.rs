@@ -1,10 +1,10 @@
 //! The typed failure taxonomy of the VAS stack.
 //!
 //! Everything that can go wrong on the data path — I/O, decode, integrity,
-//! resume preconditions, retry exhaustion — is classified into one
-//! [`VasError`] variant with enough context (path, chunk index, promised vs
-//! found counts) to act on without re-running under a debugger. The design
-//! rules:
+//! resume preconditions, retry exhaustion, panicked parallel workers — is
+//! classified into one [`VasError`] variant with enough context (path,
+//! chunk index, promised vs found counts) to act on without re-running
+//! under a debugger. The design rules:
 //!
 //! * **Source-chained.** Variants wrapping an underlying [`io::Error`] keep
 //!   it reachable through [`std::error::Error::source`], so callers can walk
@@ -93,6 +93,13 @@ pub enum VasError {
         /// What went wrong.
         detail: String,
     },
+    /// Parallel workers panicked; their partial results were discarded.
+    WorkerPanic {
+        /// What the workers were doing.
+        context: String,
+        /// How many workers panicked.
+        panicked_workers: usize,
+    },
 }
 
 impl fmt::Display for VasError {
@@ -137,6 +144,10 @@ impl fmt::Display for VasError {
                 "{context}: still failing after {attempts} attempts: {source}"
             ),
             VasError::Checkpoint { detail } => write!(f, "checkpoint: {detail}"),
+            VasError::WorkerPanic {
+                context,
+                panicked_workers,
+            } => write!(f, "{context}: {panicked_workers} worker(s) panicked"),
         }
     }
 }
@@ -177,6 +188,7 @@ impl VasError {
             VasError::Io { source, .. } => source.kind(),
             VasError::RetriesExhausted { source, .. } => source.kind(),
             VasError::Truncated { .. } => io::ErrorKind::UnexpectedEof,
+            VasError::WorkerPanic { .. } => io::ErrorKind::Other,
             _ => io::ErrorKind::InvalidData,
         }
     }

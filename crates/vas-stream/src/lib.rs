@@ -107,7 +107,6 @@ pub mod fault;
 pub mod generate;
 pub mod prefetch;
 pub mod retry;
-pub mod shard;
 pub mod source;
 pub mod stats;
 
@@ -124,6 +123,5 @@ pub use fault::{
 pub use generate::{GaussianMixtureSource, GeolifeSource, SplomSource};
 pub use prefetch::{PrefetchSource, DEFAULT_PREFETCH_DEPTH};
 pub use retry::{RetryPolicy, RetryingSource};
-pub use shard::ShardSource;
 pub use source::{DatasetSource, PointSource, TrackingSource, DEFAULT_CHUNK_SIZE};
 pub use stats::{scan_stats, StreamStats};

@@ -93,7 +93,7 @@ pub mod prelude {
     pub use vas_stream::{
         spill_dataset, spill_source, ChunkedReader, ChunkedWriter, CsvSource, DatasetSource,
         FaultInjectorSource, FaultPlan, GeolifeSource, PointSource, PrefetchSource, RetryPolicy,
-        RetryingSource, ShardSource, StreamStats, TrackingSource, VasError,
+        RetryingSource, StreamStats, TrackingSource, VasError,
     };
     pub use vas_user_sim::{ClusteringTask, DensityTask, RegressionTask, WorkerPopulation};
     pub use vas_viz::{

@@ -774,7 +774,9 @@ fn sharded_build_is_bit_identical_across_threads_chunkings_and_s1_matches_unshar
         let base = VasConfig::new(200).with_locality_backend(backend);
         let unsharded = VasSampler::from_dataset(&data, base.clone()).build(&data);
         for shards in [1usize, 2, 4] {
-            let reference = ShardedSampler::new(base.clone(), shards).build_sharded(&data);
+            let reference = ShardedSampler::new(base.clone(), shards)
+                .build_sharded(&data)
+                .unwrap();
             if shards == 1 {
                 assert_points_bitwise_equal(
                     &reference.points,

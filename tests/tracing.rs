@@ -170,7 +170,8 @@ fn sharded_and_persist_builds_open_one_span_per_phase_call() {
     let (recorder, registry, tracer) = traced_recorder();
     ShardedSampler::new(config.clone(), 2)
         .with_recorder(recorder)
-        .build_sharded(&data);
+        .build_sharded(&data)
+        .unwrap();
     let spans = tracer.spans();
     assert_eq!(spans.iter().filter(|s| s.name == "shard_fill").count(), 2);
     assert_one_span_per_phase_call(&spans, &registry, "sharded build, S = 2");
@@ -252,5 +253,96 @@ fn fatal_build_error_dumps_the_flight_recorder() {
     );
 
     std::fs::remove_file(&spill).ok();
+    std::fs::remove_file(&dump).ok();
+}
+
+/// A source that panics on its `panic_at`-th chunk: a decoder bug.
+struct PanickingSource<'a> {
+    inner: DatasetSource<'a>,
+    chunks: usize,
+    panic_at: usize,
+}
+
+impl PointSource for PanickingSource<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn len_hint(&self) -> Option<u64> {
+        self.inner.len_hint()
+    }
+    fn chunk_capacity(&self) -> usize {
+        self.inner.chunk_capacity()
+    }
+    fn next_chunk(&mut self, buf: &mut Vec<Point>) -> std::io::Result<usize> {
+        self.chunks += 1;
+        assert!(self.chunks != self.panic_at, "injected decoder panic");
+        self.inner.next_chunk(buf)
+    }
+    fn reset(&mut self) -> std::io::Result<()> {
+        self.inner.reset()
+    }
+}
+
+#[test]
+fn sharded_build_panic_is_a_typed_error_with_a_flight_dump() {
+    // A panic inside the sharded fan-out, here in the source the calling
+    // thread drains while two shard workers consume, must not unwind out of
+    // the build: every worker is joined, the flight recorder dumps, and the
+    // build returns a typed, non-transient `VasError`.
+    let data = GeolifeGenerator::with_size(6_000, 43).generate();
+    let dump = std::env::temp_dir().join(format!(
+        "vas-tracing-shard-panic-{}.flight.jsonl",
+        std::process::id()
+    ));
+    std::fs::remove_file(&dump).ok();
+    let (recorder, registry, tracer) = traced_recorder();
+    tracer.set_dump_path(&dump);
+
+    // A fixed ε skips the bounds scan, so every chunk is read inside the
+    // fan-out; the fourth one panics after three reached the shards.
+    let mut source = PanickingSource {
+        inner: DatasetSource::with_chunk_size(&data, 1_000),
+        chunks: 0,
+        panic_at: 4,
+    };
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let result = ShardedSampler::new(VasConfig::new(120).with_epsilon(0.01), 2)
+        .with_recorder(recorder)
+        .build_sharded_from_source(&mut source);
+    std::panic::set_hook(prev);
+
+    let err = result.expect_err("the panic must fail the build");
+    assert!(
+        matches!(
+            err,
+            VasError::WorkerPanic {
+                panicked_workers: 1,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert!(!err.is_transient(), "a panic is not worth a retry");
+    assert_eq!(registry.get(Counter::ParContainedPanics), 1);
+    // Both shard workers drained what they were fed and finished.
+    let spans = tracer.spans();
+    assert_eq!(spans.iter().filter(|s| s.name == "worker_task").count(), 2);
+    assert_eq!(
+        tracer
+            .events()
+            .iter()
+            .filter(|e| e.name == "shard_built")
+            .count(),
+        2
+    );
+
+    assert!(tracer.dumps() > 0, "the panic never dumped the ring");
+    let text = std::fs::read_to_string(&dump).expect("post-mortem dump exists");
+    let last = text.lines().last().unwrap();
+    assert!(
+        last.contains("\"event\":\"fatal\"") && last.contains("worker(s) panicked"),
+        "last: {last}"
+    );
     std::fs::remove_file(&dump).ok();
 }
