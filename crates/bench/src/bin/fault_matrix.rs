@@ -12,12 +12,13 @@
 //!    must fail the per-chunk CRC with a hard error under the default
 //!    policy, and under the opt-in [`CorruptionPolicy::SkipChunks`] must be
 //!    skipped, reported, and leave the remainder readable.
-//! 3. **Crash recovery** — for every locality backend and worker thread
-//!    count, a build killed at a chunk boundary and resumed from its
-//!    `.vascheckpt` must reproduce the uninterrupted sample bit for bit.
-//! 4. **Worker panic** — a panic injected into a speculative pre-evaluation
-//!    worker must be contained (the build completes, sequentially re-running
-//!    the poisoned batch), counted, and must not change a single sample bit.
+//! 3. **Crash recovery** — for every locality backend, a build killed at a
+//!    chunk boundary and resumed from its `.vascheckpt` must reproduce the
+//!    uninterrupted sample bit for bit.
+//! 4. **Worker panic** — an `S = 2` sharded build whose source panics
+//!    mid-stream must not unwind: every shard worker is joined, the panic is
+//!    counted, the tracer dumps its post-mortem file, and the build returns
+//!    a typed [`VasError::WorkerPanic`].
 //!
 //! Output: a table on stdout plus machine-readable
 //! `results/BENCH_faults.json` whose boolean gates CI greps. Exits non-zero
@@ -29,30 +30,38 @@
 //! ```
 //!
 //! With `--obs` a fifth scenario runs the fault path fully instrumented:
-//! a retried build with counters + timers + a tracer (spans and events)
-//! attached must stay bit-identical and yield a valid causal trace, and a
-//! fatal injected fault must fire the tracer's post-mortem dump.
+//! a retried `S = 2` sharded build with counters + timers + a tracer (spans
+//! and events) attached must stay bit-identical to the detached sharded
+//! build and yield a valid causal trace, and a fatal injected fault must
+//! fire the tracer's post-mortem dump.
 //! The summary lands in an `obs` section of `BENCH_faults.json`.
 
 use bench::obs::{validate_build_trace, ObsBundle};
 use bench::{bitwise_eq, display_path, emit, results_dir, ReportTable};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
-use vas_core::{BuildOutcome, CheckpointPolicy, LocalityBackend, VasConfig, VasSampler};
-use vas_data::GeolifeGenerator;
+use std::sync::Arc;
+use vas_core::{
+    BuildOutcome, CheckpointPolicy, GaussianKernel, LocalityBackend, ShardedSampler, VasConfig,
+    VasSampler,
+};
+use vas_data::{GeolifeGenerator, Point};
+use vas_obs::{Counter, MetricsRegistry, Recorder, Tracer};
 use vas_sampling::Sample;
 use vas_stream::{
     flip_bit_in_file, spill_dataset, write_atomic, ChunkedReader, CorruptionPolicy,
-    FaultInjectorSource, FaultPlan, RetryPolicy, RetryingSource, VasError,
+    FaultInjectorSource, FaultPlan, PointSource, RetryPolicy, RetryingSource, VasError,
 };
 
 /// Seed shared with the rest of the harness binaries.
 const SEED: u64 = 20_160_519;
 
+/// Shards of the sharded builds (the panic cell and the `--obs` build).
+const SHARDS: usize = 2;
+
 #[derive(Debug, Clone, Serialize)]
 struct RecoveryCell {
     backend: String,
-    threads: usize,
     killed_after_chunks: u64,
     bit_identical: bool,
 }
@@ -73,11 +82,11 @@ struct FaultReport {
     // Scenario 2: CRC detection + degraded skip mode.
     crc_detected: bool,
     crc_skip_mode_reports: bool,
-    // Scenario 3: kill-and-resume, per backend × thread count.
+    // Scenario 3: kill-and-resume, per backend × kill point.
     recovery_cells: Vec<RecoveryCell>,
     recovery_bit_identical: bool,
-    // Scenario 4: speculation worker panic containment.
-    contained_worker_panics: u64,
+    // Scenario 4: a sharded build's panicking source, contained.
+    contained_panics: u64,
     panic_contained: bool,
     all_passed: bool,
 }
@@ -87,6 +96,33 @@ fn build_clean(spill: &Path, config: &VasConfig) -> Sample {
     VasSampler::new(config.clone())
         .build_from_source(&mut reader)
         .expect("clean build")
+}
+
+/// A source that panics on its `panic_at`-th chunk: a decoder bug.
+struct PanickingSource<S> {
+    inner: S,
+    chunks: u64,
+    panic_at: u64,
+}
+
+impl<S: PointSource> PointSource for PanickingSource<S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn len_hint(&self) -> Option<u64> {
+        self.inner.len_hint()
+    }
+    fn chunk_capacity(&self) -> usize {
+        self.inner.chunk_capacity()
+    }
+    fn next_chunk(&mut self, buf: &mut Vec<Point>) -> std::io::Result<usize> {
+        self.chunks += 1;
+        assert!(self.chunks != self.panic_at, "injected decoder panic");
+        self.inner.next_chunk(buf)
+    }
+    fn reset(&mut self) -> std::io::Result<()> {
+        self.inner.reset()
+    }
 }
 
 /// Scenario 1: the retrying source must absorb every injected transient
@@ -213,101 +249,118 @@ fn run_corruption_scenario(spill: &Path, corrupt_copy: &Path, n: usize) -> (bool
 }
 
 /// Scenario 3: kill at a chunk boundary, resume from the checkpoint, compare
-/// every bit — per backend, per thread count.
-fn run_recovery_scenario(
-    spill: &Path,
-    k: usize,
-    kill_points: &[u64],
-    threads_sweep: &[usize],
-) -> (Vec<RecoveryCell>, bool) {
+/// every bit — per backend.
+fn run_recovery_scenario(spill: &Path, k: usize, kill_points: &[u64]) -> (Vec<RecoveryCell>, bool) {
     let mut cells = Vec::new();
     let mut all = true;
     for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(k).with_locality_backend(backend);
-        let reference = build_clean(spill, &base);
-        for &threads in threads_sweep {
-            let config = base.clone().with_threads(threads);
-            for &kill_after in kill_points {
-                let ckpt = results_dir().join(format!(
-                    "fault_matrix_{backend}_{threads}_{kill_after}.vascheckpt"
-                ));
-                let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
+        let config = VasConfig::new(k).with_locality_backend(backend);
+        let reference = build_clean(spill, &config);
+        for &kill_after in kill_points {
+            let ckpt =
+                results_dir().join(format!("fault_matrix_{backend}_{kill_after}.vascheckpt"));
+            let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
+            let mut reader = ChunkedReader::open(spill).expect("open spill");
+            let outcome = VasSampler::new(config.clone())
+                .build_from_source_checkpointed(&mut reader, &policy)
+                .expect("checkpointed build");
+            let mut ok = matches!(outcome, BuildOutcome::Halted { .. });
+            if !ok {
+                eprintln!(
+                    "[fault_matrix] FAIL: kill switch never fired ({backend}, kill {kill_after})"
+                );
+            } else {
+                let resume_policy = CheckpointPolicy::every(&ckpt, 1);
                 let mut reader = ChunkedReader::open(spill).expect("open spill");
-                let outcome = VasSampler::new(config.clone())
-                    .build_from_source_checkpointed(&mut reader, &policy)
-                    .expect("checkpointed build");
-                let mut ok = matches!(outcome, BuildOutcome::Halted { .. });
+                let (_, outcome) = VasSampler::resume_build_from_source(
+                    config.clone(),
+                    &mut reader,
+                    &resume_policy,
+                )
+                .expect("resume");
+                let resumed = outcome.into_sample().expect("resumed build completes");
+                ok = bitwise_eq(&resumed.points, &reference.points);
                 if !ok {
                     eprintln!(
-                        "[fault_matrix] FAIL: kill switch never fired ({backend}, \
-                         {threads} threads, kill {kill_after})"
+                        "[fault_matrix] FAIL: resumed sample diverged ({backend}, kill {kill_after})"
                     );
-                } else {
-                    let resume_policy = CheckpointPolicy::every(&ckpt, 1);
-                    let mut reader = ChunkedReader::open(spill).expect("open spill");
-                    let (_, outcome) = VasSampler::resume_build_from_source(
-                        config.clone(),
-                        &mut reader,
-                        &resume_policy,
-                    )
-                    .expect("resume");
-                    let resumed = outcome.into_sample().expect("resumed build completes");
-                    ok = bitwise_eq(&resumed.points, &reference.points);
-                    if !ok {
-                        eprintln!(
-                            "[fault_matrix] FAIL: resumed sample diverged ({backend}, \
-                             {threads} threads, kill {kill_after})"
-                        );
-                    }
                 }
-                std::fs::remove_file(&ckpt).ok();
-                all &= ok;
-                cells.push(RecoveryCell {
-                    backend: backend.to_string(),
-                    threads,
-                    killed_after_chunks: kill_after,
-                    bit_identical: ok,
-                });
             }
+            std::fs::remove_file(&ckpt).ok();
+            all &= ok;
+            cells.push(RecoveryCell {
+                backend: backend.to_string(),
+                killed_after_chunks: kill_after,
+                bit_identical: ok,
+            });
         }
     }
     (cells, all)
 }
 
-/// Scenario 4: a panic injected into the first speculative batch must be
-/// contained without changing the sample.
-fn run_panic_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (u64, bool) {
-    let mut sampler = VasSampler::new(config.clone().with_injected_speculation_panic(0));
+/// Scenario 4: an `S = 2` sharded build whose source panics halfway through
+/// the stream must return [`VasError::WorkerPanic`], count the panic and
+/// dump the tracer's post-mortem file. Returns the contained-panic count and
+/// the pass flag.
+fn run_panic_scenario(spill: &Path, config: &VasConfig) -> (u64, bool) {
+    let registry = Arc::new(MetricsRegistry::new());
+    let tracer = Arc::new(Tracer::new());
+    let dump_path = results_dir().join("fault_matrix_panic.flight.jsonl");
+    std::fs::remove_file(&dump_path).ok();
+    tracer.set_dump_path(&dump_path);
+    let recorder = Recorder::new(Arc::clone(&registry)).with_tracer(Arc::clone(&tracer));
+    let reader = ChunkedReader::open(spill).expect("open spill");
+    let chunks = reader.len_hint().unwrap_or(0) / reader.chunk_capacity().max(1) as u64;
+    // A fixed ε skips the bounds scan, so every chunk is read while the
+    // shards are fed; the panic hits the middle one.
+    let mut source = PanickingSource {
+        inner: reader,
+        chunks: 0,
+        panic_at: chunks / 2 + 1,
+    };
     // The injected panic is expected; silence its default stderr report so
-    // the harness log stays readable. Containment shows in the counter.
+    // the harness log stays readable.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let mut reader = ChunkedReader::open(spill).expect("open spill");
-    let result = sampler.build_from_source(&mut reader);
+    let result = ShardedSampler::new(config.clone(), SHARDS)
+        .with_recorder(recorder)
+        .build_sharded_from_source(&mut source);
     std::panic::set_hook(prev);
-    let contained = sampler.contained_worker_panics();
-    match result {
-        Ok(sample) => {
-            let identical = bitwise_eq(&sample.points, &reference.points);
-            if contained == 0 {
-                eprintln!("[fault_matrix] FAIL: the injected panic never fired");
-            }
-            if !identical {
-                eprintln!("[fault_matrix] FAIL: containment changed the sample bits");
-            }
-            (contained, contained >= 1 && identical)
-        }
-        Err(e) => {
-            eprintln!("[fault_matrix] FAIL: panic containment build errored: {e}");
-            (contained, false)
-        }
+    let contained = registry.get(Counter::ParContainedPanics);
+    let typed = matches!(
+        result,
+        Err(VasError::WorkerPanic {
+            panicked_workers: 1,
+            ..
+        })
+    );
+    let dumped = tracer.dumps() > 0
+        && std::fs::read_to_string(&dump_path)
+            .ok()
+            .and_then(|text| {
+                text.lines()
+                    .last()
+                    .map(|l| l.contains("\"event\":\"fatal\""))
+            })
+            .unwrap_or(false);
+    std::fs::remove_file(&dump_path).ok();
+    if !typed {
+        eprintln!(
+            "[fault_matrix] FAIL: the shard-feed panic ended in error {:?}",
+            result.err()
+        );
     }
+    if !dumped {
+        eprintln!("[fault_matrix] FAIL: the shard-feed panic wrote no post-mortem dump");
+    }
+    (contained, typed && contained == 1 && dumped)
 }
 
-/// Scenario 5 (`--obs`): the fully instrumented fault path. A retried build
-/// with the whole observability stack attached must stay bit-identical and
-/// yield a valid causal trace, and a fatal injected fault must make the
-/// tracer write its post-mortem dump. Returns the `obs` section for
+/// Scenario 5 (`--obs`): the fully instrumented fault path. A retried
+/// `S = 2` sharded build with the whole observability stack attached must
+/// stay bit-identical to `reference`, the detached sharded build, and yield
+/// a valid causal trace, and a fatal injected fault must make the tracer
+/// write its post-mortem dump. Returns the `obs` section for
 /// `BENCH_faults.json` and the pass flag.
 fn run_obs_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (Value, bool) {
     let bundle = ObsBundle::new();
@@ -322,9 +375,9 @@ fn run_obs_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (Va
     let injector = FaultInjectorSource::new(reader, FaultPlan::transient(SEED, 3, 2));
     let mut source = RetryingSource::new(injector, RetryPolicy::immediate(5))
         .with_recorder(bundle.recorder.clone());
-    let result = VasSampler::new(config.clone())
+    let result = ShardedSampler::new(config.clone(), SHARDS)
         .with_recorder(bundle.recorder.clone())
-        .build_from_source(&mut source);
+        .build_sharded_from_source(&mut source);
     let bit_identical = match result {
         Ok(sample) => {
             let identical = bitwise_eq(&sample.points, &reference.points);
@@ -455,29 +508,25 @@ fn main() {
 
     eprintln!("[fault_matrix] scenario 3: kill-and-resume per backend");
     let kill_points: &[u64] = if smoke { &[2, 5] } else { &[2, 5, 11] };
-    let (recovery_cells, recovery_bit_identical) =
-        run_recovery_scenario(&spill, k, kill_points, &[1, 2, 4]);
+    let (recovery_cells, recovery_bit_identical) = run_recovery_scenario(&spill, k, kill_points);
 
-    eprintln!("[fault_matrix] scenario 4: speculation worker panic containment");
-    let parallel_reference = {
-        let mut reader = ChunkedReader::open(&spill).expect("open spill");
-        VasSampler::new(base.clone().with_threads(2))
-            .build_from_source(&mut reader)
-            .expect("parallel reference build")
-    };
+    eprintln!("[fault_matrix] scenario 4: sharded build with a panicking source");
+    let epsilon = GaussianKernel::for_dataset(&dataset).epsilon();
     let (contained, panic_contained) =
-        run_panic_scenario(&spill, &base.clone().with_threads(2), &parallel_reference);
+        run_panic_scenario(&spill, &base.clone().with_epsilon(epsilon));
 
-    // Scenario 5 (`--obs`): the instrumented fault path + post-mortem dump.
-    // Uses threads = 2 so the trace carries cross-thread worker spans, and
-    // the parallel reference for the bit-identity check.
+    // Scenario 5 (`--obs`): the instrumented fault path + post-mortem dump,
+    // on an S = 2 sharded build so the trace carries cross-thread worker
+    // spans, checked against the detached sharded build.
     let obs_result = if obs {
         eprintln!("[fault_matrix] scenario 5: instrumented faults + post-mortem dump");
-        Some(run_obs_scenario(
-            &spill,
-            &base.clone().with_threads(2),
-            &parallel_reference,
-        ))
+        let sharded_reference = {
+            let mut reader = ChunkedReader::open(&spill).expect("open spill");
+            ShardedSampler::new(base.clone(), SHARDS)
+                .build_sharded_from_source(&mut reader)
+                .expect("sharded reference build")
+        };
+        Some(run_obs_scenario(&spill, &base, &sharded_reference))
     } else {
         None
     };
@@ -520,15 +569,12 @@ fn main() {
     ]);
     table.push_row(vec![
         "kill-and-resume".into(),
-        format!(
-            "{} cells (backend x threads x kill point)",
-            recovery_cells.len()
-        ),
+        format!("{} cells (backend x kill point)", recovery_cells.len()),
         yn(recovery_bit_identical),
     ]);
     table.push_row(vec![
         "panic containment".into(),
-        format!("{contained} contained worker panic(s)"),
+        format!("S = {SHARDS} source panic: {contained} contained, typed error + dump"),
         yn(panic_contained),
     ]);
     if obs_result.is_some() {
@@ -555,7 +601,7 @@ fn main() {
         crc_skip_mode_reports,
         recovery_cells,
         recovery_bit_identical,
-        contained_worker_panics: contained,
+        contained_panics: contained,
         panic_contained,
         all_passed,
     };

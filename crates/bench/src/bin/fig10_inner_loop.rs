@@ -20,49 +20,38 @@
 //! with `--require-hashgrid-at-least 0.9`, which fails the job if the
 //! spatial-hash backend ever regresses below the R-tree baseline.
 //!
-//! With `--threads t1,t2,...` the run additionally sweeps the **speculative
-//! kernel pre-evaluation** front over the ES+Loc/hashgrid loop:
-//! the candidate phase is driven through `VasSampler::observe_chunk` at each
-//! thread count, every run's sample is asserted bit-identical to the
-//! `threads = 1` run (non-zero exit on divergence), and the timings land in
-//! a `fig10_inner_loop` section of `results/BENCH_parallel.json`.
-//!
 //! With `--obs` the binary instead runs only the **observability overhead
 //! gate**: the full instrumented stack (chunked reads through fault
 //! injection, retries, checkpoint halt/resume, and the sampler itself, all
 //! with timers and a tracer attached) against the detached-recorder no-op
 //! build on the same spilled stream. The gate asserts the two samples are
-//! bit-identical, the tracer carries checkpoint/retry/phase-transition
-//! events, both exporters round-trip the registry snapshot, and the
+//! bit-identical, a traced `S = 2` sharded build matches the detached one
+//! and exports a valid causal trace, the tracer carries
+//! checkpoint/retry/phase-transition events, both exporters round-trip the
+//! registry snapshot, and the
 //! instrumentation overhead stays under a fixed ceiling — then writes
 //! `results/BENCH_obs.json` and exits non-zero on any violation.
 //!
 //! Usage:
 //! ```text
 //! fig10_inner_loop [--smoke] [--backend rtree|hashgrid]
-//!                  [--require-hashgrid-at-least <ratio>] [--threads t1,t2,...]
-//!                  [--obs]
+//!                  [--require-hashgrid-at-least <ratio>] [--obs]
 //! ```
 //! * `--smoke`    — tiny dataset (20K points, K = 500) for CI.
 //! * `--backend`  — restrict the sweep to one backend (default: both).
 //! * `--require-hashgrid-at-least` — exit non-zero unless
 //!   `hashgrid rejected/s ÷ rtree rejected/s` reaches the given ratio; both
 //!   backends must be part of the sweep.
-//! * `--threads`  — comma-separated thread counts for the speculative
-//!   pre-evaluation sweep.
 //! * `--obs`      — run only the observability overhead gate (see above).
 
 use bench::obs::{validate_build_trace, ObsBundle};
-use bench::{
-    bitwise_eq, emit, fmt3, merge_parallel_section, parse_threads_list, results_dir, ReportTable,
-    TimingStats,
-};
+use bench::{bitwise_eq, emit, fmt3, results_dir, ReportTable, TimingStats};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 use vas_core::{
-    BuildOutcome, CheckpointPolicy, GaussianKernel, InterchangeStrategy, Kernel, VasConfig,
-    VasSampler,
+    BuildOutcome, CheckpointPolicy, GaussianKernel, InterchangeStrategy, Kernel, ShardedSampler,
+    VasConfig, VasSampler,
 };
 use vas_data::{Dataset, GaussianMixtureGenerator, Point};
 use vas_obs::{export, Counter, Phase, Recorder};
@@ -215,69 +204,6 @@ fn measure(
         accepted_per_sec: accepted as f64 / accepted_secs.max(1e-9),
     };
     (result, sampler.current_sample().to_vec())
-}
-
-/// One thread count of the speculative pre-evaluation sweep.
-#[derive(Debug, Clone, Serialize)]
-struct PreEvalSweepEntry {
-    threads: usize,
-    /// Wall-clock seconds of the candidate phase (fill excluded).
-    candidate_secs: f64,
-    /// Candidate tuples per second — the figure the acceptance gate reads.
-    tuples_per_sec: f64,
-    /// Throughput ratio against the `threads = 1` run of this sweep.
-    speedup_vs_1: f64,
-    accepted: u64,
-}
-
-/// The `fig10_inner_loop` section of `BENCH_parallel.json`.
-#[derive(Debug, Clone, Serialize)]
-struct PreEvalSection {
-    n: usize,
-    k: usize,
-    backend: String,
-    chunk_size: usize,
-    pre_eval: Vec<PreEvalSweepEntry>,
-    bit_identical: bool,
-}
-
-/// Chunk size the parallel sweep feeds `observe_chunk` (mirrors the
-/// streaming default).
-const SWEEP_CHUNK: usize = 8_192;
-
-/// Runs the ES+Loc candidate phase through `observe_chunk` at one
-/// thread count, returning the timing and the final sample for the
-/// bit-identity gate.
-fn measure_pre_eval(
-    data: &Dataset,
-    k: usize,
-    epsilon: f64,
-    threads: usize,
-) -> (PreEvalSweepEntry, Vec<Point>) {
-    let mut sampler = VasSampler::from_dataset(
-        data,
-        VasConfig::new(k)
-            .with_strategy(InterchangeStrategy::ExpandShrinkLocality)
-            .with_epsilon(epsilon)
-            .with_threads(threads),
-    );
-    for p in data.points.iter().take(k) {
-        sampler.observe(*p);
-    }
-    let candidates = &data.points[k..];
-    let start = Instant::now();
-    for chunk in candidates.chunks(SWEEP_CHUNK) {
-        sampler.observe_chunk(chunk);
-    }
-    let candidate_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let entry = PreEvalSweepEntry {
-        threads,
-        candidate_secs,
-        tuples_per_sec: candidates.len() as f64 / candidate_secs,
-        speedup_vs_1: 1.0,
-        accepted: sampler.replacements(),
-    };
-    (entry, sampler.current_sample().to_vec())
 }
 
 /// Micro-measures the accepted-replacement cost split on one backend: builds
@@ -482,20 +408,21 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
     let instrumented = build(&recorder);
     let noop = build(&Recorder::detached());
 
-    // A dedicated traced build with the speculative pre-eval front on
-    // (threads = 2) so the exported causal tree contains cross-thread
-    // `worker_task` spans — the tracing acceptance shape CI validates.
-    eprintln!("[fig10_inner_loop] obs phase: traced build (threads = 2) for the trace artifact");
-    let trace_bundle = ObsBundle::new();
-    let traced = {
-        let mut source = make_source(&trace_bundle.recorder);
-        let mut sampler =
-            VasSampler::new(config().with_threads(2)).with_recorder(trace_bundle.recorder.clone());
-        sampler
-            .build_from_source(&mut source)
-            .expect("traced obs build")
+    // A dedicated traced S = 2 sharded build, so the exported causal tree
+    // contains cross-thread `worker_task` spans — the tracing acceptance
+    // shape CI validates — checked against the detached sharded build.
+    eprintln!("[fig10_inner_loop] obs phase: traced S = 2 sharded build for the trace artifact");
+    let build_sharded = |recorder: &Recorder| -> Vec<Point> {
+        let mut source = make_source(recorder);
+        ShardedSampler::new(config(), 2)
+            .with_recorder(recorder.clone())
+            .build_sharded_from_source(&mut source)
+            .expect("sharded obs build")
             .points
     };
+    let trace_bundle = ObsBundle::new();
+    let traced = build_sharded(&trace_bundle.recorder);
+    let sharded_detached = build_sharded(&Recorder::detached());
     let trace_path = results_dir().join("trace_build.json");
     let trace_json = trace_bundle
         .write_trace(&trace_path)
@@ -520,7 +447,7 @@ fn run_obs_phase(data: &Dataset, k: usize, epsilon: f64, mode: &str) {
 
     let bit_identical = bitwise_eq(&instrumented, &noop)
         && bitwise_eq(&instrumented, &resumed)
-        && bitwise_eq(&instrumented, &traced);
+        && bitwise_eq(&traced, &sharded_detached);
 
     let events = tracer.events();
     let has = |kind: &str| events.iter().any(|e| e.name == kind);
@@ -708,22 +635,10 @@ fn main() {
     let obs_only = args.iter().any(|a| a == "--obs");
     let mut backends: Vec<LocalityBackend> = Vec::new();
     let mut required_hashgrid_ratio: Option<f64> = None;
-    let mut threads_sweep: Vec<usize> = Vec::new();
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" | "--obs" => {}
-            "--threads" => {
-                i += 1;
-                let value = args.get(i).map(String::as_str).unwrap_or("");
-                match parse_threads_list(value) {
-                    Ok(list) => threads_sweep = list,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--backend" => {
                 i += 1;
                 let value = args.get(i).unwrap_or_else(|| {
@@ -756,8 +671,7 @@ fn main() {
             unknown => {
                 eprintln!(
                     "unknown argument {unknown}; usage: fig10_inner_loop [--smoke] \
-                     [--backend rtree|hashgrid] [--require-hashgrid-at-least <ratio>] \
-                     [--threads t1,t2,...] [--obs]"
+                     [--backend rtree|hashgrid] [--require-hashgrid-at-least <ratio>] [--obs]"
                 );
                 std::process::exit(2);
             }
@@ -903,74 +817,6 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialize bench report");
     std::fs::write(&path, json).expect("write BENCH_interchange.json");
     eprintln!("[machine-readable report written to {}]", path.display());
-
-    // ---- Speculative pre-evaluation sweep (--threads). ----
-    if !threads_sweep.is_empty() {
-        let mut entries: Vec<PreEvalSweepEntry> = Vec::new();
-        let mut reference: Option<Vec<Point>> = None;
-        let mut bit_identical = true;
-        for &t in &threads_sweep {
-            eprintln!("[fig10_inner_loop] pre-eval sweep: threads = {t}");
-            let (entry, sample) = measure_pre_eval(&data, k, epsilon, t);
-            match &reference {
-                None => reference = Some(sample),
-                Some(r) => {
-                    if !bitwise_eq(r, &sample) {
-                        eprintln!(
-                            "[fig10_inner_loop] FAIL: sample at {t} threads diverged from the \
-                             first sweep run"
-                        );
-                        bit_identical = false;
-                    }
-                }
-            }
-            eprintln!(
-                "[fig10_inner_loop] pre-eval x{t}: {:.0} candidate tuples/s",
-                entry.tuples_per_sec
-            );
-            entries.push(entry);
-        }
-        // Speedups are relative to the threads = 1 entry (or the first run
-        // when 1 was not part of the sweep).
-        let baseline = entries
-            .iter()
-            .find(|e| e.threads == 1)
-            .unwrap_or(&entries[0])
-            .tuples_per_sec;
-        for e in &mut entries {
-            e.speedup_vs_1 = e.tuples_per_sec / baseline;
-        }
-        let mut sweep_table = ReportTable::new(
-            format!("Speculative pre-evaluation sweep (hashgrid, n = {n}, K = {k})"),
-            &["threads", "candidate time (s)", "tuples/s", "speedup vs 1"],
-        );
-        for e in &entries {
-            sweep_table.push_row(vec![
-                e.threads.to_string(),
-                fmt3(e.candidate_secs),
-                fmt3(e.tuples_per_sec),
-                format!("{:.2}x", e.speedup_vs_1),
-            ]);
-        }
-        emit("fig10_pre_eval_sweep", &[sweep_table]);
-        let section = PreEvalSection {
-            n,
-            k,
-            backend: LocalityBackend::HashGrid.label().to_string(),
-            chunk_size: SWEEP_CHUNK,
-            pre_eval: entries,
-            bit_identical,
-        };
-        let path = merge_parallel_section("fig10_inner_loop", section.to_value());
-        eprintln!("[pre-eval sweep merged into {}]", path.display());
-        if !bit_identical {
-            eprintln!(
-                "[fig10_inner_loop] FAIL: the speculative pre-evaluation front changed the sample"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("[fig10_inner_loop] pre-eval sweep: all thread counts agree bit-for-bit");
-    }
 
     if let Some(required) = required_hashgrid_ratio {
         let ratio = backend_comparison

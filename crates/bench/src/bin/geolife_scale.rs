@@ -1,6 +1,5 @@
 //! Paper-scale out-of-core run: generate, spill and VAS-sample a
-//! multi-million-point synthetic Geolife workload in bounded memory —
-//! optionally sweeping the deterministic parallel execution subsystem.
+//! multi-million-point synthetic Geolife workload in bounded memory.
 //!
 //! This is the capstone of the streaming ingestion subsystem. The pipeline
 //! never materializes the dataset:
@@ -13,7 +12,7 @@
 //!    through the Interchange loop. The kernel bandwidth comes from the
 //!    spill header's provenance bounds (bit-identical to what an in-memory
 //!    build would derive). Resident points: the K sample slots + one read
-//!    chunk (plus the read-ahead buffers when prefetching).
+//!    chunk.
 //!
 //! The peak resident point count is *measured* (via `TrackingSource` and the
 //! writer's staged-chunk bound) and asserted against the contract
@@ -23,48 +22,33 @@
 //! `build()` over it — the same contract `tests/determinism.rs` pins,
 //! re-checked here on every CI run.
 //!
-//! With `--threads t1,t2,...` the run becomes a **parallel sweep**: for each
-//! thread count the sampler phase runs twice — speculative pre-evaluation
-//! alone, and combined with `PrefetchSource` chunk read-ahead — and the loss
-//! estimator's M-probe loop is swept separately. Every run's sample must be
-//! bit-identical to the `threads = 1` baseline (the binary exits non-zero on
-//! the first divergence), and the per-phase timings land in a
-//! `geolife_scale` section of `results/BENCH_parallel.json`.
-//!
 //! Output: a human-readable table on stdout plus machine-readable
-//! `results/BENCH_streaming.json` (+ `BENCH_parallel.json` in sweep mode).
+//! `results/BENCH_streaming.json`.
 //!
 //! Usage:
 //! ```text
 //! geolife_scale [--smoke] [--n <points>] [--k <K>] [--chunk-size <points>]
-//!               [--threads t1,t2,...] [--keep-spill] [--obs]
+//!               [--keep-spill] [--obs]
 //! ```
 //! * `--smoke`      — CI-sized run (60K points, K = 500) + in-memory
 //!   verification.
 //! * `--n`, `--k`, `--chunk-size` — override the workload shape.
-//! * `--threads`    — comma-separated thread counts to sweep (e.g. `1,2,4`).
 //! * `--keep-spill` — leave the spill file on disk for inspection.
-//! * `--obs`        — add a fully instrumented pass (counters + timers +
-//!   a tracer of spans and events) over the same spill, assert it
-//!   bit-identical to the baseline, export a validated Chrome-trace
-//!   artifact, and graft an `obs` section onto `BENCH_streaming.json`.
+//! * `--obs`        — add a fully instrumented `S = 2` sharded build
+//!   (counters + timers + a tracer of spans and events) over the same
+//!   spill, assert it bit-identical to the detached `S = 2` build, export a
+//!   validated Chrome-trace artifact, and graft an `obs` section onto
+//!   `BENCH_streaming.json`.
 
 use bench::obs::{validate_build_trace, ObsBundle};
-use bench::{
-    bitwise_eq, display_path, emit, fmt3, merge_parallel_section, parse_threads_list, results_dir,
-    ReportTable,
-};
+use bench::{bitwise_eq, display_path, emit, fmt3, results_dir, ReportTable};
 use serde::{Serialize, Value};
 use std::path::Path;
 use std::time::Instant;
-use vas_core::{GaussianKernel, Kernel, VasConfig, VasSampler};
+use vas_core::{GaussianKernel, Kernel, ShardedSampler, VasConfig, VasSampler};
 use vas_data::{GeolifeGenerator, Point};
-use vas_eval::{LossConfig, LossEstimator};
 use vas_obs::Recorder;
-use vas_stream::{
-    ChunkedReader, ChunkedWriter, GeolifeSource, PointSource, PrefetchSource, TrackingSource,
-    DEFAULT_PREFETCH_DEPTH,
-};
+use vas_stream::{ChunkedReader, ChunkedWriter, GeolifeSource, PointSource, TrackingSource};
 
 /// Seed shared with the in-memory verification path.
 const SEED: u64 = 20_160_519;
@@ -111,88 +95,18 @@ struct StreamingReport {
     streaming_matches_in_memory: Option<bool>,
 }
 
-/// One sampler-phase measurement of the parallel sweep.
-#[derive(Debug, Clone, Serialize)]
-struct SamplerSweepEntry {
-    threads: usize,
-    prefetch: bool,
-    secs: f64,
-    tuples_per_sec: f64,
-    /// Throughput ratio against the `threads = 1`, no-prefetch baseline.
-    speedup_vs_baseline: f64,
-    peak_resident_points: u64,
-}
-
-/// One loss-estimator measurement of the parallel sweep.
-#[derive(Debug, Clone, Serialize)]
-struct LossSweepEntry {
-    threads: usize,
-    secs: f64,
-    probes: usize,
-    speedup_vs_baseline: f64,
-}
-
-/// The `geolife_scale` section of `BENCH_parallel.json`.
-#[derive(Debug, Clone, Serialize)]
-struct ParallelSection {
-    n: u64,
-    k: usize,
-    chunk_size: usize,
-    threads: Vec<usize>,
-    prefetch_depth: usize,
-    /// Sampler phase, speculative pre-evaluation only (no prefetch).
-    pre_eval: Vec<SamplerSweepEntry>,
-    /// Sampler phase, pre-evaluation + chunk read-ahead. The `threads = 1`
-    /// entry isolates the prefetch stage's contribution.
-    prefetch: Vec<SamplerSweepEntry>,
-    /// Loss-estimator M-probe loop.
-    loss_estimator: Vec<LossSweepEntry>,
-    /// Every sweep run produced a bit-identical sample.
-    bit_identical: bool,
-}
-
-/// Streams the spill through the sampler once. `threads` drives the
-/// speculative pre-evaluation front; `prefetch` wraps the reader in the
-/// read-ahead stage; `recorder` instruments every stage (pass
-/// [`Recorder::detached`] for the measured runs). Returns the measured
-/// report and the sample points.
-fn run_sampler(
-    spill_path: &Path,
-    n: u64,
-    k: usize,
-    epsilon: f64,
-    threads: usize,
-    prefetch: bool,
-    recorder: Recorder,
-) -> (SamplerReport, Vec<Point>) {
-    let reader = ChunkedReader::open(spill_path)
-        .expect("open spill")
-        .with_recorder(recorder.clone());
-    let source: Box<dyn PointSource + Send> = if prefetch {
-        Box::new(PrefetchSource::new(reader).with_recorder(recorder.clone()))
-    } else {
-        Box::new(reader)
-    };
-    let mut tracked = TrackingSource::new(source);
-    let mut sampler = VasSampler::new(
-        VasConfig::new(k)
-            .with_epsilon(epsilon)
-            .with_threads(threads),
-    )
-    .with_recorder(recorder);
+/// Streams the spill through the sampler once. Returns the measured report
+/// and the sample points.
+fn run_sampler(spill_path: &Path, n: u64, k: usize, epsilon: f64) -> (SamplerReport, Vec<Point>) {
+    let reader = ChunkedReader::open(spill_path).expect("open spill");
+    let mut tracked = TrackingSource::new(reader);
+    let mut sampler = VasSampler::new(VasConfig::new(k).with_epsilon(epsilon));
     let start = Instant::now();
     let sample = sampler
         .build_from_source(&mut tracked)
         .expect("streaming build");
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    // Resident chunk buffers: the consumer's one, plus (when prefetching)
-    // the worker's in-flight chunk and the bounded channel's depth.
-    let buffers = if prefetch {
-        2 + DEFAULT_PREFETCH_DEPTH as u64
-    } else {
-        1
-    };
-    let peak = k.min(n as usize) as u64 + buffers * tracked.max_chunk_len() as u64;
+    let peak = k.min(n as usize) as u64 + tracked.max_chunk_len() as u64;
     let report = SamplerReport {
         tuples: tracked.points_streamed(),
         secs,
@@ -206,6 +120,21 @@ fn run_sampler(
     (report, sample.points)
 }
 
+/// Streams the spill through an `S = 2` sharded build with `recorder`
+/// instrumenting the reader and the build. Returns the wall-clock seconds
+/// and the sample points.
+fn run_sharded(spill_path: &Path, k: usize, epsilon: f64, recorder: Recorder) -> (f64, Vec<Point>) {
+    let mut reader = ChunkedReader::open(spill_path)
+        .expect("open spill")
+        .with_recorder(recorder.clone());
+    let start = Instant::now();
+    let sample = ShardedSampler::new(VasConfig::new(k).with_epsilon(epsilon), 2)
+        .with_recorder(recorder)
+        .build_sharded_from_source(&mut reader)
+        .expect("sharded build");
+    (start.elapsed().as_secs_f64(), sample.points)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -216,22 +145,10 @@ fn main() {
     } else {
         (10_000_000u64, 10_000usize, 65_536usize)
     };
-    let mut threads_sweep: Vec<usize> = Vec::new();
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" | "--keep-spill" | "--obs" => {}
-            "--threads" => {
-                i += 1;
-                let value = args.get(i).map(String::as_str).unwrap_or("");
-                match parse_threads_list(value) {
-                    Ok(list) => threads_sweep = list,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--n" | "--k" | "--chunk-size" => {
                 let flag = args[i].clone();
                 i += 1;
@@ -251,8 +168,7 @@ fn main() {
             unknown => {
                 eprintln!(
                     "unknown argument {unknown}; usage: geolife_scale [--smoke] [--n <points>] \
-                     [--k <K>] [--chunk-size <points>] [--threads t1,t2,...] [--keep-spill] \
-                     [--obs]"
+                     [--k <K>] [--chunk-size <points>] [--keep-spill] [--obs]"
                 );
                 std::process::exit(2);
             }
@@ -307,8 +223,7 @@ fn main() {
         GaussianKernel::for_bounds(&reader.header().bounds).bandwidth()
     };
     eprintln!("[geolife_scale] sampling: K = {k}, epsilon = {epsilon:.6}");
-    let (sampler_report, sample_points) =
-        run_sampler(&spill_path, n, k, epsilon, 1, false, Recorder::detached());
+    let (sampler_report, sample_points) = run_sampler(&spill_path, n, k, epsilon);
     eprintln!(
         "[geolife_scale] sampler: {} tuples/s over {} tuples",
         fmt3(sampler_report.tuples_per_sec),
@@ -351,18 +266,19 @@ fn main() {
         None
     };
 
-    // ---- Observability pass (`--obs`): the fully instrumented pipeline
-    // (counters + timers + a tracer of spans and events) over the same
-    // spill with the speculative front and read-ahead on, asserted
-    // bit-identical to the baseline sample and exporting a validated
-    // Chrome-trace artifact. ----
+    // ---- Observability pass (`--obs`): a fully instrumented S = 2
+    // sharded build (counters + timers + a tracer of spans and events) over
+    // the same spill, so the trace carries cross-thread worker spans,
+    // asserted bit-identical to the detached S = 2 build and exporting a
+    // validated Chrome-trace artifact. ----
     let obs_section = if obs {
-        eprintln!("[geolife_scale] obs: fully instrumented pass (threads = 2, prefetch on)");
+        eprintln!("[geolife_scale] obs: fully instrumented S = 2 sharded build");
         let bundle = ObsBundle::new();
-        let (obs_report, obs_points) =
-            run_sampler(&spill_path, n, k, epsilon, 2, true, bundle.recorder.clone());
-        if !bitwise_eq(&obs_points, &sample_points) {
-            eprintln!("[geolife_scale] FAIL: the instrumented pass diverged from the baseline");
+        let (instrumented_secs, obs_points) =
+            run_sharded(&spill_path, k, epsilon, bundle.recorder.clone());
+        let (_, detached_points) = run_sharded(&spill_path, k, epsilon, Recorder::detached());
+        if !bitwise_eq(&obs_points, &detached_points) {
+            eprintln!("[geolife_scale] FAIL: the instrumented sharded build diverged");
             std::process::exit(1);
         }
         let trace_path = results_dir().join("trace_geolife_scale.json");
@@ -385,7 +301,7 @@ fn main() {
         if let Value::Object(fields) = &mut section {
             fields.push((
                 "instrumented_secs".to_string(),
-                Value::Number(obs_report.secs),
+                Value::Number(instrumented_secs),
             ));
             fields.push(("bit_identical".to_string(), Value::Bool(true)));
             fields.push((
@@ -397,21 +313,6 @@ fn main() {
     } else {
         None
     };
-
-    // ---- Parallel sweep: pre-eval, prefetch, loss estimator. ----
-    if !threads_sweep.is_empty() {
-        run_parallel_sweep(
-            &spill_path,
-            n,
-            k,
-            chunk_size,
-            epsilon,
-            smoke,
-            &threads_sweep,
-            &sampler_report,
-            &sample_points,
-        );
-    }
 
     if !keep_spill {
         std::fs::remove_file(&spill_path).ok();
@@ -430,173 +331,6 @@ fn main() {
         bound,
         streaming_matches_in_memory,
         obs_section,
-    );
-}
-
-/// The `--threads` sweep: measures the sampler phase per thread count with
-/// and without read-ahead, and the loss estimator's probe loop, asserting
-/// every run bit-identical to the baseline sample. Exits non-zero on the
-/// first divergence.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_sweep(
-    spill_path: &Path,
-    n: u64,
-    k: usize,
-    chunk_size: usize,
-    epsilon: f64,
-    smoke: bool,
-    threads_sweep: &[usize],
-    baseline: &SamplerReport,
-    baseline_sample: &[Point],
-) {
-    let mut pre_eval_entries = Vec::new();
-    let mut prefetch_entries = Vec::new();
-    let mut bit_identical = true;
-    // The prefetch pipeline holds `depth + 2` chunk buffers; the combined
-    // bound is the contract the sweep runs assert.
-    let sweep_bound = (k + (DEFAULT_PREFETCH_DEPTH + 2 + 1) * chunk_size) as u64;
-    for &threads in threads_sweep {
-        for prefetch in [false, true] {
-            let label = if prefetch {
-                "pre-eval+prefetch"
-            } else {
-                "pre-eval"
-            };
-            eprintln!("[geolife_scale] sweep: {label}, threads = {threads}");
-            let (report, points) = run_sampler(
-                spill_path,
-                n,
-                k,
-                epsilon,
-                threads,
-                prefetch,
-                Recorder::detached(),
-            );
-            assert!(
-                report.peak_resident_points <= sweep_bound,
-                "sweep peak resident {} exceeded bound {sweep_bound}",
-                report.peak_resident_points
-            );
-            if !bitwise_eq(&points, baseline_sample) {
-                eprintln!(
-                    "[geolife_scale] FAIL: {label} at {threads} threads diverged from the \
-                     sequential sample"
-                );
-                bit_identical = false;
-            }
-            let entry = SamplerSweepEntry {
-                threads,
-                prefetch,
-                secs: report.secs,
-                tuples_per_sec: report.tuples_per_sec,
-                speedup_vs_baseline: report.tuples_per_sec / baseline.tuples_per_sec,
-                peak_resident_points: report.peak_resident_points,
-            };
-            eprintln!(
-                "[geolife_scale] sweep: {label} x{threads}: {} tuples/s ({:.2}x baseline)",
-                fmt3(entry.tuples_per_sec),
-                entry.speedup_vs_baseline
-            );
-            if prefetch {
-                prefetch_entries.push(entry);
-            } else {
-                pre_eval_entries.push(entry);
-            }
-        }
-    }
-
-    // Loss-estimator phase: the M-probe loop over a materialized subset
-    // (bounded so full-scale runs stay out-of-core everywhere else).
-    let loss_n = (n as usize).min(200_000);
-    let probes = if smoke { 2_000 } else { 20_000 };
-    eprintln!("[geolife_scale] sweep: loss estimator ({loss_n} points, {probes} probes)");
-    let subset = GeolifeGenerator::with_size(loss_n, SEED).generate();
-    let kernel = GaussianKernel::for_dataset(&subset);
-    let mut loss_entries: Vec<LossSweepEntry> = Vec::new();
-    let mut loss_reference: Option<(u64, u64)> = None;
-    for &threads in threads_sweep {
-        let estimator = LossEstimator::new(
-            &subset,
-            &kernel,
-            LossConfig {
-                probes,
-                threads,
-                ..LossConfig::default()
-            },
-        );
-        let start = Instant::now();
-        let report = estimator.evaluate(&kernel, baseline_sample);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let bits = (report.mean.to_bits(), report.median.to_bits());
-        match loss_reference {
-            None => loss_reference = Some(bits),
-            Some(reference) => {
-                if reference != bits {
-                    eprintln!("[geolife_scale] FAIL: loss estimate at {threads} threads diverged");
-                    bit_identical = false;
-                }
-            }
-        }
-        loss_entries.push(LossSweepEntry {
-            threads,
-            secs,
-            probes: report.probes,
-            speedup_vs_baseline: loss_entries.first().map(|b| b.secs / secs).unwrap_or(1.0),
-        });
-        eprintln!(
-            "[geolife_scale] sweep: loss x{threads}: {:.4}s",
-            loss_entries.last().unwrap().secs
-        );
-    }
-
-    let section = ParallelSection {
-        n,
-        k,
-        chunk_size,
-        threads: threads_sweep.to_vec(),
-        prefetch_depth: DEFAULT_PREFETCH_DEPTH,
-        pre_eval: pre_eval_entries.clone(),
-        prefetch: prefetch_entries.clone(),
-        loss_estimator: loss_entries.clone(),
-        bit_identical,
-    };
-    let mut table = ReportTable::new(
-        format!("Parallel sweep (n = {n}, K = {k}, chunk = {chunk_size})"),
-        &["phase", "threads", "time (s)", "tuples/s", "speedup vs 1"],
-    );
-    for e in pre_eval_entries.iter().chain(&prefetch_entries) {
-        table.push_row(vec![
-            if e.prefetch {
-                "pre-eval+prefetch"
-            } else {
-                "pre-eval"
-            }
-            .to_string(),
-            e.threads.to_string(),
-            fmt3(e.secs),
-            fmt3(e.tuples_per_sec),
-            format!("{:.2}x", e.speedup_vs_baseline),
-        ]);
-    }
-    for e in &loss_entries {
-        table.push_row(vec![
-            "loss estimator".to_string(),
-            e.threads.to_string(),
-            fmt3(e.secs),
-            "-".to_string(),
-            format!("{:.2}x", e.speedup_vs_baseline),
-        ]);
-    }
-    emit("geolife_scale_parallel", &[table]);
-    let path = merge_parallel_section("geolife_scale", section.to_value());
-    eprintln!("[parallel sweep merged into {}]", path.display());
-
-    if !bit_identical {
-        eprintln!("[geolife_scale] FAIL: a parallel run diverged from the sequential output");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "[geolife_scale] sweep: every parallel run reproduced the sequential sample bit-for-bit"
     );
 }
 

@@ -1,5 +1,5 @@
 //! Sharded-sampling scale-out sweep: spatial partition → per-shard
-//! Interchange → ordered merge, measured across shard and thread counts.
+//! Interchange → ordered merge, measured across shard counts.
 //!
 //! This is the harness behind the deterministic scale-out claim: a
 //! `ShardedSampler` splits the stream into `S` spatial shards (pure
@@ -8,10 +8,10 @@
 //! shard samples with a final single-pass Interchange over the union in
 //! shard order. The sweep pins the contract the library tests promise:
 //!
-//! * **Determinism** — for a fixed shard count, the sample is bit-identical
-//!   at every thread count (and, in smoke mode, bit-identical to the
-//!   in-memory `build_sharded` over the materialized dataset, which covers
-//!   chunking since the in-memory path sees one giant chunk).
+//! * **Determinism** — in smoke mode, for every shard count the streamed
+//!   sample is bit-identical to the in-memory `build_sharded` over the
+//!   materialized dataset, which covers chunking since the in-memory path
+//!   sees one giant chunk.
 //! * **S = 1 equivalence** — one shard gets the full budget with no
 //!   oversampling, so the sharded pipeline collapses to the plain
 //!   streaming build, bit for bit.
@@ -21,31 +21,24 @@
 //!
 //! Any violated gate exits non-zero, so CI can run the smoke sweep as a
 //! regression tripwire. Results land in `results/BENCH_shard.json`
-//! (`bench_diff`-compatible: rows are keyed by `shards`/`threads`, ratios
+//! (`bench_diff`-compatible: rows are keyed by `shards`, ratios
 //! get tolerance, booleans are strict).
 //!
 //! Usage:
 //! ```text
 //! shard_sweep [--smoke] [--n <points>] [--k <K>] [--chunk-size <points>]
-//!             [--shards s1,s2,...] [--threads t1,t2,...] [--keep-spill]
-//!             [--obs]
+//!             [--shards s1,s2,...] [--keep-spill] [--obs]
 //! ```
 //! * `--smoke`      — CI-sized run (40K points, K = 400) + in-memory
 //!   cross-check of every shard count.
 //! * `--shards`     — shard counts to sweep (default `1,2,4`).
-//! * `--threads`    — per-shard pre-eval thread counts to sweep (default
-//!   `1,2`); the first entry is the reference every other run must
-//!   reproduce bit-for-bit.
 //! * `--obs`        — add a fully instrumented sharded pass at the largest
 //!   shard count, assert it bit-identical, export a validated Chrome trace
 //!   (`results/trace_shard.json`) with ≥ S worker spans under one build
 //!   root, and graft an `obs` section onto the report.
 
 use bench::obs::{validate_build_trace, ObsBundle};
-use bench::{
-    bitwise_eq, display_path, emit, fmt3, parse_shards_list, parse_threads_list, results_dir,
-    ReportTable,
-};
+use bench::{bitwise_eq, display_path, emit, fmt3, parse_shards_list, results_dir, ReportTable};
 use serde::{Serialize, Value};
 use std::path::Path;
 use std::time::Instant;
@@ -69,10 +62,9 @@ const LOSS_BAND_MAX: f64 = 1.5;
 #[derive(Debug, Clone, Serialize)]
 struct SweepRow {
     shards: usize,
-    threads: usize,
     secs: f64,
     tuples_per_sec: f64,
-    /// Throughput ratio against the `S = 1` run at the same thread count.
+    /// Throughput ratio against the `S = 1` run.
     speedup_vs_s1: f64,
 }
 
@@ -89,7 +81,8 @@ struct QualityRow {
 
 #[derive(Debug, Clone, Serialize)]
 struct Gates {
-    /// Every (S, threads) run reproduced its shard count's reference sample.
+    /// Every streamed build reproduced the in-memory `build_sharded` of its
+    /// shard count (smoke mode; vacuously true on full runs).
     bit_identical: bool,
     /// The S = 1 sharded build equals the unsharded streaming build.
     s1_matches_unsharded: bool,
@@ -108,7 +101,6 @@ struct ShardReport {
     seed: u64,
     epsilon: f64,
     shards: Vec<usize>,
-    threads: Vec<usize>,
     loss_band_max: f64,
     unsharded: SweepRow,
     unsharded_loss_median: f64,
@@ -124,17 +116,11 @@ fn run_sharded(
     k: usize,
     epsilon: f64,
     shards: usize,
-    threads: usize,
     recorder: Recorder,
 ) -> (f64, Vec<Point>) {
     let mut reader = ChunkedReader::open(spill_path).expect("open spill");
-    let mut sampler = ShardedSampler::new(
-        VasConfig::new(k)
-            .with_epsilon(epsilon)
-            .with_threads(threads),
-        shards,
-    )
-    .with_recorder(recorder);
+    let mut sampler = ShardedSampler::new(VasConfig::new(k).with_epsilon(epsilon), shards)
+        .with_recorder(recorder);
     let start = Instant::now();
     let sample = sampler
         .build_sharded_from_source(&mut reader)
@@ -153,23 +139,15 @@ fn main() {
         (2_000_000u64, 4_000usize, 65_536usize)
     };
     let mut shards_sweep: Vec<usize> = vec![1, 2, 4];
-    let mut threads_sweep: Vec<usize> = vec![1, 2];
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" | "--keep-spill" | "--obs" => {}
-            "--shards" | "--threads" => {
-                let flag = args[i].clone();
+            "--shards" => {
                 i += 1;
                 let value = args.get(i).map(String::as_str).unwrap_or("");
-                let parsed = if flag == "--shards" {
-                    parse_shards_list(value)
-                } else {
-                    parse_threads_list(value)
-                };
-                match parsed {
-                    Ok(list) if flag == "--shards" => shards_sweep = list,
-                    Ok(list) => threads_sweep = list,
+                match parse_shards_list(value) {
+                    Ok(list) => shards_sweep = list,
                     Err(e) => {
                         eprintln!("{e}");
                         std::process::exit(2);
@@ -195,8 +173,8 @@ fn main() {
             unknown => {
                 eprintln!(
                     "unknown argument {unknown}; usage: shard_sweep [--smoke] [--n <points>] \
-                     [--k <K>] [--chunk-size <points>] [--shards s1,s2,...] \
-                     [--threads t1,t2,...] [--keep-spill] [--obs]"
+                     [--k <K>] [--chunk-size <points>] [--shards s1,s2,...] [--keep-spill] \
+                     [--obs]"
                 );
                 std::process::exit(2);
             }
@@ -242,15 +220,10 @@ fn main() {
     let estimator = LossEstimator::new(&dataset, &kernel, LossConfig::default());
 
     // ---- Unsharded streaming baseline. ----
-    let base_threads = threads_sweep[0];
-    eprintln!("[shard_sweep] baseline: unsharded streaming build (threads = {base_threads})");
+    eprintln!("[shard_sweep] baseline: unsharded streaming build");
     let (unsharded_secs, unsharded_points) = {
         let mut reader = ChunkedReader::open(&spill_path).expect("open spill");
-        let mut sampler = VasSampler::new(
-            VasConfig::new(k)
-                .with_epsilon(epsilon)
-                .with_threads(base_threads),
-        );
+        let mut sampler = VasSampler::new(VasConfig::new(k).with_epsilon(epsilon));
         let start = Instant::now();
         let sample = sampler
             .build_from_source(&mut reader)
@@ -260,7 +233,6 @@ fn main() {
     let unsharded_loss = estimator.evaluate(&kernel, &unsharded_points);
     let unsharded = SweepRow {
         shards: 0,
-        threads: base_threads,
         secs: unsharded_secs,
         tuples_per_sec: n as f64 / unsharded_secs,
         speedup_vs_s1: 1.0,
@@ -271,7 +243,7 @@ fn main() {
         fmt3(unsharded_loss.median)
     );
 
-    // ---- The shards × threads sweep. ----
+    // ---- The shard-count sweep. ----
     let mut sweep: Vec<SweepRow> = Vec::new();
     let mut quality: Vec<QualityRow> = Vec::new();
     let mut references: Vec<(usize, Vec<Point>)> = Vec::new();
@@ -279,43 +251,20 @@ fn main() {
     let mut s1_matches_unsharded = true;
     let mut loss_within_band = true;
     for &shards in &shards_sweep {
-        let mut reference: Option<Vec<Point>> = None;
-        for &threads in &threads_sweep {
-            eprintln!("[shard_sweep] sweep: S = {shards}, threads = {threads}");
-            let (secs, points) = run_sharded(
-                &spill_path,
-                k,
-                epsilon,
-                shards,
-                threads,
-                Recorder::detached(),
-            );
-            let tuples_per_sec = n as f64 / secs;
-            let speedup_vs_s1 = sweep
-                .iter()
-                .find(|r| r.shards == 1 && r.threads == threads)
-                .map(|r| tuples_per_sec / r.tuples_per_sec)
-                .unwrap_or(1.0);
-            sweep.push(SweepRow {
-                shards,
-                threads,
-                secs,
-                tuples_per_sec,
-                speedup_vs_s1,
-            });
-            match &reference {
-                None => reference = Some(points),
-                Some(reference) => {
-                    if !bitwise_eq(&points, reference) {
-                        eprintln!(
-                            "[shard_sweep] FAIL: S = {shards} diverged at threads = {threads}"
-                        );
-                        bit_identical = false;
-                    }
-                }
-            }
-        }
-        let reference = reference.expect("at least one thread count swept");
+        eprintln!("[shard_sweep] sweep: S = {shards}");
+        let (secs, reference) = run_sharded(&spill_path, k, epsilon, shards, Recorder::detached());
+        let tuples_per_sec = n as f64 / secs;
+        let speedup_vs_s1 = sweep
+            .iter()
+            .find(|r| r.shards == 1)
+            .map(|r| tuples_per_sec / r.tuples_per_sec)
+            .unwrap_or(1.0);
+        sweep.push(SweepRow {
+            shards,
+            secs,
+            tuples_per_sec,
+            speedup_vs_s1,
+        });
 
         if shards == 1 && !bitwise_eq(&reference, &unsharded_points) {
             eprintln!("[shard_sweep] FAIL: the S = 1 sharded build differs from the unsharded one");
@@ -366,17 +315,10 @@ fn main() {
     // causal trace: one build root fanning out to ≥ S worker spans. ----
     let obs_section = if obs {
         let shards = *shards_sweep.last().expect("non-empty shard sweep");
-        let obs_threads = *threads_sweep.last().expect("non-empty thread sweep");
-        eprintln!("[shard_sweep] obs: instrumented pass (S = {shards}, threads = {obs_threads})");
+        eprintln!("[shard_sweep] obs: instrumented pass (S = {shards})");
         let bundle = ObsBundle::new();
-        let (obs_secs, obs_points) = run_sharded(
-            &spill_path,
-            k,
-            epsilon,
-            shards,
-            obs_threads,
-            bundle.recorder.clone(),
-        );
+        let (obs_secs, obs_points) =
+            run_sharded(&spill_path, k, epsilon, shards, bundle.recorder.clone());
         let reference = &references
             .iter()
             .find(|(s, _)| *s == shards)
@@ -438,17 +380,10 @@ fn main() {
     };
     let mut table = ReportTable::new(
         format!("Sharded sampling sweep ({mode}: n = {n}, K = {k}, chunk = {chunk_size})"),
-        &[
-            "shards",
-            "threads",
-            "time (s)",
-            "tuples/s",
-            "speedup vs S=1",
-        ],
+        &["shards", "time (s)", "tuples/s", "speedup vs S=1"],
     );
     table.push_row(vec![
         "unsharded".to_string(),
-        unsharded.threads.to_string(),
         fmt3(unsharded.secs),
         fmt3(unsharded.tuples_per_sec),
         "-".to_string(),
@@ -456,7 +391,6 @@ fn main() {
     for row in &sweep {
         table.push_row(vec![
             row.shards.to_string(),
-            row.threads.to_string(),
             fmt3(row.secs),
             fmt3(row.tuples_per_sec),
             format!("{:.2}x", row.speedup_vs_s1),
@@ -500,7 +434,6 @@ fn main() {
         seed: SEED,
         epsilon,
         shards: shards_sweep.clone(),
-        threads: threads_sweep.clone(),
         loss_band_max: LOSS_BAND_MAX,
         unsharded,
         unsharded_loss_median: unsharded_loss.median,
@@ -530,7 +463,6 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "[shard_sweep] all gates passed: deterministic across threads, S = 1 == unsharded, \
-         loss within band"
+        "[shard_sweep] all gates passed: deterministic, S = 1 == unsharded, loss within band"
     );
 }

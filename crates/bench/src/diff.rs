@@ -19,7 +19,7 @@
 //!   (same-machine A/B runs).
 //!
 //! Arrays of objects are keyed by their identifying fields (`backend`,
-//! `threads`, `phase`, ...) rather than position, so re-ordering a report
+//! `shards`, `phase`, ...) rather than position, so re-ordering a report
 //! section does not produce spurious diffs.
 
 use serde::Value;
@@ -120,9 +120,7 @@ const ID_FIELDS: &[&str] = &[
     "name",
     "label",
     "mode",
-    "threads",
     "shards",
-    "prefetch",
     "killed_after_chunks",
     "k",
 ];
@@ -517,18 +515,18 @@ mod tests {
     #[test]
     fn array_rows_are_keyed_by_identity_not_position() {
         let base = parse(
-            r#"{"cells":[{"backend":"rtree","threads":1,"ok":true},
-                         {"backend":"grid","threads":2,"ok":true}]}"#,
+            r#"{"cells":[{"backend":"rtree","shards":1,"ok":true},
+                         {"backend":"grid","shards":2,"ok":true}]}"#,
         );
         let reordered = parse(
-            r#"{"cells":[{"backend":"grid","threads":2,"ok":true},
-                          {"backend":"rtree","threads":1,"ok":true}]}"#,
+            r#"{"cells":[{"backend":"grid","shards":2,"ok":true},
+                          {"backend":"rtree","shards":1,"ok":true}]}"#,
         );
         let d = diff_values("f", &base, &reordered, &DiffConfig::default());
         assert!(d.regressions.is_empty(), "{:?}", d.regressions);
         let broken = parse(
-            r#"{"cells":[{"backend":"rtree","threads":1,"ok":true},
-                          {"backend":"grid","threads":2,"ok":false}]}"#,
+            r#"{"cells":[{"backend":"rtree","shards":1,"ok":true},
+                          {"backend":"grid","shards":2,"ok":false}]}"#,
         );
         let d = diff_values("f", &base, &broken, &DiffConfig::default());
         assert_eq!(d.regressions.len(), 1);

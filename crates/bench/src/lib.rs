@@ -122,56 +122,11 @@ pub fn emit(name: &str, tables: &[ReportTable]) {
     eprintln!("[results written to {}/{name}.{{txt,json}}]", dir.display());
 }
 
-/// Merges one named section into `results/BENCH_parallel.json`, creating the
-/// report if absent and replacing the section if it already exists. Both
-/// `geolife_scale` and `fig10_inner_loop` contribute their `--threads` sweep
-/// here, so one artifact carries the whole parallel-subsystem picture.
-/// Returns the report path.
-pub fn merge_parallel_section(section: &str, section_value: serde::Value) -> PathBuf {
-    let path = results_dir().join("BENCH_parallel.json");
-    merge_section_at(&path, section, section_value);
-    path
-}
-
-/// [`merge_parallel_section`] against an explicit report path (exposed for
-/// tests).
-pub fn merge_section_at(path: &Path, section: &str, section_value: serde::Value) {
-    use serde::Value;
-    let mut root = fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<Value>(&s).ok())
-        .filter(|v| matches!(v, Value::Object(_)))
-        .unwrap_or_else(|| {
-            Value::Object(vec![(
-                "bench".to_string(),
-                Value::String("parallel".to_string()),
-            )])
-        });
-    if let Value::Object(fields) = &mut root {
-        if !fields.iter().any(|(k, _)| k == "sections") {
-            fields.push(("sections".to_string(), Value::Object(Vec::new())));
-        }
-        let sections = fields
-            .iter_mut()
-            .find(|(k, _)| k == "sections")
-            .map(|(_, v)| v)
-            .expect("sections object just ensured");
-        if let Value::Object(entries) = sections {
-            match entries.iter_mut().find(|(k, _)| k == section) {
-                Some((_, v)) => *v = section_value,
-                None => entries.push((section.to_string(), section_value)),
-            }
-        }
-    }
-    let json = serde_json::to_string_pretty(&root).expect("serialize BENCH_parallel.json");
-    fs::write(path, json).expect("write BENCH_parallel.json");
-}
-
 /// Parses a comma-separated sweep list of positive counts (e.g. `1,2,4`)
 /// for the flag named `flag` (used verbatim in error messages).
 /// Deduplicates while keeping order. The one list-parsing implementation
-/// behind every sweep flag (`--threads`, `--shards`) — new sweep flags
-/// should wrap this instead of growing another copy.
+/// behind every sweep flag (`--shards`) — new sweep flags should wrap this
+/// instead of growing another copy.
 pub fn parse_count_list(flag: &str, value: &str) -> Result<Vec<usize>, String> {
     let mut out = Vec::new();
     for part in value.split(',') {
@@ -192,11 +147,6 @@ pub fn parse_count_list(flag: &str, value: &str) -> Result<Vec<usize>, String> {
         return Err(format!("{flag} needs at least one count"));
     }
     Ok(out)
-}
-
-/// Parses a `--threads` sweep argument ([`parse_count_list`]).
-pub fn parse_threads_list(value: &str) -> Result<Vec<usize>, String> {
-    parse_count_list("--threads", value)
 }
 
 /// Parses a `--shards` sweep argument ([`parse_count_list`]).
@@ -287,57 +237,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_list_parses_and_validates() {
-        assert_eq!(parse_threads_list("1,2,4").unwrap(), vec![1, 2, 4]);
-        assert_eq!(parse_threads_list(" 2 , 2 ,8").unwrap(), vec![2, 8]);
-        assert!(parse_threads_list("0").is_err());
-        assert!(parse_threads_list("two").is_err());
-        assert!(parse_threads_list("").is_err());
-    }
-
-    #[test]
     fn count_list_names_the_flag_in_errors() {
         assert_eq!(parse_shards_list("1, 4,2").unwrap(), vec![1, 4, 2]);
         let err = parse_shards_list("0").unwrap_err();
         assert!(err.contains("--shards"), "unexpected error: {err}");
-        let err = parse_threads_list("x").unwrap_err();
-        assert!(err.contains("--threads"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn parallel_sections_merge_and_replace() {
-        use serde::Value;
-        let path = std::env::temp_dir().join(format!(
-            "vas-bench-parallel-test-{}.json",
-            std::process::id()
-        ));
-        std::fs::remove_file(&path).ok();
-        merge_section_at(
-            &path,
-            "test-section-a",
-            Value::Object(vec![("v".to_string(), Value::Number(1.0))]),
-        );
-        merge_section_at(
-            &path,
-            "test-section-b",
-            Value::Object(vec![("v".to_string(), Value::Number(2.0))]),
-        );
-        merge_section_at(
-            &path,
-            "test-section-a",
-            Value::Object(vec![("v".to_string(), Value::Number(3.0))]),
-        );
-        let root: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        std::fs::remove_file(&path).ok();
-        let sections = root.get("sections").unwrap();
-        assert_eq!(
-            sections.get("test-section-a").unwrap().get("v"),
-            Some(&Value::Number(3.0))
-        );
-        assert_eq!(
-            sections.get("test-section-b").unwrap().get("v"),
-            Some(&Value::Number(2.0))
-        );
+        assert_eq!(parse_shards_list(" 2 , 2 ,8").unwrap(), vec![2, 8]);
+        assert!(parse_shards_list("two").is_err());
+        assert!(parse_shards_list("").is_err());
     }
 
     #[test]

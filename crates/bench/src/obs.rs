@@ -115,7 +115,7 @@ impl Default for ObsBundle {
 pub struct TraceCheck {
     /// Total spans parsed from the trace.
     pub spans: usize,
-    /// `worker_task` spans (vas-par stripes and vas-core pre-eval workers).
+    /// `worker_task` spans (stripes of the vas-par fan-out core).
     pub worker_spans: usize,
     /// Distinct thread ids that recorded at least one span.
     pub threads: usize,
@@ -187,7 +187,7 @@ mod tests {
         let bundle = ObsBundle::new();
         bundle.recorder.inc(Counter::StreamChunksDecoded, 2);
         {
-            let _span = bundle.recorder.root_span("build");
+            let _span = bundle.recorder.span("build");
         }
         bundle.recorder.event("retry", &[]);
         let section = bundle.section_value();
@@ -204,7 +204,7 @@ mod tests {
     fn validator_requires_parented_workers_under_a_build_root() {
         let bundle = ObsBundle::new();
         {
-            let root = bundle.recorder.root_span("build_from_source");
+            let root = bundle.recorder.span("build_from_source");
             let ctx = root.context();
             let _worker = bundle.recorder.phase_under(Phase::WorkerTask, ctx);
         }
@@ -215,7 +215,7 @@ mod tests {
         // An orphaned worker (its own root) must fail validation.
         let orphaned = ObsBundle::new();
         {
-            let _root = orphaned.recorder.root_span("build");
+            let _root = orphaned.recorder.span("build");
         }
         {
             let _worker = orphaned.tracer.span_under("worker_task", None);
@@ -229,7 +229,7 @@ mod tests {
         assert!(validate_build_trace("{\"traceEvents\":[]}").is_err());
         let bundle = ObsBundle::new();
         {
-            let _span = bundle.recorder.root_span("not_a_build");
+            let _span = bundle.recorder.span("not_a_build");
         }
         let err = validate_build_trace(&bundle.tracer.to_chrome_trace()).unwrap_err();
         assert!(err.contains("no build root"), "unexpected reason: {err}");

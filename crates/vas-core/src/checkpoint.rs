@@ -3,14 +3,14 @@
 //! A `.vascheckpt` file captures **everything the sampler's future output
 //! depends on** at a chunk boundary of
 //! [`VasSampler::build_from_source_checkpointed`](crate::VasSampler::build_from_source_checkpointed):
-//! the sample slots, responsibilities, hill-climb counters, the adaptive
-//! speculation spacing, the stream position (pass + chunks consumed), and a
-//! byte-exact snapshot of the locality index (see `vas_spatial::snapshot` —
-//! visitation order is history-dependent state, so the index cannot simply
-//! be rebuilt). Resuming from the file and streaming the rest of the source
-//! produces a sample **bit-identical** to the uninterrupted run, per
-//! locality backend and at every thread count (pinned in
-//! `tests/determinism.rs` and swept by the `fault_matrix` harness).
+//! the sample slots, responsibilities, hill-climb counters, the stream
+//! position (pass + chunks consumed), and a byte-exact snapshot of the
+//! locality index (see `vas_spatial::snapshot` — visitation order is
+//! history-dependent state, so the index cannot simply be rebuilt).
+//! Resuming from the file and streaming the rest of the source produces a
+//! sample **bit-identical** to the uninterrupted run, per strategy and
+//! locality backend (pinned in `tests/determinism.rs` and swept by the
+//! `fault_matrix` harness).
 //!
 //! The file is written atomically (temp + fsync + rename via
 //! [`vas_stream::write_atomic`]), so a crash mid-checkpoint leaves the
@@ -24,7 +24,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "VASCKPT\0"
-//! 8       4     version (u32 LE) = 2
+//! 8       4     version (u32 LE) = 3
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload (sampler state; see interchange.rs)
 //! 20+n    4     CRC-32 (IEEE) over the payload bytes
@@ -38,7 +38,7 @@ use vas_stream::VasError;
 /// Magic bytes opening every `.vascheckpt` file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VASCKPT\0";
 /// Container version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 /// Container bytes before the payload (magic + version + payload length).
 const HEADER_LEN: usize = 8 + 4 + 8;
 

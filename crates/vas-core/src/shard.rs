@@ -13,7 +13,7 @@
 //! ## Determinism contract
 //!
 //! For a fixed shard count `S`, a sharded build is **bit-identical** across
-//! thread counts, chunk sizes, queue depths, and the in-memory vs streaming
+//! chunk sizes, queue depths, scheduling and the in-memory vs streaming
 //! entry points — the same contract every other path in this workspace
 //! honours, pinned in `tests/determinism.rs`. The pieces:
 //!
@@ -21,7 +21,7 @@
 //!   scheduling cannot move a point between shards),
 //! * each shard sampler observes exactly its sub-stream in stream order
 //!   (FIFO queues, one owner per sampler), and a sampler's output is
-//!   already chunk-boundary- and thread-count-invariant,
+//!   already chunk-boundary-invariant,
 //! * the merge consumes the shard samples in shard order on one thread.
 //!
 //! `S` itself is a **quality knob**, not a free parameter: different `S`
@@ -44,7 +44,7 @@ use crate::interchange::{VasConfig, VasSampler};
 use crate::kernel::{GaussianKernel, Kernel};
 use vas_data::{Dataset, Point};
 use vas_obs::{Counter, Phase, Recorder};
-use vas_par::{scatter_ordered, split_ranges};
+use vas_par::{scatter_ordered, split_ranges, try_par_map_vec_ordered, WorkerPanic};
 use vas_sampling::{Sample, Sampler};
 use vas_spatial::ShardPartitioner;
 use vas_stream::{DatasetSource, PointSource, VasError};
@@ -82,8 +82,8 @@ pub struct ShardedSampler {
 
 impl ShardedSampler {
     /// Creates a sharded driver over `shards` shards; every shard sampler
-    /// and the merge pass inherit `config` (strategy, backend, threads,
-    /// locality threshold), with only the budget and the resolved bandwidth
+    /// and the merge pass inherit `config` (strategy, backend, locality
+    /// threshold), with only the budget and the resolved bandwidth
     /// overridden per shard.
     ///
     /// # Panics
@@ -160,14 +160,14 @@ impl ShardedSampler {
     /// batch `b + 1` while workers evaluate batch `b` — see
     /// [`vas_par::scatter_ordered`]). Bit-identical to
     /// [`build_sharded`](Self::build_sharded) over the equivalent in-memory
-    /// dataset, at any queue depth, chunk size, or thread count.
+    /// dataset, at any queue depth or chunk size.
     ///
     /// # Errors
     /// A source error fails the build with that error. A panic in a shard
-    /// worker, or in the source while it feeds the shards, is contained:
-    /// every worker is joined, the flight recorder is dumped, and the build
-    /// returns [`VasError::WorkerPanic`].
-    pub fn build_sharded_from_source<S: PointSource>(
+    /// worker, or in the source while it is scanned for its bounds or feeds
+    /// the shards, is contained: every worker is joined, the flight recorder
+    /// is dumped, and the build returns [`VasError::WorkerPanic`].
+    pub fn build_sharded_from_source<S: PointSource + Send>(
         &mut self,
         source: &mut S,
     ) -> Result<Sample, VasError> {
@@ -176,12 +176,12 @@ impl ShardedSampler {
 
     /// The one sharded build both entry points run, under a root span named
     /// `root_name`.
-    fn build<S: PointSource>(
+    fn build<S: PointSource + Send>(
         &mut self,
         root_name: &'static str,
         source: &mut S,
     ) -> Result<Sample, VasError> {
-        let mut root = self.recorder.root_span(root_name);
+        let mut root = self.recorder.span(root_name);
         if let Some(n) = source.len_hint() {
             root.attr("n", n);
         }
@@ -193,14 +193,29 @@ impl ShardedSampler {
             let _ = recorder.fatal(&err.to_string());
             err
         };
+        let worker_panic = |context: &str, panic: WorkerPanic| {
+            fatal(VasError::WorkerPanic {
+                context: context.into(),
+                panicked_workers: panic.panicked_workers,
+            })
+        };
         let kernel = match self.config.epsilon {
             Some(eps) => GaussianKernel::new(eps),
             None => {
                 // Same ε-resolution as the unsharded streaming path: a
                 // bounds scan in stream order, so the resolved kernel is
-                // bit-identical to the one the unsharded build derives.
-                source.reset().map_err(|e| fatal(VasError::from(e)))?;
-                let stats = vas_stream::scan_stats(source).map_err(|e| fatal(VasError::from(e)))?;
+                // bit-identical to the one the unsharded build derives. It
+                // runs as one stripe of the contained fan-out core, on the
+                // calling thread, so a source that panics here ends the
+                // build like one that panics while feeding the shards.
+                let stats = try_par_map_vec_ordered(&recorder, 1, vec![&mut *source], |_, src| {
+                    src.reset()?;
+                    vas_stream::scan_stats(src)
+                })
+                .map_err(|panic| worker_panic("sharded bounds scan", panic))?
+                .pop()
+                .expect("one stripe")
+                .map_err(|e| fatal(VasError::from(e)))?;
                 GaussianKernel::for_bounds(&stats.bounds)
             }
         };
@@ -249,12 +264,7 @@ impl ShardedSampler {
             },
             |shard, (sampler, fed)| finish_shard(&recorder, shard, sampler, fed),
         )
-        .map_err(|panic| {
-            fatal(VasError::WorkerPanic {
-                context: "sharded build".into(),
-                panicked_workers: panic.panicked_workers,
-            })
-        })??;
+        .map_err(|panic| worker_panic("sharded build", panic))??;
         Ok(self.merge_shard_samples(epsilon, shard_samples))
     }
 
@@ -397,8 +407,13 @@ mod tests {
         let root: Vec<_> = spans.iter().filter(|s| s.parent.is_none()).collect();
         assert_eq!(root.len(), 1, "exactly one build root");
         assert_eq!(root[0].name, "build_sharded");
-        let workers = spans.iter().filter(|s| s.name == "worker_task").count();
-        assert_eq!(workers, shards, "one worker subtree per shard");
+        // One worker subtree per shard, plus the bounds scan's stripe, which
+        // runs on the calling thread.
+        let (scans, workers): (Vec<_>, Vec<_>) = spans
+            .iter()
+            .filter(|s| s.name == "worker_task")
+            .partition(|s| s.thread == root[0].thread);
+        assert_eq!((scans.len(), workers.len()), (1, shards));
         let fills: Vec<_> = spans.iter().filter(|s| s.name == "shard_fill").collect();
         assert_eq!(fills.len(), shards);
         for fill in fills {

@@ -269,8 +269,8 @@ mod tests {
             r.record_phase(Phase::ChunkDecode, ns);
         }
         r.record_phase(Phase::Fill, 2_000_000);
-        r.record_value(ValueSeries::ReadAheadOccupancy, 0);
-        r.record_value(ValueSeries::ReadAheadOccupancy, 2);
+        r.record_value(ValueSeries::GridOccupiedCells, 0);
+        r.record_value(ValueSeries::GridOccupiedCells, 2);
         r.snapshot()
     }
 
@@ -321,7 +321,7 @@ mod tests {
             find("vas_phase_chunk_decode_seconds", &[("quantile", "0.95")]),
             h.percentile(0.95) as f64 * 1e-9
         );
-        assert_eq!(find("vas_read_ahead_occupancy_count", &[]), 2.0);
+        assert_eq!(find("vas_grid_occupied_cells_count", &[]), 2.0);
         // Every exported sample parses; counters appear once per variant.
         let counter_lines = samples
             .iter()

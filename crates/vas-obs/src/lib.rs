@@ -14,17 +14,16 @@
 //! handle, and times through one probe, [`Recorder::phase`]: its guard opens
 //! the span named after the [`Phase`] and feeds that phase's histogram from
 //! the same two clock reads. The layers: `vas-core`'s Interchange loop
-//! (fill vs candidate-eval vs accept-churn vs speculation-replay phases,
-//! accepts/rejects/kernel lanes, checkpoint write/resume events),
-//! `vas-stream` (chunk decode and prefetch latency, retries absorbed, CRC
-//! failures, corruption skips), `vas-par` (worker busy time, read-ahead
-//! channel occupancy, contained panics) and `vas-storage` (per-K catalog
+//! (fill vs candidate-eval phases, accepts/rejects/kernel lanes, checkpoint
+//! write/resume events, shard fill and merge), `vas-stream` (chunk decode
+//! latency, retries absorbed, CRC failures, corruption skips), `vas-par`
+//! (worker busy time, contained panics) and `vas-storage` (per-K catalog
 //! build times, persist commit events).
 //!
 //! ## The off-the-data-path determinism rule
 //!
 //! The workspace's load-bearing contract is **bit-identical determinism**
-//! (`tests/determinism.rs` pins every backend and thread count to the same
+//! (`tests/determinism.rs` pins every backend and entry point to the same
 //! sample, bit for bit). Instrumentation must therefore never sit *on* the
 //! data path:
 //!

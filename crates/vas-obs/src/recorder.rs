@@ -116,7 +116,7 @@ impl Recorder {
             phase,
             registry: self.timing.then(|| Arc::clone(&self.registry)),
             span: match &self.tracer {
-                Some(tracer) => tracer.open(phase.name(), parent, false, start),
+                Some(tracer) => tracer.open(phase.name(), parent, start),
                 None => SpanGuard::noop(),
             },
             start,
@@ -133,24 +133,12 @@ impl Recorder {
     }
 
     /// Opens an untimed span parented under the current thread's innermost
-    /// open span (or the ambient build root). Inert when no tracer is
+    /// open span (a root span when there is none). Inert when no tracer is
     /// attached: no clock read, no lock, no allocation.
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard {
         match &self.tracer {
             Some(tracer) => tracer.span(name),
-            None => SpanGuard::noop(),
-        }
-    }
-
-    /// Opens a **root** span that also becomes the tracer's ambient parent
-    /// for its lifetime (see [`Tracer::root_span`]) — used at the top of
-    /// `build_from_source` so pipeline threads spawned earlier still parent
-    /// under the build.
-    #[inline]
-    pub fn root_span(&self, name: &'static str) -> SpanGuard {
-        match &self.tracer {
-            Some(tracer) => tracer.root_span(name),
             None => SpanGuard::noop(),
         }
     }
@@ -165,8 +153,8 @@ impl Recorder {
     /// Marks a fatal condition: records a `fatal` event and dumps the
     /// tracer's newest records to its post-mortem file (see
     /// [`Tracer::dump`]). Returns the dump path when one was written.
-    /// Callers invoke this on `VasError` fatal paths and contained worker
-    /// panics *before* propagating the error.
+    /// Callers invoke this on `VasError` fatal paths, contained worker
+    /// panics included, *before* propagating the error.
     pub fn fatal(&self, reason: &str) -> Option<PathBuf> {
         let tracer = self.tracer.as_ref()?;
         tracer.event("fatal", &[("reason", reason.into())]);
@@ -266,7 +254,7 @@ mod tests {
             .with_timing(true)
             .with_tracer(Arc::clone(&tracer));
         {
-            let root = rec.root_span("build");
+            let root = rec.span("build");
             let ctx = rec.current_ctx();
             assert_eq!(ctx, root.context());
             let mut worker = rec.phase_under(Phase::WorkerTask, ctx);

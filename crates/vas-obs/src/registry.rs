@@ -26,8 +26,6 @@ pub enum Counter {
     /// bounded-lane filter could not certify, so they ran the exact libm
     /// lanes: every accept plus the rare near-tie.
     CoreExactFallbacks,
-    /// Speculation worker panics contained by the sequential fallback.
-    CoreContainedWorkerPanics,
     /// Checkpoints written by `run_checkpointed`.
     CoreCheckpointWrites,
     /// Builds resumed from a checkpoint.
@@ -63,12 +61,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::CoreAccepts,
         Counter::CoreRejects,
         Counter::CoreKernelLanes,
         Counter::CoreExactFallbacks,
-        Counter::CoreContainedWorkerPanics,
         Counter::CoreCheckpointWrites,
         Counter::CoreCheckpointResumes,
         Counter::StreamChunksDecoded,
@@ -95,7 +92,6 @@ impl Counter {
             Counter::CoreRejects => "core_rejects",
             Counter::CoreKernelLanes => "core_kernel_lanes",
             Counter::CoreExactFallbacks => "core_exact_fallbacks",
-            Counter::CoreContainedWorkerPanics => "core_contained_worker_panics",
             Counter::CoreCheckpointWrites => "core_checkpoint_writes",
             Counter::CoreCheckpointResumes => "core_checkpoint_resumes",
             Counter::StreamChunksDecoded => "stream_chunks_decoded",
@@ -117,10 +113,8 @@ impl Counter {
     /// counter.
     ///
     /// Mirrors `VasSampler::reset()`: per-build tallies (accepts, rejects,
-    /// kernel lanes, exact fallbacks) start over with each build, while sampler-lifetime
-    /// health counters — `CoreContainedWorkerPanics` foremost, matching the
-    /// long-standing carve-out — and every non-core layer's counters
-    /// survive. The shard aggregates (`CoreShardAccepts`/`CoreShardRejects`)
+    /// kernel lanes, exact fallbacks) start over with each build, while the
+    /// checkpoint counters and every non-core layer's counters survive. The shard aggregates (`CoreShardAccepts`/`CoreShardRejects`)
     /// also survive: shard workers share one registry and each worker's
     /// finalize resets the per-build pair, so the sharded path accumulates
     /// into these lifetime counters *after* each worker finishes.
@@ -146,18 +140,15 @@ impl Counter {
 pub enum Phase {
     /// Interchange fill phase (first K points streamed in).
     Fill,
-    /// Candidate evaluation (speculative pre-evaluation fan-out or the
-    /// sequential delta loop), per chunk batch.
+    /// Candidate evaluation: the Expand/Shrink loop over one chunk's
+    /// candidates, accepts included.
     CandidateEval,
     /// Accept churn: applying a replacement to sample + index + tracker.
+    /// No path times it on its own, since the loop runs its accepts inside
+    /// [`Phase::CandidateEval`]; `perfbench` still reports it (as zero).
     AcceptChurn,
-    /// Replaying speculatively pre-evaluated candidates against the live
-    /// sample state.
-    SpeculationReplay,
     /// Decoding one chunk from a `.vaschunk` spill.
     ChunkDecode,
-    /// Consumer-side wait on the prefetch read-ahead channel.
-    PrefetchWait,
     /// One worker stripe of a `vas-par` ordered fan-out.
     WorkerTask,
     /// Building one per-K sample of a catalog.
@@ -174,13 +165,11 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in export order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 9] = [
         Phase::Fill,
         Phase::CandidateEval,
         Phase::AcceptChurn,
-        Phase::SpeculationReplay,
         Phase::ChunkDecode,
-        Phase::PrefetchWait,
         Phase::WorkerTask,
         Phase::CatalogBuild,
         Phase::PersistSave,
@@ -197,9 +186,7 @@ impl Phase {
             Phase::Fill => "fill",
             Phase::CandidateEval => "candidate_eval",
             Phase::AcceptChurn => "accept_churn",
-            Phase::SpeculationReplay => "speculation_replay",
             Phase::ChunkDecode => "chunk_decode",
-            Phase::PrefetchWait => "prefetch_wait",
             Phase::WorkerTask => "worker_task",
             Phase::CatalogBuild => "catalog_build",
             Phase::PersistSave => "persist_save",
@@ -217,9 +204,6 @@ impl Phase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ValueSeries {
-    /// Read-ahead channel occupancy observed at each consumer `recv`
-    /// (0 = the consumer outran the producer, depth = fully buffered).
-    ReadAheadOccupancy,
     /// Occupied-cell count of a sampler's `HashGrid` locality index,
     /// observed when its fill phase completes (the density-adaptive
     /// cell-sizing signal).
@@ -231,8 +215,7 @@ pub enum ValueSeries {
 
 impl ValueSeries {
     /// Every value series, in export order.
-    pub const ALL: [ValueSeries; 3] = [
-        ValueSeries::ReadAheadOccupancy,
+    pub const ALL: [ValueSeries; 2] = [
         ValueSeries::GridOccupiedCells,
         ValueSeries::GridMaxCellPoints,
     ];
@@ -243,7 +226,6 @@ impl ValueSeries {
     /// Stable snake_case name used by both exporters.
     pub fn name(self) -> &'static str {
         match self {
-            ValueSeries::ReadAheadOccupancy => "read_ahead_occupancy",
             ValueSeries::GridOccupiedCells => "grid_occupied_cells",
             ValueSeries::GridMaxCellPoints => "grid_max_cell_points",
         }
@@ -369,7 +351,7 @@ impl MetricsRegistry {
     }
 
     /// Zeroes the per-build counters (see [`Counter::resets_with_build`]);
-    /// everything else — `CoreContainedWorkerPanics` foremost — survives.
+    /// everything else survives.
     /// Called by `VasSampler::reset()` so registry-backed getters keep the
     /// exact semantics the plain-field counters had.
     pub fn reset_build_counters(&self) {
@@ -413,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn build_reset_mirrors_the_contained_panics_carve_out() {
+    fn build_reset_zeroes_only_the_per_build_counters() {
         let r = MetricsRegistry::new();
         for c in Counter::ALL {
             r.inc(c, 7);
@@ -423,9 +405,8 @@ mod tests {
         assert_eq!(r.get(Counter::CoreRejects), 0);
         assert_eq!(r.get(Counter::CoreKernelLanes), 0);
         assert_eq!(r.get(Counter::CoreExactFallbacks), 0);
-        // The sampler-lifetime health counter and every non-core layer
-        // survive, exactly like the plain-field implementation did.
-        assert_eq!(r.get(Counter::CoreContainedWorkerPanics), 7);
+        // Lifetime counters and every non-core layer survive, exactly like
+        // the plain-field implementation did.
         assert_eq!(r.get(Counter::CoreCheckpointWrites), 7);
         assert_eq!(r.get(Counter::StreamRetriesAbsorbed), 7);
         assert_eq!(r.get(Counter::StoragePersistCommits), 7);

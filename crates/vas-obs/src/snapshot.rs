@@ -82,8 +82,7 @@ impl MetricsSnapshot {
     /// did before, the metric was reset in between (e.g.
     /// `VasSampler::reset()` zeroing the per-build counters) and the delta
     /// is the current value wholesale — the Prometheus counter-reset
-    /// convention, mirroring the `contained_worker_panics` carve-out:
-    /// counters that survive resets keep plain subtraction.
+    /// convention; counters that survive resets keep plain subtraction.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut counters = [0u64; Counter::COUNT];
         for (i, c) in counters.iter_mut().enumerate() {
@@ -131,29 +130,29 @@ mod tests {
     }
 
     #[test]
-    fn delta_across_a_build_reset_mirrors_the_carve_out() {
+    fn delta_across_a_build_reset_subtracts_only_lifetime_counters() {
         let r = MetricsRegistry::new();
         r.inc(Counter::CoreKernelLanes, 100);
-        r.inc(Counter::CoreContainedWorkerPanics, 1);
+        r.inc(Counter::CoreCheckpointWrites, 1);
         let before = r.snapshot();
-        // A new build starts: per-build counters reset, the lifetime health
-        // counter survives (the `contained_worker_panics` carve-out).
+        // A new build starts: per-build counters reset, the lifetime
+        // checkpoint counter survives.
         r.reset_build_counters();
         r.inc(Counter::CoreKernelLanes, 40);
-        r.inc(Counter::CoreContainedWorkerPanics, 1);
+        r.inc(Counter::CoreCheckpointWrites, 1);
         let after = r.snapshot();
         let d = after.delta(&before);
         // Reset detected: delta is the post-reset value wholesale.
         assert_eq!(d.counter(Counter::CoreKernelLanes), 40);
         // No reset: plain subtraction.
-        assert_eq!(d.counter(Counter::CoreContainedWorkerPanics), 1);
+        assert_eq!(d.counter(Counter::CoreCheckpointWrites), 1);
     }
 
     #[test]
     fn empty_snapshot_is_the_delta_identity() {
         let r = MetricsRegistry::new();
         r.inc(Counter::CoreAccepts, 9);
-        r.record_value(ValueSeries::ReadAheadOccupancy, 2);
+        r.record_value(ValueSeries::GridOccupiedCells, 2);
         let s = r.snapshot();
         assert_eq!(s.delta(&MetricsSnapshot::empty()), s);
     }

@@ -4,18 +4,18 @@
 //! path.
 //!
 //! Where the [`crate::MetricsRegistry`] answers *how much* and *how often*,
-//! a trace answers *why*: one `build_from_source` produces a tree of
-//! [`SpanRecord`]s — the build root, its per-chunk fill/candidate-eval
-//! phases, the speculation workers fanned out under each candidate batch,
-//! and the chunk decodes running ahead on the `vas-par` read-ahead thread —
-//! every span carrying its parent's id, so the timeline reconstructs the
-//! causal chain across thread boundaries. Discrete happenings (checkpoint
-//! writes, retries, phase transitions) land in the same buffer as
-//! [`EventRecord`]s, parented to the span open when they fired.
+//! a trace answers *why*: one build produces a tree of [`SpanRecord`]s —
+//! the build root, its chunk decodes and per-chunk fill/candidate-eval
+//! phases, and, in a sharded build, the `worker_task` subtree of every
+//! shard worker — every span carrying its parent's id, so the timeline
+//! reconstructs the causal chain across thread boundaries. Discrete
+//! happenings (checkpoint writes, retries, phase transitions) land in the
+//! same buffer as [`EventRecord`]s, parented to the span open when they
+//! fired.
 //!
 //! ## Parenting rules
 //!
-//! A new span resolves its parent in three steps, first match wins:
+//! A new span resolves its parent in two steps, first match wins:
 //!
 //! 1. **Explicit** — a [`SpanContext`] captured on the consumer thread and
 //!    handed across a fan-out boundary (the `vas-par` fan-out core does
@@ -23,12 +23,9 @@
 //! 2. **Implicit** — the innermost open span *on the current thread* of the
 //!    same tracer (a thread-local stack, so nested guards on one thread
 //!    form a chain for free).
-//! 3. **Ambient** — the tracer's current *root* span, set by
-//!    [`Tracer::root_span`] for the duration of a build. This is what
-//!    parents work running on threads that were spawned *before* the build
-//!    started (the read-ahead decode worker): their stacks are empty and no
-//!    context was handed over, but they are still causally inside the
-//!    build.
+//!
+//! Every thread the workspace starts comes from that fan-out core, so the
+//! two rules parent every span of a build under its root.
 //!
 //! ## The ring and the post-mortem dump
 //!
@@ -289,9 +286,6 @@ pub struct Tracer {
     next_id: AtomicU64,
     records: Mutex<VecDeque<Record>>,
     dropped: AtomicU64,
-    /// The current build-root span id — the ambient fallback parent for
-    /// threads with no open span and no explicit context (see module docs).
-    ambient: Mutex<Option<u64>>,
     dump_path: Mutex<Option<PathBuf>>,
     dumps: AtomicU64,
 }
@@ -319,7 +313,6 @@ impl Tracer {
             next_id: AtomicU64::new(1),
             records: Mutex::new(VecDeque::new()),
             dropped: AtomicU64::new(0),
-            ambient: Mutex::new(None),
             dump_path: Mutex::new(None),
             dumps: AtomicU64::new(0),
         }
@@ -363,27 +356,23 @@ impl Tracer {
     }
 
     /// The context a new span on this thread would parent under: the
-    /// innermost open span on the current thread, else the ambient root.
-    /// `None` outside any build.
+    /// innermost open span on the current thread. `None` when this thread
+    /// has none open.
     pub fn current_context(&self) -> Option<SpanContext> {
-        let top = SPAN_STACK.with(|stack| {
+        SPAN_STACK.with(|stack| {
             stack
                 .borrow()
                 .iter()
                 .rev()
                 .find(|(token, _)| *token == self.token)
-                .map(|(_, id)| *id)
-        });
-        top.or_else(|| *lock(&self.ambient)).map(|id| SpanContext {
-            token: self.token,
-            id,
+                .map(|&(token, id)| SpanContext { token, id })
         })
     }
 
-    /// Opens a span parented per the resolution rules (implicit stack, then
-    /// ambient root).
+    /// Opens a span under the innermost open span on the current thread
+    /// (a root span when there is none).
     pub fn span(self: &Arc<Self>, name: &'static str) -> SpanGuard {
-        self.open(name, None, false, Instant::now())
+        self.open(name, None, Instant::now())
     }
 
     /// Opens a span with an explicit parent context (cross-thread
@@ -394,16 +383,7 @@ impl Tracer {
         name: &'static str,
         parent: Option<SpanContext>,
     ) -> SpanGuard {
-        self.open(name, parent, false, Instant::now())
-    }
-
-    /// Opens a **root** span: besides the normal rules, the span installs
-    /// itself as the tracer's ambient parent for its lifetime, so spans
-    /// from pre-existing worker threads (read-ahead decode) parent under
-    /// the build. The previous ambient is restored on drop, so nested
-    /// roots behave.
-    pub fn root_span(self: &Arc<Self>, name: &'static str) -> SpanGuard {
-        self.open(name, None, true, Instant::now())
+        self.open(name, parent, Instant::now())
     }
 
     /// Opens a span that started at `start` (a clock reading the caller
@@ -412,7 +392,6 @@ impl Tracer {
         self: &Arc<Self>,
         name: &'static str,
         explicit: Option<SpanContext>,
-        root: bool,
         start: Instant,
     ) -> SpanGuard {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -420,7 +399,6 @@ impl Tracer {
             .filter(|ctx| ctx.token == self.token)
             .map(|ctx| ctx.id)
             .or_else(|| self.current_context().map(|ctx| ctx.id));
-        let restore_ambient = root.then(|| lock(&self.ambient).replace(id));
         SPAN_STACK.with(|stack| stack.borrow_mut().push((self.token, id)));
         SpanGuard {
             inner: Some(GuardInner {
@@ -432,13 +410,12 @@ impl Tracer {
                 start,
                 start_us: micros(start.saturating_duration_since(self.epoch)),
                 attrs: Vec::new(),
-                restore_ambient,
             }),
         }
     }
 
-    /// Records an instant event parented to the innermost open span (or
-    /// the ambient root). Non-finite float fields are left out; the rest of
+    /// Records an instant event parented to the innermost open span on the
+    /// current thread. Non-finite float fields are left out; the rest of
     /// the event is kept.
     pub fn event(&self, name: &str, fields: &[(&str, EventValue)]) {
         let record = EventRecord {
@@ -623,8 +600,6 @@ struct GuardInner {
     start: Instant,
     start_us: u64,
     attrs: Vec<(String, String)>,
-    /// `Some(previous ambient)` when this is a root span.
-    restore_ambient: Option<Option<u64>>,
 }
 
 /// RAII guard for an open span; the span is recorded when the guard drops.
@@ -681,9 +656,6 @@ impl SpanGuard {
                 stack.remove(pos);
             }
         });
-        if let Some(prev) = inner.restore_ambient {
-            *lock(&inner.tracer.ambient) = prev;
-        }
         inner.tracer.push(Record::Span(SpanRecord {
             id: inner.id,
             parent: inner.parent,
@@ -730,6 +702,9 @@ mod tests {
         assert_eq!(by_name("sibling").parent, Some(outer.id));
     }
 
+    // A bare spawn stands in for a fan-out worker: this crate sits below
+    // the fan-out core.
+    #[allow(clippy::disallowed_methods)]
     #[test]
     fn explicit_context_parents_across_threads() {
         let tracer = Arc::new(Tracer::new());
@@ -750,36 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn ambient_root_parents_pre_existing_threads() {
-        let tracer = Arc::new(Tracer::new());
-        // A "pipeline worker" spawned before the build starts, with no
-        // explicit context handed over: its spans must still land under the
-        // root via the ambient cell.
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-        let worker_tracer = Arc::clone(&tracer);
-        let handle = std::thread::spawn(move || {
-            rx.recv().unwrap();
-            let _span = worker_tracer.span("decode");
-            drop(_span);
-            done_tx.send(()).unwrap();
-        });
-        {
-            let _root = tracer.root_span("build");
-            tx.send(()).unwrap();
-            done_rx.recv().unwrap();
-        }
-        handle.join().unwrap();
-        let spans = tracer.spans();
-        let root = spans.iter().find(|s| s.name == "build").unwrap();
-        let decode = spans.iter().find(|s| s.name == "decode").unwrap();
-        assert_eq!(decode.parent, Some(root.id));
-        assert_eq!(root.parent, None);
-        // After the root dropped, the ambient is cleared again.
-        assert_eq!(tracer.current_context(), None);
-    }
-
-    #[test]
     fn ring_keeps_the_newest_records_and_counts_evictions() {
         let tracer = Arc::new(Tracer::with_capacity(3));
         for name in ["s1", "s2", "s3", "s4"] {
@@ -797,7 +742,7 @@ mod tests {
     fn events_parent_under_the_open_span_and_drop_only_non_finite_fields() {
         let tracer = Arc::new(Tracer::new());
         tracer.event("outside", &[]);
-        let root = tracer.root_span("build");
+        let root = tracer.span("build");
         tracer.event(
             "grid_occupancy",
             &[

@@ -94,9 +94,9 @@ where
 /// Owned-input map: consumes `items`, hands each element to exactly one of
 /// up to `threads` workers, and returns `f(index, item)` in input order —
 /// bit-identical to the sequential map whenever `f` is deterministic. Items
-/// may carry `&mut` borrows, so each worker can own a disjoint slice of the
-/// caller's state (the Interchange pre-evaluation front hands every worker
-/// its own output buffers this way).
+/// may carry `&mut` borrows, so each worker can own a disjoint part of the
+/// caller's state (the sharded build's bounds scan hands its one stripe the
+/// caller's source this way).
 ///
 /// A panic in `f` is contained: the call returns [`WorkerPanic`] and the
 /// caller decides what it means. Worker stripes are counted and traced

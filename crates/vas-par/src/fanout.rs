@@ -1,13 +1,15 @@
 //! The one fan-out core every parallel shape in this crate is built on.
 //!
-//! [`fan_out`] is the workspace's only [`std::thread::scope`] call (the root
-//! `clippy.toml` rejects any other). It owns the whole worker life cycle, so
+//! [`fan_out`] is the workspace's only [`std::thread::scope`] call and the
+//! only place it starts a thread (the root `clippy.toml` rejects
+//! `thread::scope`, `thread::spawn` and `thread::Builder::spawn` anywhere
+//! else). It owns the whole worker life cycle, so
 //! every shape shares one panic policy: a panic anywhere in a fan-out, the
 //! calling thread's own share included, is caught, every worker is joined,
 //! and the call returns [`WorkerPanic`]. What a `WorkerPanic` means is the
-//! caller's decision: the pure maps re-raise it, the speculative
-//! pre-evaluation front replays its batch sequentially, and the sharded
-//! build turns it into a typed error.
+//! caller's decision: the pure maps and the catalog ladder re-raise it, and
+//! the sharded build (its bounds scan, its feeding source and its shard
+//! workers) turns it into a typed error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vas_obs::{Counter, Phase, PhaseGuard, Recorder};

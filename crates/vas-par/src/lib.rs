@@ -35,26 +35,27 @@
 //!   producer is already decoding and routing batch `b + 1`.
 //!
 //! Workers are **scoped**: they are joined before the call returns, so
-//! closures may borrow from the caller's stack (the Interchange
-//! pre-evaluation workers share the live spatial index by reference and
-//! each own a slice of its output buffers). A persistent pool would require
-//! either `'static` tasks or `unsafe` lifetime erasure; the workspace
-//! forbids `unsafe`, and thread spawn cost (~10µs) is noise at the chunk
-//! granularity (thousands of points) every caller fans out at. The root
-//! `clippy.toml` rejects `std::thread::scope` everywhere but the core.
+//! closures may borrow from the caller's stack (the catalog ladder hands
+//! each worker a sampler over the caller's dataset; a shard worker owns its
+//! sampler outright). A persistent pool would require either `'static`
+//! tasks or `unsafe` lifetime erasure; the workspace forbids `unsafe`, and
+//! thread spawn cost (~10µs) is noise at the granularity every caller fans
+//! out at (a shard's whole sub-stream, a catalog sample, a stripe of loss
+//! probes). The core is the only place the workspace starts a thread: the
+//! root `clippy.toml` rejects `std::thread::scope`, `std::thread::spawn`
+//! and `std::thread::Builder::spawn` everywhere else.
 //!
-//! One shape does not fan out: the double-buffered background stage
-//! ([`pipeline`]) is one long-lived producer thread feeding a bounded
-//! channel, with an epoch/rewind protocol so consumers can `reset`
-//! mid-stream without tearing down the worker. `vas-stream`'s
-//! `PrefetchSource` is this stage wrapped around a `PointSource`.
+//! One Interchange build is *not* fanned out: every accept changes the
+//! responsibilities the next candidate is tested against, so the hill
+//! climb runs on the calling thread, and parallelism lives where there is
+//! no sequential dependency — shards, loss probes, density counts and the
+//! catalog ladder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exec;
 mod fanout;
-pub mod pipeline;
 pub mod scatter;
 
 pub use exec::{
@@ -62,5 +63,4 @@ pub use exec::{
     try_par_map_vec_ordered,
 };
 pub use fanout::WorkerPanic;
-pub use pipeline::{ReadAhead, Stage, Step};
 pub use scatter::scatter_ordered;

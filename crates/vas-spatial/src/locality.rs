@@ -127,12 +127,12 @@ impl std::fmt::Debug for NeighborBatch {
 /// Duplicate ids and duplicate points are permitted (the index is a
 /// multiset); [`remove`](Self::remove) deletes one matching entry.
 ///
-/// `Send + Sync` are supertraits: the parallel execution subsystem shares a
-/// frozen index snapshot across scoped worker threads (the Interchange
-/// speculative pre-evaluation front, the loss estimator's probe fan-out), so
-/// a backend must be safe to reference concurrently while no `&mut` method
-/// runs. Every backend here is plain owned data with no interior
-/// mutability, so the bounds are automatic.
+/// `Send + Sync` are supertraits: a sampler and its index move onto a
+/// shard worker or a catalog-ladder worker, and the loss estimator's probe
+/// fan-out shares one index across scoped worker threads, so a backend must
+/// be safe to reference concurrently while no `&mut` method runs. Every
+/// backend here is plain owned data with no interior mutability, so the
+/// bounds are automatic.
 pub trait LocalityIndex: Send + Sync {
     /// Number of stored entries.
     fn len(&self) -> usize;

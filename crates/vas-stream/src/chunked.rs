@@ -546,9 +546,7 @@ impl ChunkedReader {
     /// trailing bytes may remain.
     pub fn next_chunk(&mut self, buf: &mut Vec<Point>) -> io::Result<usize> {
         // The phase guard owns its handles, so it stays open across the
-        // `&mut self` inner call. When decoding happens on the read-ahead
-        // pipeline thread, its span parents under the build's root span via
-        // the tracer's ambient cell.
+        // `&mut self` inner call.
         let mut phase = self.recorder.phase(Phase::ChunkDecode);
         let result = self.next_chunk_inner(buf);
         if let Ok(m) = &result {

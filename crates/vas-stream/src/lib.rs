@@ -16,11 +16,7 @@
 //!   below), and the streaming generator sources ([`GeolifeSource`],
 //!   [`GaussianMixtureSource`], [`SplomSource`]) that emit chunks straight
 //!   out of the `vas-data` generator iterators — same seed, bit-identical
-//!   points, never materializing the dataset. [`PrefetchSource`] wraps any
-//!   owned source with a pipelined read-ahead worker (chunk *n+1* is decoded
-//!   while the consumer drains chunk *n*) without changing the stream by a
-//!   bit, and `Box<dyn PointSource + Send>` is itself a source, so
-//!   heterogeneous pipelines can cross thread boundaries.
+//!   points, never materializing the dataset.
 //! * **The chunked columnar spill format** — [`ChunkedWriter`] /
 //!   [`ChunkedReader`]: a binary file with a provenance header (name, kind,
 //!   bounds, count, chunk size) followed by fixed-size chunks of `x`/`y`/
@@ -105,7 +101,6 @@ pub mod csv;
 pub mod error;
 pub mod fault;
 pub mod generate;
-pub mod prefetch;
 pub mod retry;
 pub mod source;
 pub mod stats;
@@ -121,7 +116,6 @@ pub use fault::{
     flip_bit_in_file, truncate_file, FaultInjectorSource, FaultPlan, FaultyRead, ReadFaults,
 };
 pub use generate::{GaussianMixtureSource, GeolifeSource, SplomSource};
-pub use prefetch::{PrefetchSource, DEFAULT_PREFETCH_DEPTH};
 pub use retry::{RetryPolicy, RetryingSource};
 pub use source::{DatasetSource, PointSource, TrackingSource, DEFAULT_CHUNK_SIZE};
 pub use stats::{scan_stats, StreamStats};

@@ -115,36 +115,6 @@ impl<S: PointSource + ?Sized> PointSource for &mut S {
     }
 }
 
-/// Boxed sources stream the boxed value: together with the `?Sized` bound
-/// this makes `Box<dyn PointSource + Send>` a first-class source, which is
-/// what lets heterogeneous sources cross thread boundaries (the prefetch
-/// worker owns one).
-impl<S: PointSource + ?Sized> PointSource for Box<S> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn kind(&self) -> DatasetKind {
-        (**self).kind()
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        (**self).len_hint()
-    }
-
-    fn chunk_capacity(&self) -> usize {
-        (**self).chunk_capacity()
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Point>) -> io::Result<usize> {
-        (**self).next_chunk(buf)
-    }
-
-    fn reset(&mut self) -> io::Result<()> {
-        (**self).reset()
-    }
-}
-
 /// [`PointSource`] over an in-memory [`Dataset`]: chunked views into the
 /// backing `Vec<Point>`.
 ///
@@ -354,19 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_and_reference_sources_stream_identically() {
+    fn reference_sources_stream_identically() {
         let d = GeolifeGenerator::with_size(300, 7).generate();
         let reference = DatasetSource::with_chunk_size(&d, 50).read_all().unwrap();
-
-        let mut boxed: Box<dyn PointSource + Send + '_> =
-            Box::new(DatasetSource::with_chunk_size(&d, 50));
-        assert_eq!(boxed.name(), d.name);
-        assert_eq!(boxed.kind(), d.kind);
-        assert_eq!(boxed.len_hint(), Some(300));
-        assert_eq!(boxed.chunk_capacity(), 50);
-        assert_eq!(boxed.read_all().unwrap(), reference);
-        boxed.reset().unwrap();
-        assert_eq!(boxed.read_all().unwrap(), reference);
 
         // Exercise the `&mut S` impl through a generic consumer taking the
         // source by value.

@@ -92,8 +92,8 @@ pub mod prelude {
     pub use vas_storage::{SampleCatalog, Table, VizEngine, VizQuery};
     pub use vas_stream::{
         spill_dataset, spill_source, ChunkedReader, ChunkedWriter, CsvSource, DatasetSource,
-        FaultInjectorSource, FaultPlan, GeolifeSource, PointSource, PrefetchSource, RetryPolicy,
-        RetryingSource, StreamStats, TrackingSource, VasError,
+        FaultInjectorSource, FaultPlan, GeolifeSource, PointSource, RetryPolicy, RetryingSource,
+        StreamStats, TrackingSource, VasError,
     };
     pub use vas_user_sim::{ClusteringTask, DensityTask, RegressionTask, WorkerPopulation};
     pub use vas_viz::{

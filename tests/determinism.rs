@@ -211,17 +211,16 @@ fn es_loc_matches_the_reference_oracle_past_one_dirty_word() {
 }
 
 #[test]
-fn interchange_matches_the_reference_oracle_at_every_thread_count() {
-    // The same contract at 1, 2 and 4 threads: the batched kernel lanes and
-    // the speculative pre-evaluation front must not change a single bit.
+fn chunked_interchange_matches_the_reference_oracle_per_pass_and_per_tuple() {
+    // The same contract through the chunked entry point and `build`:
     // `build` runs one `observe_chunk` over the dataset per pass; the same
     // calls are made here so the full state can be compared against the
     // oracle after every pass, with progress events giving a per-tuple
     // (replacements, objective) trace in between. `build` itself must land
     // on the oracle's final sample. The Gaussian mixture arrives shuffled,
-    // so points accepted inside a speculative batch tend to stay in the
-    // sample, where their pre-evaluated fold shows in the responsibilities
-    // (on the Geolife trajectory the next tuple usually replaces them).
+    // so accepted points tend to stay in the sample, where their fold shows
+    // in the responsibilities (on the Geolife trajectory the next tuple
+    // usually replaces them).
     let geolife = GeolifeGenerator::with_size(6_000, 47).generate();
     let gaussian = GaussianMixtureGenerator::paper_clustering_dataset(3, 6_000, 9).generate();
     for (data, (strategy, backend)) in [&geolife, &gaussian]
@@ -233,50 +232,35 @@ fn interchange_matches_the_reference_oracle_at_every_thread_count() {
             .with_locality_backend(backend)
             .with_passes(2)
             .with_progress_every(1);
-        for threads in [1usize, 2, 4] {
-            let what = format!(
-                "{}, {}/{backend}, {threads} threads",
-                data.name,
-                strategy.label()
-            );
-            let config = config.clone().with_threads(threads);
-            let trace = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&trace);
-            let registry = Arc::new(MetricsRegistry::new());
-            let mut sampler = VasSampler::from_dataset(data, config.clone())
-                .with_recorder(Recorder::new(Arc::clone(&registry)).with_timing(true));
-            sampler.set_progress_sink(Box::new(move |e| {
-                sink.lock()
-                    .unwrap()
-                    .push((e.replacements, e.objective.to_bits()))
-            }));
-            let mut oracle = Oracle::new(data, &config);
-            let mut expected = Vec::new();
-            for pass in 0..2 {
-                sampler.observe_chunk(&data.points);
-                for p in data.iter() {
-                    oracle.observe(*p);
-                    expected.push((oracle.replacements, oracle.objective.to_bits()));
-                }
-                assert_matches_oracle(&sampler, &oracle, || format!("{what}, after pass {pass}"));
+        let what = format!("{}, {}/{backend}", data.name, strategy.label());
+        let trace = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&trace);
+        let mut sampler = VasSampler::from_dataset(data, config.clone());
+        sampler.set_progress_sink(Box::new(move |e| {
+            sink.lock()
+                .unwrap()
+                .push((e.replacements, e.objective.to_bits()))
+        }));
+        let mut oracle = Oracle::new(data, &config);
+        let mut expected = Vec::new();
+        for pass in 0..2 {
+            sampler.observe_chunk(&data.points);
+            for p in data.iter() {
+                oracle.observe(*p);
+                expected.push((oracle.replacements, oracle.objective.to_bits()));
             }
-            let trace = trace.lock().unwrap();
-            assert_eq!(trace.len(), expected.len(), "{what}: progress events");
-            if let Some(t) = trace.iter().zip(&expected).position(|(a, b)| a != b) {
-                panic!(
-                    "{what}: diverged at tuple {t}: {:?} vs oracle {:?}",
-                    trace[t], expected[t]
-                );
-            }
-            if threads > 1 && strategy == InterchangeStrategy::ExpandShrinkLocality {
-                assert!(
-                    registry.snapshot().phase_calls(Phase::SpeculationReplay) > 0,
-                    "{what}: the speculative front never ran"
-                );
-            }
-            let built = VasSampler::from_dataset(data, config).build(data);
-            assert_points_bitwise_equal(&built.points, &oracle.points, &format!("{what}: build"));
+            assert_matches_oracle(&sampler, &oracle, || format!("{what}, after pass {pass}"));
         }
+        let trace = trace.lock().unwrap();
+        assert_eq!(trace.len(), expected.len(), "{what}: progress events");
+        if let Some(t) = trace.iter().zip(&expected).position(|(a, b)| a != b) {
+            panic!(
+                "{what}: diverged at tuple {t}: {:?} vs oracle {:?}",
+                trace[t], expected[t]
+            );
+        }
+        let built = VasSampler::from_dataset(data, config).build(data);
+        assert_points_bitwise_equal(&built.points, &oracle.points, &format!("{what}: build"));
     }
 }
 
@@ -313,8 +297,8 @@ fn non_finite_points_are_skipped_like_the_reference_oracle() {
         }
         assert!(sampler.current_sample().iter().all(Point::is_finite));
         assert!(sampler.current_objective().is_finite());
-        let threaded = VasSampler::from_dataset(&data, config.with_threads(2)).build(&data);
-        assert_points_bitwise_equal(&threaded.points, &oracle.points, "2 threads vs oracle");
+        let built = VasSampler::from_dataset(&data, config).build(&data);
+        assert_points_bitwise_equal(&built.points, &oracle.points, "build vs oracle");
     }
 }
 
@@ -441,41 +425,6 @@ fn streaming_pipeline_end_to_end_is_deterministic() {
 }
 
 #[test]
-fn parallel_pipeline_is_bit_identical_to_sequential_build_per_backend() {
-    // The PR 5 contract: the deterministic parallel execution subsystem —
-    // pipelined chunk read-ahead (`PrefetchSource`) feeding the speculative
-    // kernel pre-evaluation front (`VasConfig::with_threads`) — must
-    // reproduce the sequential `build()` bit-for-bit at 1, 2 and 4 threads,
-    // on every locality backend. The kernel bandwidth is left unset so the
-    // streaming ε-resolution pre-pass runs through the prefetch pipeline
-    // too.
-    let data = GeolifeGenerator::with_size(10_000, 21).generate();
-    let path = std::env::temp_dir().join(format!(
-        "vas-determinism-par-{}.vaschunk",
-        std::process::id()
-    ));
-    spill_dataset(&data, &path, 1_024).unwrap();
-
-    for backend in LocalityBackend::ALL {
-        let config = VasConfig::new(300).with_locality_backend(backend);
-        let reference = VasSampler::from_dataset(&data, config.clone()).build(&data);
-        for threads in [1usize, 2, 4] {
-            let reader = ChunkedReader::open(&path).unwrap();
-            let mut source = vas::stream::PrefetchSource::new(reader);
-            let streamed = VasSampler::new(config.clone().with_threads(threads))
-                .build_from_source(&mut source)
-                .unwrap();
-            assert_points_bitwise_equal(
-                &streamed.points,
-                &reference.points,
-                &format!("prefetch + pre-eval at {threads} threads vs build ({backend})"),
-            );
-        }
-    }
-    std::fs::remove_file(path).ok();
-}
-
-#[test]
 fn parallel_loss_estimates_are_bit_identical_to_sequential() {
     let data = GeolifeGenerator::with_size(6_000, 33).generate();
     let kernel = GaussianKernel::for_dataset(&data);
@@ -524,12 +473,10 @@ fn density_embedding_is_deterministic() {
 }
 
 #[test]
-fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
+fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
     // The PR 7 contract: a streaming build killed at *any* chunk boundary
     // and resumed from its `.vascheckpt` must reproduce the uninterrupted
-    // sample bit for bit — on every locality backend, at 1, 2 and 4 worker
-    // threads (the resumed run re-enters the speculative pre-evaluation
-    // front mid-stream). The checkpoint carries a byte-exact snapshot of the
+    // sample bit for bit — on every locality backend. The checkpoint carries a byte-exact snapshot of the
     // locality index, so the restored index's future visitation order — and
     // with it every accept/reject decision — is exactly the original's.
     // Plain ES and No ES keep the sample out of the index, so they checkpoint
@@ -562,10 +509,10 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
         VasConfig::new(40).with_strategy(InterchangeStrategy::Naive),
     ));
     let inputs = [
-        ("geolife", geolife, strategies, &[1usize, 2, 4][..]),
-        ("nonfinite_values", non_finite, backends, &[1, 2][..]),
+        ("geolife", geolife, strategies),
+        ("nonfinite_values", non_finite, backends),
     ];
-    for (input, data, cases, thread_counts) in inputs {
+    for (input, data, cases) in inputs {
         let path = std::env::temp_dir().join(format!(
             "vas-determinism-ckpt-{}-{input}.vaschunk",
             std::process::id()
@@ -585,39 +532,36 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
                 &built.points,
                 &format!("streamed vs build() ({case})"),
             );
-            for &threads in thread_counts {
-                let config = base.clone().with_threads(threads);
-                for kill_after in [1u64, 4, 8] {
-                    let ckpt = std::env::temp_dir().join(format!(
-                        "vas-determinism-{}-{input}-{}-{threads}-{kill_after}.vascheckpt",
-                        std::process::id(),
-                        case.replace('/', "-")
-                    ));
-                    let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
-                    let mut reader = ChunkedReader::open(&path).unwrap();
-                    let outcome = VasSampler::new(config.clone())
-                        .build_from_source_checkpointed(&mut reader, &policy)
-                        .unwrap();
-                    assert!(
-                        outcome.is_halted(),
-                        "kill switch did not fire ({case}, {threads} threads, kill {kill_after})"
-                    );
-
-                    let mut reader = ChunkedReader::open(&path).unwrap();
-                    let (_, outcome) = VasSampler::resume_build_from_source(
-                        config.clone(),
-                        &mut reader,
-                        &CheckpointPolicy::every(&ckpt, 1),
-                    )
+            for kill_after in [1u64, 4, 8] {
+                let ckpt = std::env::temp_dir().join(format!(
+                    "vas-determinism-{}-{input}-{}-{kill_after}.vascheckpt",
+                    std::process::id(),
+                    case.replace('/', "-")
+                ));
+                let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
+                let mut reader = ChunkedReader::open(&path).unwrap();
+                let outcome = VasSampler::new(base.clone())
+                    .build_from_source_checkpointed(&mut reader, &policy)
                     .unwrap();
-                    let resumed = outcome.into_sample().expect("resumed build completes");
-                    assert_points_bitwise_equal(
-                        &resumed.points,
-                        &reference.points,
-                        &format!("kill-and-resume ({case}, {threads} threads, kill {kill_after})"),
-                    );
-                    std::fs::remove_file(&ckpt).ok();
-                }
+                assert!(
+                    outcome.is_halted(),
+                    "kill switch did not fire ({case}, kill {kill_after})"
+                );
+
+                let mut reader = ChunkedReader::open(&path).unwrap();
+                let (_, outcome) = VasSampler::resume_build_from_source(
+                    base.clone(),
+                    &mut reader,
+                    &CheckpointPolicy::every(&ckpt, 1),
+                )
+                .unwrap();
+                let resumed = outcome.into_sample().expect("resumed build completes");
+                assert_points_bitwise_equal(
+                    &resumed.points,
+                    &reference.points,
+                    &format!("kill-and-resume ({case}, kill {kill_after})"),
+                );
+                std::fs::remove_file(&ckpt).ok();
             }
         }
         std::fs::remove_file(path).ok();
@@ -628,10 +572,10 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
 fn instrumented_build_is_bit_identical_to_the_uninstrumented_build() {
     // The PR 8 contract: observability is off the data path. A build with a
     // timing-only recorder — live registry, phase timers, instrumented
-    // reader and prefetch pipeline, no tracer — must reproduce the
-    // detached-recorder build bit-for-bit, on every locality backend at 1, 2
-    // and 4 worker threads. The kernel bandwidth is left unset so the
-    // ε-resolution pre-pass streams through the instrumented stack too.
+    // reader, no tracer — must reproduce the detached-recorder build
+    // bit-for-bit, on every locality backend. The kernel bandwidth is left
+    // unset so the ε-resolution pre-pass streams through the instrumented
+    // stack too.
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-determinism-obs-{}.vaschunk",
@@ -640,50 +584,44 @@ fn instrumented_build_is_bit_identical_to_the_uninstrumented_build() {
     spill_dataset(&data, &path, 1_024).unwrap();
 
     for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(300).with_locality_backend(backend);
-        for threads in [1usize, 2, 4] {
-            let config = base.clone().with_threads(threads);
-            let uninstrumented = {
-                let reader = ChunkedReader::open(&path).unwrap();
-                let mut source = vas::stream::PrefetchSource::new(reader);
-                VasSampler::new(config.clone())
-                    .build_from_source(&mut source)
-                    .unwrap()
-            };
-            let registry = std::sync::Arc::new(MetricsRegistry::new());
-            let recorder = Recorder::new(std::sync::Arc::clone(&registry)).with_timing(true);
-            let instrumented = {
-                let reader = ChunkedReader::open(&path)
-                    .unwrap()
-                    .with_recorder(recorder.clone());
-                let mut source =
-                    vas::stream::PrefetchSource::new(reader).with_recorder(recorder.clone());
-                VasSampler::new(config)
-                    .with_recorder(recorder.clone())
-                    .build_from_source(&mut source)
-                    .unwrap()
-            };
-            assert_points_bitwise_equal(
-                &instrumented.points,
-                &uninstrumented.points,
-                &format!("instrumented vs uninstrumented build ({backend}, {threads} threads)"),
-            );
-            // The instrumentation must actually have been live. Build-scoped
-            // counters (accepts, rejects) reset when `finalize` ends the
-            // build, so the liveness probes are lifetime metrics: chunk
-            // decodes and the candidate-phase call histogram.
+        let config = VasConfig::new(300).with_locality_backend(backend);
+        let uninstrumented = {
+            let mut reader = ChunkedReader::open(&path).unwrap();
+            VasSampler::new(config.clone())
+                .build_from_source(&mut reader)
+                .unwrap()
+        };
+        let registry = std::sync::Arc::new(MetricsRegistry::new());
+        let recorder = Recorder::new(std::sync::Arc::clone(&registry)).with_timing(true);
+        let instrumented = {
+            let mut reader = ChunkedReader::open(&path)
+                .unwrap()
+                .with_recorder(recorder.clone());
+            VasSampler::new(config)
+                .with_recorder(recorder.clone())
+                .build_from_source(&mut reader)
+                .unwrap()
+        };
+        assert_points_bitwise_equal(
+            &instrumented.points,
+            &uninstrumented.points,
+            &format!("instrumented vs uninstrumented build ({backend})"),
+        );
+        // The instrumentation must actually have been live. Build-scoped
+        // counters (accepts, rejects) reset when `finalize` ends the
+        // build, so the liveness probes are lifetime metrics: chunk
+        // decodes and the candidate-phase call histogram.
+        assert!(
+            registry.get(Counter::StreamChunksDecoded) > 0,
+            "no chunk decodes recorded ({backend})"
+        );
+        let snap = registry.snapshot();
+        for phase in [Phase::Fill, Phase::CandidateEval, Phase::ChunkDecode] {
             assert!(
-                registry.get(Counter::StreamChunksDecoded) > 0,
-                "no chunk decodes recorded ({backend}, {threads} threads)"
+                snap.phase_calls(phase) > 0,
+                "no {} timings recorded ({backend})",
+                phase.name()
             );
-            let snap = registry.snapshot();
-            for phase in [Phase::Fill, Phase::CandidateEval, Phase::ChunkDecode] {
-                assert!(
-                    snap.phase_calls(phase) > 0,
-                    "no {} timings recorded ({backend}, {threads} threads)",
-                    phase.name()
-                );
-            }
         }
     }
     std::fs::remove_file(path).ok();
@@ -694,9 +632,8 @@ fn traced_build_is_bit_identical_to_the_detached_build() {
     // The ISSUE 9 contract extends PR 8's: the causal layer — hierarchical
     // span and event tracing — is off the data path too. A build with the
     // *entire* observability stack attached (registry, timers, tracer,
-    // instrumented reader and prefetch pipeline) must reproduce the
-    // detached-recorder build bit-for-bit, on
-    // every locality backend at 1, 2 and 4 worker threads.
+    // instrumented reader) must reproduce the detached-recorder build
+    // bit-for-bit, on every locality backend.
     let data = GeolifeGenerator::with_size(10_000, 23).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-determinism-trace-{}.vaschunk",
@@ -705,55 +642,46 @@ fn traced_build_is_bit_identical_to_the_detached_build() {
     spill_dataset(&data, &path, 1_024).unwrap();
 
     for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(300).with_locality_backend(backend);
-        for threads in [1usize, 2, 4] {
-            let config = base.clone().with_threads(threads);
-            let detached = {
-                let reader = ChunkedReader::open(&path).unwrap();
-                let mut source = vas::stream::PrefetchSource::new(reader);
-                VasSampler::new(config.clone())
-                    .build_from_source(&mut source)
-                    .unwrap()
-            };
-            let tracer = std::sync::Arc::new(Tracer::new());
-            let recorder = Recorder::new(std::sync::Arc::new(MetricsRegistry::new()))
-                .with_timing(true)
-                .with_tracer(std::sync::Arc::clone(&tracer));
-            let traced = {
-                let reader = ChunkedReader::open(&path)
-                    .unwrap()
-                    .with_recorder(recorder.clone());
-                let mut source =
-                    vas::stream::PrefetchSource::new(reader).with_recorder(recorder.clone());
-                VasSampler::new(config)
-                    .with_recorder(recorder.clone())
-                    .build_from_source(&mut source)
-                    .unwrap()
-            };
-            assert_points_bitwise_equal(
-                &traced.points,
-                &detached.points,
-                &format!("traced vs detached build ({backend}, {threads} threads)"),
-            );
-            // The causal layer must actually have been live: spans and
-            // events recorded, and the exported trace must survive its own
-            // parser.
-            assert!(
-                !tracer.spans().is_empty(),
-                "no spans recorded ({backend}, {threads} threads)"
-            );
-            assert!(
-                tracer.events().iter().any(|e| e.name == "phase_transition"),
-                "no events recorded ({backend}, {threads} threads)"
-            );
-            let parsed =
-                parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace must parse");
-            assert_eq!(
-                parsed.len(),
-                tracer.spans().len(),
-                "trace round trip lost spans ({backend}, {threads} threads)"
-            );
-        }
+        let config = VasConfig::new(300).with_locality_backend(backend);
+        let detached = {
+            let mut reader = ChunkedReader::open(&path).unwrap();
+            VasSampler::new(config.clone())
+                .build_from_source(&mut reader)
+                .unwrap()
+        };
+        let tracer = std::sync::Arc::new(Tracer::new());
+        let recorder = Recorder::new(std::sync::Arc::new(MetricsRegistry::new()))
+            .with_timing(true)
+            .with_tracer(std::sync::Arc::clone(&tracer));
+        let traced = {
+            let mut reader = ChunkedReader::open(&path)
+                .unwrap()
+                .with_recorder(recorder.clone());
+            VasSampler::new(config)
+                .with_recorder(recorder.clone())
+                .build_from_source(&mut reader)
+                .unwrap()
+        };
+        assert_points_bitwise_equal(
+            &traced.points,
+            &detached.points,
+            &format!("traced vs detached build ({backend})"),
+        );
+        // The causal layer must actually have been live: spans and
+        // events recorded, and the exported trace must survive its own
+        // parser.
+        assert!(!tracer.spans().is_empty(), "no spans recorded ({backend})");
+        assert!(
+            tracer.events().iter().any(|e| e.name == "phase_transition"),
+            "no events recorded ({backend})"
+        );
+        let parsed =
+            parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace must parse");
+        assert_eq!(
+            parsed.len(),
+            tracer.spans().len(),
+            "trace round trip lost spans ({backend})"
+        );
     }
     std::fs::remove_file(path).ok();
 }
@@ -763,12 +691,13 @@ fn sharded_build_is_bit_identical_across_threads_chunkings_and_s1_matches_unshar
     // The ISSUE 10 contract: sharded sampling is a *deterministic* scale-out.
     // For every locality backend and S ∈ {1, 2, 4}, `build_sharded` over the
     // in-memory dataset is the reference; the streamed
-    // `build_sharded_from_source` must reproduce it bit-for-bit at 1, 2 and
-    // 4 per-shard worker threads and across awkward chunk sizes (the shard
-    // assignment is a pure per-point function, so how the stream is chunked
-    // must not matter). At S = 1 the single shard carries the full budget
-    // with no oversampling, so the whole pipeline must collapse to the plain
-    // unsharded `build()`, bit for bit.
+    // `build_sharded_from_source`, whose S shard workers consume their
+    // queues on threads of their own while the calling thread routes
+    // chunks, must reproduce it bit-for-bit across awkward chunk sizes (the
+    // shard assignment is a pure per-point function, so how the stream is
+    // chunked or scheduled must not matter). At S = 1 the single shard
+    // carries the full budget with no oversampling, so the whole pipeline
+    // must collapse to the plain unsharded `build()`, bit for bit.
     let data = GeolifeGenerator::with_size(6_000, 21).generate();
     for backend in LocalityBackend::ALL {
         let base = VasConfig::new(200).with_locality_backend(backend);
@@ -784,21 +713,18 @@ fn sharded_build_is_bit_identical_across_threads_chunkings_and_s1_matches_unshar
                     &format!("S = 1 sharded vs unsharded build ({backend})"),
                 );
             }
-            for threads in [1usize, 2, 4] {
-                for chunk in [613usize, 2_048] {
-                    let mut source = DatasetSource::with_chunk_size(&data, chunk);
-                    let streamed = ShardedSampler::new(base.clone().with_threads(threads), shards)
-                        .build_sharded_from_source(&mut source)
-                        .unwrap();
-                    assert_points_bitwise_equal(
-                        &streamed.points,
-                        &reference.points,
-                        &format!(
-                            "sharded stream vs in-memory \
-                             ({backend}, S = {shards}, {threads} threads, chunk {chunk})"
-                        ),
-                    );
-                }
+            for chunk in [613usize, 2_048] {
+                let mut source = DatasetSource::with_chunk_size(&data, chunk);
+                let streamed = ShardedSampler::new(base.clone(), shards)
+                    .build_sharded_from_source(&mut source)
+                    .unwrap();
+                assert_points_bitwise_equal(
+                    &streamed.points,
+                    &reference.points,
+                    &format!(
+                        "sharded stream vs in-memory ({backend}, S = {shards}, chunk {chunk})"
+                    ),
+                );
             }
         }
     }

@@ -5,8 +5,8 @@
 //! expanded set, find the most redundant element by a linear first-wins
 //! argmax, and swap the candidate in unless it is that element itself. None
 //! of the sampler's machinery appears here — no max tracker, no rejection
-//! filter, no batched kernel, no speculation. What the oracle does share
-//! with production is every floating-point operation's order:
+//! filter, no batched kernel. What the oracle does share with production
+//! is every floating-point operation's order:
 //!
 //! * kernel values come from the scalar [`Kernel::eval_dist2`];
 //! * ES+Loc neighbourhoods come from an [`AnyLocalityIndex`] of the same

@@ -1,10 +1,10 @@
-//! Acceptance tests for the causal span layer: one traced
-//! `build_from_source` must export a Chrome-trace JSON document whose span
-//! tree is complete — every vas-par / pre-evaluation `worker_task` span
-//! reaches the consuming build's root through its parent chain, and the
-//! read-ahead thread's decode spans parent under the same root — plus the
-//! tracer's post-mortem dump on the fatal path, and the one-probe contract:
-//! every timed phase call opens exactly one span of the phase's name.
+//! Acceptance tests for the causal span layer: one traced sharded
+//! streaming build must export a Chrome-trace JSON document whose span tree
+//! is complete — every shard worker's `worker_task` span, every decode on
+//! the calling thread and every event reaches the build's root through its
+//! parent chain — plus the tracer's post-mortem dump on the fatal paths,
+//! and the one-probe contract: every timed phase call opens exactly one
+//! span of the phase's name.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,32 +36,29 @@ fn assert_one_span_per_phase_call(spans: &[SpanRecord], registry: &MetricsRegist
     }
 }
 
-/// Builds a fully traced sampler run over a spilled chunked stream with the
-/// speculative pre-evaluation front (threads = 2) and read-ahead prefetch,
-/// returning the recorded spans and the registry the run timed into.
-fn traced_build(n: usize, k: usize, threads: usize) -> (Vec<SpanRecord>, Arc<MetricsRegistry>) {
+/// Runs `build` over a traced reader of a spilled `n`-point Geolife stream,
+/// with the same traced recorder handed to `build`, and returns the spans
+/// of the *exported* trace (so the Chrome-trace encoder and parser are part
+/// of the contract), the events, and the registry the run timed into.
+fn traced_build(
+    n: usize,
+    tag: &str,
+    build: impl FnOnce(&mut ChunkedReader, Recorder),
+) -> (Vec<SpanRecord>, Vec<EventRecord>, Arc<MetricsRegistry>) {
     let data = GeolifeGenerator::with_size(n, 31).generate();
     let path = std::env::temp_dir().join(format!(
-        "vas-tracing-accept-{}-{n}-{threads}.vaschunk",
+        "vas-tracing-accept-{}-{n}-{tag}.vaschunk",
         std::process::id()
     ));
     spill_dataset(&data, &path, 512).unwrap();
     let (recorder, registry, tracer) = traced_recorder();
-    {
-        let reader = ChunkedReader::open(&path)
-            .unwrap()
-            .with_recorder(recorder.clone());
-        let mut source = PrefetchSource::new(reader).with_recorder(recorder.clone());
-        VasSampler::new(VasConfig::new(k).with_threads(threads))
-            .with_recorder(recorder.clone())
-            .build_from_source(&mut source)
-            .unwrap();
-    }
+    let mut reader = ChunkedReader::open(&path)
+        .unwrap()
+        .with_recorder(recorder.clone());
+    build(&mut reader, recorder);
     std::fs::remove_file(&path).ok();
-    // The acceptance shape is asserted on the *exported* trace, so the
-    // Chrome-trace encoder and parser are part of the contract.
     let spans = parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace parses");
-    (spans, registry)
+    (spans, tracer.events(), registry)
 }
 
 /// Walks `span`'s parent chain to its root (bounded, in case of corruption).
@@ -81,15 +78,21 @@ fn root_of<'a>(
 
 #[test]
 fn traced_build_produces_a_complete_causal_tree() {
-    // Big enough n/k that the accept rate cools past the speculation gate
-    // (accept spacing >= the minimum pre-eval batch), so the parallel front
-    // actually fans out worker stripes.
-    let (spans, registry) = traced_build(40_000, 150, 2);
+    // A streaming sharded build: the calling thread decodes and routes
+    // chunks while two shard workers, started by the fan-out core, run
+    // their Interchange climbs; the bounds scan (no ε given) runs as one
+    // more stripe of the core, on the calling thread.
+    let (spans, events, registry) = traced_build(40_000, "sharded", |reader, recorder| {
+        ShardedSampler::new(VasConfig::new(150), 2)
+            .with_recorder(recorder)
+            .build_sharded_from_source(reader)
+            .unwrap();
+    });
     assert!(!spans.is_empty(), "the traced build recorded no spans");
-    assert_one_span_per_phase_call(&spans, &registry, "streaming build, 2 threads");
+    assert_one_span_per_phase_call(&spans, &registry, "streaming sharded build, S = 2");
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
 
-    // Exactly one root, and it is the consuming build.
+    // Exactly one root, and it is the build.
     let roots: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent.is_none()).collect();
     assert_eq!(
         roots.len(),
@@ -97,43 +100,43 @@ fn traced_build_produces_a_complete_causal_tree() {
         "expected one root span, got {:?}",
         roots.iter().map(|s| &s.name).collect::<Vec<_>>()
     );
-    assert_eq!(roots[0].name, "build_from_source");
+    let root = roots[0];
+    assert_eq!(root.name, "build_sharded_from_source");
 
-    // Every worker span parents (transitively) under that root — the
-    // speculative pre-eval front runs on spawned scope threads, so this is
-    // the cross-thread propagation contract.
-    let workers: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "worker_task").collect();
-    assert!(!workers.is_empty(), "no worker_task spans were recorded");
-    for w in &workers {
-        assert!(w.parent.is_some(), "worker span {} has no parent", w.id);
-        let root = root_of(w, &by_id).expect("worker parent chain resolves");
+    // Every span, on whichever thread it ran, parents (transitively) under
+    // that root, and so does every event: the explicit context the fan-out
+    // core hands each worker is the cross-thread propagation contract.
+    for s in &spans {
+        let top = root_of(s, &by_id).expect("parent chain resolves");
+        assert_eq!(top.id, root.id, "span {} ({}) is orphaned", s.id, s.name);
+    }
+    for e in &events {
+        let parent = e.parent.and_then(|p| by_id.get(&p));
+        let top = parent.and_then(|p| root_of(p, &by_id));
         assert_eq!(
-            root.id, roots[0].id,
-            "worker span {} roots under {:?}, not the build",
-            w.id, root.name
+            top.map(|t| t.id),
+            Some(root.id),
+            "event {} is orphaned",
+            e.name
         );
     }
-    assert!(
-        workers.iter().any(|w| w.thread != roots[0].thread),
-        "no worker span ran on a thread other than the consumer's"
+    let workers: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "worker_task").collect();
+    assert_eq!(workers.len(), 3, "two shard workers and the bounds scan");
+    assert_eq!(
+        workers.iter().filter(|w| w.thread != root.thread).count(),
+        2,
+        "each shard worker runs on a thread other than the caller's"
     );
+    assert_eq!(events.iter().filter(|e| e.name == "shard_built").count(), 2);
 
-    // The read-ahead producer decodes chunks on its own pre-existing thread;
-    // its chunk_decode spans must still parent under the build root (via the
-    // tracer's ambient root context).
-    let decodes: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "chunk_decode").collect();
-    assert!(!decodes.is_empty(), "no chunk_decode spans were recorded");
-    for d in &decodes {
-        let root = root_of(d, &by_id).expect("decode parent chain resolves");
-        assert_eq!(root.id, roots[0].id, "decode span {} is orphaned", d.id);
-    }
-    assert!(
-        decodes.iter().all(|d| d.thread != roots[0].thread),
-        "prefetch decodes should run on the read-ahead thread"
-    );
-
-    // Phase sites inside the loop are present as spans.
-    for name in ["fill", "candidate_eval", "prefetch_wait"] {
+    // Phase sites of the loop, the decode and the merge are present.
+    for name in [
+        "chunk_decode",
+        "fill",
+        "candidate_eval",
+        "shard_fill",
+        "shard_merge",
+    ] {
         assert!(
             spans.iter().any(|s| s.name == name),
             "expected at least one {name:?} span"
@@ -143,10 +146,15 @@ fn traced_build_produces_a_complete_causal_tree() {
 
 #[test]
 fn sequential_traced_build_has_no_foreign_roots() {
-    // With threads = 1 there is no speculation; the tree still has a single
-    // build root and no orphans.
-    let (spans, registry) = traced_build(6_000, 200, 1);
-    assert_one_span_per_phase_call(&spans, &registry, "streaming build, 1 thread");
+    // An unsharded build runs on the calling thread: one build root, no
+    // worker spans, no orphans.
+    let (spans, _, registry) = traced_build(6_000, "sequential", |reader, recorder| {
+        VasSampler::new(VasConfig::new(200))
+            .with_recorder(recorder)
+            .build_from_source(reader)
+            .unwrap();
+    });
+    assert_one_span_per_phase_call(&spans, &registry, "streaming build");
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
     let roots: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent.is_none()).collect();
     assert_eq!(roots.len(), 1);
@@ -158,13 +166,15 @@ fn sequential_traced_build_has_no_foreign_roots() {
             "span {} ({}) is orphaned",
             s.id, s.name
         );
+        assert_eq!(s.thread, roots[0].thread, "span {} left the thread", s.name);
     }
+    assert!(spans.iter().all(|s| s.name != "worker_task"));
 }
 
 #[test]
 fn sharded_and_persist_builds_open_one_span_per_phase_call() {
     let data = GeolifeGenerator::with_size(6_000, 41).generate();
-    let config = VasConfig::new(120).with_threads(2);
+    let config = VasConfig::new(120);
 
     // In-memory sharded build: shard workers fan out through vas-par.
     let (recorder, registry, tracer) = traced_recorder();
@@ -342,6 +352,54 @@ fn sharded_build_panic_is_a_typed_error_with_a_flight_dump() {
     let last = text.lines().last().unwrap();
     assert!(
         last.contains("\"event\":\"fatal\"") && last.contains("worker(s) panicked"),
+        "last: {last}"
+    );
+    std::fs::remove_file(&dump).ok();
+}
+
+#[test]
+fn sharded_bounds_scan_panic_is_a_typed_error_with_a_flight_dump() {
+    // Without a fixed ε the sharded build first scans the source for its
+    // bounds; a source that panics there (on its first chunk) must end the
+    // build like one that panics while feeding the shards.
+    let data = GeolifeGenerator::with_size(6_000, 43).generate();
+    let dump = std::env::temp_dir().join(format!(
+        "vas-tracing-scan-panic-{}.flight.jsonl",
+        std::process::id()
+    ));
+    std::fs::remove_file(&dump).ok();
+    let (recorder, registry, tracer) = traced_recorder();
+    tracer.set_dump_path(&dump);
+    let mut source = PanickingSource {
+        inner: DatasetSource::with_chunk_size(&data, 1_000),
+        chunks: 0,
+        panic_at: 1,
+    };
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let result = ShardedSampler::new(VasConfig::new(120), 2)
+        .with_recorder(recorder)
+        .build_sharded_from_source(&mut source);
+    std::panic::set_hook(prev);
+
+    let err = result.expect_err("the panic must fail the build");
+    match &err {
+        VasError::WorkerPanic {
+            context,
+            panicked_workers: 1,
+        } => assert_eq!(context, "sharded bounds scan"),
+        other => panic!("{other}"),
+    }
+    assert!(!err.is_transient(), "a panic is not worth a retry");
+    assert_eq!(registry.get(Counter::ParContainedPanics), 1);
+    // No shard worker was started.
+    assert!(tracer.events().iter().all(|e| e.name != "shard_built"));
+
+    assert!(tracer.dumps() > 0, "the panic never dumped the ring");
+    let text = std::fs::read_to_string(&dump).expect("post-mortem dump exists");
+    let last = text.lines().last().unwrap();
+    assert!(
+        last.contains("\"event\":\"fatal\"") && last.contains("sharded bounds scan"),
         "last: {last}"
     );
     std::fs::remove_file(&dump).ok();
