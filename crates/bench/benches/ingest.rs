@@ -2,7 +2,7 @@
 //! dataset format — the chunked columnar spill, CSV (streaming and
 //! materializing), and the in-memory baseline — in both directions. A format
 //! regression (extra copies, per-row allocation, buffering bugs) shows up
-//! here before it shows up as a slow `geolife_scale` run.
+//! here before it shows up as a slow streaming build.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::PathBuf;

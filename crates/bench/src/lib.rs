@@ -1,18 +1,13 @@
 //! Shared infrastructure for the experiment harness binaries.
 //!
-//! Every table and figure of the paper has a dedicated binary in `src/bin/`
-//! (see DESIGN.md for the index). They all produce the same kind of output:
+//! Every table and figure of the paper has a dedicated binary in `src/bin/`,
+//! and `timing_gates` holds the two stopwatch gates. They all produce the
+//! same kind of output:
 //! a human-readable table on stdout, plus a machine-readable JSON copy and a
 //! plain-text copy under `results/`. This module holds that plumbing so each
 //! experiment file only contains experiment logic.
 
 #![forbid(unsafe_code)]
-
-pub mod diff;
-pub mod obs;
-pub mod timing;
-
-pub use timing::{bitwise_eq, min_secs_of, TimingStats};
 
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -122,38 +117,6 @@ pub fn emit(name: &str, tables: &[ReportTable]) {
     eprintln!("[results written to {}/{name}.{{txt,json}}]", dir.display());
 }
 
-/// Parses a comma-separated sweep list of positive counts (e.g. `1,2,4`)
-/// for the flag named `flag` (used verbatim in error messages).
-/// Deduplicates while keeping order. The one list-parsing implementation
-/// behind every sweep flag (`--shards`) — new sweep flags should wrap this
-/// instead of growing another copy.
-pub fn parse_count_list(flag: &str, value: &str) -> Result<Vec<usize>, String> {
-    let mut out = Vec::new();
-    for part in value.split(',') {
-        let t: usize = part
-            .trim()
-            .parse()
-            .map_err(|_| format!("invalid count {part:?} in {flag} {value:?}"))?;
-        if t == 0 {
-            return Err(format!(
-                "{flag} counts must be positive, got 0 in {value:?}"
-            ));
-        }
-        if !out.contains(&t) {
-            out.push(t);
-        }
-    }
-    if out.is_empty() {
-        return Err(format!("{flag} needs at least one count"));
-    }
-    Ok(out)
-}
-
-/// Parses a `--shards` sweep argument ([`parse_count_list`]).
-pub fn parse_shards_list(value: &str) -> Result<Vec<usize>, String> {
-    parse_count_list("--shards", value)
-}
-
 /// Formats a duration in seconds with millisecond resolution.
 pub fn fmt_secs(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
@@ -234,16 +197,6 @@ mod tests {
         let root = workspace_root();
         let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
         assert!(manifest.contains("[workspace]"));
-    }
-
-    #[test]
-    fn count_list_names_the_flag_in_errors() {
-        assert_eq!(parse_shards_list("1, 4,2").unwrap(), vec![1, 4, 2]);
-        let err = parse_shards_list("0").unwrap_err();
-        assert!(err.contains("--shards"), "unexpected error: {err}");
-        assert_eq!(parse_shards_list(" 2 , 2 ,8").unwrap(), vec![2, 8]);
-        assert!(parse_shards_list("two").is_err());
-        assert!(parse_shards_list("").is_err());
     }
 
     #[test]

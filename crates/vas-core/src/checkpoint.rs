@@ -9,8 +9,7 @@
 //! history-dependent state, so the index cannot simply be rebuilt).
 //! Resuming from the file and streaming the rest of the source produces a
 //! sample **bit-identical** to the uninterrupted run, per strategy and
-//! locality backend (pinned in `tests/determinism.rs` and swept by the
-//! `fault_matrix` harness).
+//! locality backend (pinned in `tests/determinism.rs`).
 //!
 //! The file is written atomically (temp + fsync + rename via
 //! [`vas_stream::write_atomic`]), so a crash mid-checkpoint leaves the

@@ -2281,8 +2281,7 @@ mod tests {
 
     /// Kill-and-resume at several chunk boundaries, every backend: the
     /// resumed build must reproduce the uninterrupted sample bit for bit.
-    /// (The strategy × input sweep lives in `tests/determinism.rs` and the
-    /// `fault_matrix` harness.)
+    /// (The strategy × input sweep lives in `tests/determinism.rs`.)
     #[test]
     fn checkpoint_resume_is_bit_identical_per_backend() {
         let d = GeolifeGenerator::with_size(4_000, 11).generate();

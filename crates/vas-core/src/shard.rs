@@ -38,7 +38,7 @@
 //! reconciliation*: points a shard over-selected near a shard border carry
 //! high responsibility in the union and are exactly the ones the merge
 //! drops first. The residual quality gap vs the unsharded sampler is
-//! measured (loss ratio in `results/BENCH_shard.json`), never hidden.
+//! measured, never hidden: `tests/paper_claims.rs` bounds the loss ratio.
 
 use crate::interchange::{VasConfig, VasSampler};
 use crate::kernel::{GaussianKernel, Kernel};

@@ -38,11 +38,10 @@
 //!   and no I/O. Counter increments remain (they back the long-standing
 //!   public getters such as `VasSampler::kernel_lanes()`) but are relaxed
 //!   atomic adds batched at chunk granularity.
-//! * **Overhead is measured, not assumed.** The `obs_overhead` phase of the
-//!   `fig10_inner_loop` harness times a fully instrumented build (tracer +
-//!   timing) against the detached build and enforces a ≤3% throughput
-//!   ceiling plus a `bit_identical` flag in `results/BENCH_obs.json`,
-//!   non-zero exit on violation.
+//! * **Overhead is measured, not assumed.** The bench crate's
+//!   `timing_gates` binary times a fully instrumented build (counters,
+//!   timing and a tracer) against the detached build in interleaved pairs
+//!   and exits non-zero if the median slowdown exceeds 3%.
 //!
 //! ## Quick start
 //!

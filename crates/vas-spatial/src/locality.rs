@@ -13,7 +13,8 @@
 //!   region and nearest-neighbour queries.
 //! * [`HashGrid`] — a dynamic spatial hash over cutoff-sized cells; the
 //!   fastest backend for the fixed-radius query the Interchange loop performs
-//!   (see `results/BENCH_interchange.json`).
+//!   (the bench crate's `timing_gates` holds it to at least 0.9× the
+//!   `RTree`'s rejected-candidate throughput).
 //!
 //! Every backend must produce a **deterministic visitation order** for a
 //! given operation history: the Interchange determinism contract

@@ -20,8 +20,8 @@ use vas_data::{BoundingBox, Point};
 ///
 /// Tuned for the Interchange hot path (radius queries returning hundreds of
 /// entries): wide nodes keep entries contiguous and the tree shallow, which
-/// measured ~3× faster than the original fan-out of 8 on the
-/// `fig10_inner_loop` workload. Quadratic-split cost grows as the square of
+/// measured ~3× faster than the original fan-out of 8 on the Interchange
+/// inner-loop workload. Quadratic-split cost grows as the square of
 /// the fan-out but is amortized over the node's lifetime.
 const MAX_ENTRIES: usize = 32;
 /// Minimum number of entries per node (underflow threshold).

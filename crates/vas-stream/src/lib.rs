@@ -28,8 +28,8 @@
 //! On top sit [`StreamStats`] (the one-pass bounds/moments pre-pass that
 //! resolves the kernel bandwidth without materializing anything) and
 //! [`TrackingSource`] (a transparent wrapper recording peak chunk size and
-//! streamed-point counts, used by the `geolife_scale` harness to *prove* the
-//! resident-memory bound rather than assert it).
+//! streamed-point counts, used by `tests/end_to_end.rs` to *measure* the
+//! resident-memory bound rather than assume it).
 //!
 //! ## Failure model
 //!
@@ -46,7 +46,7 @@
 //!   untouched;
 //! * [`FaultInjectorSource`], [`FaultyRead`] and the file-corruption helpers
 //!   ([`fault`]) inject *deterministic, seeded* faults so every recovery
-//!   claim is proven by the `fault_matrix` harness rather than asserted;
+//!   claim is tested (`tests/faults.rs`) rather than asserted;
 //! * [`write_atomic`] replaces durable files via temp + fsync + rename so a
 //!   crash never leaves a torn artifact.
 //!

@@ -184,10 +184,10 @@ impl PointSource for DatasetSource<'_> {
 /// Transparent [`PointSource`] wrapper that records what actually flowed
 /// through: chunk count, point count and the largest chunk ever buffered.
 ///
-/// The `geolife_scale` harness wraps its sources in this to *measure* the
-/// peak resident point count instead of trusting the configured chunk size;
-/// the counters are cumulative across `reset`s (multi-pass runs keep
-/// accumulating).
+/// The resident-point bound test in `tests/end_to_end.rs` wraps its sources
+/// in this to *measure* the peak resident point count instead of trusting
+/// the configured chunk size; the counters are cumulative across `reset`s
+/// (multi-pass runs keep accumulating).
 #[derive(Debug)]
 pub struct TrackingSource<S> {
     inner: S,

@@ -148,3 +148,49 @@ fn interchange_is_near_optimal_on_small_instances() {
         "Theorem 3 bound violated: gap {averaged_gap}"
     );
 }
+
+/// The out-of-core pipeline runs in bounded memory. Generating and spilling
+/// holds one generator chunk plus the writer's staged chunk; streaming the
+/// spill through the sampler holds the K sample slots plus one read chunk.
+/// The measured peak must stay within `K + 2 × chunk_size` resident points,
+/// whatever the input size.
+#[test]
+fn out_of_core_pipeline_stays_within_its_resident_point_bound() {
+    let (n, k, chunk) = (20_000usize, 300usize, 1_024usize);
+    let path =
+        std::env::temp_dir().join(format!("vas-int-resident-{}.vaschunk", std::process::id()));
+
+    let mut source = TrackingSource::new(GeolifeSource::new(
+        GeolifeGenerator::with_size(n, 20_160_519),
+        chunk,
+    ));
+    let mut writer =
+        ChunkedWriter::create(&path, source.name(), source.kind(), chunk).expect("spill file");
+    let mut buf = Vec::new();
+    let mut max_staged = 0usize;
+    loop {
+        let got = source.next_chunk(&mut buf).expect("generator chunk");
+        if got == 0 {
+            break;
+        }
+        writer.write_points(&buf).expect("spill chunk");
+        // The chunk being written counts as staged until it is flushed.
+        max_staged = max_staged.max(writer.staged_len()).max(got.min(chunk));
+    }
+    assert_eq!(writer.finish().expect("finish spill").count, n as u64);
+    let ingest_peak = source.max_chunk_len() + max_staged;
+
+    let mut reader = TrackingSource::new(ChunkedReader::open(&path).expect("open spill"));
+    let sample = VasSampler::new(VasConfig::new(k))
+        .build_from_source(&mut reader)
+        .expect("streaming build");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(sample.len(), k);
+    let build_peak = k + reader.max_chunk_len();
+
+    let bound = k + 2 * chunk;
+    assert!(
+        ingest_peak.max(build_peak) <= bound,
+        "peak resident points: ingest {ingest_peak}, build {build_peak}; bound {bound}"
+    );
+}

@@ -128,3 +128,30 @@ fn interactivity_gap_between_full_data_and_samples() {
     // And the budget→points conversion is usable for catalog selection.
     assert!(tableau.tuples_within(Duration::from_secs(10)) > 100_000);
 }
+
+/// Sharding is a quality knob, not a lottery: each shard selects against
+/// local density only and the merge reconciles the borders, so a sharded
+/// sample may lose a little, but its median loss stays within
+/// `LOSS_BAND_MAX` × the unsharded build's. A broken merge shows as 2–10×.
+#[test]
+fn sharded_samples_stay_inside_the_loss_band() {
+    const LOSS_BAND_MAX: f64 = 1.5;
+    let data = GeolifeGenerator::with_size(40_000, 20_160_520).generate();
+    let kernel = GaussianKernel::for_dataset(&data);
+    let config = VasConfig::new(400).with_epsilon(kernel.epsilon());
+    let estimator = LossEstimator::new(&data, &kernel, LossConfig::default());
+
+    let unsharded = VasSampler::new(config.clone()).build(&data);
+    let baseline = estimator.evaluate(&kernel, &unsharded.points).median;
+    for shards in [2usize, 4] {
+        let sample = ShardedSampler::new(config.clone(), shards)
+            .build_sharded(&data)
+            .unwrap();
+        let ratio = estimator.evaluate(&kernel, &sample.points).median / baseline;
+        // Written so that a NaN ratio fails too.
+        assert!(
+            ratio <= LOSS_BAND_MAX,
+            "S = {shards}: loss ratio {ratio:.3} vs unsharded exceeds {LOSS_BAND_MAX}"
+        );
+    }
+}

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use vas::obs::export;
 use vas::prelude::*;
 use vas::storage::save_catalog_recorded;
 
@@ -237,7 +238,11 @@ fn fatal_build_error_dumps_the_flight_recorder() {
         .with_recorder(recorder.clone())
         .build_from_source(&mut source);
 
-    assert!(result.is_err(), "the fatal fault must fail the build");
+    // A fatal fault is not retried: it fails the build at once, typed as
+    // not worth a retry.
+    let err = result.expect_err("the fatal fault must fail the build");
+    assert!(!err.is_transient(), "{err}");
+    assert_eq!(source.retries(), 0, "a fatal fault consumed a retry");
     assert!(tracer.dumps() > 0, "the fatal path never dumped the ring");
     let text = std::fs::read_to_string(&dump).expect("post-mortem dump exists");
     let mut lines = text.lines();
@@ -264,6 +269,92 @@ fn fatal_build_error_dumps_the_flight_recorder() {
 
     std::fs::remove_file(&spill).ok();
     std::fs::remove_file(&dump).ok();
+}
+
+#[test]
+fn checkpointed_retried_build_records_every_event_kind_and_exports_its_snapshot() {
+    // The whole instrumented stack reports into one traced recorder: chunked
+    // reads through seeded transient faults and retries, a checkpointed
+    // build halted after 7 chunks, and its resume. The resumed sample must
+    // equal the detached, uninterrupted build; the tracer must carry every
+    // event kind of that path; and both exporters must round-trip the live
+    // registry's snapshot.
+    let data = GeolifeGenerator::with_size(8_000, 47).generate();
+    let tmp = |ext: &str| {
+        std::env::temp_dir().join(format!("vas-tracing-resume-{}.{ext}", std::process::id()))
+    };
+    let (spill, ckpt) = (tmp("vaschunk"), tmp("vascheckpt"));
+    spill_dataset(&data, &spill, 512).unwrap();
+    let config = VasConfig::new(150);
+    let detached = VasSampler::new(config.clone())
+        .build_from_source(&mut ChunkedReader::open(&spill).unwrap())
+        .unwrap();
+
+    let (recorder, registry, tracer) = traced_recorder();
+    let source = || {
+        let reader = ChunkedReader::open(&spill)
+            .unwrap()
+            .with_recorder(recorder.clone());
+        let faulty = FaultInjectorSource::new(reader, FaultPlan::transient(20_160_519, 3, 1));
+        RetryingSource::new(faulty, RetryPolicy::immediate(3)).with_recorder(recorder.clone())
+    };
+    let halted = VasSampler::new(config.clone())
+        .with_recorder(recorder.clone())
+        .build_from_source_checkpointed(
+            &mut source(),
+            &CheckpointPolicy::every(&ckpt, 3).halting_after(7),
+        )
+        .unwrap();
+    assert!(halted.is_halted(), "the kill switch did not fire");
+    let (_, outcome) = VasSampler::resume_build_from_source_recorded(
+        config,
+        &mut source(),
+        &CheckpointPolicy::every(&ckpt, 3),
+        recorder.clone(),
+    )
+    .unwrap();
+    std::fs::remove_file(&spill).ok();
+    std::fs::remove_file(&ckpt).ok();
+    let resumed = outcome.into_sample().expect("the resumed build completes");
+    let bits = |s: &Sample| -> Vec<[u64; 3]> {
+        s.points
+            .iter()
+            .map(|p| [p.x.to_bits(), p.y.to_bits(), p.value.to_bits()])
+            .collect()
+    };
+    assert_eq!(bits(&resumed), bits(&detached), "resumed vs detached build");
+
+    let events = tracer.events();
+    for kind in [
+        "checkpoint_write",
+        "checkpoint_resume",
+        "retry",
+        "phase_transition",
+    ] {
+        assert!(
+            events.iter().any(|e| e.name == kind),
+            "no {kind:?} event recorded"
+        );
+    }
+
+    let snap = registry.snapshot();
+    assert!(snap.counter(Counter::StreamRetriesAbsorbed) > 0);
+    assert_eq!(snap.counter(Counter::CoreCheckpointResumes), 1);
+    assert_eq!(
+        export::snapshot_from_json(&export::snapshot_to_json(&snap)),
+        Ok(snap.clone())
+    );
+    let prom = export::parse_prometheus(&export::snapshot_to_prometheus(&snap))
+        .expect("the Prometheus export parses");
+    for counter in Counter::ALL {
+        let name = format!("vas_{}_total", counter.name());
+        let sample = prom.iter().find(|s| s.name == name);
+        assert_eq!(
+            sample.map(|s| s.value),
+            Some(snap.counter(counter) as f64),
+            "{name}"
+        );
+    }
 }
 
 /// A source that panics on its `panic_at`-th chunk: a decoder bug.
