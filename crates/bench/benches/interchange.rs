@@ -1,10 +1,11 @@
 //! Per-tuple cost of the Interchange inner loop for each strategy — the
-//! micro-benchmark behind the Figure 10 ablation — plus the max tracker's
-//! share of an accepted replacement.
+//! micro-benchmark behind the Figure 10 ablation, with ES+Loc also over
+//! shuffled candidates — plus the max tracker's share of an accepted
+//! replacement.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use vas_core::{GaussianKernel, InterchangeStrategy, Kernel, MaxTracker, VasConfig, VasSampler};
-use vas_data::GeolifeGenerator;
+use vas_data::{GeolifeGenerator, Point};
 use vas_sampling::Sampler;
 
 fn bench_observe(c: &mut Criterion) {
@@ -14,42 +15,67 @@ fn bench_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("interchange/per_tuple");
     group.sample_size(10);
     for &k in &[100usize, 1_000] {
-        for strategy in [
-            InterchangeStrategy::Naive,
-            InterchangeStrategy::ExpandShrink,
-            InterchangeStrategy::ExpandShrinkLocality,
-        ] {
+        // ES+Loc runs the same candidates twice: in stream order, where the
+        // Geolife trips put consecutive candidates close together and most
+        // rejections are certified from the neighbourhood cache, and
+        // shuffled, where almost every candidate gathers from the index.
+        let in_order = &data.points[k..k + 2_000];
+        let shuffled = shuffle(in_order);
+        let cases = [
+            ("No_ES", InterchangeStrategy::Naive, in_order),
+            ("ES", InterchangeStrategy::ExpandShrink, in_order),
+            (
+                "ES+Loc",
+                InterchangeStrategy::ExpandShrinkLocality,
+                in_order,
+            ),
+            (
+                "ES+Loc_shuffled",
+                InterchangeStrategy::ExpandShrinkLocality,
+                &shuffled[..],
+            ),
+        ];
+        for (label, strategy, candidates) in cases {
             // The quadratic variant at K = 1000 is exactly the case the paper
             // avoids; skip it to keep the benchmark suite fast.
             if strategy == InterchangeStrategy::Naive && k > 100 {
                 continue;
             }
-            group.bench_with_input(
-                BenchmarkId::new(strategy.label().replace(' ', "_"), k),
-                &k,
-                |b, _| {
-                    // Pre-fill the sampler so every measured observation hits
-                    // the candidate (replacement-test) path.
-                    let mut sampler = VasSampler::from_dataset(
-                        &data,
-                        VasConfig::new(k)
-                            .with_strategy(strategy)
-                            .with_epsilon(epsilon),
-                    );
-                    for p in data.points.iter().take(k) {
-                        sampler.observe(*p);
-                    }
-                    let candidates = &data.points[k..k + 2_000];
-                    let mut idx = 0usize;
-                    b.iter(|| {
-                        sampler.observe(black_box(candidates[idx % candidates.len()]));
-                        idx += 1;
-                    });
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(label, k), &k, |b, _| {
+                // Pre-fill the sampler so every measured observation hits
+                // the candidate (replacement-test) path.
+                let mut sampler = VasSampler::from_dataset(
+                    &data,
+                    VasConfig::new(k)
+                        .with_strategy(strategy)
+                        .with_epsilon(epsilon),
+                );
+                for p in data.points.iter().take(k) {
+                    sampler.observe(*p);
+                }
+                let mut idx = 0usize;
+                b.iter(|| {
+                    sampler.observe(black_box(candidates[idx % candidates.len()]));
+                    idx += 1;
+                });
+            });
         }
     }
     group.finish();
+}
+
+/// A copy of `points` in a fixed pseudo-random order (Fisher–Yates over an
+/// xorshift stream).
+fn shuffle(points: &[Point]) -> Vec<Point> {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut out = points.to_vec();
+    for i in (1..out.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        out.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    out
 }
 
 /// One accept's tracker bookkeeping at the 1M-point Geolife shape: K = 5000

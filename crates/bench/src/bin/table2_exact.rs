@@ -6,7 +6,8 @@
 //! random sample. The point of the table is that exact solutions take minutes
 //! to an hour while the approximation is instantaneous and nearly as good.
 //! Here the exact optimum comes from the branch-and-bound solver of
-//! `vas-exact` (same optimum, different machinery — see DESIGN.md).
+//! `vas-exact`: the same optimum by different machinery, as the
+//! [`vas_exact`] crate docs explain.
 
 use bench::{emit, fmt3, fmt_secs, geolife, ReportTable};
 use std::time::Instant;

@@ -31,6 +31,22 @@
 //! interchangeable via [`VasConfig::with_locality_backend`], and
 //! [`VasSampler::with_index`] accepts any statically-typed backend.
 //!
+//! Most ES+Loc candidates are rejected, and a rejection only needs a
+//! *certificate*: cheap bounded kernel lanes proving that the exact Shrink
+//! step would keep the sample (see `Certificate`). The certificate may
+//! be **partial**. The candidate's own responsibility contains every lane,
+//! so once the lanes visited so far sum past the tracked maximum, each
+//! unvisited lane raises its neighbour by no more than it raises the
+//! candidate, and the rest of the neighbourhood is never touched. A
+//! neighbourhood cache (the private `neighbourhood` module) exploits that on
+//! trip-ordered streams: a run of nearby candidates shares one gather,
+//! filed into distance rings around the first of them, and each candidate
+//! walks the rings nearest-first until the certificate holds. Soundness
+//! depends neither on the ring radii nor on the grid's cell size, only on
+//! the visited lanes being lanes of the exact fold. Whatever the cache
+//! cannot certify runs the full gather, filter and exact path, so every
+//! stored value and every sample bit is the same as without it.
+//!
 //! One build is one sequential hill climb on the calling thread: every
 //! accept changes the responsibilities the next candidate is tested
 //! against. Parallelism lives across samplers instead, in the sharded
@@ -39,7 +55,9 @@
 use crate::checkpoint::{self, BuildOutcome, CheckpointPolicy};
 use crate::kernel::{GaussianKernel, Kernel, BOUNDED_LANE_DELTA};
 use crate::max_tracker::MaxTracker;
+use crate::neighbourhood::NeighbourhoodCache;
 use crate::objective::objective;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::{Duration, Instant};
 use vas_data::{Dataset, Point};
@@ -218,6 +236,11 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// The accept step's gather and kernel-value scratch for the removed
     /// point's neighbourhood, the same SoA pair as `gather`/`scratch_vals`.
     removal: (NeighborBatch, Vec<f64>),
+    /// ES+Loc's neighbourhood cache: the sample entries around a recent
+    /// candidate, in distance rings, from which runs of nearby candidates
+    /// certify their rejections without a gather. Derived state, never
+    /// checkpointed.
+    cache: NeighbourhoodCache,
     /// Running objective value (½ of the responsibility sum, maintained
     /// incrementally).
     objective: f64,
@@ -699,6 +722,7 @@ impl<L: LocalityIndex> VasSampler<L> {
             scratch_vals: Vec::new(),
             dense_dist2: Vec::new(),
             removal: Default::default(),
+            cache: NeighbourhoodCache::default(),
             objective: 0.0,
             seen: 0,
             replacements: 0,
@@ -761,9 +785,10 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.replacements
     }
 
-    /// Number of kernel-value lanes gathered so far. A lane counts once,
-    /// whether only the bounded rejection filter or also the exact
-    /// [`Kernel::eval_dist2_batch`] evaluated it.
+    /// Number of kernel-value lanes evaluated so far. A lane counts once,
+    /// whether only a bounded rejection filter or also the exact
+    /// [`Kernel::eval_dist2_batch`] evaluated it; lanes a nearest-first
+    /// certificate never reached do not count.
     ///
     /// Thin view over the metrics registry (`Counter::CoreKernelLanes`);
     /// kept for compatibility — new code should read the registry of the
@@ -1049,6 +1074,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         let cutoff = kernel.effective_radius(self.config.locality_threshold);
         self.cutoff = cutoff;
         self.cutoff2 = cutoff * cutoff;
+        self.cache.configure(cutoff);
         self.kernel = Some(kernel);
         if self.index.is_empty() {
             // Re-tune the (still empty) index to the cutoff radius every
@@ -1073,6 +1099,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.rsp = vec![0.0; n];
         self.objective = 0.0;
         self.index.reset(self.cutoff);
+        self.cache.forget();
         self.tracker_fresh = false;
         let use_locality = self.config.strategy == InterchangeStrategy::ExpandShrinkLocality;
         if use_locality {
@@ -1266,16 +1293,32 @@ impl<L: LocalityIndex> VasSampler<L> {
     /// its responsibility updates touched, then the `K/64` block maxima
     /// (see [`MaxTracker`]).
     ///
-    /// A **rejection filter** runs first: bounded lanes
-    /// ([`GaussianKernel::eval_dist2_batch_bounded`]) over the gathered
-    /// distances prove, when they can, that the exact Shrink would reject
-    /// (see [`certifies_reject`]). Approximate lanes
-    /// may only certify a rejection; everything stored comes from libm.
+    /// Two **rejection filters** run first, and both only certify: bounded
+    /// lanes ([`GaussianKernel::eval_dist2_batch_bounded`]) prove, when
+    /// they can, that the exact Shrink would reject (see
+    /// [`certifies_reject`]). Approximate lanes may only certify a
+    /// rejection; everything stored comes from libm.
+    /// - A candidate the neighbourhood cache serves (one within Δ of a
+    ///   recent candidate, see [`crate::neighbourhood`]) walks the cached
+    ///   rings nearest-first and stops at the first ring after which a
+    ///   *partial* certificate holds. No grid gather runs.
+    /// - Every other candidate, and every one the cache could not certify,
+    ///   gathers its neighbourhood from the index and tries the full
+    ///   certificate over all of its lanes.
+    ///
     /// A certified candidate returns with no state touched; every other one
     /// (accepts and rare near-ties) runs the exact lanes, fold and Shrink
     /// below, so the sample is bit-identical to the unfiltered loop.
     fn candidate_es_locality(&mut self, point: Point) {
         let kernel = self.kernel.expect("kernel resolved");
+        self.ensure_tracker();
+        let tracked = self.max_tracker.max(&self.rsp).map(|(_, r)| r);
+        if self.cache.route(&point, &self.index, &self.points)
+            && self.cache_certifies_reject(&point, &kernel, tracked)
+        {
+            self.recorder.inc(Counter::CoreCacheCertifiedRejects, 1);
+            return;
+        }
 
         // --- Expand: evaluate the kernel against the candidate's
         // neighbourhood only. The index batch-gathers the neighbourhood's
@@ -1291,15 +1334,8 @@ impl<L: LocalityIndex> VasSampler<L> {
         vals.resize(gather.len(), 0.0);
         self.recorder
             .inc(Counter::CoreKernelLanes, gather.len() as u64);
-        self.ensure_tracker();
         if kernel.eval_dist2_batch_bounded(gather.dist2(), &mut vals)
-            && certifies_reject(
-                BOUNDED_LANE_DELTA,
-                &self.rsp,
-                self.max_tracker.max(&self.rsp).map(|(_, r)| r),
-                gather.ids(),
-                &vals,
-            )
+            && certifies_reject(BOUNDED_LANE_DELTA, &self.rsp, tracked, gather.ids(), &vals)
         {
             self.gather = gather;
             self.scratch_vals = vals;
@@ -1315,6 +1351,55 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.shrink_apply_es_locality(point, gather.ids(), &vals, cand_rsp);
         self.gather = gather;
         self.scratch_vals = vals;
+    }
+
+    /// The cache's partial certificate for a candidate it serves: walks the
+    /// rings nearest-first, evaluating each ring's in-cutoff lanes with the
+    /// bounded kernel, and stops as soon as the lanes visited so far
+    /// certify the rejection (see [`Certificate::rejects`]). Every lane a
+    /// ring visit evaluates counts into `CoreKernelLanes`.
+    ///
+    /// Kept out of line: inlined, it made the candidate path about 7%
+    /// slower on i.i.d. streams, which almost never reach it.
+    #[inline(never)]
+    fn cache_certifies_reject(
+        &mut self,
+        point: &Point,
+        kernel: &GaussianKernel,
+        tracked: Option<f64>,
+    ) -> bool {
+        let Self {
+            cache,
+            rsp,
+            scratch_vals: approx,
+            cutoff2,
+            recorder,
+            ..
+        } = self;
+        // Every unvisited lane is a kernel value, at most the kernel's
+        // peak, and the exact fold runs over at most one lane per slot.
+        let unvisited = Unvisited {
+            kappa_up: 1.0,
+            lane_bound: rsp.len(),
+        };
+        let mut cert = Certificate::default();
+        let mut lanes = 0u64;
+        let certified = cache.walk(point, *cutoff2, |ids, dist2| {
+            lanes += ids.len() as u64;
+            approx.clear();
+            approx.resize(dist2.len(), 0.0);
+            if !kernel.eval_dist2_batch_bounded(dist2, approx) {
+                return ControlFlow::Break(false);
+            }
+            cert.visit(rsp, ids, approx);
+            if cert.rejects(BOUNDED_LANE_DELTA, tracked, Some(unvisited)) {
+                ControlFlow::Break(true)
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        recorder.inc(Counter::CoreKernelLanes, lanes);
+        certified
     }
 
     /// The Shrink + accept half of the "ES+Loc" replacement test over the
@@ -1401,6 +1486,7 @@ impl<L: LocalityIndex> VasSampler<L> {
             "slot {max_idx} was missing from the locality index"
         );
         self.index.insert(max_idx, point);
+        self.cache.replace(max_idx, &removed, &point);
 
         let new_rsp = cand_rsp - kappa_t_removed;
         self.points[max_idx] = point;
@@ -1439,11 +1525,12 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.scratch_vals = Vec::new();
         self.dense_dist2 = Vec::new();
         self.removal = Default::default();
+        self.cache.forget();
         self.objective = 0.0;
         self.seen = 0;
         self.replacements = 0;
         // Resets the registry's build-scoped counters (accepts, rejects,
-        // kernel lanes, exact fallbacks).
+        // kernel lanes, exact fallbacks, cache-certified rejects).
         self.recorder.registry().reset_build_counters();
         self.started = Instant::now();
         // Keep the resolved kernel: it describes the data domain, which does
@@ -1491,27 +1578,10 @@ impl<L: LocalityIndex> Sampler for VasSampler<L> {
     }
 }
 
-/// `true` when approximate kernel lanes prove that the exact ES+Loc Shrink
-/// test rejects the candidate. The libm lane `e[n]` of neighbour slot
-/// `ids[n]` must satisfy `|approx[n] − e[n]| ≤ δ·approx[n]` with
-/// `δ = lane_delta`, and `tracked` is the tracked maximum responsibility (`None` for an empty
-/// sample).
-///
-/// The exact test rejects iff `cand_rsp ≥ M` and
-/// `cand_rsp ≥ fl(rsp[i] + e[n])` for every lane, where `cand_rsp` is the
-/// left fold of the `e[n]` and `M` the tracked maximum. With `n` lanes,
-/// `u = 2⁻⁵³`, `A` the computed sum of the approximate lanes and `V` the
-/// computed maximum of `rsp[i] + approx[n]`, let `s = δ + 4(n+4)u`. Then:
-/// - `cand_rsp ≥ (1−δ)(1−γₙ)²·A ≥ A·(1−s)` evaluated in `f64`, since any
-///   summation order of `n` non-negative terms is within `γₙ ≈ nu` relative
-///   of the real sum;
-/// - `fl(rsp[i] + e[n]) ≤ V + s·(A + |V|)` evaluated in `f64`, since
-///   `e[n] ≤ approx[n] + δ·A·(1+γₙ)` and each addition rounds by at most
-///   `u` of its magnitude (`s ≥ 16u` covers the `|V|` terms).
-///
-/// So `A·(1−s)` at least both `M` and `V + s·(A + |V|)` certifies the
-/// rejection. Both reductions use independent accumulators: sequential
-/// chains would cost about as much as the libm lanes they stand in for.
+/// `true` when approximate kernel lanes over every lane the index gathered
+/// prove that the exact ES+Loc Shrink test rejects the candidate: the full
+/// certificate (see [`Certificate`] for the argument). `tracked` is the
+/// tracked maximum responsibility (`None` for an empty sample).
 fn certifies_reject(
     lane_delta: f64,
     rsp: &[f64],
@@ -1519,44 +1589,138 @@ fn certifies_reject(
     ids: &[usize],
     approx: &[f64],
 ) -> bool {
-    let mut sums = [0.0f64; 8];
-    let mut lanes = approx.chunks_exact(8);
-    for c in &mut lanes {
-        for (s, &a) in sums.iter_mut().zip(c) {
-            *s += a;
+    let mut cert = Certificate::default();
+    cert.visit(rsp, ids, approx);
+    cert.rejects(lane_delta, tracked, None)
+}
+
+/// What a partial [`Certificate`] knows about the lanes it did not visit.
+#[derive(Debug, Clone, Copy)]
+struct Unvisited {
+    /// An upper bound on every unvisited lane's libm value.
+    kappa_up: f64,
+    /// An upper bound on the number of lanes the exact fold runs over,
+    /// visited or not.
+    lane_bound: usize,
+}
+
+/// Running reductions of a rejection certificate over the bounded lanes
+/// visited so far: a full certificate visits every lane the index gathers,
+/// a partial one a subset of them, nearest first.
+///
+/// Let `L` be the lanes the exact path folds (every slot within the
+/// cutoff, in the index's visitation order) and `e[n] ≤ 1` their libm
+/// values. The exact test rejects iff `cand_rsp ≥ M` and
+/// `cand_rsp ≥ fl(rsp[i] + e[n])` for every lane of `L`, where `cand_rsp`
+/// is the left fold of the `e[n]` and `M` the tracked maximum. The
+/// certificate has visited lanes `V ⊆ L`, each with the exact path's slot
+/// and `dist2`, whose bounded values satisfy `|approx[n] − e[n]| ≤
+/// δ·approx[n]` with `δ = lane_delta`. Let `N` bound `|L|` (the visited
+/// count for a full certificate, `max(lane_bound, visited)` for a partial
+/// one), `u = 2⁻⁵³`, `A` the computed sum of the visited approximate lanes
+/// and `V` the computed maximum of `rsp[i] + approx[n]` over them, and let
+/// `s = δ + 4(N+4)u`. Then:
+/// - `cand_rsp ≥ (1−δ)(1−γ_N)²·A + (1−γ_N)·Σ_{L∖V} e ≥ A·(1−s) +
+///   (1−γ_N)·Σ_{L∖V} e` evaluated in `f64`, since any summation order of
+///   `N` non-negative terms is within `γ_N ≈ Nu` relative of the real sum;
+/// - for a visited lane, `fl(rsp[i] + e[n]) ≤ V + s·(A + |V|)` evaluated
+///   in `f64`, since `e[n] ≤ approx[n] + δ·A·(1+γ_N)` and each addition
+///   rounds by at most `u` of its magnitude (`s ≥ 16u` covers the `|V|`
+///   terms);
+/// - for an unvisited lane, `rsp[i] ≤ M` and `e[n] ≤ κ_up = kappa_up`, and
+///   `cand_rsp`'s own fold contains `e[n]`: `cand_rsp ≥ A·(1−s) + e[n] −
+///   γ_N·κ_up`, while `fl(rsp[i] + e[n]) ≤ M + e[n] + u·(|M| + κ_up)`. The
+///   lane's own value appears on both sides, so `A·(1−s) ≥ M + s·(|M| +
+///   κ_up)` covers every unvisited lane.
+///
+/// So `A·(1−s)` at least `V + s·(A + |V|)` and at least `M` — raised by
+/// `s·(|M| + κ_up)` when lanes may be unvisited — certifies the rejection.
+/// The unvisited lanes enter only through their rounding, so `κ_up` may be
+/// the kernel's peak `1`, and a partial certificate stays sound whichever
+/// subset of `L` it visited: visiting the nearest lanes first only makes
+/// `A` reach `M` after fewer lanes. Both reductions use independent
+/// accumulators: sequential chains would cost about as much as the libm
+/// lanes they stand in for.
+#[derive(Debug, Clone, Copy)]
+struct Certificate {
+    sums: [f64; 8],
+    /// The sum of the lanes past each visit's last whole group of eight.
+    rest: f64,
+    maxes: [f64; 4],
+    lanes: usize,
+}
+
+impl Default for Certificate {
+    fn default() -> Self {
+        Self {
+            sums: [0.0; 8],
+            rest: 0.0,
+            maxes: [f64::NEG_INFINITY; 4],
+            lanes: 0,
         }
     }
-    let sum = sums.iter().sum::<f64>() + lanes.remainder().iter().sum::<f64>();
+}
 
-    let mut maxes = [f64::NEG_INFINITY; 4];
-    let mut ids4 = ids.chunks_exact(4);
-    let mut approx4 = approx.chunks_exact(4);
-    for (ci, ca) in (&mut ids4).zip(&mut approx4) {
-        for ((m, &i), &a) in maxes.iter_mut().zip(ci).zip(ca) {
-            let r = rsp[i] + a;
-            if r > *m {
-                *m = r;
+impl Certificate {
+    /// Adds lanes: `approx[n]` is the bounded value of slot `ids[n]`.
+    #[inline]
+    fn visit(&mut self, rsp: &[f64], ids: &[usize], approx: &[f64]) {
+        // Local accumulators, so they stay in registers across the loops.
+        let mut sums = self.sums;
+        let mut lanes = approx.chunks_exact(8);
+        for c in &mut lanes {
+            for (s, &a) in sums.iter_mut().zip(c) {
+                *s += a;
             }
         }
-    }
-    for (&i, &a) in ids4.remainder().iter().zip(approx4.remainder()) {
-        let r = rsp[i] + a;
-        if r > maxes[0] {
-            maxes[0] = r;
-        }
-    }
-    let nbr_max = maxes
-        .into_iter()
-        .fold(f64::NEG_INFINITY, |m, r| if r > m { r } else { m });
+        self.sums = sums;
+        self.rest += lanes.remainder().iter().sum::<f64>();
 
-    let slack = lane_delta + 4.0 * (approx.len() as f64 + 4.0) * (f64::EPSILON / 2.0);
-    let lower = sum * (1.0 - slack);
-    let nbr_upper = if approx.is_empty() {
-        f64::NEG_INFINITY
-    } else {
-        nbr_max + slack * (sum + nbr_max.abs())
-    };
-    lower >= tracked.unwrap_or(f64::NEG_INFINITY) && lower >= nbr_upper
+        let mut maxes = self.maxes;
+        let mut ids4 = ids.chunks_exact(4);
+        let mut approx4 = approx.chunks_exact(4);
+        for (ci, ca) in (&mut ids4).zip(&mut approx4) {
+            for ((m, &i), &a) in maxes.iter_mut().zip(ci).zip(ca) {
+                let r = rsp[i] + a;
+                if r > *m {
+                    *m = r;
+                }
+            }
+        }
+        for (&i, &a) in ids4.remainder().iter().zip(approx4.remainder()) {
+            let r = rsp[i] + a;
+            if r > maxes[0] {
+                maxes[0] = r;
+            }
+        }
+        self.maxes = maxes;
+        self.lanes += approx.len();
+    }
+
+    /// Whether the lanes visited so far certify the rejection; `unvisited`
+    /// is `None` when they are every lane of the exact fold.
+    #[inline]
+    fn rejects(&self, lane_delta: f64, tracked: Option<f64>, unvisited: Option<Unvisited>) -> bool {
+        let sum = self.sums.iter().sum::<f64>() + self.rest;
+        let nbr_max = self
+            .maxes
+            .into_iter()
+            .fold(f64::NEG_INFINITY, |m, r| if r > m { r } else { m });
+        let lane_bound = unvisited.map_or(self.lanes, |u| u.lane_bound.max(self.lanes));
+        let slack = lane_delta + 4.0 * (lane_bound as f64 + 4.0) * (f64::EPSILON / 2.0);
+        let lower = sum * (1.0 - slack);
+        let nbr_upper = if self.lanes == 0 {
+            f64::NEG_INFINITY
+        } else {
+            nbr_max + slack * (sum + nbr_max.abs())
+        };
+        let tracked_upper = match (tracked, unvisited) {
+            (None, _) => f64::NEG_INFINITY,
+            (Some(m), None) => m,
+            (Some(m), Some(u)) => m + slack * (m.abs() + u.kappa_up),
+        };
+        lower >= tracked_upper && lower >= nbr_upper
+    }
 }
 
 /// Index and value of the maximum element (ties resolved to the first).
@@ -2128,6 +2292,29 @@ mod tests {
         tracked <= cand_rsp && ids.iter().zip(exact).all(|(&i, &v)| rsp[i] + v <= cand_rsp)
     }
 
+    /// The partial certificate over the lanes `visited` (indices into
+    /// `ids`/`lanes`, in that order), each unvisited lane bounded by
+    /// `kappa_up` and the exact fold running over all `ids.len()` lanes.
+    fn partial_certifies(
+        delta: f64,
+        rsp: &[f64],
+        tracked: f64,
+        kappa_up: f64,
+        ids: &[usize],
+        lanes: &[f64],
+        visited: &[usize],
+    ) -> bool {
+        let ids: Vec<usize> = visited.iter().map(|&n| ids[n]).collect();
+        let approx: Vec<f64> = visited.iter().map(|&n| lanes[n]).collect();
+        let mut cert = Certificate::default();
+        cert.visit(rsp, &ids, &approx);
+        let unvisited = Unvisited {
+            kappa_up,
+            lane_bound: lanes.len(),
+        };
+        cert.rejects(delta, Some(tracked), Some(unvisited))
+    }
+
     proptest::proptest! {
         /// Soundness of the Shrink rejection filter: over random
         /// neighbourhoods with engineered near-ties (a competitor at the
@@ -2139,11 +2326,26 @@ mod tests {
         /// filter (the competitor's lane up, every other lane down); libm
         /// lanes with random errors within that bound; and the libm lanes
         /// themselves at δ = 0, which leaves only the fold-rounding slack.
+        ///
+        /// Partial certificates are checked on the same cases: they visit
+        /// the nearest lanes first, stopping after a quarter, half or three
+        /// quarters of them (or at a random subset), bound every unvisited
+        /// lane by the largest of their exact values as `κ_up`, size the
+        /// slack by the full lane count, and take as tracked maximum the
+        /// largest responsibility, as the sampler's tracker does.
+        ///
+        /// A last family makes an unvisited lane's rounding decide: that
+        /// lane is the kernel's peak, folded first, so the visited lanes
+        /// (each below half an ulp of one) vanish from `cand_rsp = 1`, while
+        /// a slot at the tracked maximum `M ≈ A` makes `fl(M + 1) > 1`, and
+        /// the exact Shrink accepts. Only `κ_up`'s share of the partial
+        /// certificate's bound keeps it from rejecting.
         #[test]
         fn certified_rejections_are_exact_rejections(
             xs in proptest::collection::vec(0.0f64..14.0, 1..300),
             fracs in proptest::collection::vec(0.0f64..0.999, 300..301),
             seed in 0u64..u64::MAX,
+            tiny_xs in proptest::collection::vec(37.0f64..38.5, 16..300),
         ) {
             use rand::{rngs::StdRng, Rng, SeedableRng};
             // The proven lane error of `eval_dist2_batch_bounded` (see
@@ -2186,6 +2388,27 @@ mod tests {
             }
 
             let ids: Vec<usize> = (0..n).collect();
+            // Visited subsets for the partial certificates: nearest-first
+            // prefixes, and a random subset in random order.
+            let mut nearest: Vec<usize> = (0..n).collect();
+            nearest.sort_by(|&a, &b| dist2[a].total_cmp(&dist2[b]));
+            let mut subsets: Vec<Vec<usize>> =
+                [n / 4, n / 2, 3 * n / 4].iter().map(|&m| nearest[..m].to_vec()).collect();
+            let mut random: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.5)).collect();
+            for i in (1..random.len()).rev() {
+                random.swap(i, rng.gen_range(0..=i));
+            }
+            subsets.push(random);
+            let kappa_ups: Vec<f64> = subsets
+                .iter()
+                .map(|visited| {
+                    let mut unvisited = exact.clone();
+                    for &i in visited {
+                        unvisited[i] = 0.0;
+                    }
+                    unvisited.into_iter().fold(0.0, f64::max)
+                })
+                .collect();
             // Every neighbour strictly or nearly below the candidate.
             let base: Vec<f64> = exact.iter().zip(&fracs).map(|(&e, &f)| f * (cand - e)).collect();
             for &c in &competitors {
@@ -2203,6 +2426,7 @@ mod tests {
                         (BOUNDED_LANE_DELTA, &jittered),
                         (0.0, &exact),
                     ];
+                    let rsp_max = rsp.iter().fold(*tracked, |m, &r| m.max(r));
                     for (set, (delta, lanes)) in lane_sets.into_iter().enumerate() {
                         if certifies_reject(delta, rsp, Some(*tracked), &ids, lanes) {
                             proptest::prop_assert!(
@@ -2211,8 +2435,106 @@ mod tests {
                                  {c:e} at {slot:?} vs cand_rsp {cand:e}"
                             );
                         }
+                        for (visited, &kappa_up) in subsets.iter().zip(&kappa_ups) {
+                            if partial_certifies(delta, rsp, rsp_max, kappa_up, &ids, lanes, visited) {
+                                proptest::prop_assert!(
+                                    exact_shrink_rejects(rsp, rsp_max, &ids, &exact),
+                                    "lane set {set} partially certified an accept after {} of \
+                                     {n} lanes: competitor {c:e} at {slot:?} vs cand_rsp {cand:e}",
+                                    visited.len()
+                                );
+                            }
+                        }
                     }
                 }
+            }
+
+            // Lane 0 at distance 0 (value 1), then lanes near 1e-17 each.
+            let dist2: Vec<f64> = std::iter::once(0.0).chain(tiny_xs.iter().map(|&x| 2.0 * x)).collect();
+            let n = dist2.len();
+            let mut exact = vec![0.0; n];
+            kernel.eval_dist2_batch(&dist2, &mut exact);
+            let mut bounded = vec![0.0; n];
+            proptest::prop_assert!(kernel.eval_dist2_batch_bounded(&dist2, &mut bounded));
+            let ids: Vec<usize> = (0..n).collect();
+            let visited: Vec<usize> = (1..n).collect();
+            for (delta, lanes) in [(BOUNDED_LANE_DELTA, &bounded), (0.0, &exact)] {
+                let mut cert = Certificate::default();
+                cert.visit(&vec![0.0; n], &ids[1..], &lanes[1..]);
+                let slack = delta + 4.0 * (n as f64 + 4.0) * (f64::EPSILON / 2.0);
+                let lower = (cert.sums.iter().sum::<f64>() + cert.rest) * (1.0 - slack);
+                // The largest `M` a bound without `κ_up` lets through.
+                let mut m = lower / (1.0 + slack);
+                while lower < m + slack * m {
+                    m = f64::from_bits(m.to_bits() - 1);
+                }
+                let mut rsp = vec![0.0; n];
+                rsp[0] = m;
+                proptest::prop_assert!(
+                    !exact_shrink_rejects(&rsp, m, &ids, &exact)
+                        && partial_certifies(delta, &rsp, m, 0.0, &ids, lanes, &visited),
+                    "the peak-lane case lost its edge: n = {}", n
+                );
+                proptest::prop_assert!(
+                    !partial_certifies(delta, &rsp, m, exact[0], &ids, lanes, &visited),
+                    "δ = {:e}: partially certified an accept past an unvisited peak lane, n = {}",
+                    delta, n
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The neighbourhood cache mirrors the index. Over random trips
+        /// (steps of 0.02ε to 0.62ε in random directions, with occasional
+        /// jumps across the domain) on either backend, whenever a cache is
+        /// live after a tuple it holds exactly the slots within `reach` of
+        /// its anchor, each at its slot's current position and in the ring
+        /// its distance gives: after rebuilds, reuse, and the accepts that
+        /// patch it.
+        #[test]
+        fn neighbourhood_cache_holds_exactly_the_slots_within_reach(
+            steps in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 300..600),
+            k in 10usize..60,
+        ) {
+            for backend in LocalityBackend::ALL {
+                let config = VasConfig::new(k)
+                    .with_epsilon(1.0)
+                    .with_locality_backend(backend);
+                let mut s = VasSampler::new(config);
+                let (mut x, mut y) = (15.0, 15.0);
+                let (mut live, mut live_accepts) = (0usize, 0usize);
+                for &(a, b, jump) in &steps {
+                    if jump < 0.05 {
+                        (x, y) = (30.0 * a, 30.0 * b);
+                    } else {
+                        let (sin, cos) = (std::f64::consts::TAU * a).sin_cos();
+                        let len = 0.02 + 0.6 * b;
+                        (x, y) = (x + len * cos, y + len * sin);
+                    }
+                    let before = s.replacements();
+                    s.observe(Point::new(x, y));
+                    let Some((anchor, reach2, entries)) = s.cache.contents() else {
+                        continue;
+                    };
+                    live += 1;
+                    live_accepts += usize::from(s.replacements() > before);
+                    let mut held: Vec<usize> = entries.iter().map(|e| e.1).collect();
+                    held.sort_unstable();
+                    let within: Vec<usize> = (0..s.points.len())
+                        .filter(|&i| s.points[i].dist2(&anchor) <= reach2)
+                        .collect();
+                    proptest::prop_assert_eq!(held, within, "{} backend", backend);
+                    for &(ring, slot, ex, ey) in &entries {
+                        let p = s.points[slot];
+                        proptest::prop_assert!(
+                            ex.to_bits() == p.x.to_bits() && ey.to_bits() == p.y.to_bits(),
+                            "slot {} cached at ({}, {}), sampled at {:?}", slot, ex, ey, p
+                        );
+                        proptest::prop_assert_eq!(ring, s.cache.expected_ring(p.dist2(&anchor)));
+                    }
+                }
+                proptest::prop_assert!(live > 0 && live_accepts > 0, "{} live, {} accepts", live, live_accepts);
             }
         }
     }

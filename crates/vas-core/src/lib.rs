@@ -60,6 +60,7 @@ pub mod density;
 pub mod interchange;
 pub mod kernel;
 pub mod max_tracker;
+mod neighbourhood;
 pub mod objective;
 pub mod outlier;
 pub mod shard;

@@ -20,12 +20,20 @@ pub enum Counter {
     CoreAccepts,
     /// Candidate tuples rejected by Interchange.
     CoreRejects,
-    /// Kernel-evaluation lanes swept by the batched SoA path.
+    /// Kernel-value lanes evaluated by the candidate path: every lane of a
+    /// neighbourhood gather (ES+Loc) or of the dense sweep (plain ES), plus
+    /// the lanes an ES+Loc neighbourhood-cache walk evaluated before it
+    /// stopped. A lane counts once, whether only a bounded rejection filter
+    /// or also the exact kernel evaluated it; lanes the cache walk never
+    /// reached do not count.
     CoreKernelLanes,
     /// Candidates of the batched sequential ES+Loc path whose rejection the
     /// bounded-lane filter could not certify, so they ran the exact libm
     /// lanes: every accept plus the rare near-tie.
     CoreExactFallbacks,
+    /// ES+Loc candidates rejected by a partial certificate from the
+    /// neighbourhood cache's nearest rings, without a neighbourhood gather.
+    CoreCacheCertifiedRejects,
     /// Checkpoints written by `run_checkpointed`.
     CoreCheckpointWrites,
     /// Builds resumed from a checkpoint.
@@ -61,11 +69,12 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 19] = [
         Counter::CoreAccepts,
         Counter::CoreRejects,
         Counter::CoreKernelLanes,
         Counter::CoreExactFallbacks,
+        Counter::CoreCacheCertifiedRejects,
         Counter::CoreCheckpointWrites,
         Counter::CoreCheckpointResumes,
         Counter::StreamChunksDecoded,
@@ -92,6 +101,7 @@ impl Counter {
             Counter::CoreRejects => "core_rejects",
             Counter::CoreKernelLanes => "core_kernel_lanes",
             Counter::CoreExactFallbacks => "core_exact_fallbacks",
+            Counter::CoreCacheCertifiedRejects => "core_cache_certified_rejects",
             Counter::CoreCheckpointWrites => "core_checkpoint_writes",
             Counter::CoreCheckpointResumes => "core_checkpoint_resumes",
             Counter::StreamChunksDecoded => "stream_chunks_decoded",
@@ -113,7 +123,7 @@ impl Counter {
     /// counter.
     ///
     /// Mirrors `VasSampler::reset()`: per-build tallies (accepts, rejects,
-    /// kernel lanes, exact fallbacks) start over with each build, while the
+    /// kernel lanes, exact fallbacks, cache-certified rejects) start over with each build, while the
     /// checkpoint counters and every non-core layer's counters survive. The shard aggregates (`CoreShardAccepts`/`CoreShardRejects`)
     /// also survive: shard workers share one registry and each worker's
     /// finalize resets the per-build pair, so the sharded path accumulates
@@ -125,6 +135,7 @@ impl Counter {
                 | Counter::CoreRejects
                 | Counter::CoreKernelLanes
                 | Counter::CoreExactFallbacks
+                | Counter::CoreCacheCertifiedRejects
         )
     }
 
@@ -405,6 +416,7 @@ mod tests {
         assert_eq!(r.get(Counter::CoreRejects), 0);
         assert_eq!(r.get(Counter::CoreKernelLanes), 0);
         assert_eq!(r.get(Counter::CoreExactFallbacks), 0);
+        assert_eq!(r.get(Counter::CoreCacheCertifiedRejects), 0);
         // Lifetime counters and every non-core layer survive, exactly like
         // the plain-field implementation did.
         assert_eq!(r.get(Counter::CoreCheckpointWrites), 7);

@@ -21,11 +21,12 @@
 //!   points (GPS glitches, sentinel values) land in border cells instead of
 //!   overflowing — the exact-distance filter still decides membership, so
 //!   queries stay correct.
-//! * Each cell stores its entries as **columns**: four parallel vectors of
-//!   ids, `x`s, `y`s and values. The radius scan reads only the three it
-//!   needs, each contiguous, instead of striding over 32-byte
-//!   `(id, Point)` rows; the values are read back only to hand a visitor
-//!   its point, to match a removal bit for bit, and to write a snapshot.
+//! * Each cell stores its entries as **columns**: ids, `x`s, `y`s and
+//!   values, four contiguous runs in one allocation. The radius scan reads
+//!   only the three it needs, each contiguous, instead of striding over
+//!   32-byte `(id, Point)` rows; the values are read back only to hand a
+//!   visitor its point, to match a removal bit for bit, and to write a
+//!   snapshot.
 //! * The batch gather ([`LocalityIndex::gather_in_radius_into`]) has no
 //!   data-dependent branch and no per-cell allocation: for each entry it
 //!   writes the id and `d2` at a cursor into the batch's spare lanes and
@@ -82,59 +83,101 @@ pub struct GridOccupancy {
     pub max_points_per_cell: usize,
 }
 
-/// One cell's entries as four parallel columns: entry `k` is
+/// Entries a cell has room for when its first entry arrives.
+const FRESH_CELL_CAPACITY: usize = 4;
+
+/// One cell's entries as four columns in a single allocation: `cols` holds
+/// `cap` ids, then the bits of `cap` `x`s, `cap` `y`s and `cap` values, and
+/// the first `len` of each column are live. Entry `k` is
 /// `(ids[k], Point { x: xs[k], y: ys[k], value: values[k] })`. The gather
-/// reads only `ids`, `xs` and `ys`; `values` is read back only by the
-/// visitor, `remove` and the snapshot codec.
+/// reads only the id, `x` and `y` columns; the values are read back only by
+/// the visitor, `remove` and the snapshot codec. A cell allocates once per
+/// growth, not once per column, which keeps grid construction (mostly
+/// fresh cells) cheap; [`HashGrid::from_entries`] sizes each cell once.
 #[derive(Debug, Clone, Default)]
 struct Cell {
-    ids: Vec<usize>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    values: Vec<f64>,
+    cols: Vec<u64>,
+    len: usize,
 }
 
 impl Cell {
     #[inline]
     fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     #[inline]
     fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
+    }
+
+    #[inline]
+    fn cap(&self) -> usize {
+        self.cols.len() / 4
+    }
+
+    /// The live parts of the four columns: ids, `x` bits, `y` bits and
+    /// value bits.
+    #[inline]
+    fn columns(&self) -> [&[u64]; 4] {
+        let (cap, len) = (self.cap(), self.len);
+        let (ids, rest) = self.cols.split_at(cap);
+        let (xs, rest) = rest.split_at(cap);
+        let (ys, values) = rest.split_at(cap);
+        [&ids[..len], &xs[..len], &ys[..len], &values[..len]]
     }
 
     fn push(&mut self, id: usize, p: Point) {
-        self.ids.push(id);
-        self.xs.push(p.x);
-        self.ys.push(p.y);
-        self.values.push(p.value);
+        if self.len == self.cap() {
+            self.resize((2 * self.cap()).max(FRESH_CELL_CAPACITY));
+        }
+        let (cap, k) = (self.cap(), self.len);
+        let entry = [id as u64, p.x.to_bits(), p.y.to_bits(), p.value.to_bits()];
+        for (c, bits) in entry.into_iter().enumerate() {
+            self.cols[c * cap + k] = bits;
+        }
+        self.len += 1;
     }
 
+    /// Moves the live entries into one new allocation with room for `cap`
+    /// entries (at least `len`).
+    fn resize(&mut self, cap: usize) {
+        let old = self.cap();
+        let mut cols = vec![0; 4 * cap];
+        for c in 0..4 {
+            cols[c * cap..c * cap + self.len]
+                .copy_from_slice(&self.cols[c * old..c * old + self.len]);
+        }
+        self.cols = cols;
+    }
+
+    /// Removes entry `k`, moving the last entry into its place (the order
+    /// `Vec::swap_remove` leaves).
     fn swap_remove(&mut self, k: usize) {
-        self.ids.swap_remove(k);
-        self.xs.swap_remove(k);
-        self.ys.swap_remove(k);
-        self.values.swap_remove(k);
+        let (cap, last) = (self.cap(), self.len - 1);
+        for c in 0..4 {
+            self.cols[c * cap + k] = self.cols[c * cap + last];
+        }
+        self.len = last;
     }
 
     fn clear(&mut self) {
-        self.ids.clear();
-        self.xs.clear();
-        self.ys.clear();
-        self.values.clear();
+        self.len = 0;
     }
 
     /// The entries as `(id, point)` rows, in cell order.
     #[inline]
     fn entries(&self) -> impl Iterator<Item = (usize, Point)> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.xs)
-            .zip(&self.ys)
-            .zip(&self.values)
-            .map(|(((&id, &x), &y), &value)| (id, Point::with_value(x, y, value)))
+        let [ids, xs, ys, values] = self.columns();
+        ids.iter()
+            .zip(xs)
+            .zip(ys)
+            .zip(values)
+            .map(|(((&id, &x), &y), &value)| {
+                let p =
+                    Point::with_value(f64::from_bits(x), f64::from_bits(y), f64::from_bits(value));
+                (id as usize, p)
+            })
     }
 }
 
@@ -197,9 +240,31 @@ impl HashGrid {
         }
     }
 
-    /// Builds a grid from `(id, point)` pairs.
-    pub fn from_entries(cell_size: f64, entries: impl IntoIterator<Item = (usize, Point)>) -> Self {
+    /// Builds a grid from `(id, point)` pairs, inserted in iteration order.
+    ///
+    /// The entries are walked twice: first to claim every cell and count
+    /// its entries, so that each cell is allocated once at its final size,
+    /// then to insert them. A bulk build thus never regrows a cell, and a
+    /// large grid holds no spare capacity and never holds a cell's old and
+    /// new columns at once.
+    pub fn from_entries<I>(cell_size: f64, entries: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, Point)>,
+        I::IntoIter: Clone,
+    {
+        let entries = entries.into_iter();
         let mut grid = Self::with_cell_size(cell_size);
+        // The counts live in each cell's `len` until the cell is sized.
+        for (_, p) in entries.clone() {
+            let i = grid.slot_for_insert(grid.cell_of(&p));
+            grid.slots[i].cell.len += 1;
+        }
+        for slot in &mut grid.slots {
+            let count = std::mem::take(&mut slot.cell.len);
+            if count > 0 {
+                slot.cell.resize(count);
+            }
+        }
         for (id, p) in entries {
             LocalityIndex::insert(&mut grid, id, p);
         }
@@ -510,13 +575,14 @@ impl LocalityIndex for HashGrid {
             // order.
             let (ids, dist2) = out.spare(cell.len());
             let mut w = 0;
-            for ((&id, &x), &y) in cell.ids.iter().zip(&cell.xs).zip(&cell.ys) {
+            let [cell_ids, xs, ys, _] = cell.columns();
+            for ((&id, &x), &y) in cell_ids.iter().zip(xs).zip(ys) {
                 // `Point::dist2`'s operand order, so the bits match the
                 // visitor's `entry.dist2(center)`.
-                let dx = x - center.x;
-                let dy = y - center.y;
+                let dx = f64::from_bits(x) - center.x;
+                let dy = f64::from_bits(y) - center.y;
                 let d2 = dx * dx + dy * dy;
-                ids[w] = id;
+                ids[w] = id as usize;
                 dist2[w] = d2;
                 w += (d2 <= r2) as usize;
             }
@@ -926,6 +992,33 @@ mod tests {
         b.for_each_in_radius(&center, 30.0, |id, _| seq_b.push(id));
         assert_eq!(seq_a, seq_b);
         assert!(!seq_a.is_empty());
+    }
+
+    #[test]
+    fn bulk_build_matches_one_insert_at_a_time() {
+        // `from_entries` sizes each cell before filling it; the grid it
+        // builds must be the one the same inserts build one at a time, down
+        // to the snapshot bytes and the gather's lane order. Some cells hold
+        // many entries, so the incremental build regrows them.
+        let mut pts = random_points(2_000, 5);
+        pts.extend((0..300).map(|i| Point::new(1.0 + i as f64 * 1e-3, -2.0)));
+        let bulk = HashGrid::from_entries(7.0, pts.iter().copied().enumerate());
+        let mut incremental = HashGrid::with_cell_size(7.0);
+        for (i, p) in pts.iter().enumerate() {
+            LocalityIndex::insert(&mut incremental, i, *p);
+        }
+        let snapshot = |g: &HashGrid| {
+            let mut bytes = Vec::new();
+            g.snapshot_into(&mut bytes);
+            bytes
+        };
+        assert_eq!(snapshot(&bulk), snapshot(&incremental));
+        let (mut a, mut b) = (NeighborBatch::new(), NeighborBatch::new());
+        for center in pts.iter().step_by(97) {
+            bulk.gather_in_radius_into(center, 7.0, &mut a);
+            incremental.gather_in_radius_into(center, 7.0, &mut b);
+            assert_eq!(a.ids(), b.ids());
+        }
     }
 
     proptest::proptest! {

@@ -149,6 +149,52 @@ fn lock_step_against_oracle(
         strategy.label(),
         oracle.replacements
     );
+    if strategy == InterchangeStrategy::ExpandShrinkLocality {
+        assert_cache_certified(sampler.recorder().registry(), || {
+            format!("{}/{backend} lock-step", strategy.label())
+        });
+    }
+}
+
+/// On trip-ordered Geolife data most ES+Loc rejections are certified from
+/// the neighbourhood cache: a lock-step or resume that never took that path
+/// would pin bit-identity on the gather path only.
+fn assert_cache_certified(registry: &MetricsRegistry, what: impl Fn() -> String) {
+    let certified = registry.get(Counter::CoreCacheCertifiedRejects);
+    assert!(
+        certified > 0,
+        "{}: the neighbourhood cache certified no rejection",
+        what()
+    );
+}
+
+/// A source that reads the build's cache-certified reject count at every
+/// chunk request. The sampler resets its per-build counters when it
+/// finalizes, so the request that finds the stream exhausted reads the
+/// build's total.
+struct CertifiedProbe<S> {
+    inner: S,
+    registry: Arc<MetricsRegistry>,
+    certified: u64,
+}
+
+impl<S: PointSource> PointSource for CertifiedProbe<S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn len_hint(&self) -> Option<u64> {
+        self.inner.len_hint()
+    }
+    fn chunk_capacity(&self) -> usize {
+        self.inner.chunk_capacity()
+    }
+    fn next_chunk(&mut self, buf: &mut Vec<Point>) -> std::io::Result<usize> {
+        self.certified = self.registry.get(Counter::CoreCacheCertifiedRejects);
+        self.inner.next_chunk(buf)
+    }
+    fn reset(&mut self) -> std::io::Result<()> {
+        self.inner.reset()
+    }
 }
 
 #[test]
@@ -484,7 +530,10 @@ fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
     // its candidates costs O(K²)). A second input keeps the coordinates but
     // makes the `value` attribute NaN, −NaN or +∞ on points 0, 3 and 5 mod
     // 7: non-finite values ride through the spill, the sample and the
-    // checkpoint untouched, and the stream still equals `build()`.
+    // checkpoint untouched, and the stream still equals `build()`. On the
+    // Geolife trips, ES+Loc must certify rejections from its neighbourhood
+    // cache both before the kill and after the resume, which starts without
+    // a cache and builds one lazily.
     let geolife = GeolifeGenerator::with_size(10_000, 21).generate();
     let mut non_finite = geolife.clone();
     for (i, p) in non_finite.points.iter_mut().enumerate() {
@@ -540,7 +589,8 @@ fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
                 ));
                 let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
                 let mut reader = ChunkedReader::open(&path).unwrap();
-                let outcome = VasSampler::new(base.clone())
+                let mut killed = VasSampler::new(base.clone());
+                let outcome = killed
                     .build_from_source_checkpointed(&mut reader, &policy)
                     .unwrap();
                 assert!(
@@ -548,11 +598,17 @@ fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
                     "kill switch did not fire ({case}, kill {kill_after})"
                 );
 
-                let mut reader = ChunkedReader::open(&path).unwrap();
-                let (_, outcome) = VasSampler::resume_build_from_source(
+                let registry = Arc::new(MetricsRegistry::new());
+                let mut reader = CertifiedProbe {
+                    inner: ChunkedReader::open(&path).unwrap(),
+                    registry: Arc::clone(&registry),
+                    certified: 0,
+                };
+                let (_, outcome) = VasSampler::resume_build_from_source_recorded(
                     base.clone(),
                     &mut reader,
                     &CheckpointPolicy::every(&ckpt, 1),
+                    Recorder::new(registry),
                 )
                 .unwrap();
                 let resumed = outcome.into_sample().expect("resumed build completes");
@@ -561,6 +617,17 @@ fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
                     &reference.points,
                     &format!("kill-and-resume ({case}, kill {kill_after})"),
                 );
+                if input == "geolife" && base.strategy == InterchangeStrategy::ExpandShrinkLocality
+                {
+                    assert_cache_certified(killed.recorder().registry(), || {
+                        format!("{case}, before the kill after chunk {kill_after}")
+                    });
+                    assert!(
+                        reader.certified > 0,
+                        "{case}: the resumed build after chunk {kill_after} certified no \
+                         rejection from the neighbourhood cache"
+                    );
+                }
                 std::fs::remove_file(&ckpt).ok();
             }
         }
