@@ -143,29 +143,26 @@ pub(crate) fn decode_container<'a>(path: &str, bytes: &'a [u8]) -> Result<&'a [u
         });
     }
     let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let payload_len: usize = payload_len.try_into().map_err(|_| VasError::Corrupt {
-        path: path.to_string(),
-        detail: format!("payload length {payload_len} overflows usize"),
-    })?;
-    let expected_total = HEADER_LEN + payload_len + 4;
-    if bytes.len() < expected_total {
+    // An inflated length promises more bytes than any file holds; it must
+    // not wrap around to a total that looks short.
+    let promised = payload_len.saturating_add((HEADER_LEN + 4) as u64);
+    let found = bytes.len() as u64;
+    if found < promised {
         return Err(VasError::Truncated {
             path: path.to_string(),
-            promised: expected_total as u64,
-            found: bytes.len() as u64,
+            promised,
+            found,
         });
     }
-    if bytes.len() > expected_total {
+    if found > promised {
         return Err(VasError::Corrupt {
             path: path.to_string(),
-            detail: format!(
-                "{} trailing bytes after checkpoint",
-                bytes.len() - expected_total
-            ),
+            detail: format!("{} trailing bytes after checkpoint", found - promised),
         });
     }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-    let stored = u32::from_le_bytes(bytes[expected_total - 4..].try_into().expect("4 bytes"));
+    // The file is exactly `promised` bytes long, so the length fits.
+    let payload = &bytes[HEADER_LEN..bytes.len() - 4];
+    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
     let computed = crc32(payload);
     if stored != computed {
         return Err(VasError::ChecksumMismatch {
@@ -221,6 +218,22 @@ mod tests {
             decode_container("t", &long).unwrap_err(),
             VasError::Corrupt { .. }
         ));
+        // Length fields so large that header + payload + CRC overflows.
+        for len in [
+            u64::MAX,
+            u64::MAX - 3,
+            u64::MAX - 23,
+            u64::MAX - 24,
+            1 << 63,
+        ] {
+            let mut inflated = file.clone();
+            inflated[12..20].copy_from_slice(&len.to_le_bytes());
+            let err = decode_container("t", &inflated).unwrap_err();
+            assert!(
+                matches!(err, VasError::Truncated { .. }),
+                "length {len}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! it starts from the first `K` points of the stream and, for every further
 //! data point, performs a *valid replacement* — swapping the new point into
 //! the sample whenever doing so decreases the objective
-//! `Σ_{i<j} κ̃(s_i, s_j)`.
+//! `Σ_{i<j} κ̃(s_i, s_j)`. Only tuples outside the sample are candidates
+//! (`t ∈ D∖S`): a tuple whose `(x, y, value)` bits a slot already holds is
+//! never admitted, at fill or at replacement. A build scans the data at most
+//! [`VasConfig::passes`] times and stops after the first whole pass that
+//! neither filled a slot nor made a replacement: Interchange's fixpoint,
+//! which no later pass can leave.
 //!
 //! The replacement test is implemented with the paper's Expand/Shrink trick:
 //! the *responsibility* of every sample element is maintained incrementally,
@@ -24,12 +29,11 @@
 //!   candidate's neighbourhood, exploiting the locality of the proximity
 //!   function.
 //!
-//! The locality strategy is generic over the spatial index through the
-//! [`LocalityIndex`] trait: the paper's R-tree and the default
-//! [`HashGrid`](vas_spatial::HashGrid) (cutoff-sized spatial-hash cells —
-//! the fastest backend on this fixed-radius churn workload) are
-//! interchangeable via [`VasConfig::with_locality_backend`], and
-//! [`VasSampler::with_index`] accepts any statically-typed backend.
+//! The locality strategy keeps the sample in an [`AnyLocalityIndex`]: the
+//! paper's R-tree or the default [`HashGrid`](vas_spatial::HashGrid)
+//! (cutoff-sized spatial-hash cells — the fastest backend on this
+//! fixed-radius churn workload), chosen with
+//! [`VasConfig::with_locality_backend`].
 //!
 //! Most ES+Loc candidates are rejected, and a rejection only needs a
 //! *certificate*: cheap bounded kernel lanes proving that the exact Shrink
@@ -51,6 +55,13 @@
 //! accept changes the responsibilities the next candidate is tested
 //! against. Parallelism lives across samplers instead, in the sharded
 //! build ([`crate::shard`]), where each shard is an independent climb.
+//!
+//! Every build runs one pass loop over a [`PointSource`]. The four entry
+//! points are thin shapes over it: [`VasSampler::build`] (an in-memory
+//! dataset as one chunk), [`VasSampler::build_from_source`],
+//! [`VasSampler::build_from_source_checkpointed`] (crash checkpoints and a
+//! kill switch) and [`VasSampler::resume_build_from_source`] (the same loop,
+//! restored from a checkpoint mid-pass).
 
 use crate::checkpoint::{self, BuildOutcome, CheckpointPolicy};
 use crate::kernel::{GaussianKernel, Kernel, BOUNDED_LANE_DELTA};
@@ -65,7 +76,7 @@ use vas_obs::{Counter, Phase, Recorder, ValueSeries};
 use vas_sampling::{Sample, Sampler};
 use vas_spatial::snapshot::{self as snap, SnapshotReader};
 use vas_spatial::{AnyLocalityIndex, LocalityBackend, LocalityIndex, NeighborBatch};
-use vas_stream::{write_atomic, PointSource, VasError};
+use vas_stream::{write_atomic, DatasetSource, PointSource, VasError};
 
 /// Which inner-loop implementation the Interchange algorithm uses.
 ///
@@ -109,17 +120,16 @@ pub struct VasConfig {
     /// Kernel values below this threshold are treated as zero by the locality
     /// strategy (the paper's example threshold is ≈1e-7).
     pub locality_threshold: f64,
-    /// Number of passes over the dataset made by [`VasSampler::build`]
-    /// (the streaming [`Sampler`] interface always performs a single pass).
+    /// The most passes over the data a build makes. A build stops earlier,
+    /// after the first whole pass that neither filled a slot nor made a
+    /// replacement, since no later pass could change the sample. (The
+    /// streaming [`Sampler`] interface always performs a single pass.)
     pub passes: usize,
     /// Emit a [`ProgressEvent`] every this many observed tuples
     /// (0 disables progress reporting).
     pub progress_every: u64,
     /// Which spatial index the locality strategy keeps the sample in
-    /// (default: [`LocalityBackend::HashGrid`]). Only consulted by the
-    /// runtime-dispatched constructors ([`VasSampler::new`],
-    /// [`VasSampler::from_dataset`]); statically-typed samplers built with
-    /// [`VasSampler::with_index`] bring their own backend.
+    /// (default: [`LocalityBackend::HashGrid`]).
     pub locality_backend: LocalityBackend,
 }
 
@@ -149,7 +159,7 @@ impl VasConfig {
         self
     }
 
-    /// Sets the number of passes used by [`VasSampler::build`].
+    /// Sets the pass cap (see [`passes`](Self::passes)).
     pub fn with_passes(mut self, passes: usize) -> Self {
         self.passes = passes.max(1);
         self
@@ -197,12 +207,10 @@ pub type ProgressSink = Box<dyn FnMut(ProgressEvent) + Send>;
 
 /// The VAS sampler: Interchange over a stream of points.
 ///
-/// Generic over the [`LocalityIndex`] backend the locality strategy keeps the
-/// sample in. The default instantiation dispatches at runtime via
-/// [`AnyLocalityIndex`] (selected by [`VasConfig::with_locality_backend`],
-/// default [`HashGrid`](vas_spatial::HashGrid)); performance-critical callers
-/// can pin a concrete backend with [`VasSampler::with_index`].
-pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
+/// The locality strategy keeps the sample in the [`AnyLocalityIndex`]
+/// backend selected by [`VasConfig::with_locality_backend`] (default
+/// [`HashGrid`](vas_spatial::HashGrid)).
+pub struct VasSampler {
     config: VasConfig,
     kernel: Option<GaussianKernel>,
     /// Locality cutoff radius (cached; `cutoff2` is its square). Both are
@@ -215,7 +223,7 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     rsp: Vec<f64>,
     /// Spatial index over the sample (ids are slot indices); only maintained
     /// by the locality strategy.
-    index: L,
+    index: AnyLocalityIndex,
     /// Block-max tracker over `rsp`, giving the Shrink step its maximum in
     /// `O(1)`; only maintained by the locality strategy.
     max_tracker: MaxTracker,
@@ -255,7 +263,7 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     started: Instant,
 }
 
-impl<L: LocalityIndex> std::fmt::Debug for VasSampler<L> {
+impl std::fmt::Debug for VasSampler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VasSampler")
             .field("config", &self.config)
@@ -264,24 +272,6 @@ impl<L: LocalityIndex> std::fmt::Debug for VasSampler<L> {
             .field("replacements", &self.replacements)
             .field("objective", &self.objective)
             .finish()
-    }
-}
-
-impl VasSampler {
-    /// Creates a sampler whose locality backend is chosen at runtime from
-    /// [`VasConfig::locality_backend`]. If `config.epsilon` is `None`, the
-    /// bandwidth is resolved from the extent of the first `K` buffered
-    /// points.
-    pub fn new(config: VasConfig) -> Self {
-        let index = AnyLocalityIndex::new(config.locality_backend);
-        Self::with_index(config, index)
-    }
-
-    /// Creates a sampler whose bandwidth (if not fixed in the config) follows
-    /// the paper's rule applied to `dataset`: ε = extent diagonal / 100.
-    pub fn from_dataset(dataset: &Dataset, config: VasConfig) -> Self {
-        let index = AnyLocalityIndex::new(config.locality_backend);
-        Self::from_dataset_with_index(dataset, config, index)
     }
 }
 
@@ -340,21 +330,300 @@ fn require_match<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// Checkpoint/resume for the runtime-dispatched sampler. The index snapshot
-/// codec is backend-tagged (see [`vas_spatial::snapshot`]), so these entry
-/// points live on the [`AnyLocalityIndex`]-backed sampler every driver and
-/// benchmark uses.
 impl VasSampler {
-    /// Serializes the full sampler state plus the stream position into a
-    /// checkpoint payload (the container framing — magic, version, CRC — is
-    /// applied by [`write_checkpoint`](Self::write_checkpoint)).
-    fn encode_checkpoint_payload(
+    /// Creates a sampler whose locality backend is chosen at runtime from
+    /// [`VasConfig::locality_backend`]. If `config.epsilon` is `None`, a
+    /// build resolves the bandwidth from a bounds scan of its source, and
+    /// the streaming [`Sampler`] interface from the extent of the first `K`
+    /// buffered points.
+    pub fn new(config: VasConfig) -> Self {
+        let kernel = config.epsilon.map(GaussianKernel::new);
+        let mut sampler = Self {
+            cutoff: f64::INFINITY,
+            cutoff2: f64::INFINITY,
+            kernel: None,
+            points: Vec::new(),
+            rsp: Vec::new(),
+            index: AnyLocalityIndex::new(config.locality_backend),
+            max_tracker: MaxTracker::new(),
+            tracker_fresh: false,
+            gather: NeighborBatch::new(),
+            scratch_vals: Vec::new(),
+            dense_dist2: Vec::new(),
+            removal: Default::default(),
+            cache: NeighbourhoodCache::default(),
+            objective: 0.0,
+            seen: 0,
+            replacements: 0,
+            recorder: Recorder::detached(),
+            progress: None,
+            started: Instant::now(),
+            config,
+        };
+        if let Some(k) = kernel {
+            sampler.install_kernel(k);
+        }
+        sampler
+    }
+
+    /// Creates a sampler whose bandwidth (if not fixed in the config) follows
+    /// the paper's rule applied to `dataset`: ε = extent diagonal / 100.
+    pub fn from_dataset(dataset: &Dataset, config: VasConfig) -> Self {
+        let mut sampler = Self::new(config);
+        if sampler.kernel.is_none() {
+            sampler.install_kernel(GaussianKernel::for_dataset(dataset));
+        }
+        sampler
+    }
+
+    /// Registers a progress callback (see [`VasConfig::progress_every`]).
+    pub fn set_progress_sink(&mut self, sink: ProgressSink) {
+        self.progress = Some(sink);
+    }
+
+    /// Attaches a shared [`Recorder`]: kernel lanes, accepts/rejects and
+    /// checkpoint events count into its registry; phase timings, spans and
+    /// events flow to it when enabled. Note that
+    /// [`finalize`](Sampler::finalize) resets the registry's
+    /// build-scoped counters (accepts, rejects, kernel lanes), so a
+    /// registry shared across *concurrent* builds will see those views
+    /// interleave — lifetime counters are unaffected.
+    pub fn set_recorder(&mut self, recorder: Recorder) {
+        self.recorder = recorder;
+    }
+
+    /// Builder-style [`Self::set_recorder`].
+    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.recorder = recorder;
+        self
+    }
+
+    /// The attached [`Recorder`] ([`Recorder::detached`] unless one was
+    /// installed).
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
+    /// The resolved kernel, if the bandwidth has been determined yet.
+    pub fn kernel(&self) -> Option<&GaussianKernel> {
+        self.kernel.as_ref()
+    }
+
+    /// Number of valid replacements performed so far.
+    pub fn replacements(&self) -> u64 {
+        self.replacements
+    }
+
+    /// Current value of the optimization objective.
+    pub fn current_objective(&self) -> f64 {
+        self.objective
+    }
+
+    /// Current sample contents (slot order).
+    pub fn current_sample(&self) -> &[Point] {
+        &self.points
+    }
+
+    /// Current responsibilities, lane-parallel to
+    /// [`current_sample`](Self::current_sample): `Σ_{j≠i} κ̃(s_i, s_j)` over
+    /// the pairs the strategy evaluates, maintained incrementally.
+    pub fn current_responsibilities(&self) -> &[f64] {
+        &self.rsp
+    }
+
+    /// Runs Interchange over `dataset`, at most
+    /// [`passes`](VasConfig::passes) times, and returns the final sample.
+    /// Later passes keep improving the same sample, as the paper does when
+    /// more processing time is available, until one changes nothing. The
+    /// dataset streams through the same pass loop as
+    /// [`build_from_source`](Self::build_from_source), as one chunk.
+    pub fn build(&mut self, dataset: &Dataset) -> Sample {
+        let mut source = DatasetSource::with_chunk_size(dataset, dataset.len().max(1));
+        self.drive("build", &mut source, None, (0, 0))
+            .ok()
+            .and_then(BuildOutcome::into_sample)
+            .expect("an in-memory build without a kill switch completes")
+    }
+
+    /// Streaming counterpart of [`build`](Self::build): runs Interchange
+    /// over any [`PointSource`], holding at most the sample (`K` slots)
+    /// plus one source chunk in memory.
+    ///
+    /// If no bandwidth was fixed, a one-pass bounds scan over the source
+    /// resolves ε by the paper's rule first — folding the extent in stream
+    /// order, so the resolved kernel is **bit-identical** to the one
+    /// [`from_dataset`](Self::from_dataset) derives from the materialized
+    /// dataset. Because the source contract guarantees a stable point order
+    /// across `reset`s, the whole run is then bit-identical to `build` over
+    /// the equivalent in-memory dataset (pinned in `tests/determinism.rs`).
+    ///
+    /// Errors from the underlying source (I/O, malformed rows) abort the
+    /// build and surface as a typed [`VasError`] (corruption, truncation and
+    /// retry exhaustion stay distinguishable); the sampler is left
+    /// mid-stream and should be discarded or finalized.
+    pub fn build_from_source<S: PointSource>(
+        &mut self,
+        source: &mut S,
+    ) -> Result<Sample, VasError> {
+        let outcome = self.drive("build_from_source", source, None, (0, 0))?;
+        Ok(outcome
+            .into_sample()
+            .expect("a build without a kill switch completes"))
+    }
+
+    /// [`build_from_source`](Self::build_from_source) with periodic crash
+    /// checkpoints per `policy`, from the beginning of the stream.
+    ///
+    /// Returns [`BuildOutcome::Complete`] with the final sample, or — only
+    /// when the policy's deterministic kill switch is armed —
+    /// [`BuildOutcome::Halted`], from which
+    /// [`resume_build_from_source`](Self::resume_build_from_source) continues
+    /// bit-identically.
+    pub fn build_from_source_checkpointed<S: PointSource>(
+        &mut self,
+        source: &mut S,
+        policy: &CheckpointPolicy,
+    ) -> Result<BuildOutcome, VasError> {
+        self.drive("build_checkpointed", source, Some(policy), (0, 0))
+    }
+
+    /// Resumes a checkpointed build: restores the sampler from
+    /// `policy.path` with `recorder` attached, verifies the checkpoint
+    /// belongs to (`config`, `source`) — budget, strategy, backend,
+    /// threshold, pass cap, ε if fixed, source name and chunk capacity —
+    /// skips the chunks already consumed and streams the rest, producing a
+    /// final sample **bit-identical** to the uninterrupted run.
+    ///
+    /// The checkpointed kernel-lane total is restored into the recorder's
+    /// registry, `core_checkpoint_resumes` is counted and a
+    /// `checkpoint_resume` event is recorded.
+    pub fn resume_build_from_source<S: PointSource>(
+        config: VasConfig,
+        source: &mut S,
+        policy: &CheckpointPolicy,
+        recorder: Recorder,
+    ) -> Result<(Self, BuildOutcome), VasError> {
+        let (mut sampler, pass, chunks, source_name, chunk_capacity) =
+            Self::restore(&policy.path, config, recorder)?;
+        require_match("source name", source_name.as_str(), source.name())?;
+        require_match(
+            "source chunk capacity",
+            chunk_capacity,
+            source.chunk_capacity() as u64,
+        )?;
+        let outcome = sampler.drive("build_checkpointed", source, Some(policy), (pass, chunks))?;
+        Ok((sampler, outcome))
+    }
+
+    /// The one pass loop every build runs, under a root span named
+    /// `root_name`: resolves ε if it is not fixed, then makes at most
+    /// `config.passes` passes over `source`, starting `start_chunks` chunks
+    /// into pass `start_pass` (non-zero only on a resume), and stops after a
+    /// whole pass that neither filled a slot nor made a replacement. With a `policy` it checkpoints
+    /// every `policy.every_chunks` chunks of a pass and honours the
+    /// deterministic kill switch.
+    fn drive<S: PointSource>(
+        &mut self,
+        root_name: &'static str,
+        source: &mut S,
+        policy: Option<&CheckpointPolicy>,
+        (start_pass, start_chunks): (u64, u64),
+    ) -> Result<BuildOutcome, VasError> {
+        let mut root = self.recorder.span(root_name);
+        if let Some(n) = source.len_hint() {
+            root.attr("n", n);
+        }
+        root.attr("k", self.config.k);
+        root.attr("passes", self.config.passes.max(1));
+        root.attr("start_pass", start_pass);
+        root.attr("start_chunks", start_chunks);
+        if self.kernel.is_none() {
+            source.reset().map_err(|e| self.fatal(e))?;
+            let stats = vas_stream::scan_stats(source).map_err(|e| self.fatal(e))?;
+            self.install_kernel(GaussianKernel::for_bounds(&stats.bounds));
+        }
+        let source_name = source.name().to_string();
+        let chunk_capacity = source.chunk_capacity() as u64;
+        let mut buf = Vec::new();
+        let mut observed = 0u64;
+        for pass in start_pass..self.config.passes.max(1) as u64 {
+            source.reset().map_err(|e| self.fatal(e))?;
+            let skip = if pass == start_pass { start_chunks } else { 0 };
+            let before = (self.points.len(), self.replacements);
+            let mut chunk_index = 0u64;
+            while source.next_chunk(&mut buf).map_err(|e| self.fatal(e))? > 0 {
+                chunk_index += 1;
+                if chunk_index <= skip {
+                    continue;
+                }
+                self.observe_chunk(&buf);
+                let Some(policy) = policy else { continue };
+                observed += 1;
+                if policy.every_chunks > 0 && chunk_index.is_multiple_of(policy.every_chunks) {
+                    self.write_checkpoint(
+                        &policy.path,
+                        pass,
+                        chunk_index,
+                        &source_name,
+                        chunk_capacity,
+                    )?;
+                    self.recorder.inc(Counter::CoreCheckpointWrites, 1);
+                    self.recorder.event(
+                        "checkpoint_write",
+                        &[
+                            ("pass", pass.into()),
+                            ("chunk_index", chunk_index.into()),
+                            ("points", (self.points.len() as u64).into()),
+                        ],
+                    );
+                }
+                if policy.halt_after_chunks == Some(observed) {
+                    return Ok(BuildOutcome::Halted {
+                        pass,
+                        chunks_consumed: chunk_index,
+                    });
+                }
+            }
+            if chunk_index < skip {
+                return Err(self.fatal(VasError::Mismatch {
+                    expected: format!("at least {skip} chunks in source {source_name:?}"),
+                    found: format!("{chunk_index} chunks"),
+                }));
+            }
+            // The fixpoint: this pass started and ended in the same state,
+            // so every later pass would too. A resumed pass saw only part of
+            // the data and proves nothing.
+            if skip == 0 && (self.points.len(), self.replacements) == before {
+                break;
+            }
+        }
+        Ok(BuildOutcome::Complete(self.finalize()))
+    }
+
+    /// Marks a build-fatal error on the observability side — records a
+    /// `fatal` event and dumps the tracer's newest records to its
+    /// post-mortem file, if one is attached — then hands the error back.
+    /// Purely observational: the error value and the sampler state are
+    /// untouched.
+    fn fatal(&self, err: impl Into<VasError>) -> VasError {
+        let err = err.into();
+        let _ = self.recorder.fatal(&err.to_string());
+        err
+    }
+
+    /// Atomically persists a checkpoint of the sampler at the given stream
+    /// position: the file at `path` is replaced via temp + fsync + rename,
+    /// so a crash mid-write leaves the previous checkpoint intact. The
+    /// payload is everything the sample bits depend on (see
+    /// [`crate::checkpoint`]); the container adds magic, version and CRC.
+    fn write_checkpoint(
         &self,
+        path: &Path,
         pass: u64,
         chunks_consumed: u64,
         source_name: &str,
         chunk_capacity: u64,
-    ) -> Result<Vec<u8>, VasError> {
+    ) -> Result<(), VasError> {
         let kernel = self.kernel.as_ref().ok_or(VasError::Checkpoint {
             detail: "cannot checkpoint before the kernel bandwidth is resolved".into(),
         })?;
@@ -390,47 +659,19 @@ impl VasSampler {
         let index_bytes = self.index.snapshot();
         snap::put_usize(&mut out, index_bytes.len());
         out.extend_from_slice(&index_bytes);
-        Ok(out)
-    }
-
-    /// Atomically persists a checkpoint of the sampler at the given stream
-    /// position: the file at `path` is replaced via temp + fsync + rename,
-    /// so a crash mid-write leaves the previous checkpoint intact.
-    pub fn write_checkpoint(
-        &self,
-        path: &Path,
-        pass: u64,
-        chunks_consumed: u64,
-        source_name: &str,
-        chunk_capacity: u64,
-    ) -> Result<(), VasError> {
-        let payload =
-            self.encode_checkpoint_payload(pass, chunks_consumed, source_name, chunk_capacity)?;
-        let bytes = checkpoint::encode_container(&payload);
-        write_atomic(path, &bytes)
+        write_atomic(path, &checkpoint::encode_container(&out))
             .map_err(|e| VasError::io(format!("writing checkpoint {}", path.display()), e))
     }
 
-    /// Restores a sampler from a checkpoint file, verifying that `config`
-    /// asks for the run the checkpoint belongs to (budget, strategy,
-    /// backend, threshold, passes — everything the sample bits depend on;
-    /// progress reporting may differ, as it does not touch the output).
+    /// Restores a sampler from a checkpoint file with `recorder` attached,
+    /// verifying that `config` asks for the run the checkpoint belongs to
+    /// (budget, strategy, backend, threshold, passes — everything the sample
+    /// bits depend on; progress reporting may differ, as it does not touch
+    /// the output).
     ///
     /// Returns the sampler plus the stream position to resume from:
     /// `(pass, chunks_consumed, source_name, chunk_capacity)`.
-    pub fn resume_from_checkpoint(
-        path: &Path,
-        config: VasConfig,
-    ) -> Result<(Self, u64, u64, String, u64), VasError> {
-        Self::resume_from_checkpoint_recorded(path, config, Recorder::detached())
-    }
-
-    /// [`resume_from_checkpoint`](Self::resume_from_checkpoint) with a
-    /// [`Recorder`] attached to the restored sampler: the checkpointed
-    /// kernel-lane total is restored into its registry,
-    /// `core_checkpoint_resumes` is counted and a `checkpoint_resume` event
-    /// is recorded.
-    pub fn resume_from_checkpoint_recorded(
+    fn restore(
         path: &Path,
         config: VasConfig,
         recorder: Recorder,
@@ -544,8 +785,7 @@ impl VasSampler {
             }
         }
 
-        let mut sampler = VasSampler::new(config);
-        sampler.recorder = recorder;
+        let mut sampler = VasSampler::new(config).with_recorder(recorder);
         sampler.install_kernel(GaussianKernel::new(epsilon));
         sampler.points = points;
         sampler.rsp = rsp;
@@ -565,416 +805,10 @@ impl VasSampler {
                 ("points", (sampler.points.len() as u64).into()),
             ],
         );
-        // The max tracker is a pure function of `rsp`; leaving it stale
-        // triggers the same lazy deterministic rebuild every other
-        // rsp-mutating path uses.
-        sampler.max_tracker = MaxTracker::new();
-        sampler.tracker_fresh = false;
+        // The max tracker starts stale (`tracker_fresh` is false in a new
+        // sampler): it is a pure function of `rsp`, rebuilt lazily and
+        // deterministically like after every other rsp-mutating path.
         Ok((sampler, pass, chunks_consumed, source_name, chunk_capacity))
-    }
-
-    /// [`build_from_source`](Self::build_from_source) with periodic crash
-    /// checkpoints per `policy`, from the beginning of the stream.
-    ///
-    /// Returns [`BuildOutcome::Complete`] with the final sample, or — only
-    /// when the policy's deterministic kill switch is armed —
-    /// [`BuildOutcome::Halted`], from which
-    /// [`resume_build_from_source`](Self::resume_build_from_source) continues
-    /// bit-identically.
-    pub fn build_from_source_checkpointed<S: PointSource>(
-        &mut self,
-        source: &mut S,
-        policy: &CheckpointPolicy,
-    ) -> Result<BuildOutcome, VasError> {
-        if self.kernel.is_none() {
-            source.reset().map_err(|e| self.fatal(VasError::from(e)))?;
-            let stats =
-                vas_stream::scan_stats(source).map_err(|e| self.fatal(VasError::from(e)))?;
-            self.install_kernel(GaussianKernel::for_bounds(&stats.bounds));
-        }
-        self.run_checkpointed(source, policy, 0, 0)
-    }
-
-    /// Resumes a checkpointed build: restores the sampler from
-    /// `policy.path`, verifies the checkpoint belongs to (`config`,
-    /// `source`), skips the chunks already consumed and streams the rest —
-    /// producing a final sample **bit-identical** to the uninterrupted run.
-    pub fn resume_build_from_source<S: PointSource>(
-        config: VasConfig,
-        source: &mut S,
-        policy: &CheckpointPolicy,
-    ) -> Result<(Self, BuildOutcome), VasError> {
-        Self::resume_build_from_source_recorded(config, source, policy, Recorder::detached())
-    }
-
-    /// [`resume_build_from_source`](Self::resume_build_from_source) with a
-    /// [`Recorder`] attached before the restore, so the resumed run's
-    /// counters, phases and events land in the caller's registry and tracer.
-    pub fn resume_build_from_source_recorded<S: PointSource>(
-        config: VasConfig,
-        source: &mut S,
-        policy: &CheckpointPolicy,
-        recorder: Recorder,
-    ) -> Result<(Self, BuildOutcome), VasError> {
-        let (mut sampler, pass, chunks, source_name, chunk_capacity) =
-            Self::resume_from_checkpoint_recorded(&policy.path, config, recorder)?;
-        require_match("source name", source_name.as_str(), source.name())?;
-        require_match(
-            "source chunk capacity",
-            chunk_capacity,
-            source.chunk_capacity() as u64,
-        )?;
-        let outcome = sampler.run_checkpointed(source, policy, pass, chunks)?;
-        Ok((sampler, outcome))
-    }
-
-    /// The checkpointed streaming loop shared by fresh and resumed builds:
-    /// per pass, skip `start_chunks` chunks (resume only), then observe
-    /// chunk by chunk, checkpointing every `policy.every_chunks` chunks and
-    /// honouring the deterministic kill switch.
-    fn run_checkpointed<S: PointSource>(
-        &mut self,
-        source: &mut S,
-        policy: &CheckpointPolicy,
-        start_pass: u64,
-        start_chunks: u64,
-    ) -> Result<BuildOutcome, VasError> {
-        let mut root = self.recorder.span("build_checkpointed");
-        root.attr("start_pass", start_pass);
-        root.attr("start_chunks", start_chunks);
-        let passes = self.config.passes.max(1) as u64;
-        let source_name = source.name().to_string();
-        let chunk_capacity = source.chunk_capacity() as u64;
-        let mut buf = Vec::new();
-        let mut halted_after = 0u64;
-        for pass in start_pass..passes {
-            source.reset().map_err(|e| self.fatal(VasError::from(e)))?;
-            let skip = if pass == start_pass { start_chunks } else { 0 };
-            let mut chunk_index = 0u64;
-            while chunk_index < skip {
-                let n = source
-                    .next_chunk(&mut buf)
-                    .map_err(|e| self.fatal(VasError::from(e)))?;
-                if n == 0 {
-                    return Err(self.fatal(VasError::Mismatch {
-                        expected: format!("at least {skip} chunks in source {source_name:?}"),
-                        found: format!("{chunk_index} chunks"),
-                    }));
-                }
-                chunk_index += 1;
-            }
-            loop {
-                let n = source
-                    .next_chunk(&mut buf)
-                    .map_err(|e| self.fatal(VasError::from(e)))?;
-                if n == 0 {
-                    break;
-                }
-                self.observe_chunk(&buf);
-                chunk_index += 1;
-                halted_after += 1;
-                if policy.every_chunks > 0 && chunk_index.is_multiple_of(policy.every_chunks) {
-                    self.write_checkpoint(
-                        &policy.path,
-                        pass,
-                        chunk_index,
-                        &source_name,
-                        chunk_capacity,
-                    )?;
-                    self.recorder.inc(Counter::CoreCheckpointWrites, 1);
-                    self.recorder.event(
-                        "checkpoint_write",
-                        &[
-                            ("pass", pass.into()),
-                            ("chunk_index", chunk_index.into()),
-                            ("points", (self.points.len() as u64).into()),
-                        ],
-                    );
-                }
-                if policy.halt_after_chunks == Some(halted_after) {
-                    return Ok(BuildOutcome::Halted {
-                        pass,
-                        chunks_consumed: chunk_index,
-                    });
-                }
-            }
-        }
-        Ok(BuildOutcome::Complete(self.finalize()))
-    }
-}
-
-impl<L: LocalityIndex> VasSampler<L> {
-    /// Creates a sampler over an explicit (statically-typed) locality index;
-    /// `index` is cleared before use. See [`VasSampler::new`] for the
-    /// bandwidth-resolution behaviour.
-    pub fn with_index(config: VasConfig, index: L) -> Self {
-        let kernel = config.epsilon.map(GaussianKernel::new);
-        let mut sampler = Self {
-            cutoff: f64::INFINITY,
-            cutoff2: f64::INFINITY,
-            kernel: None,
-            points: Vec::new(),
-            rsp: Vec::new(),
-            index,
-            max_tracker: MaxTracker::new(),
-            tracker_fresh: false,
-            gather: NeighborBatch::new(),
-            scratch_vals: Vec::new(),
-            dense_dist2: Vec::new(),
-            removal: Default::default(),
-            cache: NeighbourhoodCache::default(),
-            objective: 0.0,
-            seen: 0,
-            replacements: 0,
-            recorder: Recorder::detached(),
-            progress: None,
-            started: Instant::now(),
-            config,
-        };
-        sampler.index.reset(1.0);
-        if let Some(k) = kernel {
-            sampler.install_kernel(k);
-        }
-        sampler
-    }
-
-    /// [`VasSampler::from_dataset`] over an explicit locality index.
-    pub fn from_dataset_with_index(dataset: &Dataset, config: VasConfig, index: L) -> Self {
-        let mut sampler = Self::with_index(config, index);
-        if sampler.kernel.is_none() {
-            sampler.install_kernel(GaussianKernel::for_dataset(dataset));
-        }
-        sampler
-    }
-
-    /// Registers a progress callback (see [`VasConfig::progress_every`]).
-    pub fn set_progress_sink(&mut self, sink: ProgressSink) {
-        self.progress = Some(sink);
-    }
-
-    /// Attaches a shared [`Recorder`]: kernel lanes, accepts/rejects and
-    /// checkpoint events count into its registry; phase timings, spans and
-    /// events flow to it when enabled. Note that
-    /// [`finalize`](Sampler::finalize) resets the registry's
-    /// build-scoped counters (accepts, rejects, kernel lanes), so a
-    /// registry shared across *concurrent* builds will see those views
-    /// interleave — lifetime counters are unaffected.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
-    /// Builder-style [`Self::set_recorder`].
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The attached [`Recorder`] ([`Recorder::detached`] unless one was
-    /// installed).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// The resolved kernel, if the bandwidth has been determined yet.
-    pub fn kernel(&self) -> Option<&GaussianKernel> {
-        self.kernel.as_ref()
-    }
-
-    /// Number of valid replacements performed so far.
-    pub fn replacements(&self) -> u64 {
-        self.replacements
-    }
-
-    /// Number of kernel-value lanes evaluated so far. A lane counts once,
-    /// whether only a bounded rejection filter or also the exact
-    /// [`Kernel::eval_dist2_batch`] evaluated it; lanes a nearest-first
-    /// certificate never reached do not count.
-    ///
-    /// Thin view over the metrics registry (`Counter::CoreKernelLanes`);
-    /// kept for compatibility — new code should read the registry of the
-    /// attached recorder directly.
-    pub fn kernel_lanes(&self) -> u64 {
-        self.recorder.registry().get(Counter::CoreKernelLanes)
-    }
-
-    /// Current value of the optimization objective.
-    pub fn current_objective(&self) -> f64 {
-        self.objective
-    }
-
-    /// Current sample contents (slot order).
-    pub fn current_sample(&self) -> &[Point] {
-        &self.points
-    }
-
-    /// Current responsibilities, lane-parallel to
-    /// [`current_sample`](Self::current_sample): `Σ_{j≠i} κ̃(s_i, s_j)` over
-    /// the pairs the strategy evaluates, maintained incrementally.
-    pub fn current_responsibilities(&self) -> &[f64] {
-        &self.rsp
-    }
-
-    /// Occupancy statistics of the locality index's cell decomposition, when
-    /// the configured backend has one (the `HashGrid` does; tree backends
-    /// return `None`). An on-demand probe of the same signal the sampler
-    /// records through `vas-obs` when the fill phase completes — the
-    /// measurement the density-adaptive cell-sizing decision was missing.
-    pub fn grid_occupancy(&self) -> Option<vas_spatial::GridOccupancy> {
-        self.index.occupancy_stats()
-    }
-
-    /// Runs the configured number of passes over `dataset` and returns the
-    /// final sample. Multi-pass runs continue improving the same sample, as
-    /// the paper does when more processing time is available.
-    pub fn build(&mut self, dataset: &Dataset) -> Sample {
-        let mut root = self.recorder.span("build");
-        root.attr("n", dataset.len());
-        root.attr("k", self.config.k);
-        if self.kernel.is_none() {
-            self.install_kernel(GaussianKernel::for_dataset(dataset));
-        }
-        for _ in 0..self.config.passes.max(1) {
-            self.observe_chunk(&dataset.points);
-        }
-        self.finalize()
-    }
-
-    /// Streaming counterpart of [`build`](Self::build): runs the configured
-    /// number of passes over any [`PointSource`] and returns the final
-    /// sample, holding at most the sample (`K` slots) plus one source chunk
-    /// in memory.
-    ///
-    /// If no bandwidth was fixed in the config, a one-pass bounds scan over
-    /// the source resolves ε by the paper's rule first — folding the extent
-    /// in stream order, so the resolved kernel is **bit-identical** to the
-    /// one [`build`](Self::build) derives from the materialized dataset.
-    /// Because the source contract guarantees a stable point order across
-    /// `reset`s, the whole run is then bit-identical to `build` over the
-    /// equivalent in-memory dataset (pinned in `tests/determinism.rs`).
-    ///
-    /// Errors from the underlying source (I/O, malformed rows) abort the
-    /// build and surface as a typed [`VasError`] (corruption, truncation and
-    /// retry exhaustion stay distinguishable); the sampler is left
-    /// mid-stream and should be discarded or finalized.
-    pub fn build_from_source<S: PointSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<Sample, VasError> {
-        let mut root = self.recorder.span("build_from_source");
-        root.attr("k", self.config.k);
-        root.attr("passes", self.config.passes.max(1));
-        if self.kernel.is_none() {
-            source.reset().map_err(|e| self.fatal(VasError::from(e)))?;
-            let stats =
-                vas_stream::scan_stats(source).map_err(|e| self.fatal(VasError::from(e)))?;
-            self.install_kernel(GaussianKernel::for_bounds(&stats.bounds));
-        }
-        let mut buf = Vec::new();
-        for _ in 0..self.config.passes.max(1) {
-            source.reset().map_err(|e| self.fatal(VasError::from(e)))?;
-            while source
-                .next_chunk(&mut buf)
-                .map_err(|e| self.fatal(VasError::from(e)))?
-                > 0
-            {
-                self.observe_chunk(&buf);
-            }
-        }
-        Ok(self.finalize())
-    }
-
-    /// Marks a build-fatal error on the observability side — records a
-    /// `fatal` event and dumps the tracer's newest records to its
-    /// post-mortem file, if one is attached — then hands the error back
-    /// unchanged.
-    /// Purely observational: the error value and the sampler state are
-    /// untouched.
-    fn fatal(&self, err: VasError) -> VasError {
-        let _ = self.recorder.fatal(&err.to_string());
-        err
-    }
-
-    /// Streaming counterpart of
-    /// [`build_until_converged`](Self::build_until_converged): rescans the
-    /// source until a full pass performs no valid replacement or
-    /// `max_passes` is reached. Returns the sample and the passes made.
-    pub fn build_from_source_until_converged<S: PointSource>(
-        &mut self,
-        source: &mut S,
-        max_passes: usize,
-    ) -> Result<(Sample, usize), VasError> {
-        let mut root = self.recorder.span("build_from_source_until_converged");
-        root.attr("k", self.config.k);
-        root.attr("max_passes", max_passes);
-        if self.kernel.is_none() {
-            source.reset().map_err(|e| self.fatal(VasError::from(e)))?;
-            let stats =
-                vas_stream::scan_stats(source).map_err(|e| self.fatal(VasError::from(e)))?;
-            self.install_kernel(GaussianKernel::for_bounds(&stats.bounds));
-        }
-        let mut buf = Vec::new();
-        let mut passes = 0usize;
-        loop {
-            let before = self.replacements;
-            source.reset().map_err(|e| self.fatal(VasError::from(e)))?;
-            let mut streamed = 0u64;
-            while source
-                .next_chunk(&mut buf)
-                .map_err(|e| self.fatal(VasError::from(e)))?
-                > 0
-            {
-                streamed += buf.len() as u64;
-                self.observe_chunk(&buf);
-            }
-            passes += 1;
-            let replacements_this_pass = self.replacements - before;
-            // Mirrors `build_until_converged`: the first pass also fills the
-            // sample, so convergence requires a full sample and at least one
-            // complete refinement pass.
-            let filled = self.points.len() as u64 >= (self.config.k as u64).min(streamed);
-            if (passes > 1 && replacements_this_pass == 0 && filled) || passes >= max_passes.max(1)
-            {
-                break;
-            }
-        }
-        Ok((self.finalize(), passes))
-    }
-
-    /// Runs passes over `dataset` until a full pass performs **no** valid
-    /// replacement (the paper's "run until no replacement decreases the
-    /// optimization objective") or `max_passes` is reached, whichever comes
-    /// first. Returns the sample together with the number of passes made.
-    ///
-    /// Convergence in this sense is a local optimum of the Interchange
-    /// neighbourhood, which is exactly the state Theorem 3's approximation
-    /// bound speaks about.
-    pub fn build_until_converged(
-        &mut self,
-        dataset: &Dataset,
-        max_passes: usize,
-    ) -> (Sample, usize) {
-        let mut root = self.recorder.span("build_until_converged");
-        root.attr("n", dataset.len());
-        root.attr("max_passes", max_passes);
-        if self.kernel.is_none() {
-            self.install_kernel(GaussianKernel::for_dataset(dataset));
-        }
-        let mut passes = 0usize;
-        loop {
-            let before = self.replacements;
-            self.observe_chunk(&dataset.points);
-            passes += 1;
-            let replacements_this_pass = self.replacements - before;
-            // The very first pass also fills the sample, so "no replacements"
-            // only counts as convergence once the sample is full and at least
-            // one complete refinement pass has run.
-            let filled = self.points.len() >= self.config.k.min(dataset.len());
-            if (passes > 1 && replacements_this_pass == 0 && filled) || passes >= max_passes.max(1)
-            {
-                break;
-            }
-        }
-        (self.finalize(), passes)
     }
 
     /// Observes every point of `chunk` in order — the chunked counterpart of
@@ -990,7 +824,8 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.observe_chunk_inner(chunk);
         // Chunk-granularity observability accounting: every point of the
         // chunk was either a fill, an accepted replacement or a rejection
-        // (skipped non-finite points count as rejections).
+        // (skipped non-finite points and tuples already in the sample count
+        // as rejections).
         let accepts = self.replacements - replacements_before;
         let filled = (self.points.len() - len_before) as u64;
         self.recorder.inc(Counter::CoreAccepts, accepts);
@@ -1008,10 +843,9 @@ impl<L: LocalityIndex> VasSampler<L> {
                 ],
             );
             // The fill just completed, so the locality index holds a full
-            // K-sample: the representative moment to probe grid occupancy
-            // (the density-adaptive cell-sizing signal). The probe scans the
-            // whole cell table, so it only runs when observability is
-            // attached — a detached build never pays for it.
+            // K-sample: the representative moment to probe grid occupancy.
+            // The probe scans the whole cell table, so it only runs when
+            // observability is attached — a detached build never pays for it.
             if self.recorder.timing_enabled() || self.recorder.tracer().is_some() {
                 if let Some(occ) = self.index.occupancy_stats() {
                     self.recorder
@@ -1043,23 +877,15 @@ impl<L: LocalityIndex> VasSampler<L> {
     fn observe_chunk_inner(&mut self, chunk: &[Point]) {
         let mut rest = chunk;
         if self.points.len() < self.config.k {
-            // The shortest prefix that fills the sample: skipped non-finite
-            // points (see `observe`) take no slot.
-            let mut need = self.config.k - self.points.len();
-            let fill = rest
-                .iter()
-                .position(|p| {
-                    need -= usize::from(p.is_finite());
-                    need == 0
-                })
-                .map_or(rest.len(), |i| i + 1);
-            {
-                let _phase = self.recorder.phase(Phase::Fill);
-                for p in &rest[..fill] {
-                    self.observe(*p);
-                }
+            // The prefix that fills the sample: skipped points (non-finite,
+            // or already in the sample) take no slot.
+            let _phase = self.recorder.phase(Phase::Fill);
+            let mut filled = 0;
+            while filled < rest.len() && self.points.len() < self.config.k {
+                self.observe(rest[filled]);
+                filled += 1;
             }
-            rest = &rest[fill..];
+            rest = &rest[filled..];
         }
         if rest.is_empty() {
             return;
@@ -1127,8 +953,31 @@ impl<L: LocalityIndex> VasSampler<L> {
         }
     }
 
+    /// Whether a slot already holds `point`'s tuple. Interchange only
+    /// admits tuples outside the sample: a later pass offers the sample's
+    /// own tuples again, and a copy of an isolated slot would lower the
+    /// objective by pushing out a dense one. Every path asks just before it
+    /// would admit a point (a fill or an accept), so rejections never pay
+    /// for it. ES+Loc looks the point up in its index at radius 0; the other
+    /// strategies, and ES+Loc while ε is unresolved, scan the sample.
+    fn holds(&self, point: &Point) -> bool {
+        let indexed = self.config.strategy == InterchangeStrategy::ExpandShrinkLocality;
+        if !(indexed && self.kernel.is_some()) {
+            return self.points.iter().any(|q| q.same_bits(point));
+        }
+        let mut held = false;
+        self.index
+            .for_each_in_radius_with_dist2(point, 0.0, |slot, _, _| {
+                held |= self.points[slot].same_bits(point);
+            });
+        held
+    }
+
     /// Handles a point while the sample is still being filled (|S| < K).
     fn observe_fill(&mut self, point: Point) {
+        if self.holds(&point) {
+            return;
+        }
         let slot = self.points.len();
         if let Some(kernel) = self.kernel {
             let use_locality = self.config.strategy == InterchangeStrategy::ExpandShrinkLocality;
@@ -1190,8 +1039,8 @@ impl<L: LocalityIndex> VasSampler<L> {
             expanded_rsp[k] += v;
         }
         let (max_idx, _) = argmax(&expanded_rsp);
-        if max_idx == k {
-            return; // the candidate itself is the most redundant: reject
+        if max_idx == k || self.holds(&point) {
+            return; // the candidate is the most redundant or in S: reject
         }
         // Accept: replace slot `max_idx` with the candidate and rebuild the
         // bookkeeping from scratch (this strategy has no incremental state).
@@ -1252,10 +1101,10 @@ impl<L: LocalityIndex> VasSampler<L> {
             }
         }
 
-        if max_idx == usize::MAX {
+        if max_idx == usize::MAX || self.holds(&point) {
             self.dense_dist2 = dist2;
             self.scratch_vals = vals;
-            return; // candidate is the most redundant element: reject
+            return; // the candidate is the most redundant or in S: reject
         }
 
         // --- Accept: replace slot `max_idx` ("s_j") with the candidate.
@@ -1437,8 +1286,8 @@ impl<L: LocalityIndex> VasSampler<L> {
             }
         }
 
-        if max_idx == usize::MAX {
-            return; // candidate is the most redundant element: reject
+        if max_idx == usize::MAX || self.holds(&point) {
+            return; // the candidate is the most redundant or in S: reject
         }
 
         // --- Accept: replace slot `max_idx` ("s_j") with the candidate.
@@ -1538,7 +1387,7 @@ impl<L: LocalityIndex> VasSampler<L> {
     }
 }
 
-impl<L: LocalityIndex> Sampler for VasSampler<L> {
+impl Sampler for VasSampler {
     fn name(&self) -> &str {
         "vas"
     }
@@ -1760,12 +1609,46 @@ mod tests {
         }
     }
 
+    /// Asserts that no two sample points are the same tuple.
+    fn assert_distinct(points: &[Point], what: &str) {
+        for (i, p) in points.iter().enumerate() {
+            for q in &points[..i] {
+                assert!(!p.same_bits(q), "{what}: {p:?} is sampled twice");
+            }
+        }
+    }
+
     #[test]
     fn sample_smaller_than_budget_when_data_is_small() {
-        let d = Dataset::from_points("tiny", (0..10).map(|i| Point::new(i as f64, 0.0)).collect());
-        let mut s = VasSampler::from_dataset(&d, VasConfig::new(100));
-        let sample = s.sample_dataset(&d);
-        assert_eq!(sample.len(), 10);
+        // Every finite point, once: a second pass offers the same tuples
+        // again, and neither it nor a shard's second pass may fill the
+        // spare slots with copies.
+        let mut points: Vec<Point> = (0..10).map(|i| Point::new(i as f64, 0.0)).collect();
+        points.insert(4, Point::new(f64::NAN, 0.0));
+        let d = Dataset::from_points("tiny", points);
+        let finite: Vec<Point> = d.iter().copied().filter(Point::is_finite).collect();
+        let config = VasConfig::new(15);
+        let samples = [
+            (
+                "one pass",
+                VasSampler::from_dataset(&d, config.clone()).build(&d),
+            ),
+            (
+                "two passes",
+                VasSampler::from_dataset(&d, config.clone().with_passes(2)).build(&d),
+            ),
+            (
+                "two shards, two passes",
+                crate::ShardedSampler::new(config.with_passes(2), 2)
+                    .build_sharded(&d)
+                    .unwrap(),
+            ),
+        ];
+        for (what, sample) in samples {
+            assert_eq!(sample.len(), finite.len(), "{what}");
+            assert_distinct(&sample.points, what);
+            assert!(sample.points.iter().all(|p| finite.contains(p)), "{what}");
+        }
     }
 
     #[test]
@@ -1986,11 +1869,12 @@ mod tests {
     fn multi_pass_does_not_worsen_quality() {
         let d = GeolifeGenerator::with_size(2_000, 19).generate();
         let kernel = GaussianKernel::for_dataset(&d);
-        let one = VasSampler::from_dataset(&d, VasConfig::new(100).with_passes(1)).build(&d);
-        let three = VasSampler::from_dataset(&d, VasConfig::new(100).with_passes(3)).build(&d);
+        let one = VasSampler::from_dataset(&d, VasConfig::new(400).with_passes(1)).build(&d);
+        let three = VasSampler::from_dataset(&d, VasConfig::new(400).with_passes(3)).build(&d);
         let o1 = objective_of(&kernel, &one.points);
         let o3 = objective_of(&kernel, &three.points);
         assert!(o3 <= o1 + 1e-9, "more passes must not hurt: {o1} -> {o3}");
+        assert_distinct(&three.points, "three passes");
     }
 
     #[test]
@@ -2097,33 +1981,52 @@ mod tests {
 
     #[test]
     fn build_until_converged_reaches_a_local_optimum() {
-        // Converged means Interchange's fixpoint: no single swap of a sample
-        // point for a data point outside the sample lowers the objective the
-        // strategy optimizes — the full one for ES, the cutoff-truncated one
-        // for ES+Loc (which ignores kernel values past the locality radius).
+        // A build under a pass cap it does not reach stops at Interchange's
+        // fixpoint: no single swap of a sample point for a data point
+        // outside the sample lowers the objective the strategy optimizes —
+        // the full one for ES, the cutoff-truncated one for ES+Loc (which
+        // ignores kernel values past the locality radius). Stopping there
+        // changes nothing: the sample equals the one every pass up to the
+        // cap makes, and holds each tuple once.
         let d = GeolifeGenerator::with_size(800, 23).generate();
         let kernel = GaussianKernel::for_dataset(&d);
         for strategy in [
             InterchangeStrategy::ExpandShrink,
             InterchangeStrategy::ExpandShrinkLocality,
         ] {
-            let config = VasConfig::new(40)
+            let config = VasConfig::new(120)
                 .with_strategy(strategy)
-                .with_epsilon(kernel.bandwidth());
+                .with_epsilon(kernel.bandwidth())
+                .with_passes(20);
             let cutoff2 = match strategy {
                 InterchangeStrategy::ExpandShrinkLocality => {
                     kernel.effective_radius(config.locality_threshold).powi(2)
                 }
                 _ => f64::INFINITY,
             };
-            let (sample, passes) =
-                VasSampler::from_dataset(&d, config).build_until_converged(&d, 20);
+            let passes = std::sync::Arc::new(std::sync::Mutex::new(0usize));
+            let sink = std::sync::Arc::clone(&passes);
+            let mut sampler =
+                VasSampler::from_dataset(&d, config.clone().with_progress_every(d.len() as u64));
+            sampler.set_progress_sink(Box::new(move |_| *sink.lock().unwrap() += 1));
+            let sample = sampler.build(&d);
+            let passes = *passes.lock().unwrap();
             let label = strategy.label();
-            assert_eq!(sample.len(), 40, "{label}");
+            assert_eq!(sample.len(), 120, "{label}");
             assert!(
                 (2..20).contains(&passes),
                 "{label}: needs at least one refinement pass and must converge, got {passes}"
             );
+            let mut every_pass = VasSampler::from_dataset(&d, config);
+            for _ in 0..20 {
+                every_pass.observe_chunk(&d.points);
+            }
+            assert_samples_bitwise_equal(
+                &sample.points,
+                &every_pass.finalize().points,
+                &format!("{label}: stopped at the fixpoint vs 20 passes"),
+            );
+            assert_distinct(&sample.points, label);
             let (best, objective) = best_single_swap(&kernel, &d.points, &sample.points, cutoff2);
             assert!(
                 best >= -1e-9 * objective,
@@ -2181,23 +2084,6 @@ mod tests {
     }
 
     #[test]
-    fn statically_typed_backend_matches_the_runtime_dispatched_one() {
-        // `with_index` pins the backend at compile time; the produced sample
-        // must be bit-identical to the enum-dispatched sampler configured for
-        // the same backend.
-        let d = GeolifeGenerator::with_size(2_000, 67).generate();
-        let eps = GaussianKernel::for_dataset(&d).bandwidth();
-        let config = VasConfig::new(100)
-            .with_epsilon(eps)
-            .with_locality_backend(LocalityBackend::HashGrid);
-        let via_enum = VasSampler::from_dataset(&d, config.clone()).sample_dataset(&d);
-        let via_static =
-            VasSampler::from_dataset_with_index(&d, config, vas_spatial::HashGrid::new())
-                .sample_dataset(&d);
-        assert_eq!(via_enum.points, via_static.points);
-    }
-
-    #[test]
     fn config_backend_defaults_to_hashgrid() {
         assert_eq!(
             VasConfig::new(10).locality_backend,
@@ -2233,31 +2119,15 @@ mod tests {
 
     #[test]
     fn build_from_source_multi_pass_matches_build() {
+        // A pass cap past convergence: both builds stop at the same
+        // fixpoint.
         let d = GeolifeGenerator::with_size(1_500, 7).generate();
-        let config = VasConfig::new(90).with_passes(3);
+        let config = VasConfig::new(90).with_passes(30);
         let reference = VasSampler::from_dataset(&d, config.clone()).build(&d);
         let mut streaming = VasSampler::new(config);
         let mut source = vas_stream::DatasetSource::with_chunk_size(&d, 64);
         let sample = streaming.build_from_source(&mut source).unwrap();
         assert_samples_bitwise_equal(&sample.points, &reference.points, "multi-pass");
-    }
-
-    #[test]
-    fn build_from_source_until_converged_matches_in_memory() {
-        let d = GeolifeGenerator::with_size(800, 23).generate();
-        let eps = GaussianKernel::for_dataset(&d).bandwidth();
-        let config = VasConfig::new(40)
-            .with_strategy(InterchangeStrategy::ExpandShrink)
-            .with_epsilon(eps);
-        let (reference, ref_passes) =
-            VasSampler::from_dataset(&d, config.clone()).build_until_converged(&d, 20);
-        let mut streaming = VasSampler::new(config);
-        let mut source = vas_stream::DatasetSource::with_chunk_size(&d, 100);
-        let (sample, passes) = streaming
-            .build_from_source_until_converged(&mut source, 20)
-            .unwrap();
-        assert_eq!(passes, ref_passes);
-        assert_samples_bitwise_equal(&sample.points, &reference.points, "until converged");
     }
 
     #[test]
@@ -2572,8 +2442,6 @@ mod tests {
         // can be moved to a worker thread wholesale.
         fn assert_send<T: Send>() {}
         assert_send::<VasSampler>();
-        assert_send::<VasSampler<vas_spatial::HashGrid>>();
-        assert_send::<VasSampler<vas_spatial::RTree>>();
         let d = GeolifeGenerator::with_size(500, 3).generate();
         let handle = std::thread::spawn(move || {
             let mut s = VasSampler::from_dataset(&d, VasConfig::new(50));
@@ -2603,36 +2471,52 @@ mod tests {
 
     /// Kill-and-resume at several chunk boundaries, every backend: the
     /// resumed build must reproduce the uninterrupted sample bit for bit.
-    /// (The strategy × input sweep lives in `tests/determinism.rs`.)
+    /// The input is 8 chunks long, so a two-pass build killed after chunk 11
+    /// resumes 3 chunks into its second pass. (The strategy × input sweep
+    /// lives in `tests/determinism.rs`.)
     #[test]
     fn checkpoint_resume_is_bit_identical_per_backend() {
         let d = GeolifeGenerator::with_size(4_000, 11).generate();
-        for backend in LocalityBackend::ALL {
-            let config = VasConfig::new(120).with_locality_backend(backend);
+        let cases = LocalityBackend::ALL.into_iter().flat_map(|backend| {
+            [(1, vec![1u64, 3, 5, 7]), (2, vec![3, 11])]
+                .map(|(passes, kills)| (backend, passes, kills))
+        });
+        for (backend, passes, kills) in cases {
+            let config = VasConfig::new(120)
+                .with_locality_backend(backend)
+                .with_passes(passes);
             let mut clean_src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
             let clean = VasSampler::new(config.clone())
                 .build_from_source(&mut clean_src)
                 .unwrap();
 
-            for kill_after in [1u64, 3, 5, 7] {
-                let path = temp_checkpoint(&format!("{backend}-{kill_after}"));
+            for kill_after in kills {
+                let path = temp_checkpoint(&format!("{backend}-{passes}-{kill_after}"));
                 let policy = CheckpointPolicy::every(&path, 1).halting_after(kill_after);
                 let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
                 let outcome = VasSampler::new(config.clone())
                     .build_from_source_checkpointed(&mut src, &policy)
                     .unwrap();
-                assert!(outcome.is_halted(), "{backend}: kill switch did not fire");
+                let halted_in = match outcome {
+                    BuildOutcome::Halted { pass, .. } => pass,
+                    BuildOutcome::Complete(_) => panic!("{backend}: kill switch did not fire"),
+                };
+                assert_eq!(halted_in, (kill_after - 1) / 8, "{backend}, {kill_after}");
 
                 let resume_policy = CheckpointPolicy::every(&path, 1);
                 let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
-                let (_, outcome) =
-                    VasSampler::resume_build_from_source(config.clone(), &mut src, &resume_policy)
-                        .unwrap();
+                let (_, outcome) = VasSampler::resume_build_from_source(
+                    config.clone(),
+                    &mut src,
+                    &resume_policy,
+                    Recorder::detached(),
+                )
+                .unwrap();
                 let resumed = outcome.into_sample().expect("resumed run completes");
                 assert_samples_bit_equal(
                     &resumed,
                     &clean,
-                    &format!("{backend}, killed after chunk {kill_after}"),
+                    &format!("{backend}, {passes} passes, killed after chunk {kill_after}"),
                 );
                 std::fs::remove_file(&path).ok();
             }
@@ -2666,6 +2550,7 @@ mod tests {
             config,
             &mut src,
             &CheckpointPolicy::every(&path, 3),
+            Recorder::detached(),
         )
         .unwrap();
         assert_samples_bit_equal(
@@ -2690,26 +2575,32 @@ mod tests {
             .unwrap();
 
         // Wrong budget.
-        let err = VasSampler::resume_from_checkpoint(&path, VasConfig::new(61)).unwrap_err();
+        let err = VasSampler::restore(&path, VasConfig::new(61), Recorder::detached()).unwrap_err();
         assert!(matches!(err, VasError::Mismatch { .. }), "{err}");
         // Wrong backend.
-        let err = VasSampler::resume_from_checkpoint(
+        let err = VasSampler::restore(
             &path,
             VasConfig::new(60).with_locality_backend(LocalityBackend::RTree),
+            Recorder::detached(),
         )
         .unwrap_err();
         assert!(matches!(err, VasError::Mismatch { .. }), "{err}");
         // Wrong source (different chunk capacity).
         let mut other = vas_stream::DatasetSource::with_chunk_size(&d, 128);
-        let err =
-            VasSampler::resume_build_from_source(config.clone(), &mut other, &policy).unwrap_err();
+        let err = VasSampler::resume_build_from_source(
+            config.clone(),
+            &mut other,
+            &policy,
+            Recorder::detached(),
+        )
+        .unwrap_err();
         assert!(matches!(err, VasError::Mismatch { .. }), "{err}");
         // Corrupted checkpoint: flip one byte.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let err = VasSampler::resume_from_checkpoint(&path, config).unwrap_err();
+        let err = VasSampler::restore(&path, config, Recorder::detached()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -2737,7 +2628,7 @@ mod tests {
             tamper(&mut sampler);
             let path = temp_checkpoint(tag);
             sampler.write_checkpoint(&path, 0, 4, "src", 256).unwrap();
-            let resumed = VasSampler::resume_from_checkpoint(&path, config.clone());
+            let resumed = VasSampler::restore(&path, config.clone(), Recorder::detached());
             std::fs::remove_file(&path).ok();
             resumed.map(|_| ())
         };
@@ -2787,7 +2678,7 @@ mod tests {
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
-            let err = VasSampler::resume_from_checkpoint(&path, config.clone()).unwrap_err();
+            let err = VasSampler::restore(&path, config.clone(), Recorder::detached()).unwrap_err();
             std::fs::remove_file(&path).ok();
             assert!(
                 matches!(err, VasError::UnsupportedVersion { found, .. } if found == version),
@@ -2850,6 +2741,7 @@ mod tests {
                     config,
                     &mut src,
                     &CheckpointPolicy::every(&path, 1),
+                    Recorder::detached(),
                 )
                 .unwrap();
                 outcome.into_sample().unwrap()
@@ -2896,7 +2788,7 @@ mod tests {
                 bytes[offset] ^= flip;
             }
             std::fs::write(&path, &bytes).unwrap();
-            let err = VasSampler::resume_from_checkpoint(&path, config).unwrap_err();
+            let err = VasSampler::restore(&path, config, Recorder::detached()).unwrap_err();
             std::fs::remove_file(&path).ok();
             proptest::prop_assert!(
                 matches!(

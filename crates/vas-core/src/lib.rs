@@ -30,11 +30,18 @@
 //! * [`interchange`] — the Interchange algorithm in its three variants
 //!   (`Naive`, `ExpandShrink`, `ExpandShrinkLocality`) behind the
 //!   [`VasSampler`] type, which implements the common
-//!   [`Sampler`](vas_sampling::Sampler) trait. Out-of-core datasets stream
-//!   through
-//!   [`VasSampler::build_from_source`](interchange::VasSampler::build_from_source),
-//!   which drives the same loop from any `vas_stream::PointSource` in
-//!   `K + one-chunk` memory, bit-identical to an in-memory build.
+//!   [`Sampler`](vas_sampling::Sampler) trait. Every unsharded build runs
+//!   one pass loop over a `vas_stream::PointSource`, in `K + one-chunk`
+//!   memory: [`VasSampler::build`](interchange::VasSampler::build) streams
+//!   an in-memory dataset through it as one chunk,
+//!   [`VasSampler::build_from_source`](interchange::VasSampler::build_from_source)
+//!   any source, and the checkpointed entry points add crash checkpoints
+//!   and resume. [`VasConfig::passes`](interchange::VasConfig::passes)
+//!   caps the passes; a build stops earlier at Interchange's fixpoint, the
+//!   first whole pass that changes nothing.
+//! * [`checkpoint`] — the `.vascheckpt` container and the checkpoint policy.
+//! * [`shard`] — the sharded build: partition, per-shard Interchange and an
+//!   ordered merge.
 //! * [`density`] — the density-embedding second pass (Section V).
 //! * [`outlier`] — outlier-preserving sample augmentation (the paper's
 //!   future-work discussion on outlier-detection tasks).

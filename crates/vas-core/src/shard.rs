@@ -223,14 +223,12 @@ impl ShardedSampler {
         let epsilon = kernel.epsilon();
         let shards = self.shards;
         let passes = self.config.passes.max(1);
-        let workers: Vec<VasSampler<vas_spatial::AnyLocalityIndex>> =
-            shard_budgets(self.config.k, shards)
-                .into_iter()
-                .map(|budget| {
-                    VasSampler::new(self.shard_config(budget, epsilon))
-                        .with_recorder(recorder.clone())
-                })
-                .collect();
+        let workers: Vec<VasSampler> = shard_budgets(self.config.k, shards)
+            .into_iter()
+            .map(|budget| {
+                VasSampler::new(self.shard_config(budget, epsilon)).with_recorder(recorder.clone())
+            })
+            .collect();
         let shard_samples = scatter_ordered(
             &recorder,
             SCATTER_DEPTH,
@@ -294,7 +292,7 @@ impl ShardedSampler {
 fn finish_shard(
     recorder: &Recorder,
     shard: usize,
-    mut sampler: VasSampler<vas_spatial::AnyLocalityIndex>,
+    mut sampler: VasSampler,
     fed: u64,
 ) -> Vec<Point> {
     let replacements = sampler.replacements();

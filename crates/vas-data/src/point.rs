@@ -57,6 +57,16 @@ impl Point {
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
+
+    /// `true` when both points carry identical bits in every field, the
+    /// identity of a tuple. Unlike `==`, a NaN `value` matches itself and
+    /// `-0.0` does not match `0.0`.
+    #[inline]
+    pub fn same_bits(&self, other: &Point) -> bool {
+        self.x.to_bits() == other.x.to_bits()
+            && self.y.to_bits() == other.y.to_bits()
+            && self.value.to_bits() == other.value.to_bits()
+    }
 }
 
 impl From<(f64, f64)> for Point {

@@ -36,7 +36,7 @@
 //!   [`Recorder`]; the default [`Recorder::detached`] handle has timing off
 //!   and no tracer, so the hot path performs *zero* `Instant::now` calls
 //!   and no I/O. Counter increments remain (they back the long-standing
-//!   public getters such as `VasSampler::kernel_lanes()`) but are relaxed
+//!   public getters such as `RetryingSource::retries()`) but are relaxed
 //!   atomic adds batched at chunk granularity.
 //! * **Overhead is measured, not assumed.** The bench crate's
 //!   `timing_gates` binary times a fully instrumented build (counters,

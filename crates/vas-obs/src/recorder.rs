@@ -32,7 +32,7 @@ impl Default for Recorder {
 impl Recorder {
     /// The disabled/no-op mode: a fresh private registry, timing off, no
     /// tracer. Counters still accumulate (they back public getters such as
-    /// `VasSampler::kernel_lanes()`), but no wall clock is read and nothing
+    /// `RetryingSource::retries()`), but no wall clock is read and nothing
     /// is written anywhere.
     pub fn detached() -> Self {
         Self::new(Arc::new(MetricsRegistry::new()))

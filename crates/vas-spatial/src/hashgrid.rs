@@ -47,7 +47,6 @@
 //! given operation history, which the Interchange determinism contract
 //! relies on.
 
-use crate::locality::same_bits;
 use crate::{snapshot, LocalityIndex, NeighborBatch};
 use vas_data::Point;
 
@@ -534,7 +533,7 @@ impl LocalityIndex for HashGrid {
         let cell = &mut self.slots[i].cell;
         let Some(pos) = cell
             .entries()
-            .position(|(eid, ep)| eid == id && same_bits(&ep, point))
+            .position(|(eid, ep)| eid == id && ep.same_bits(point))
         else {
             return false;
         };

@@ -240,15 +240,6 @@ pub trait LocalityIndex: Send + Sync {
     }
 }
 
-/// `true` when two points carry identical bits in every field: the entry
-/// identity [`LocalityIndex::remove`] matches on. Unlike `==`, a NaN `value`
-/// matches itself.
-pub(crate) fn same_bits(a: &Point, b: &Point) -> bool {
-    a.x.to_bits() == b.x.to_bits()
-        && a.y.to_bits() == b.y.to_bits()
-        && a.value.to_bits() == b.value.to_bits()
-}
-
 /// Which [`LocalityIndex`] implementation a runtime-configured consumer (the
 /// Interchange sampler, the benchmark harness) should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -12,7 +12,6 @@
 //! a condense-and-reinsert deletion path. Entries are `(id, Point)` pairs; the
 //! tree never inspects `Point::value`.
 
-use crate::locality::same_bits;
 use crate::{snapshot, LocalityIndex};
 use vas_data::{BoundingBox, Point};
 
@@ -244,7 +243,7 @@ impl RTree {
             Node::Leaf { entries } => {
                 if let Some(pos) = entries
                     .iter()
-                    .position(|e| e.id == id && same_bits(&e.point, point))
+                    .position(|e| e.id == id && e.point.same_bits(point))
                 {
                     entries.swap_remove(pos);
                     true

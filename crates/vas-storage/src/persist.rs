@@ -297,7 +297,20 @@ fn read_sample(dir: &Path, entry: &ManifestEntry) -> Result<Sample, VasError> {
 /// `has_densities` is set.
 fn read_sample_v1(path: &Path, entry: &LegacyManifestEntry) -> Result<Sample, VasError> {
     let read_err = |e| VasError::io(format!("reading legacy sample file {}", path.display()), e);
-    let mut r = BufReader::new(File::open(path).map_err(read_err)?);
+    let file = File::open(path).map_err(read_err)?;
+    // The file must hold every row the manifest promises before anything is
+    // allocated for them, so an inflated `len` cannot ask for more memory
+    // than the file could fill.
+    let row_bytes = if entry.has_densities { 32 } else { 24 };
+    let rows = file.metadata().map_err(read_err)?.len() / row_bytes;
+    if rows < entry.len as u64 {
+        return Err(VasError::Truncated {
+            path: path.display().to_string(),
+            promised: entry.len as u64,
+            found: rows,
+        });
+    }
+    let mut r = BufReader::new(file);
     let mut points = Vec::with_capacity(entry.len);
     let mut buf = [0u8; 8];
     for _ in 0..entry.len {
@@ -486,6 +499,27 @@ mod tests {
         fs::write(manifest_path(&dir), "not json at all").unwrap();
         let err = load_catalog(&dir).unwrap_err();
         assert!(matches!(err, VasError::Corrupt { .. }), "{err}");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn inflated_legacy_sample_length_is_an_error() {
+        // A version-1 manifest that promises more points than its sample
+        // file holds is refused before anything is allocated for them.
+        let dir = temp_dir("inflated");
+        let file = "sample_000_1.bin";
+        fs::write(dir.join(file), [0u8; 24]).unwrap();
+        for (len, has_densities) in [(1usize << 60, false), (usize::MAX, true), (1, true)] {
+            let manifest = format!(
+                r#"{{"version": 1, "samples": [{{"method": "uniform", "target_size": 1, "len": {len}, "has_densities": {has_densities}, "file": "{file}"}}]}}"#
+            );
+            fs::write(manifest_path(&dir), manifest).unwrap();
+            let err = load_catalog(&dir).unwrap_err();
+            assert!(
+                matches!(err, VasError::Truncated { .. }),
+                "len {len}: {err}"
+            );
+        }
         fs::remove_dir_all(dir).ok();
     }
 

@@ -604,7 +604,7 @@ fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
                     registry: Arc::clone(&registry),
                     certified: 0,
                 };
-                let (_, outcome) = VasSampler::resume_build_from_source_recorded(
+                let (_, outcome) = VasSampler::resume_build_from_source(
                     base.clone(),
                     &mut reader,
                     &CheckpointPolicy::every(&ckpt, 1),

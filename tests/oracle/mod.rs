@@ -99,9 +99,11 @@ impl Oracle {
             .collect()
     }
 
-    /// Observes one stream tuple; non-finite points are skipped.
+    /// Observes one stream tuple; non-finite points are skipped, and so is
+    /// a tuple whose `(x, y, value)` bits a slot already holds: Interchange
+    /// only admits `t ∈ D∖S`.
     pub fn observe(&mut self, p: Point) {
-        if self.k == 0 || !p.is_finite() {
+        if self.k == 0 || !p.is_finite() || self.points.iter().any(|q| q.same_bits(&p)) {
             return;
         }
         let row = self.row(&p);

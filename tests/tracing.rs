@@ -306,7 +306,7 @@ fn checkpointed_retried_build_records_every_event_kind_and_exports_its_snapshot(
         )
         .unwrap();
     assert!(halted.is_halted(), "the kill switch did not fire");
-    let (_, outcome) = VasSampler::resume_build_from_source_recorded(
+    let (_, outcome) = VasSampler::resume_build_from_source(
         config,
         &mut source(),
         &CheckpointPolicy::every(&ckpt, 3),
