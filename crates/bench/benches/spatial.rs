@@ -1,47 +1,11 @@
-//! Micro-benchmarks of the spatial substrates: the two `LocalityIndex`
-//! backends (R-tree, spatial hash) on the ES+Loc fixed-radius query, the
-//! spatial hash's batch gather at the benchmark's two grid densities, plus
-//! the static k-d tree's density-embedding nearest-neighbour query.
+//! Micro-benchmarks of the spatial substrates: the spatial hash on the
+//! ES+Loc fixed-radius query and its insert/remove churn, its batch gather at
+//! the benchmark's two grid densities, plus the static k-d tree's
+//! density-embedding nearest-neighbour query.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use vas_data::{GeolifeGenerator, Point};
-use vas_spatial::{HashGrid, KdTree, LocalityIndex, NeighborBatch, RTree};
-
-fn bench_rtree(c: &mut Criterion) {
-    let data = GeolifeGenerator::with_size(20_000, 2).generate();
-    let mut group = c.benchmark_group("spatial/rtree");
-    for &n in &[1_000usize, 10_000] {
-        let points = &data.points[..n];
-        group.bench_with_input(BenchmarkId::new("build", n), &n, |b, _| {
-            b.iter(|| black_box(RTree::from_entries(points.iter().copied().enumerate())))
-        });
-        let tree = RTree::from_entries(points.iter().copied().enumerate());
-        let query = data.points[n / 2];
-        let radius = data.bounds().diagonal() * 0.01;
-        group.bench_with_input(BenchmarkId::new("query_radius", n), &n, |b, _| {
-            b.iter(|| black_box(tree.query_radius(black_box(&query), radius)))
-        });
-        // The zero-allocation forms used by the Interchange hot loop.
-        let mut buf = Vec::new();
-        group.bench_with_input(BenchmarkId::new("query_radius_into", n), &n, |b, _| {
-            b.iter(|| {
-                tree.query_radius_into(black_box(&query), radius, &mut buf);
-                black_box(buf.len())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("for_each_in_radius", n), &n, |b, _| {
-            b.iter(|| {
-                let mut count = 0usize;
-                tree.for_each_in_radius(black_box(&query), radius, |_, _| count += 1);
-                black_box(count)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("nearest", n), &n, |b, _| {
-            b.iter(|| black_box(tree.nearest(black_box(&query))))
-        });
-    }
-    group.finish();
-}
+use vas_spatial::{HashGrid, KdTree, NeighborBatch};
 
 fn bench_kdtree(c: &mut Criterion) {
     let data = GeolifeGenerator::with_size(20_000, 3).generate();
@@ -79,15 +43,15 @@ fn bench_hashgrid(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("for_each_in_radius", n), &n, |b, _| {
             b.iter(|| {
                 let mut count = 0usize;
-                grid.for_each_in_radius(black_box(&query), radius, |_, _| count += 1);
+                grid.for_each_in_radius_with_dist2(black_box(&query), radius, |_, _, _| count += 1);
                 black_box(count)
             })
         });
         group.bench_with_input(BenchmarkId::new("churn", n), &n, |b, _| {
             let mut grid = HashGrid::from_entries(radius, points.iter().copied().enumerate());
             b.iter(|| {
-                assert!(LocalityIndex::remove(&mut grid, n / 2, &query));
-                LocalityIndex::insert(&mut grid, n / 2, query);
+                assert!(grid.remove(n / 2, &query));
+                grid.insert(n / 2, query);
             })
         });
     }
@@ -125,11 +89,5 @@ fn bench_hashgrid_gather(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_rtree,
-    bench_kdtree,
-    bench_hashgrid,
-    bench_hashgrid_gather
-);
+criterion_group!(benches, bench_kdtree, bench_hashgrid, bench_hashgrid_gather);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
-//! The two gates that need a stopwatch. `cargo test` pins what a build
-//! computes; this binary pins what two of its choices cost:
+//! The gate that needs a stopwatch. `cargo test` pins what a build
+//! computes; this binary pins what observing it costs:
 //!
 //! * **Instrumentation overhead.** A build with counters, phase timers and a
 //!   tracer of spans and events attached must take at most
@@ -7,12 +7,8 @@
 //!   recorder. Both read the same spill through seeded transient faults and
 //!   retries, so the ceiling covers the reader, the retry layer and the
 //!   sampler.
-//! * **Locality backend.** ES+Loc over `HashGrid` must keep at least
-//!   [`BACKEND_RATIO_FLOOR`] × the rejected-candidate throughput it reaches
-//!   over `RTree`, the paper's index. Rejections are the common case once the
-//!   sample has converged; accepts are timed apart and left out.
 //!
-//! Each gate runs [`PAIRS`] interleaved A/B pairs at a fixed size,
+//! The gate runs [`PAIRS`] interleaved A/B pairs at a fixed size,
 //! alternating which side goes first, and is judged by the median of the
 //! per-pair ratios. One pair takes a fraction of a second, so a change in a
 //! shared host's load mostly lands on both of its sides, and a burst that
@@ -20,8 +16,8 @@
 //! shared 2-vCPU host single pairs of the overhead gate still read from
 //! −16% to +21%; it is the pair count that makes the median steady.
 //!
-//! The binary takes no arguments, prints both gates (and writes them under
-//! `results/timing_gates.*`), and exits non-zero if either fails.
+//! The binary takes no arguments, prints the gate (and writes it under
+//! `results/timing_gates.*`), and exits non-zero if it fails.
 //!
 //! ```text
 //! cargo run --release -p bench --bin timing_gates
@@ -31,22 +27,18 @@ use bench::{emit, ReportTable};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use vas_core::{GaussianKernel, InterchangeStrategy, Kernel, VasConfig, VasSampler};
-use vas_data::{Dataset, GaussianMixtureGenerator};
+use vas_core::{GaussianKernel, Kernel, VasConfig, VasSampler};
+use vas_data::GaussianMixtureGenerator;
 use vas_obs::{MetricsRegistry, Recorder, Tracer};
-use vas_sampling::Sampler;
-use vas_spatial::LocalityBackend;
 use vas_stream::{
     spill_dataset, ChunkedReader, FaultInjectorSource, FaultPlan, RetryPolicy, RetryingSource,
 };
 
 /// Largest tolerated median of `instrumented ÷ detached − 1`.
 const OVERHEAD_CEILING: f64 = 0.03;
-/// Smallest tolerated median of `hashgrid ÷ rtree` rejected tuples per second.
-const BACKEND_RATIO_FLOOR: f64 = 0.9;
-/// Interleaved A/B pairs per gate.
+/// Interleaved A/B pairs of the gate.
 const PAIRS: usize = 101;
-/// Points of the Gaussian-mixture input both gates build over.
+/// Points of the Gaussian-mixture input the gate builds over.
 const N: usize = 100_000;
 /// Sample size of every build.
 const K: usize = 1_000;
@@ -91,12 +83,8 @@ fn timed_build(spill: &Path, epsilon: f64, recorder: &Recorder) -> f64 {
     let faulty = FaultInjectorSource::new(reader, FaultPlan::transient(FAULT_SEED, 3, 1));
     let mut source =
         RetryingSource::new(faulty, RetryPolicy::immediate(3)).with_recorder(recorder.clone());
-    let mut sampler = VasSampler::new(
-        VasConfig::new(K)
-            .with_epsilon(epsilon)
-            .with_locality_backend(LocalityBackend::HashGrid),
-    )
-    .with_recorder(recorder.clone());
+    let mut sampler =
+        VasSampler::new(VasConfig::new(K).with_epsilon(epsilon)).with_recorder(recorder.clone());
     let start = Instant::now();
     let sample = sampler.build_from_source(&mut source).expect("timed build");
     let secs = start.elapsed().as_secs_f64();
@@ -104,43 +92,12 @@ fn timed_build(spill: &Path, epsilon: f64, recorder: &Recorder) -> f64 {
     secs
 }
 
-/// Rejected candidates per second of seconds spent on rejected candidates,
-/// over one ES+Loc build on `backend`. Each observation after the fill is
-/// timed alone, so accepted tuples are left out.
-fn rejected_per_sec(data: &Dataset, epsilon: f64, backend: LocalityBackend) -> f64 {
-    let mut sampler = VasSampler::from_dataset(
-        data,
-        VasConfig::new(K)
-            .with_epsilon(epsilon)
-            .with_strategy(InterchangeStrategy::ExpandShrinkLocality)
-            .with_locality_backend(backend),
-    );
-    for p in &data.points[..K] {
-        sampler.observe(*p);
-    }
-    let mut rejected = 0u64;
-    let mut rejected_secs = 0.0f64;
-    let mut accepted = sampler.replacements();
-    for p in &data.points[K..] {
-        let start = Instant::now();
-        sampler.observe(*p);
-        let secs = start.elapsed().as_secs_f64();
-        if sampler.replacements() == accepted {
-            rejected += 1;
-            rejected_secs += secs;
-        } else {
-            accepted = sampler.replacements();
-        }
-    }
-    rejected as f64 / rejected_secs.max(1e-9)
-}
-
 fn main() {
     if std::env::args().len() > 1 {
         eprintln!("usage: timing_gates (takes no arguments)");
         std::process::exit(2);
     }
-    eprintln!("[timing_gates] Gaussian mixture: n = {N}, K = {K}, {PAIRS} pairs per gate");
+    eprintln!("[timing_gates] Gaussian mixture: n = {N}, K = {K}, {PAIRS} pairs");
     let data = GaussianMixtureGenerator::paper_clustering_dataset(3, N, DATA_SEED).generate();
     let epsilon = GaussianKernel::for_dataset(&data).bandwidth();
 
@@ -161,45 +118,23 @@ fn main() {
     .collect();
     std::fs::remove_file(&spill).ok();
 
-    let backend: Vec<f64> = interleaved(
-        || rejected_per_sec(&data, epsilon, LocalityBackend::RTree),
-        || rejected_per_sec(&data, epsilon, LocalityBackend::HashGrid),
-    )
-    .into_iter()
-    .map(|(rtree, hashgrid)| hashgrid / rtree)
-    .collect();
-
-    let gates = [
-        (
-            "instrumentation overhead",
-            &overhead,
-            format!("<= {OVERHEAD_CEILING}"),
-            quantile(&overhead, 0.5) <= OVERHEAD_CEILING,
-        ),
-        (
-            "hashgrid / rtree rejected/s",
-            &backend,
-            format!(">= {BACKEND_RATIO_FLOOR}"),
-            quantile(&backend, 0.5) >= BACKEND_RATIO_FLOOR,
-        ),
-    ];
+    let median = quantile(&overhead, 0.5);
+    let pass = median <= OVERHEAD_CEILING;
     let mut table = ReportTable::new(
-        format!("Timing gates (n = {N}, K = {K}, median of {PAIRS} interleaved pairs)"),
+        format!("Timing gate (n = {N}, K = {K}, median of {PAIRS} interleaved pairs)"),
         &["gate", "median", "q1", "q3", "bound", "pass"],
     );
-    for (name, ratios, bound, pass) in &gates {
-        table.push_row(vec![
-            name.to_string(),
-            format!("{:.4}", quantile(ratios, 0.5)),
-            format!("{:.4}", quantile(ratios, 0.25)),
-            format!("{:.4}", quantile(ratios, 0.75)),
-            bound.clone(),
-            if *pass { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
+    table.push_row(vec![
+        "instrumentation overhead".to_string(),
+        format!("{median:.4}"),
+        format!("{:.4}", quantile(&overhead, 0.25)),
+        format!("{:.4}", quantile(&overhead, 0.75)),
+        format!("<= {OVERHEAD_CEILING}"),
+        if pass { "yes" } else { "NO" }.to_string(),
+    ]);
     emit("timing_gates", &[table]);
-    if gates.iter().any(|(_, _, _, pass)| !pass) {
-        eprintln!("[timing_gates] FAIL: a gate is outside its bound");
+    if !pass {
+        eprintln!("[timing_gates] FAIL: instrumentation overhead is outside its bound");
         std::process::exit(1);
     }
 }

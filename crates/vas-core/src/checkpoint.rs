@@ -8,8 +8,8 @@
 //! locality index (see `vas_spatial::snapshot` — visitation order is
 //! history-dependent state, so the index cannot simply be rebuilt).
 //! Resuming from the file and streaming the rest of the source produces a
-//! sample **bit-identical** to the uninterrupted run, per strategy and
-//! locality backend (pinned in `tests/determinism.rs`).
+//! sample **bit-identical** to the uninterrupted run, per strategy (pinned
+//! in `tests/determinism.rs`).
 //!
 //! The file is written atomically (temp + fsync + rename via
 //! [`vas_stream::write_atomic`]), so a crash mid-checkpoint leaves the
@@ -23,7 +23,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "VASCKPT\0"
-//! 8       4     version (u32 LE) = 3
+//! 8       4     version (u32 LE) = 4
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload (sampler state; see interchange.rs)
 //! 20+n    4     CRC-32 (IEEE) over the payload bytes
@@ -37,7 +37,7 @@ use vas_stream::VasError;
 /// Magic bytes opening every `.vascheckpt` file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VASCKPT\0";
 /// Container version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 /// Container bytes before the payload (magic + version + payload length).
 const HEADER_LEN: usize = 8 + 4 + 8;
 
@@ -126,6 +126,7 @@ pub(crate) fn decode_container<'a>(path: &str, bytes: &'a [u8]) -> Result<&'a [u
             path: path.to_string(),
             promised: (HEADER_LEN + 4) as u64,
             found: bytes.len() as u64,
+            unit: "bytes",
         });
     }
     if bytes[..8] != CHECKPOINT_MAGIC {
@@ -152,6 +153,7 @@ pub(crate) fn decode_container<'a>(path: &str, bytes: &'a [u8]) -> Result<&'a [u
             path: path.to_string(),
             promised,
             found,
+            unit: "bytes",
         });
     }
     if found > promised {
@@ -230,9 +232,10 @@ mod tests {
             inflated[12..20].copy_from_slice(&len.to_le_bytes());
             let err = decode_container("t", &inflated).unwrap_err();
             assert!(
-                matches!(err, VasError::Truncated { .. }),
+                matches!(err, VasError::Truncated { unit: "bytes", .. }),
                 "length {len}: {err}"
             );
+            assert!(err.to_string().contains(" bytes, found "), "{err}");
         }
     }
 

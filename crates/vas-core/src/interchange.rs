@@ -29,11 +29,10 @@
 //!   candidate's neighbourhood, exploiting the locality of the proximity
 //!   function.
 //!
-//! The locality strategy keeps the sample in an [`AnyLocalityIndex`]: the
-//! paper's R-tree or the default [`HashGrid`](vas_spatial::HashGrid)
-//! (cutoff-sized spatial-hash cells — the fastest backend on this
-//! fixed-radius churn workload), chosen with
-//! [`VasConfig::with_locality_backend`].
+//! The locality strategy keeps the sample in a [`HashGrid`]: cutoff-sized
+//! spatial-hash cells, where the paper uses an R-tree. Any exact range index
+//! gives the same sample; the grid is the faster one on this fixed-radius
+//! churn workload.
 //!
 //! Most ES+Loc candidates are rejected, and a rejection only needs a
 //! *certificate*: cheap bounded kernel lanes proving that the exact Shrink
@@ -75,7 +74,7 @@ use vas_data::{Dataset, Point};
 use vas_obs::{Counter, Phase, Recorder, ValueSeries};
 use vas_sampling::{Sample, Sampler};
 use vas_spatial::snapshot::{self as snap, SnapshotReader};
-use vas_spatial::{AnyLocalityIndex, LocalityBackend, LocalityIndex, NeighborBatch};
+use vas_spatial::{HashGrid, NeighborBatch};
 use vas_stream::{write_atomic, DatasetSource, PointSource, VasError};
 
 /// Which inner-loop implementation the Interchange algorithm uses.
@@ -91,8 +90,7 @@ pub enum InterchangeStrategy {
     /// Incrementally maintained responsibilities ("ES").
     ExpandShrink,
     /// Incremental responsibilities plus spatial-index neighbourhood pruning
-    /// ("ES+Loc"); the index backend is chosen by
-    /// [`VasConfig::with_locality_backend`].
+    /// ("ES+Loc").
     ExpandShrinkLocality,
 }
 
@@ -128,9 +126,6 @@ pub struct VasConfig {
     /// Emit a [`ProgressEvent`] every this many observed tuples
     /// (0 disables progress reporting).
     pub progress_every: u64,
-    /// Which spatial index the locality strategy keeps the sample in
-    /// (default: [`LocalityBackend::HashGrid`]).
-    pub locality_backend: LocalityBackend,
 }
 
 impl VasConfig {
@@ -143,7 +138,6 @@ impl VasConfig {
             locality_threshold: 1e-6,
             passes: 1,
             progress_every: 0,
-            locality_backend: LocalityBackend::default(),
         }
     }
 
@@ -176,13 +170,6 @@ impl VasConfig {
         self.locality_threshold = threshold;
         self
     }
-
-    /// Selects the spatial-index backend the locality strategy uses (see
-    /// [`locality_backend`](Self::locality_backend)).
-    pub fn with_locality_backend(mut self, backend: LocalityBackend) -> Self {
-        self.locality_backend = backend;
-        self
-    }
 }
 
 /// A snapshot of Interchange progress, reported periodically while scanning.
@@ -207,9 +194,7 @@ pub type ProgressSink = Box<dyn FnMut(ProgressEvent) + Send>;
 
 /// The VAS sampler: Interchange over a stream of points.
 ///
-/// The locality strategy keeps the sample in the [`AnyLocalityIndex`]
-/// backend selected by [`VasConfig::with_locality_backend`] (default
-/// [`HashGrid`](vas_spatial::HashGrid)).
+/// The locality strategy keeps the sample in a [`HashGrid`].
 pub struct VasSampler {
     config: VasConfig,
     kernel: Option<GaussianKernel>,
@@ -223,7 +208,7 @@ pub struct VasSampler {
     rsp: Vec<f64>,
     /// Spatial index over the sample (ids are slot indices); only maintained
     /// by the locality strategy.
-    index: AnyLocalityIndex,
+    index: HashGrid,
     /// Block-max tracker over `rsp`, giving the Shrink step its maximum in
     /// `O(1)`; only maintained by the locality strategy.
     max_tracker: MaxTracker,
@@ -295,24 +280,6 @@ fn strategy_from_tag(tag: u8) -> Result<InterchangeStrategy, VasError> {
     }
 }
 
-/// Tag values for [`LocalityBackend`] in the checkpoint payload.
-fn backend_tag(backend: LocalityBackend) -> u8 {
-    match backend {
-        LocalityBackend::RTree => 0,
-        LocalityBackend::HashGrid => 2,
-    }
-}
-
-fn backend_from_tag(tag: u8) -> Result<LocalityBackend, VasError> {
-    match tag {
-        0 => Ok(LocalityBackend::RTree),
-        2 => Ok(LocalityBackend::HashGrid),
-        other => Err(VasError::Checkpoint {
-            detail: format!("unknown locality backend tag {other}"),
-        }),
-    }
-}
-
 /// A resume precondition that must match between the checkpoint and the
 /// caller's configuration/source.
 fn require_match<T: PartialEq + std::fmt::Debug>(
@@ -331,8 +298,7 @@ fn require_match<T: PartialEq + std::fmt::Debug>(
 }
 
 impl VasSampler {
-    /// Creates a sampler whose locality backend is chosen at runtime from
-    /// [`VasConfig::locality_backend`]. If `config.epsilon` is `None`, a
+    /// Creates a sampler for `config`. If `config.epsilon` is `None`, a
     /// build resolves the bandwidth from a bounds scan of its source, and
     /// the streaming [`Sampler`] interface from the extent of the first `K`
     /// buffered points.
@@ -344,7 +310,7 @@ impl VasSampler {
             kernel: None,
             points: Vec::new(),
             rsp: Vec::new(),
-            index: AnyLocalityIndex::new(config.locality_backend),
+            index: HashGrid::new(),
             max_tracker: MaxTracker::new(),
             tracker_fresh: false,
             gather: NeighborBatch::new(),
@@ -489,8 +455,8 @@ impl VasSampler {
 
     /// Resumes a checkpointed build: restores the sampler from
     /// `policy.path` with `recorder` attached, verifies the checkpoint
-    /// belongs to (`config`, `source`) — budget, strategy, backend,
-    /// threshold, pass cap, ε if fixed, source name and chunk capacity —
+    /// belongs to (`config`, `source`) — budget, strategy, threshold, pass
+    /// cap, ε if fixed, source name and chunk capacity —
     /// skips the chunks already consumed and streams the rest, producing a
     /// final sample **bit-identical** to the uninterrupted run.
     ///
@@ -630,7 +596,6 @@ impl VasSampler {
         let mut out = Vec::new();
         snap::put_u64(&mut out, self.config.k as u64);
         snap::put_u8(&mut out, strategy_tag(self.config.strategy));
-        snap::put_u8(&mut out, backend_tag(self.config.locality_backend));
         snap::put_f64(&mut out, self.config.locality_threshold);
         snap::put_u64(&mut out, self.config.passes.max(1) as u64);
         snap::put_f64(&mut out, kernel.epsilon());
@@ -665,7 +630,7 @@ impl VasSampler {
 
     /// Restores a sampler from a checkpoint file with `recorder` attached,
     /// verifying that `config` asks for the run the checkpoint belongs to
-    /// (budget, strategy, backend, threshold, passes — everything the sample
+    /// (budget, strategy, threshold, passes — everything the sample
     /// bits depend on; progress reporting may differ, as it does not touch
     /// the output).
     ///
@@ -687,12 +652,10 @@ impl VasSampler {
 
         let k = r.take_usize("k").map_err(ck)?;
         let strategy = strategy_from_tag(r.take_u8("strategy").map_err(ck)?)?;
-        let backend = backend_from_tag(r.take_u8("backend").map_err(ck)?)?;
         let threshold = r.take_f64("locality threshold").map_err(ck)?;
         let passes = r.take_u64("passes").map_err(ck)?;
         require_match("sample budget k", k, config.k)?;
         require_match("strategy", strategy, config.strategy)?;
-        require_match("locality_backend", backend, config.locality_backend)?;
         require_match(
             "locality_threshold bits",
             threshold.to_bits(),
@@ -746,6 +709,11 @@ impl VasSampler {
         r.expect_end().map_err(ck)?;
 
         let inconsistent = |detail: String| Err(VasError::Checkpoint { detail });
+        // A build checkpoints inside a pass, so a pass at or past the cap
+        // would resume straight into finalizing a partial sample.
+        if pass >= passes {
+            return inconsistent(format!("pass index {pass} for a cap of {passes} passes"));
+        }
         if points.len() > k {
             return inconsistent(format!("{} sample points for budget k = {k}", points.len()));
         }
@@ -756,10 +724,21 @@ impl VasSampler {
                 points.len()
             ));
         }
-        let index = AnyLocalityIndex::restore(&index_bytes).map_err(|e| VasError::Checkpoint {
+        // Every fill and every replacement is one observed tuple, and the
+        // counters must have room to keep counting.
+        if seen >= 1 << 63
+            || (points.len() as u64)
+                .checked_add(replacements)
+                .is_none_or(|filled_or_replaced| filled_or_replaced > seen)
+        {
+            return inconsistent(format!(
+                "{seen} tuples seen for {} sample points and {replacements} replacements",
+                points.len()
+            ));
+        }
+        let index = HashGrid::restore(&index_bytes).map_err(|e| VasError::Checkpoint {
             detail: e.to_string(),
         })?;
-        require_match("index backend", index.backend(), backend)?;
         // The index is restored, not rebuilt (its visitation order is
         // checkpointed state). ES+Loc keeps exactly one entry per slot, at
         // that slot's point; the other strategies never insert. A CRC-valid
@@ -774,11 +753,12 @@ impl VasSampler {
                 points.len()
             ));
         }
+        // Bit for bit in `x`, `y` and `value`, as `HashGrid::remove` matches
+        // when an accept replaces the slot.
         for (slot, p) in points.iter().enumerate().take(expected_entries) {
             let mut found = false;
             index.for_each_in_radius_with_dist2(p, 0.0, |id, q, _| {
-                found |=
-                    id == slot && q.x.to_bits() == p.x.to_bits() && q.y.to_bits() == p.y.to_bits();
+                found |= id == slot && q.same_bits(p);
             });
             if !found {
                 return inconsistent(format!("index does not hold slot {slot} at {p:?}"));
@@ -847,29 +827,28 @@ impl VasSampler {
             // The probe scans the whole cell table, so it only runs when
             // observability is attached — a detached build never pays for it.
             if self.recorder.timing_enabled() || self.recorder.tracer().is_some() {
-                if let Some(occ) = self.index.occupancy_stats() {
-                    self.recorder
-                        .record_value(ValueSeries::GridOccupiedCells, occ.cells_occupied as u64);
-                    self.recorder.record_value(
-                        ValueSeries::GridMaxCellPoints,
-                        occ.max_points_per_cell as u64,
-                    );
-                    self.recorder.event(
-                        "grid_occupancy",
-                        &[
-                            ("cells_occupied", (occ.cells_occupied as u64).into()),
-                            ("points", (occ.points as u64).into()),
-                            (
-                                "mean_points_per_cell",
-                                vas_obs::EventValue::F64(occ.mean_points_per_cell),
-                            ),
-                            (
-                                "max_points_per_cell",
-                                (occ.max_points_per_cell as u64).into(),
-                            ),
-                        ],
-                    );
-                }
+                let occ = self.index.occupancy();
+                self.recorder
+                    .record_value(ValueSeries::GridOccupiedCells, occ.cells_occupied as u64);
+                self.recorder.record_value(
+                    ValueSeries::GridMaxCellPoints,
+                    occ.max_points_per_cell as u64,
+                );
+                self.recorder.event(
+                    "grid_occupancy",
+                    &[
+                        ("cells_occupied", (occ.cells_occupied as u64).into()),
+                        ("points", (occ.points as u64).into()),
+                        (
+                            "mean_points_per_cell",
+                            vas_obs::EventValue::F64(occ.mean_points_per_cell),
+                        ),
+                        (
+                            "max_points_per_cell",
+                            (occ.max_points_per_cell as u64).into(),
+                        ),
+                    ],
+                );
             }
         }
     }
@@ -929,17 +908,23 @@ impl VasSampler {
         self.tracker_fresh = false;
         let use_locality = self.config.strategy == InterchangeStrategy::ExpandShrinkLocality;
         if use_locality {
-            let mut neighbors: Vec<(usize, Point)> = Vec::new();
-            for (i, p) in self.points.iter().enumerate() {
+            let Self {
+                index,
+                points,
+                rsp,
+                objective,
+                cutoff,
+                ..
+            } = self;
+            for (i, p) in points.iter().enumerate() {
                 // Contributions against already-inserted points only.
-                self.index.query_radius_into(p, self.cutoff, &mut neighbors);
-                for &(j, q) in &neighbors {
-                    let v = kernel.eval(p, &q);
-                    self.rsp[i] += v;
-                    self.rsp[j] += v;
-                    self.objective += v;
-                }
-                self.index.insert(i, *p);
+                index.for_each_in_radius_with_dist2(p, *cutoff, |j, q, _| {
+                    let v = kernel.eval(p, q);
+                    rsp[i] += v;
+                    rsp[j] += v;
+                    *objective += v;
+                });
+                index.insert(i, *p);
             }
         } else {
             for i in 0..n {
@@ -2059,38 +2044,6 @@ mod tests {
         assert_eq!(InterchangeStrategy::ExpandShrinkLocality.label(), "ES+Loc");
     }
 
-    #[test]
-    fn every_locality_backend_produces_a_full_quality_sample() {
-        // Different backends visit neighbourhoods in different orders, so the
-        // hill climbs may reach different local optima — but each must yield
-        // a complete sample whose objective beats uniform sampling.
-        let d = GeolifeGenerator::with_size(2_500, 61).generate();
-        let k = 120;
-        let kernel = GaussianKernel::for_dataset(&d);
-        let uni = UniformSampler::new(k, 5).sample_dataset(&d);
-        let o_uni = objective_of(&kernel, &uni.points);
-        for backend in LocalityBackend::ALL {
-            let config = VasConfig::new(k)
-                .with_epsilon(kernel.bandwidth())
-                .with_locality_backend(backend);
-            let sample = VasSampler::from_dataset(&d, config).sample_dataset(&d);
-            assert_eq!(sample.len(), k, "backend {backend}");
-            let o = objective_of(&kernel, &sample.points);
-            assert!(
-                o < o_uni,
-                "backend {backend}: {o} should beat uniform {o_uni}"
-            );
-        }
-    }
-
-    #[test]
-    fn config_backend_defaults_to_hashgrid() {
-        assert_eq!(
-            VasConfig::new(10).locality_backend,
-            LocalityBackend::HashGrid
-        );
-    }
-
     fn assert_samples_bitwise_equal(a: &[Point], b: &[Point], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: lengths differ");
         for (i, (p, q)) in a.iter().zip(b).enumerate() {
@@ -2357,7 +2310,7 @@ mod tests {
     proptest::proptest! {
         /// The neighbourhood cache mirrors the index. Over random trips
         /// (steps of 0.02ε to 0.62ε in random directions, with occasional
-        /// jumps across the domain) on either backend, whenever a cache is
+        /// jumps across the domain), whenever a cache is
         /// live after a tuple it holds exactly the slots within `reach` of
         /// its anchor, each at its slot's current position and in the ring
         /// its distance gives: after rebuilds, reuse, and the accepts that
@@ -2367,45 +2320,41 @@ mod tests {
             steps in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 300..600),
             k in 10usize..60,
         ) {
-            for backend in LocalityBackend::ALL {
-                let config = VasConfig::new(k)
-                    .with_epsilon(1.0)
-                    .with_locality_backend(backend);
-                let mut s = VasSampler::new(config);
-                let (mut x, mut y) = (15.0, 15.0);
-                let (mut live, mut live_accepts) = (0usize, 0usize);
-                for &(a, b, jump) in &steps {
-                    if jump < 0.05 {
-                        (x, y) = (30.0 * a, 30.0 * b);
-                    } else {
-                        let (sin, cos) = (std::f64::consts::TAU * a).sin_cos();
-                        let len = 0.02 + 0.6 * b;
-                        (x, y) = (x + len * cos, y + len * sin);
-                    }
-                    let before = s.replacements();
-                    s.observe(Point::new(x, y));
-                    let Some((anchor, reach2, entries)) = s.cache.contents() else {
-                        continue;
-                    };
-                    live += 1;
-                    live_accepts += usize::from(s.replacements() > before);
-                    let mut held: Vec<usize> = entries.iter().map(|e| e.1).collect();
-                    held.sort_unstable();
-                    let within: Vec<usize> = (0..s.points.len())
-                        .filter(|&i| s.points[i].dist2(&anchor) <= reach2)
-                        .collect();
-                    proptest::prop_assert_eq!(held, within, "{} backend", backend);
-                    for &(ring, slot, ex, ey) in &entries {
-                        let p = s.points[slot];
-                        proptest::prop_assert!(
-                            ex.to_bits() == p.x.to_bits() && ey.to_bits() == p.y.to_bits(),
-                            "slot {} cached at ({}, {}), sampled at {:?}", slot, ex, ey, p
-                        );
-                        proptest::prop_assert_eq!(ring, s.cache.expected_ring(p.dist2(&anchor)));
-                    }
+            let config = VasConfig::new(k).with_epsilon(1.0);
+            let mut s = VasSampler::new(config);
+            let (mut x, mut y) = (15.0, 15.0);
+            let (mut live, mut live_accepts) = (0usize, 0usize);
+            for &(a, b, jump) in &steps {
+                if jump < 0.05 {
+                    (x, y) = (30.0 * a, 30.0 * b);
+                } else {
+                    let (sin, cos) = (std::f64::consts::TAU * a).sin_cos();
+                    let len = 0.02 + 0.6 * b;
+                    (x, y) = (x + len * cos, y + len * sin);
                 }
-                proptest::prop_assert!(live > 0 && live_accepts > 0, "{} live, {} accepts", live, live_accepts);
+                let before = s.replacements();
+                s.observe(Point::new(x, y));
+                let Some((anchor, reach2, entries)) = s.cache.contents() else {
+                    continue;
+                };
+                live += 1;
+                live_accepts += usize::from(s.replacements() > before);
+                let mut held: Vec<usize> = entries.iter().map(|e| e.1).collect();
+                held.sort_unstable();
+                let within: Vec<usize> = (0..s.points.len())
+                    .filter(|&i| s.points[i].dist2(&anchor) <= reach2)
+                    .collect();
+                proptest::prop_assert_eq!(held, within);
+                for &(ring, slot, ex, ey) in &entries {
+                    let p = s.points[slot];
+                    proptest::prop_assert!(
+                        ex.to_bits() == p.x.to_bits() && ey.to_bits() == p.y.to_bits(),
+                        "slot {} cached at ({}, {}), sampled at {:?}", slot, ex, ey, p
+                    );
+                    proptest::prop_assert_eq!(ring, s.cache.expected_ring(p.dist2(&anchor)));
+                }
             }
+            proptest::prop_assert!(live > 0 && live_accepts > 0, "{} live, {} accepts", live, live_accepts);
         }
     }
 
@@ -2438,8 +2387,8 @@ mod tests {
     #[allow(clippy::disallowed_methods)]
     #[test]
     fn sampler_crosses_threads() {
-        // The audit the sharded build relies on: a sampler (any backend)
-        // can be moved to a worker thread wholesale.
+        // The audit the sharded build relies on: a sampler can be moved to a
+        // worker thread wholesale.
         fn assert_send<T: Send>() {}
         assert_send::<VasSampler>();
         let d = GeolifeGenerator::with_size(500, 3).generate();
@@ -2469,29 +2418,23 @@ mod tests {
         }
     }
 
-    /// Kill-and-resume at several chunk boundaries, every backend: the
-    /// resumed build must reproduce the uninterrupted sample bit for bit.
+    /// Kill-and-resume at several chunk boundaries: the resumed build must
+    /// reproduce the uninterrupted sample bit for bit.
     /// The input is 8 chunks long, so a two-pass build killed after chunk 11
     /// resumes 3 chunks into its second pass. (The strategy × input sweep
     /// lives in `tests/determinism.rs`.)
     #[test]
-    fn checkpoint_resume_is_bit_identical_per_backend() {
+    fn checkpoint_resume_is_bit_identical_at_every_kill_point() {
         let d = GeolifeGenerator::with_size(4_000, 11).generate();
-        let cases = LocalityBackend::ALL.into_iter().flat_map(|backend| {
-            [(1, vec![1u64, 3, 5, 7]), (2, vec![3, 11])]
-                .map(|(passes, kills)| (backend, passes, kills))
-        });
-        for (backend, passes, kills) in cases {
-            let config = VasConfig::new(120)
-                .with_locality_backend(backend)
-                .with_passes(passes);
+        for (passes, kills) in [(1, vec![1u64, 3, 5, 7]), (2, vec![3, 11])] {
+            let config = VasConfig::new(120).with_passes(passes);
             let mut clean_src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
             let clean = VasSampler::new(config.clone())
                 .build_from_source(&mut clean_src)
                 .unwrap();
 
             for kill_after in kills {
-                let path = temp_checkpoint(&format!("{backend}-{passes}-{kill_after}"));
+                let path = temp_checkpoint(&format!("{passes}-{kill_after}"));
                 let policy = CheckpointPolicy::every(&path, 1).halting_after(kill_after);
                 let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
                 let outcome = VasSampler::new(config.clone())
@@ -2499,9 +2442,9 @@ mod tests {
                     .unwrap();
                 let halted_in = match outcome {
                     BuildOutcome::Halted { pass, .. } => pass,
-                    BuildOutcome::Complete(_) => panic!("{backend}: kill switch did not fire"),
+                    BuildOutcome::Complete(_) => panic!("{kill_after}: kill switch did not fire"),
                 };
-                assert_eq!(halted_in, (kill_after - 1) / 8, "{backend}, {kill_after}");
+                assert_eq!(halted_in, (kill_after - 1) / 8, "{kill_after}");
 
                 let resume_policy = CheckpointPolicy::every(&path, 1);
                 let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
@@ -2516,7 +2459,7 @@ mod tests {
                 assert_samples_bit_equal(
                     &resumed,
                     &clean,
-                    &format!("{backend}, {passes} passes, killed after chunk {kill_after}"),
+                    &format!("{passes} passes, killed after chunk {kill_after}"),
                 );
                 std::fs::remove_file(&path).ok();
             }
@@ -2577,10 +2520,10 @@ mod tests {
         // Wrong budget.
         let err = VasSampler::restore(&path, VasConfig::new(61), Recorder::detached()).unwrap_err();
         assert!(matches!(err, VasError::Mismatch { .. }), "{err}");
-        // Wrong backend.
+        // Wrong locality threshold.
         let err = VasSampler::restore(
             &path,
-            VasConfig::new(60).with_locality_backend(LocalityBackend::RTree),
+            VasConfig::new(60).with_locality_threshold(1e-7),
             Recorder::detached(),
         )
         .unwrap_err();
@@ -2614,6 +2557,44 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Observes the first 1,000 points of `d` with a sampler for `config`,
+    /// applies `tamper` to its state, checkpoints it and restores the
+    /// checkpoint. The container is sealed as usual, so only the payload's
+    /// own consistency checks stand between the tampered state and a resume.
+    fn resume_tampered(
+        d: &Dataset,
+        tag: &str,
+        config: &VasConfig,
+        tamper: &dyn Fn(&mut VasSampler),
+    ) -> Result<(), VasError> {
+        let mut sampler = VasSampler::from_dataset(d, config.clone());
+        sampler.observe_chunk(&d.points[..1_000]);
+        tamper(&mut sampler);
+        let path = temp_checkpoint(tag);
+        sampler.write_checkpoint(&path, 0, 4, "src", 256).unwrap();
+        let resumed = VasSampler::restore(&path, config.clone(), Recorder::detached());
+        std::fs::remove_file(&path).ok();
+        resumed.map(|_| ())
+    }
+
+    /// Asserts that every config in `configs` refuses the tampered
+    /// checkpoint with `VasError::Checkpoint`.
+    fn assert_refused(
+        d: &Dataset,
+        tag: &str,
+        configs: &[&VasConfig],
+        tamper: &dyn Fn(&mut VasSampler),
+    ) {
+        for config in configs {
+            let err = resume_tampered(d, tag, config, tamper).unwrap_err();
+            assert!(
+                matches!(err, VasError::Checkpoint { .. }),
+                "{tag} {:?}: {err}",
+                config.strategy
+            );
+        }
+    }
+
     /// A CRC-valid checkpoint whose sample contradicts its budget or its own
     /// index is refused with a typed error, instead of resuming into an
     /// out-of-bounds Shrink step or finalizing an over-budget sample.
@@ -2622,28 +2603,11 @@ mod tests {
         let d = GeolifeGenerator::with_size(2_000, 5).generate();
         let loc = VasConfig::new(60);
         let es = VasConfig::new(60).with_strategy(InterchangeStrategy::ExpandShrink);
-        let resume_tampered = |tag: &str, config: &VasConfig, tamper: &dyn Fn(&mut VasSampler)| {
-            let mut sampler = VasSampler::from_dataset(&d, config.clone());
-            sampler.observe_chunk(&d.points[..1_000]);
-            tamper(&mut sampler);
-            let path = temp_checkpoint(tag);
-            sampler.write_checkpoint(&path, 0, 4, "src", 256).unwrap();
-            let resumed = VasSampler::restore(&path, config.clone(), Recorder::detached());
-            std::fs::remove_file(&path).ok();
-            resumed.map(|_| ())
-        };
         // Plain ES never indexes its sample, so its empty index is consistent.
-        assert!(resume_tampered("untampered", &loc, &|_| {}).is_ok());
-        assert!(resume_tampered("untampered-es", &es, &|_| {}).is_ok());
+        assert!(resume_tampered(&d, "untampered", &loc, &|_| {}).is_ok());
+        assert!(resume_tampered(&d, "untampered-es", &es, &|_| {}).is_ok());
         let refused = |tag: &str, configs: &[&VasConfig], tamper: &dyn Fn(&mut VasSampler)| {
-            for config in configs {
-                let err = resume_tampered(tag, config, tamper).unwrap_err();
-                assert!(
-                    matches!(err, VasError::Checkpoint { .. }),
-                    "{tag} {:?}: {err}",
-                    config.strategy
-                );
-            }
+            assert_refused(&d, tag, configs, tamper)
         };
         refused("slot-moved", &[&loc], &|s| {
             let p = s.points[5];
@@ -2662,17 +2626,79 @@ mod tests {
         });
     }
 
+    /// An accept removes the replaced slot from the index by its `x`, `y`
+    /// and `value` bits. A checkpoint whose slot differs from its index
+    /// entry in the `value` bits alone would resume into a removal that
+    /// finds nothing and leaves a ghost lane behind, so it is refused.
+    #[test]
+    fn resume_rejects_a_slot_whose_value_bits_its_index_entry_lacks() {
+        let d = GeolifeGenerator::with_size(2_000, 5).generate();
+        assert_refused(&d, "value-bit", &[&VasConfig::new(60)], &|s| {
+            s.points[5].value = f64::from_bits(s.points[5].value.to_bits() ^ 1);
+        });
+    }
+
+    /// Every fill and every replacement is one observed tuple, so a
+    /// checkpoint must have seen at least as many tuples as it holds points
+    /// plus replacements, and fewer than 2^63 so the counters can keep
+    /// counting. Anything else would overflow on the next tuple.
+    #[test]
+    fn resume_rejects_counters_that_cannot_keep_counting() {
+        let d = GeolifeGenerator::with_size(2_000, 5).generate();
+        let loc = VasConfig::new(60);
+        let es = VasConfig::new(60).with_strategy(InterchangeStrategy::ExpandShrink);
+        let tight = |s: &mut VasSampler| s.points.len() as u64 + s.replacements;
+        for config in [&loc, &es] {
+            assert!(resume_tampered(&d, "seen-tight", config, &|s| s.seen = tight(s)).is_ok());
+            assert_refused(&d, "seen-max", &[config], &|s| s.seen = u64::MAX);
+            assert_refused(&d, "seen-2^63", &[config], &|s| s.seen = 1 << 63);
+            assert_refused(&d, "seen-short", &[config], &|s| s.seen = tight(s) - 1);
+            assert_refused(&d, "replacements-max", &[config], &|s| {
+                s.replacements = u64::MAX
+            });
+        }
+    }
+
+    /// A checkpoint is written inside a pass, so its pass index is below the
+    /// cap; one at the cap would resume into an empty pass loop and
+    /// finalize the partial sample.
+    #[test]
+    fn resume_rejects_a_pass_index_past_the_cap() {
+        let d = GeolifeGenerator::with_size(2_000, 5).generate();
+        for passes in [1, 3] {
+            let config = VasConfig::new(60).with_passes(passes);
+            let mut sampler = VasSampler::from_dataset(&d, config.clone());
+            sampler.observe_chunk(&d.points[..1_000]);
+            let path = temp_checkpoint(&format!("pass-past-cap-{passes}"));
+            for (pass, ok) in [(passes as u64 - 1, true), (passes as u64, false)] {
+                sampler
+                    .write_checkpoint(&path, pass, 4, "src", 256)
+                    .unwrap();
+                let resumed = VasSampler::restore(&path, config.clone(), Recorder::detached());
+                match resumed {
+                    Ok(_) => assert!(ok, "pass {pass} of {passes} restored"),
+                    Err(err) => assert!(
+                        !ok && matches!(err, VasError::Checkpoint { .. }),
+                        "pass {pass} of {passes}: {err}"
+                    ),
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     /// Older checkpoints are refused by the container before their payload
     /// is decoded: version 1 carried two flag bytes this build no longer
     /// reads, version 2 the speculative front's batch spacing, batch count
-    /// and contained-panic tally.
+    /// and contained-panic tally, version 3 a locality-backend byte and a
+    /// backend tag in front of the index snapshot.
     #[test]
     fn older_checkpoint_versions_resume_to_unsupported_version() {
         let d = GeolifeGenerator::with_size(1_000, 5).generate();
         let config = VasConfig::new(40);
         let mut sampler = VasSampler::from_dataset(&d, config.clone());
         sampler.observe_chunk(&d.points);
-        for version in [1u32, 2] {
+        for version in [1u32, 2, 3] {
             let path = temp_checkpoint(&format!("v{version}"));
             sampler.write_checkpoint(&path, 0, 1, "src", 256).unwrap();
             let mut bytes = std::fs::read(&path).unwrap();
@@ -2759,19 +2785,24 @@ mod tests {
             }
         }
 
-        /// Arbitrary single-byte corruption anywhere in a checkpoint file
-        /// must surface as a typed error from resume — never a panic, never
-        /// a silently restored sampler.
+        /// Arbitrary single-byte corruption or truncation anywhere in a
+        /// checkpoint file must surface as a typed error from resume —
+        /// never a panic, never a silently restored sampler. With `reseal`
+        /// the length field and the CRC are rewritten after the mutation,
+        /// as a writer of the mutated payload would have sealed it, so the
+        /// mutation reaches the payload decoder: the resume then either
+        /// fails with a typed error or runs to completion.
         #[test]
         fn corrupted_checkpoint_resumes_to_typed_errors(
             offset_frac in 0.0f64..1.0,
             flip in 1u8..255,
             truncate in proptest::bool::ANY,
+            reseal in proptest::bool::ANY,
         ) {
             let d = GeolifeGenerator::with_size(1_500, 3).generate();
             let config = VasConfig::new(50);
             let path = std::env::temp_dir().join(format!(
-                "vas-core-ckpt-corrupt-{}-{flip}-{truncate}.vascheckpt",
+                "vas-core-ckpt-corrupt-{}-{flip}-{truncate}-{reseal}.vascheckpt",
                 std::process::id()
             ));
             let policy = CheckpointPolicy::every(&path, 1).halting_after(2);
@@ -2787,20 +2818,43 @@ mod tests {
             } else {
                 bytes[offset] ^= flip;
             }
+            // A file shorter than the container's fixed part has no length
+            // field and CRC to rewrite.
+            let resealed = reseal && bytes.len() >= 24;
+            if resealed {
+                let payload_len = bytes.len() - 24;
+                bytes[12..20].copy_from_slice(&(payload_len as u64).to_le_bytes());
+                let crc = vas_stream::crc32::crc32(&bytes[20..20 + payload_len]);
+                bytes[20 + payload_len..].copy_from_slice(&crc.to_le_bytes());
+            }
             std::fs::write(&path, &bytes).unwrap();
-            let err = VasSampler::restore(&path, config, Recorder::detached()).unwrap_err();
-            std::fs::remove_file(&path).ok();
-            proptest::prop_assert!(
-                matches!(
-                    err,
-                    VasError::ChecksumMismatch { .. }
-                        | VasError::Corrupt { .. }
-                        | VasError::Truncated { .. }
-                        | VasError::UnsupportedVersion { .. }
-                        | VasError::Checkpoint { .. }
-                ),
-                "unexpected error shape: {}", err
+            let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 256);
+            let resumed = VasSampler::resume_build_from_source(
+                config,
+                &mut src,
+                &CheckpointPolicy::every(&path, 0),
+                Recorder::detached(),
             );
+            std::fs::remove_file(&path).ok();
+            match resumed {
+                Ok((_, outcome)) => proptest::prop_assert!(
+                    resealed && !outcome.is_halted(),
+                    "an unsealed corruption resumed, or a resume did not complete"
+                ),
+                // A resealed payload can also name another run's config or
+                // source.
+                Err(err) => proptest::prop_assert!(
+                    matches!(
+                        err,
+                        VasError::ChecksumMismatch { .. }
+                            | VasError::Corrupt { .. }
+                            | VasError::Truncated { .. }
+                            | VasError::UnsupportedVersion { .. }
+                            | VasError::Checkpoint { .. }
+                    ) || (resealed && matches!(err, VasError::Mismatch { .. })),
+                    "unexpected error shape: {}", err
+                ),
+            }
         }
     }
 

@@ -80,4 +80,3 @@ pub use max_tracker::MaxTracker;
 pub use objective::{objective, responsibilities, responsibility_of};
 pub use outlier::{find_outliers, with_outliers, Outlier};
 pub use shard::{shard_budgets, ShardedSampler};
-pub use vas_spatial::{AnyLocalityIndex, LocalityBackend, LocalityIndex};

@@ -37,7 +37,7 @@
 
 use std::ops::ControlFlow;
 use vas_data::Point;
-use vas_spatial::{LocalityIndex, NeighborBatch};
+use vas_spatial::{HashGrid, NeighborBatch};
 
 /// Number of distance rings.
 const RINGS: usize = 3;
@@ -187,12 +187,7 @@ impl NeighbourhoodCache {
     /// candidate but not of the anchor. `points` are the sample's slots,
     /// which `index` holds. Returns `true` when [`walk`](Self::walk) may be
     /// called for `t`.
-    pub(crate) fn route<L: LocalityIndex>(
-        &mut self,
-        t: &Point,
-        index: &L,
-        points: &[Point],
-    ) -> bool {
+    pub(crate) fn route(&mut self, t: &Point, index: &HashGrid, points: &[Point]) -> bool {
         let delta2 = self.delta2;
         let near = |p: Option<Point>| p.is_some_and(|p| t.dist2(&p) <= delta2);
         let served = if near(self.anchor) {
@@ -212,7 +207,7 @@ impl NeighbourhoodCache {
     /// rings. Kept out of line, like the walk's caller, so that the
     /// candidate path stays small for streams that seldom build a cache.
     #[inline(never)]
-    fn rebuild<L: LocalityIndex>(&mut self, anchor: &Point, index: &L, points: &[Point]) {
+    fn rebuild(&mut self, anchor: &Point, index: &HashGrid, points: &[Point]) {
         index.gather_in_radius_into(anchor, self.reach, &mut self.gather);
         for ring in &mut self.rings {
             ring.reset(self.gather.len());

@@ -6,7 +6,7 @@
 //! coherent sub-streams with the [`ShardPartitioner`] (a pure per-point
 //! cell → shard function over the `HashGrid` decomposition), fans out one
 //! fully independent Interchange sampler per shard — its own
-//! `LocalityIndex`, its own budget, its own recorder clone — and reduces
+//! `HashGrid`, its own budget, its own recorder clone — and reduces
 //! the shard samples to the final K-sample with one more Interchange pass
 //! in **ordered fan-in**.
 //!
@@ -82,9 +82,9 @@ pub struct ShardedSampler {
 
 impl ShardedSampler {
     /// Creates a sharded driver over `shards` shards; every shard sampler
-    /// and the merge pass inherit `config` (strategy, backend, locality
-    /// threshold), with only the budget and the resolved bandwidth
-    /// overridden per shard.
+    /// and the merge pass inherit `config` (strategy, locality threshold),
+    /// with only the budget and the resolved bandwidth overridden per
+    /// shard.
     ///
     /// # Panics
     /// Panics when `shards == 0`.

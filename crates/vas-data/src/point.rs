@@ -84,7 +84,7 @@ impl From<(f64, f64, f64)> for Point {
 /// An axis-aligned rectangle in plot coordinates.
 ///
 /// Bounding boxes describe dataset extents, zoom viewports, stratification
-/// bins and R-tree node regions. An *empty* box (`min > max`) is the identity
+/// bins and grid cells. An *empty* box (`min > max`) is the identity
 /// element of [`BoundingBox::union`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BoundingBox {
@@ -157,13 +157,6 @@ impl BoundingBox {
     #[inline]
     pub fn area(&self) -> f64 {
         self.width() * self.height()
-    }
-
-    /// Half of the box perimeter; the R-tree split heuristic uses this as its
-    /// "margin" measure.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
     }
 
     /// Length of the diagonal. The paper sets the kernel bandwidth ε relative
@@ -265,35 +258,6 @@ impl BoundingBox {
         } else {
             b
         }
-    }
-
-    /// Area by which the box would grow if extended to include `p`.
-    #[inline]
-    pub fn enlargement(&self, p: &Point) -> f64 {
-        let mut grown = *self;
-        grown.extend(p);
-        grown.area() - self.area()
-    }
-
-    /// Squared distance from `p` to the closest point of the box
-    /// (`0` when `p` is inside).
-    #[inline]
-    pub fn dist2_to_point(&self, p: &Point) -> f64 {
-        let dx = if p.x < self.min_x {
-            self.min_x - p.x
-        } else if p.x > self.max_x {
-            p.x - self.max_x
-        } else {
-            0.0
-        };
-        let dy = if p.y < self.min_y {
-            self.min_y - p.y
-        } else if p.y > self.max_y {
-            p.y - self.max_y
-        } else {
-            0.0
-        };
-        dx * dx + dy * dy
     }
 
     /// Expands the box by `pad` on all four sides.
@@ -401,27 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn bbox_enlargement() {
-        let b = BoundingBox::new(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(b.enlargement(&Point::new(0.5, 0.5)), 0.0);
-        assert!((b.enlargement(&Point::new(2.0, 1.0)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bbox_point_distance() {
-        let b = BoundingBox::new(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(b.dist2_to_point(&Point::new(0.5, 0.5)), 0.0);
-        assert_eq!(b.dist2_to_point(&Point::new(2.0, 0.5)), 1.0);
-        assert_eq!(b.dist2_to_point(&Point::new(2.0, 2.0)), 2.0);
-    }
-
-    #[test]
     fn bbox_geometry_measures() {
         let b = BoundingBox::new(0.0, 0.0, 3.0, 4.0);
         assert_eq!(b.width(), 3.0);
         assert_eq!(b.height(), 4.0);
         assert_eq!(b.area(), 12.0);
-        assert_eq!(b.margin(), 7.0);
         assert_eq!(b.diagonal(), 5.0);
         assert_eq!(b.center(), Point::new(1.5, 2.0));
     }

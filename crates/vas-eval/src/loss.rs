@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vas_core::Kernel;
 use vas_data::{Dataset, Point};
-use vas_spatial::{HashGrid, KdTree, LocalityIndex, NeighborBatch};
+use vas_spatial::{HashGrid, KdTree, NeighborBatch};
 
 /// Probes per parallel work unit of [`LossEstimator::evaluate`]. Fixed (not
 /// derived from the thread count) so the chunk split — and with it every
@@ -169,9 +169,9 @@ impl LossEstimator {
         }
         // Locality: kernel contributions beyond the effective radius are
         // negligible, so only sample points near the probe are summed. The
-        // M identical fixed-radius queries go through the `LocalityIndex`
-        // visitor API over a spatial hash with radius-sized cells — the same
-        // locality subsystem the Interchange loop uses.
+        // M identical fixed-radius queries go through a spatial hash with
+        // radius-sized cells — the same locality index the Interchange loop
+        // uses.
         let radius = kernel.effective_radius(1e-12).min(f64::MAX);
         let grid = HashGrid::from_entries(radius, sample.iter().copied().enumerate());
         // Probes are mutually independent, so the M-probe loop fans out over

@@ -23,7 +23,7 @@
 //! ## The off-the-data-path determinism rule
 //!
 //! The workspace's load-bearing contract is **bit-identical determinism**
-//! (`tests/determinism.rs` pins every backend and entry point to the same
+//! (`tests/determinism.rs` pins every strategy and entry point to the same
 //! sample, bit for bit). Instrumentation must therefore never sit *on* the
 //! data path:
 //!

@@ -1,16 +1,21 @@
-//! A dynamic spatial hash over cutoff-sized cells.
+//! A dynamic spatial hash over cutoff-sized cells: the locality index of
+//! the `ES+Loc` Interchange variant.
 //!
-//! Profiling after the PR 2 inner-loop rebuild showed the R-tree radius
-//! query dominating the cost of a *rejected* Interchange candidate (~5µs of
-//! ~8µs at 1M points / K = 10K), and a uniform grid with cells sized to the
-//! kernel's cutoff radius answers the same fixed-radius query ~1.6× faster:
-//! a query walks a small block of cells — each a flat run of candidates,
-//! clipped per row to the query circle — with no tree descent and no
-//! bounding-box arithmetic. [`LocalityIndex::reset`] sizes cells at the
-//! hinted radius exactly: a query then probes at most a 3×3 block (~7 cells
-//! after row clipping) and scans ≈ `πr² + 4rc` worth of entries, robust
-//! across sample densities from sparse (K = 500, ~1 entry per cell —
-//! probe-bound) to dense (K = 10K, dozens per cell — scan-bound).
+//! `ES+Loc` (paper Section IV-B) asks its index one question, millions of
+//! times, against a sample that churns under constant insert/remove
+//! replacement traffic: *"which sample points lie within the kernel's
+//! cutoff radius of this location?"* The paper answers it with an R-tree;
+//! any exact range index gives the same sample. A uniform grid with cells
+//! sized to the cutoff radius answers the fixed-radius query with no tree
+//! descent and no bounding-box arithmetic: a query walks a small block of
+//! cells, each a flat run of candidates, clipped per row to the query
+//! circle. [`HashGrid::reset`] sizes cells at the hinted radius exactly: a
+//! query then probes at most a 3×3 block (~7 cells after row clipping) and
+//! scans ≈ `πr² + 4rc` worth of entries, robust across sample densities
+//! from sparse (K = 500, ~1 entry per cell — probe-bound) to dense
+//! (K = 10K, dozens per cell — scan-bound). Measured against an R-tree on
+//! 1M-point builds (Geolife at K = 5000, a Gaussian mixture at K = 1000),
+//! the grid was as fast or faster and gave the same samples bit for bit.
 //!
 //! [`HashGrid`] is that grid made dynamic and unbounded:
 //!
@@ -27,7 +32,7 @@
 //!   32-byte `(id, Point)` rows; the values are read back only to hand a
 //!   visitor its point, to match a removal bit for bit, and to write a
 //!   snapshot.
-//! * The batch gather ([`LocalityIndex::gather_in_radius_into`]) has no
+//! * The batch gather ([`HashGrid::gather_in_radius_into`]) has no
 //!   data-dependent branch and no per-cell allocation: for each entry it
 //!   writes the id and `d2` at a cursor into the batch's spare lanes and
 //!   advances the cursor by `(d2 <= r²) as usize`, so an out-of-radius
@@ -44,10 +49,12 @@
 //!
 //! Visitation order — row-major over the queried cell block, insertion order
 //! (as modified by `swap_remove`) within a cell — is deterministic for a
-//! given operation history, which the Interchange determinism contract
-//! relies on.
+//! given operation history. The Interchange determinism contract
+//! (`tests/determinism.rs`) lock-steps the sampler against a reference
+//! oracle bit for bit, which only holds when both fold neighbours in the
+//! same order.
 
-use crate::{snapshot, LocalityIndex, NeighborBatch};
+use crate::snapshot;
 use vas_data::Point;
 
 /// Cell coordinates are clamped to this magnitude; at the default cell size
@@ -80,6 +87,90 @@ pub struct GridOccupancy {
     pub mean_points_per_cell: f64,
     /// Largest per-cell point count.
     pub max_points_per_cell: usize,
+}
+
+/// Reusable struct-of-arrays scratch for batch-gather neighbourhood queries
+/// ([`HashGrid::gather_in_radius_into`]).
+///
+/// Ids and squared distances live in two parallel flat arrays
+/// ([`ids`](Self::ids)`[i]` belongs to [`dist2`](Self::dist2)`[i]`), so a
+/// consumer can hand the `dist2` lanes straight to a vectorizable kernel loop
+/// (`Kernel::eval_dist2_batch` in `vas-core`) instead of evaluating
+/// point-at-a-time inside a visitor callback. The lane order is exactly the
+/// grid's deterministic visitation order, which is what keeps the batched
+/// Interchange path bit-identical to a scalar fold over the visitor.
+///
+/// The batch counts its live lanes separately from its storage: the storage
+/// only grows when a gather reaches a new high-water mark and is never
+/// shrunk, so a reused batch makes the gather allocation-free in the steady
+/// state, and the grid can write every scanned entry at a cursor and keep it
+/// by advancing the cursor. Lanes past the live count are stale scratch:
+/// neither the accessors nor `Debug` show them.
+#[derive(Clone, Default)]
+pub struct NeighborBatch {
+    ids: Vec<usize>,
+    dist2: Vec<f64>,
+    len: usize,
+}
+
+impl NeighborBatch {
+    /// Creates an empty batch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Removes all lanes, keeping the storage.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Number of gathered lanes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when no lanes are gathered.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Entry ids, in visitation order.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids[..self.len]
+    }
+
+    /// Squared distance of each entry to the query center, lane-parallel to
+    /// [`ids`](Self::ids).
+    pub fn dist2(&self) -> &[f64] {
+        &self.dist2[..self.len]
+    }
+
+    /// The `m` writable lanes after the live ones, growing the storage only
+    /// when `len + m` is a new high-water mark. A writer fills a prefix of
+    /// them and then [`commit`](Self::commit)s its length.
+    fn spare(&mut self, m: usize) -> (&mut [usize], &mut [f64]) {
+        let end = self.len + m;
+        if end > self.ids.len() {
+            self.ids.resize(end, 0);
+            self.dist2.resize(end, 0.0);
+        }
+        (&mut self.ids[self.len..end], &mut self.dist2[self.len..end])
+    }
+
+    /// Makes the first `w` lanes written through [`spare`](Self::spare) live.
+    fn commit(&mut self, w: usize) {
+        debug_assert!(self.len + w <= self.ids.len());
+        self.len += w;
+    }
+}
+
+impl std::fmt::Debug for NeighborBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NeighborBatch")
+            .field("ids", &self.ids())
+            .field("dist2", &self.dist2())
+            .finish()
+    }
 }
 
 /// Entries a cell has room for when its first entry arrives.
@@ -193,7 +284,12 @@ struct Slot {
 /// typical radius (the cell size).
 ///
 /// Duplicate ids and points are permitted (the grid is a multiset);
-/// [`remove`](LocalityIndex::remove) deletes one matching entry.
+/// [`remove`](Self::remove) deletes one matching entry.
+///
+/// The grid is plain owned data with no interior mutability, so it is
+/// `Send + Sync`: a sampler and its grid move onto a shard worker or a
+/// catalog-ladder worker, and the loss estimator's probe fan-out shares one
+/// grid across scoped worker threads.
 #[derive(Debug, Clone)]
 pub struct HashGrid {
     cell_size: f64,
@@ -216,7 +312,7 @@ impl Default for HashGrid {
 
 impl HashGrid {
     /// Creates an empty grid with a placeholder cell size of 1.0; call
-    /// [`reset`](LocalityIndex::reset) (or use
+    /// [`reset`](Self::reset) (or use
     /// [`with_cell_size`](Self::with_cell_size)) to size cells to the radius
     /// the workload will query at.
     pub fn new() -> Self {
@@ -265,9 +361,125 @@ impl HashGrid {
             }
         }
         for (id, p) in entries {
-            LocalityIndex::insert(&mut grid, id, p);
+            grid.insert(id, p);
         }
         grid
+    }
+
+    /// Number of stored entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the grid holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Removes every entry and sizes the cells at `radius_hint`, the radius
+    /// that future queries will typically use. A non-finite or non-positive
+    /// hint falls back to 1.0.
+    pub fn reset(&mut self, radius_hint: f64) {
+        let cell_size = Self::sanitize_cell_size(radius_hint);
+        self.cell_size = cell_size;
+        self.inv_cell_size = 1.0 / cell_size;
+        for slot in &mut self.slots {
+            slot.occupied = false;
+            slot.cell.clear();
+        }
+        self.occupied_slots = 0;
+        self.nonempty_cells = 0;
+        self.len = 0;
+    }
+
+    /// Inserts an entry.
+    pub fn insert(&mut self, id: usize, point: Point) {
+        let key = self.cell_of(&point);
+        let i = self.slot_for_insert(key);
+        let cell = &mut self.slots[i].cell;
+        if cell.is_empty() {
+            self.nonempty_cells += 1;
+        }
+        cell.push(id, point);
+        self.len += 1;
+    }
+
+    /// Removes one entry matching `(id, point)` exactly — bit for bit in
+    /// `x`, `y` and `value`, so a point whose `value` is NaN can still be
+    /// removed. Returns `true` if an entry was removed.
+    pub fn remove(&mut self, id: usize, point: &Point) -> bool {
+        let key = self.cell_of(point);
+        let Some(i) = self.find_slot(key) else {
+            return false;
+        };
+        let cell = &mut self.slots[i].cell;
+        let Some(pos) = cell
+            .entries()
+            .position(|(eid, ep)| eid == id && ep.same_bits(point))
+        else {
+            return false;
+        };
+        cell.swap_remove(pos);
+        if cell.is_empty() {
+            self.nonempty_cells -= 1;
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// Calls `visit(id, point, dist2)` for every entry within Euclidean
+    /// distance `radius` of `center`, without allocating, handing the visitor
+    /// the squared distance its filter computed. The visitation order is
+    /// deterministic for a given operation history (see the module docs).
+    pub fn for_each_in_radius_with_dist2(
+        &self,
+        center: &Point,
+        radius: f64,
+        mut visit: impl FnMut(usize, &Point, f64),
+    ) {
+        let r2 = radius * radius;
+        self.for_each_candidate_cell(center, radius, |cell| {
+            for (id, p) in cell.entries() {
+                let d2 = p.dist2(center);
+                if d2 <= r2 {
+                    visit(id, &p, d2);
+                }
+            }
+        });
+    }
+
+    /// Writes every entry within Euclidean distance `radius` of `center`
+    /// into `out` as `(id, dist2)` lanes, clearing `out` first. The lanes
+    /// are **exactly** the visitor's
+    /// ([`for_each_in_radius_with_dist2`](Self::for_each_in_radius_with_dist2)),
+    /// in its order and with its `dist2` bits, which is what lets
+    /// gather-then-batch-evaluate consumers reproduce a scalar fold over the
+    /// visitor bit for bit.
+    pub fn gather_in_radius_into(&self, center: &Point, radius: f64, out: &mut NeighborBatch) {
+        out.clear();
+        let r2 = radius * radius;
+        self.for_each_candidate_cell(center, radius, |cell| {
+            // Branch-free lane fill: every entry's id and `d2` are written at
+            // the cursor, and the cursor advances only past the ones within
+            // the radius, so a rejected entry is overwritten by the next.
+            // Same traversal, same `d2` bits and same `d2 <= r²` filter as
+            // the visitor path, so lanes land in exactly the visitation
+            // order.
+            let (ids, dist2) = out.spare(cell.len());
+            let mut w = 0;
+            let [cell_ids, xs, ys, _] = cell.columns();
+            for ((&id, &x), &y) in cell_ids.iter().zip(xs).zip(ys) {
+                // `Point::dist2`'s operand order, so the bits match the
+                // visitor's `entry.dist2(center)`.
+                let dx = f64::from_bits(x) - center.x;
+                let dy = f64::from_bits(y) - center.y;
+                let d2 = dx * dx + dy * dy;
+                ids[w] = id as usize;
+                dist2[w] = d2;
+                w += (d2 <= r2) as usize;
+            }
+            out.commit(w);
+        });
     }
 
     /// The configured cell side length.
@@ -496,104 +708,6 @@ impl HashGrid {
     }
 }
 
-impl LocalityIndex for HashGrid {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn reset(&mut self, radius_hint: f64) {
-        let cell_size = Self::sanitize_cell_size(radius_hint);
-        self.cell_size = cell_size;
-        self.inv_cell_size = 1.0 / cell_size;
-        for slot in &mut self.slots {
-            slot.occupied = false;
-            slot.cell.clear();
-        }
-        self.occupied_slots = 0;
-        self.nonempty_cells = 0;
-        self.len = 0;
-    }
-
-    fn insert(&mut self, id: usize, point: Point) {
-        let key = self.cell_of(&point);
-        let i = self.slot_for_insert(key);
-        let cell = &mut self.slots[i].cell;
-        if cell.is_empty() {
-            self.nonempty_cells += 1;
-        }
-        cell.push(id, point);
-        self.len += 1;
-    }
-
-    fn remove(&mut self, id: usize, point: &Point) -> bool {
-        let key = self.cell_of(point);
-        let Some(i) = self.find_slot(key) else {
-            return false;
-        };
-        let cell = &mut self.slots[i].cell;
-        let Some(pos) = cell
-            .entries()
-            .position(|(eid, ep)| eid == id && ep.same_bits(point))
-        else {
-            return false;
-        };
-        cell.swap_remove(pos);
-        if cell.is_empty() {
-            self.nonempty_cells -= 1;
-        }
-        self.len -= 1;
-        true
-    }
-
-    fn for_each_in_radius_with_dist2(
-        &self,
-        center: &Point,
-        radius: f64,
-        mut visit: impl FnMut(usize, &Point, f64),
-    ) {
-        let r2 = radius * radius;
-        self.for_each_candidate_cell(center, radius, |cell| {
-            for (id, p) in cell.entries() {
-                let d2 = p.dist2(center);
-                if d2 <= r2 {
-                    visit(id, &p, d2);
-                }
-            }
-        });
-    }
-
-    fn gather_in_radius_into(&self, center: &Point, radius: f64, out: &mut NeighborBatch) {
-        out.clear();
-        let r2 = radius * radius;
-        self.for_each_candidate_cell(center, radius, |cell| {
-            // Branch-free lane fill: every entry's id and `d2` are written at
-            // the cursor, and the cursor advances only past the ones within
-            // the radius, so a rejected entry is overwritten by the next.
-            // Same traversal, same `d2` bits and same `d2 <= r²` filter as
-            // the visitor path, so lanes land in exactly the visitation
-            // order.
-            let (ids, dist2) = out.spare(cell.len());
-            let mut w = 0;
-            let [cell_ids, xs, ys, _] = cell.columns();
-            for ((&id, &x), &y) in cell_ids.iter().zip(xs).zip(ys) {
-                // `Point::dist2`'s operand order, so the bits match the
-                // visitor's `entry.dist2(center)`.
-                let dx = f64::from_bits(x) - center.x;
-                let dy = f64::from_bits(y) - center.y;
-                let d2 = dx * dx + dy * dy;
-                ids[w] = id as usize;
-                dist2[w] = d2;
-                w += (d2 <= r2) as usize;
-            }
-            out.commit(w);
-        });
-    }
-
-    fn occupancy_stats(&self) -> Option<GridOccupancy> {
-        Some(self.occupancy())
-    }
-}
-
 /// Checkpoint snapshot codec — see [`crate::snapshot`].
 impl HashGrid {
     /// Serializes the grid: cell-size bits, entry count, then every entry in
@@ -605,27 +719,29 @@ impl HashGrid {
     /// observable traversal — the geometric query path walks cells row-major
     /// by coordinates, per-cell items in insertion order — depends only on
     /// that, not on where cells landed in the open-addressed table.
-    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
-        snapshot::put_f64(out, self.cell_size);
-        snapshot::put_usize(out, self.len);
+    pub fn snapshot(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        snapshot::put_f64(&mut out, self.cell_size);
+        snapshot::put_usize(&mut out, self.len);
         for slot in &self.slots {
             if !slot.occupied {
                 continue;
             }
             for (id, p) in slot.cell.entries() {
-                snapshot::put_usize(out, id);
-                snapshot::put_f64(out, p.x);
-                snapshot::put_f64(out, p.y);
-                snapshot::put_f64(out, p.value);
+                snapshot::put_usize(&mut out, id);
+                snapshot::put_f64(&mut out, p.x);
+                snapshot::put_f64(&mut out, p.y);
+                snapshot::put_f64(&mut out, p.value);
             }
         }
+        out
     }
 
-    /// Restores a grid from [`snapshot_into`](Self::snapshot_into) bytes by
-    /// replaying the recorded inserts into a fresh table.
-    pub fn restore_snapshot(
-        r: &mut snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, snapshot::SnapshotError> {
+    /// Restores a grid from [`snapshot`](Self::snapshot) bytes by replaying
+    /// the recorded inserts into a fresh table. The buffer must hold exactly
+    /// one snapshot: trailing bytes are rejected.
+    pub fn restore(bytes: &[u8]) -> Result<Self, snapshot::SnapshotError> {
+        let mut r = snapshot::SnapshotReader::new(bytes);
         let cell_size = r.take_f64("hashgrid cell size")?;
         if !cell_size.is_finite() || cell_size <= 0.0 {
             return Err(snapshot::SnapshotError::new(format!(
@@ -645,8 +761,9 @@ impl HashGrid {
                     "hashgrid entry {i} has non-finite coordinates ({x}, {y})"
                 )));
             }
-            LocalityIndex::insert(&mut grid, id, Point::with_value(x, y, value));
+            grid.insert(id, Point::with_value(x, y, value));
         }
+        r.expect_end()?;
         Ok(grid)
     }
 }
@@ -658,10 +775,23 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn random_points(n: usize, seed: u64) -> Vec<Point> {
+        random_points_within(n, seed, 100.0)
+    }
+
+    /// `n` seeded points, uniform over `[-half, half)²`.
+    fn random_points_within(n: usize, seed: u64, half: f64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| Point::new(rng.gen_range(-100.0..100.0), rng.gen_range(-100.0..100.0)))
+            .map(|_| Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half)))
             .collect()
+    }
+
+    /// The ids the visitor reports within `radius` of `center`, sorted.
+    fn ids_within(g: &HashGrid, center: &Point, radius: f64) -> Vec<usize> {
+        let mut ids = Vec::new();
+        g.for_each_in_radius_with_dist2(center, radius, |id, _, _| ids.push(id));
+        ids.sort_unstable();
+        ids
     }
 
     fn brute_force(pts: &[Point], center: &Point, radius: f64) -> Vec<usize> {
@@ -679,8 +809,8 @@ mod tests {
     fn empty_grid_behaviour() {
         let g = HashGrid::new();
         assert!(g.is_empty());
-        assert_eq!(LocalityIndex::len(&g), 0);
-        assert!(g.query_radius(&Point::new(0.0, 0.0), 10.0).is_empty());
+        assert_eq!(g.len(), 0);
+        assert!(ids_within(&g, &Point::new(0.0, 0.0), 10.0).is_empty());
         assert_eq!(g.occupied_cells(), 0);
     }
 
@@ -703,14 +833,9 @@ mod tests {
         // constant factor changes).
         for cell in [0.5, 4.0, 40.0, 500.0] {
             let g = HashGrid::from_entries(cell, pts.iter().copied().enumerate());
-            assert_eq!(LocalityIndex::len(&g), pts.len());
+            assert_eq!(g.len(), pts.len());
             for radius in [1.0, 10.0, 40.0] {
-                let mut got: Vec<usize> = g
-                    .query_radius(&center, radius)
-                    .into_iter()
-                    .map(|(id, _)| id)
-                    .collect();
-                got.sort_unstable();
+                let got = ids_within(&g, &center, radius);
                 assert_eq!(
                     got,
                     brute_force(&pts, &center, radius),
@@ -726,12 +851,7 @@ mod tests {
         // Tiny cells + huge radius forces the cell block past the table size.
         let g = HashGrid::from_entries(1e-3, pts.iter().copied().enumerate());
         let center = Point::new(0.0, 0.0);
-        let mut got: Vec<usize> = g
-            .query_radius(&center, 150.0)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
-        got.sort_unstable();
+        let got = ids_within(&g, &center, 150.0);
         assert_eq!(got, brute_force(&pts, &center, 150.0));
     }
 
@@ -796,23 +916,18 @@ mod tests {
         for step in 0..3_000 {
             if reference.is_empty() || rng.gen_bool(0.6) {
                 let p = Point::new(rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0));
-                LocalityIndex::insert(&mut g, next_id, p);
+                g.insert(next_id, p);
                 reference.push((next_id, p));
                 next_id += 1;
             } else {
                 let idx = rng.gen_range(0..reference.len());
                 let (id, p) = reference.swap_remove(idx);
-                assert!(LocalityIndex::remove(&mut g, id, &p), "step {step}");
+                assert!(g.remove(id, &p), "step {step}");
             }
-            assert_eq!(LocalityIndex::len(&g), reference.len(), "step {step}");
+            assert_eq!(g.len(), reference.len(), "step {step}");
         }
         let center = Point::new(0.0, 0.0);
-        let mut got: Vec<usize> = g
-            .query_radius(&center, 25.0)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
-        got.sort_unstable();
+        let got = ids_within(&g, &center, 25.0);
         let mut expected: Vec<usize> = reference
             .iter()
             .filter(|(_, p)| p.dist(&center) <= 25.0)
@@ -829,23 +944,18 @@ mod tests {
         // capacity) must be reused, not tombstoned.
         let p = Point::new(0.5, 0.5);
         for round in 0..100 {
-            LocalityIndex::insert(&mut g, round, p);
-            assert!(LocalityIndex::remove(&mut g, round, &p));
+            g.insert(round, p);
+            assert!(g.remove(round, &p));
         }
         assert_eq!(g.capacity(), INITIAL_CAPACITY, "drained cell leaked slots");
         // Touch many distinct cells to force growth; the drained cell is
         // dropped during the rehash.
         for i in 0..200 {
-            LocalityIndex::insert(&mut g, 1_000 + i, Point::new(i as f64 * 10.0, 0.0));
+            g.insert(1_000 + i, Point::new(i as f64 * 10.0, 0.0));
         }
-        assert_eq!(LocalityIndex::len(&g), 200);
+        assert_eq!(g.len(), 200);
         assert_eq!(g.occupied_cells(), 200);
-        let mut found: Vec<usize> = g
-            .query_radius(&Point::new(995.0, 0.0), 1_000.0)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
-        found.sort_unstable();
+        let found = ids_within(&g, &Point::new(995.0, 0.0), 1_000.0);
         assert_eq!(found.len(), 200);
     }
 
@@ -854,13 +964,13 @@ mod tests {
         let p = Point::new(1.0, 1.0);
         let mut g = HashGrid::with_cell_size(2.0);
         for id in 0..20 {
-            LocalityIndex::insert(&mut g, id, p);
+            g.insert(id, p);
         }
-        assert_eq!(LocalityIndex::len(&g), 20);
-        assert_eq!(g.query_radius(&p, 0.1).len(), 20);
-        assert!(LocalityIndex::remove(&mut g, 7, &p));
-        assert_eq!(LocalityIndex::len(&g), 19);
-        assert!(!LocalityIndex::remove(&mut g, 7, &p));
+        assert_eq!(g.len(), 20);
+        assert_eq!(ids_within(&g, &p, 0.1).len(), 20);
+        assert!(g.remove(7, &p));
+        assert_eq!(g.len(), 19);
+        assert!(!g.remove(7, &p));
     }
 
     #[test]
@@ -870,41 +980,20 @@ mod tests {
         let glitch_a = Point::new(1e18, 1e18);
         let glitch_b = Point::new(1.5e18, 1.5e18);
         let normal = Point::new(3.0, 4.0);
-        LocalityIndex::insert(&mut g, 0, glitch_a);
-        LocalityIndex::insert(&mut g, 1, glitch_b);
-        LocalityIndex::insert(&mut g, 2, normal);
+        g.insert(0, glitch_a);
+        g.insert(1, glitch_b);
+        g.insert(2, normal);
         // A local query never sees the glitches.
-        let near: Vec<usize> = g
-            .query_radius(&Point::new(3.0, 4.0), 5.0)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
+        let near = ids_within(&g, &Point::new(3.0, 4.0), 5.0);
         assert_eq!(near, vec![2]);
         // A query centred on a glitch finds exactly the glitches in range
         // (both clamp to the same border cell; the distance filter decides).
-        let at_glitch: Vec<usize> = g
-            .query_radius(&glitch_a, 1e18)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
+        let at_glitch = ids_within(&g, &glitch_a, 1e18);
         assert_eq!(at_glitch, vec![0, 1]);
         // And the glitches can be removed again.
-        assert!(LocalityIndex::remove(&mut g, 0, &glitch_a));
-        assert!(LocalityIndex::remove(&mut g, 1, &glitch_b));
-        assert_eq!(LocalityIndex::len(&g), 1);
-    }
-
-    #[test]
-    fn query_radius_into_reuses_buffer_capacity() {
-        let pts = random_points(300, 12);
-        let g = HashGrid::from_entries(50.0, pts.iter().copied().enumerate());
-        let mut buf = Vec::new();
-        g.query_radius_into(&Point::new(0.0, 0.0), 400.0, &mut buf);
-        assert_eq!(buf.len(), 300);
-        let cap = buf.capacity();
-        g.query_radius_into(&Point::new(0.0, 0.0), 1.0, &mut buf);
-        assert!(buf.len() < 300);
-        assert_eq!(buf.capacity(), cap);
+        assert!(g.remove(0, &glitch_a));
+        assert!(g.remove(1, &glitch_b));
+        assert_eq!(g.len(), 1);
     }
 
     #[test]
@@ -930,12 +1019,7 @@ mod tests {
                 origin.y + rng.gen_range(-45.0..45.0),
             );
             for radius in [1.0, 3.0, 12.0] {
-                let mut got: Vec<usize> = g
-                    .query_radius(&q, radius)
-                    .into_iter()
-                    .map(|(id, _)| id)
-                    .collect();
-                got.sort_unstable();
+                let got = ids_within(&g, &q, radius);
                 assert_eq!(got, brute_force(&pts, &q, radius), "radius {radius}");
             }
         }
@@ -954,15 +1038,15 @@ mod tests {
             .map(|_| Point::new(rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0)))
             .collect();
         for (i, p) in pts.iter().enumerate() {
-            LocalityIndex::insert(&mut g, i, *p);
+            g.insert(i, *p);
         }
         for i in 0..2_000 {
             let j = i % pts.len();
-            assert!(LocalityIndex::remove(&mut g, j, &pts[j]));
-            LocalityIndex::insert(&mut g, j, pts[j]);
+            assert!(g.remove(j, &pts[j]));
+            g.insert(j, pts[j]);
         }
         assert_eq!(g.cell_size(), 10.0);
-        assert_eq!(LocalityIndex::len(&g), pts.len());
+        assert_eq!(g.len(), pts.len());
     }
 
     #[test]
@@ -974,11 +1058,11 @@ mod tests {
         let build = |_: ()| {
             let mut g = HashGrid::with_cell_size(9.0);
             for (i, p) in pts.iter().enumerate() {
-                LocalityIndex::insert(&mut g, i, *p);
+                g.insert(i, *p);
             }
             for (i, p) in pts.iter().enumerate().take(200) {
                 if i % 3 == 0 {
-                    assert!(LocalityIndex::remove(&mut g, i, p));
+                    assert!(g.remove(i, p));
                 }
             }
             g
@@ -987,8 +1071,8 @@ mod tests {
         let center = Point::new(1.0, 2.0);
         let mut seq_a = Vec::new();
         let mut seq_b = Vec::new();
-        a.for_each_in_radius(&center, 30.0, |id, _| seq_a.push(id));
-        b.for_each_in_radius(&center, 30.0, |id, _| seq_b.push(id));
+        a.for_each_in_radius_with_dist2(&center, 30.0, |id, _, _| seq_a.push(id));
+        b.for_each_in_radius_with_dist2(&center, 30.0, |id, _, _| seq_b.push(id));
         assert_eq!(seq_a, seq_b);
         assert!(!seq_a.is_empty());
     }
@@ -1004,14 +1088,9 @@ mod tests {
         let bulk = HashGrid::from_entries(7.0, pts.iter().copied().enumerate());
         let mut incremental = HashGrid::with_cell_size(7.0);
         for (i, p) in pts.iter().enumerate() {
-            LocalityIndex::insert(&mut incremental, i, *p);
+            incremental.insert(i, *p);
         }
-        let snapshot = |g: &HashGrid| {
-            let mut bytes = Vec::new();
-            g.snapshot_into(&mut bytes);
-            bytes
-        };
-        assert_eq!(snapshot(&bulk), snapshot(&incremental));
+        assert_eq!(bulk.snapshot(), incremental.snapshot());
         let (mut a, mut b) = (NeighborBatch::new(), NeighborBatch::new());
         for center in pts.iter().step_by(97) {
             bulk.gather_in_radius_into(center, 7.0, &mut a);
@@ -1061,14 +1140,9 @@ mod tests {
                 points.push(Point::new(sign * 3e18, sign * 2e18));
             }
             let grid = HashGrid::from_entries(cell, points.iter().copied().enumerate());
-            proptest::prop_assert_eq!(LocalityIndex::len(&grid), points.len());
+            proptest::prop_assert_eq!(grid.len(), points.len());
             let q = Point::new(qx + offset, qy + offset);
-            let mut got: Vec<usize> = grid
-                .query_radius(&q, radius)
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
-            got.sort_unstable();
+            let got = ids_within(&grid, &q, radius);
             proptest::prop_assert_eq!(got, brute_force(&points, &q, radius));
         }
 
@@ -1085,19 +1159,323 @@ mod tests {
             let mut kept = Vec::new();
             for (i, p) in points.iter().enumerate() {
                 if removal_mask.get(i).copied().unwrap_or(false) {
-                    proptest::prop_assert!(LocalityIndex::remove(&mut grid, i, p));
+                    proptest::prop_assert!(grid.remove(i, p));
                 } else {
                     kept.push(i);
                 }
             }
-            proptest::prop_assert_eq!(LocalityIndex::len(&grid), kept.len());
-            let mut found: Vec<usize> = grid
-                .query_radius(&Point::new(0.0, 0.0), 1_000.0)
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
-            found.sort_unstable();
+            proptest::prop_assert_eq!(grid.len(), kept.len());
+            let found = ids_within(&grid, &Point::new(0.0, 0.0), 1_000.0);
             proptest::prop_assert_eq!(found, kept);
+        }
+    }
+
+    /// Compile-time audit: the grid and its gather scratch must be shareable
+    /// across the scoped worker threads of the parallel subsystem. A field
+    /// gaining an `Rc`/`RefCell` would turn this into a compile error rather
+    /// than a distant trait-bound failure.
+    #[test]
+    fn grid_and_batch_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<HashGrid>();
+        assert_send_sync::<NeighborBatch>();
+    }
+
+    #[test]
+    fn churn_then_reset_leaves_an_empty_usable_grid() {
+        let pts = random_points_within(200, 11, 50.0);
+        let mut g = HashGrid::new();
+        for (i, p) in pts.iter().enumerate() {
+            g.insert(i, *p);
+        }
+        // Remove half the entries.
+        for (i, p) in pts.iter().enumerate() {
+            if i % 2 == 0 {
+                assert!(g.remove(i, p), "remove {i}");
+            }
+        }
+        assert_eq!(g.len(), pts.len() / 2);
+        // Removed entries are gone, kept entries still found.
+        let found = ids_within(&g, &Point::new(0.0, 0.0), 1_000.0);
+        assert!(found.iter().all(|id| id % 2 == 1));
+        assert_eq!(found.len(), pts.len() / 2);
+        // Reset empties the grid and it stays usable.
+        g.reset(5.0);
+        assert!(g.is_empty());
+        g.insert(7, Point::new(1.0, 1.0));
+        assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn removes_entries_whose_value_is_nan() {
+        let p = Point::with_value(1.0, 2.0, f64::NAN);
+        let mut g = HashGrid::with_cell_size(1.0);
+        g.insert(3, p);
+        assert!(g.remove(3, &p));
+        assert!(g.is_empty());
+    }
+
+    /// Full observable state of a radius query: ids, point bits and distance
+    /// bits, **in visitation order**.
+    fn query_trace(g: &HashGrid, center: &Point, radius: f64) -> Vec<(usize, [u64; 4])> {
+        let mut out = Vec::new();
+        g.for_each_in_radius_with_dist2(center, radius, |id, p, d2| {
+            out.push((
+                id,
+                [
+                    p.x.to_bits(),
+                    p.y.to_bits(),
+                    p.value.to_bits(),
+                    d2.to_bits(),
+                ],
+            ));
+        });
+        out
+    }
+
+    /// The property the sampler's checkpoint/resume path is built on: a
+    /// restored grid is not merely set-equal to the original — it must
+    /// reproduce the original's **future behaviour** exactly, because the
+    /// determinism contract pins visitation order, and order is
+    /// history-dependent state. So after snapshot/restore, both copies are
+    /// driven through an identical gauntlet of interleaved churn and
+    /// queries, and every visitation sequence must match bit for bit.
+    #[test]
+    fn snapshot_restore_reproduces_future_behaviour() {
+        let radius = 7.0;
+        let centers = [
+            Point::new(0.0, 0.0),
+            Point::new(13.0, -22.0),
+            Point::new(-40.0, 40.0),
+        ];
+        let pts = random_points_within(500, 17, 50.0);
+        let mut original = HashGrid::with_cell_size(radius);
+        // History with churn: bulk insert, then remove a third — the
+        // removals leave reordered and drained cells behind, which is
+        // exactly the state a naive rebuild would lose.
+        for (i, p) in pts.iter().enumerate() {
+            original.insert(i, *p);
+        }
+        for (i, p) in pts.iter().enumerate() {
+            if i % 3 == 0 {
+                assert!(original.remove(i, p), "remove {i}");
+            }
+        }
+
+        let mut restored = HashGrid::restore(&original.snapshot()).expect("restore");
+        assert_eq!(restored.len(), original.len());
+
+        // Identical futures: alternate churn and queries on both copies.
+        let future = random_points_within(300, 23, 50.0);
+        for (step, p) in future.iter().enumerate() {
+            let id = 1_000 + step;
+            original.insert(id, *p);
+            restored.insert(id, *p);
+            if step % 5 == 0 {
+                let victim = step % pts.len();
+                let a = original.remove(victim, &pts[victim]);
+                let b = restored.remove(victim, &pts[victim]);
+                assert_eq!(a, b, "remove outcome at step {step}");
+            }
+            if step % 7 == 0 {
+                for center in &centers {
+                    assert_eq!(
+                        query_trace(&original, center, radius),
+                        query_trace(&restored, center, radius),
+                        "query trace diverged at step {step}"
+                    );
+                }
+            }
+        }
+        assert_eq!(restored.len(), original.len());
+        for center in &centers {
+            for r in [0.5, radius, 60.0] {
+                assert_eq!(
+                    query_trace(&original, center, r),
+                    query_trace(&restored, center, r),
+                    "final trace, radius {r}"
+                );
+            }
+        }
+    }
+
+    /// `-0.0`, subnormal coordinates and NaN values must survive the
+    /// snapshot byte-exactly (the sampler compares sample bits).
+    #[test]
+    fn snapshot_preserves_special_float_bits() {
+        let specials = [
+            Point::with_value(-0.0, 5e-324, f64::NAN),
+            Point::with_value(f64::MIN_POSITIVE, -f64::MIN_POSITIVE, -0.0),
+            Point::with_value(1e-308, -1e-308, f64::INFINITY),
+        ];
+        let mut g = HashGrid::with_cell_size(1.0);
+        for (i, p) in specials.iter().enumerate() {
+            g.insert(i, *p);
+        }
+        let restored = HashGrid::restore(&g.snapshot()).expect("restore");
+        let trace = query_trace(&restored, &Point::new(0.0, 0.0), 1.0);
+        assert_eq!(trace, query_trace(&g, &Point::new(0.0, 0.0), 1.0));
+        assert!(!trace.is_empty());
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_malformed_bytes() {
+        let g = HashGrid::from_entries(
+            2.0,
+            random_points_within(50, 31, 50.0).into_iter().enumerate(),
+        );
+        let bytes = g.snapshot();
+
+        // Truncation anywhere strictly inside the buffer fails.
+        for cut in [1, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                HashGrid::restore(&bytes[..cut]).is_err(),
+                "cut at {cut} accepted"
+            );
+        }
+        // A cell size that is not finite and positive.
+        for bad in [f64::NAN, 0.0, -2.0, f64::INFINITY] {
+            let mut b = bytes.clone();
+            b[..8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let err = HashGrid::restore(&b).unwrap_err();
+            assert!(err.to_string().contains("cell size"), "{err}");
+        }
+        // Trailing garbage.
+        let mut long = bytes.clone();
+        long.push(0);
+        let err = HashGrid::restore(&long).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+        // The pristine buffer still restores.
+        assert!(HashGrid::restore(&bytes).is_ok());
+    }
+
+    /// A batch's live lanes as `(id, dist2 bits)` pairs.
+    fn lanes(batch: &NeighborBatch) -> Vec<(usize, u64)> {
+        assert_eq!(batch.ids().len(), batch.len());
+        assert_eq!(batch.dist2().len(), batch.len());
+        batch
+            .ids()
+            .iter()
+            .zip(batch.dist2())
+            .map(|(&id, d2)| (id, d2.to_bits()))
+            .collect()
+    }
+
+    /// The visitor's `(id, dist2 bits)` sequence, in visitation order.
+    fn visitor_lanes(g: &HashGrid, center: &Point, radius: f64) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        g.for_each_in_radius_with_dist2(center, radius, |id, _, d2| {
+            out.push((id, d2.to_bits()));
+        });
+        out
+    }
+
+    #[test]
+    fn batch_gather_matches_the_visitor_lane_for_lane() {
+        // The contract the batched kernel path is built on: the SoA gather
+        // must reproduce the visitor's (id, dist2) sequence bit-for-bit, in
+        // the same order — including after churn, and when the reused batch
+        // previously held a larger result. The visitor's `dist2` is the
+        // entry's squared distance to the center.
+        let pts = random_points_within(400, 29, 50.0);
+        let mut g = HashGrid::from_entries(9.0, pts.iter().copied().enumerate());
+        for (i, p) in pts.iter().enumerate().take(150) {
+            if i % 4 == 0 {
+                assert!(g.remove(i, p));
+            }
+        }
+        let mut batch = NeighborBatch::new();
+        for (radius, center) in [
+            (9.0, Point::new(2.0, -3.0)),
+            (25.0, Point::new(-10.0, 10.0)),
+            (0.5, Point::new(0.0, 0.0)),
+        ] {
+            g.for_each_in_radius_with_dist2(&center, radius, |_, p, d2| {
+                assert_eq!(d2.to_bits(), p.dist2(&center).to_bits());
+            });
+            let visited = visitor_lanes(&g, &center, radius);
+            g.gather_in_radius_into(&center, radius, &mut batch);
+            assert_eq!(batch.len(), visited.len());
+            assert_eq!(batch.is_empty(), visited.is_empty());
+            assert_eq!(lanes(&batch), visited, "radius {radius}");
+        }
+    }
+
+    #[test]
+    fn reused_batch_reports_only_the_new_lanes() {
+        // Many lanes, then few, then none: the storage keeps its high-water
+        // lanes, and none of them may leak into a later, shorter result.
+        let pts = random_points_within(400, 37, 50.0);
+        // Centered on an entry, so even the zero radius keeps one lane.
+        let center = pts[0];
+        let g = HashGrid::from_entries(6.0, pts.iter().copied().enumerate());
+        let mut batch = NeighborBatch::new();
+        let mut sizes = Vec::new();
+        for (radius, query) in [
+            (60.0, center),
+            (6.0, center),
+            (0.0, center),
+            (5.0, Point::new(1e6, 1e6)),
+        ] {
+            g.gather_in_radius_into(&query, radius, &mut batch);
+            assert_eq!(
+                lanes(&batch),
+                visitor_lanes(&g, &query, radius),
+                "radius {radius}"
+            );
+            sizes.push(batch.len());
+        }
+        assert!(
+            sizes[0] > sizes[1] && sizes[1] > sizes[2] && sizes[2] > 0 && sizes[3] == 0,
+            "lane counts {sizes:?}"
+        );
+        assert_eq!(
+            format!("{batch:?}"),
+            format!("{:?}", NeighborBatch::new()),
+            "Debug shows stale lanes"
+        );
+    }
+
+    proptest::proptest! {
+        /// After random insert/remove churn — which reorders cells through
+        /// `swap_remove` — the gather's `(id, dist2 bits)` lanes equal the
+        /// visitor sequence at half, one and two cell sizes, and at a radius
+        /// wide enough to take the table-scan fallback.
+        #[test]
+        fn gather_matches_the_visitor_after_churn(
+            ops in proptest::collection::vec(
+                (proptest::bool::ANY, -30.0f64..30.0, -30.0f64..30.0, 0usize..1_000),
+                1..300,
+            ),
+            cell in 0.5f64..8.0,
+            qx in -30.0f64..30.0,
+            qy in -30.0f64..30.0,
+        ) {
+            let mut g = HashGrid::with_cell_size(cell);
+            let mut live: Vec<(usize, Point)> = Vec::new();
+            for (step, &(insert, x, y, pick)) in ops.iter().enumerate() {
+                if insert || live.is_empty() {
+                    let p = Point::with_value(x, y, step as f64);
+                    g.insert(step, p);
+                    live.push((step, p));
+                } else {
+                    let (id, p) = live.swap_remove(pick % live.len());
+                    proptest::prop_assert!(g.remove(id, &p));
+                }
+            }
+            let center = Point::new(qx, qy);
+            let mut batch = NeighborBatch::new();
+            for radius in [0.5 * cell, cell, 2.0 * cell, 1e4 * cell] {
+                g.gather_in_radius_into(&center, radius, &mut batch);
+                proptest::prop_assert_eq!(
+                    lanes(&batch),
+                    visitor_lanes(&g, &center, radius),
+                    "radius {}", radius
+                );
+            }
+            // The widest radius's cell block dwarfs the table.
+            let per_axis = 2.0 * 1e4;
+            proptest::prop_assert!(per_axis * per_axis > 2.0 * g.capacity() as f64);
         }
     }
 }

@@ -11,7 +11,7 @@
 //! The tree is constructed by recursive median splits, which guarantees a
 //! balanced tree regardless of the input distribution. It is immutable once
 //! built; the Interchange loop's insert/remove churn goes through the
-//! [`LocalityIndex`](crate::LocalityIndex) backends instead.
+//! [`HashGrid`](crate::HashGrid) instead.
 
 use vas_data::{BoundingBox, Point};
 

@@ -4,17 +4,12 @@
 //!
 //! The fixed-radius neighbourhood query at the heart of the `ES+Loc`
 //! Interchange variant (Section IV-B, "Speed-Up using the Locality of
-//! Proximity function") is abstracted behind the [`LocalityIndex`] trait,
-//! with two interchangeable backends:
-//!
-//! * an **R-tree** — the paper's original choice, also serving region and
-//!   nearest-neighbour queries, and
-//! * a **spatial hash** ([`HashGrid`]) — cutoff-sized cells in an
-//!   open-addressed table, the fastest backend for the Interchange loop's
-//!   fixed-radius churn workload (and the default).
-//!
-//! Runtime backend selection goes through [`LocalityBackend`] /
-//! [`AnyLocalityIndex`].
+//! Proximity function") is answered by a **spatial hash** ([`HashGrid`]):
+//! cutoff-sized cells in an open-addressed table, which keeps up with the
+//! loop's insert/remove churn and hands neighbourhoods out in a
+//! deterministic order, one at a time or as struct-of-arrays lanes
+//! ([`NeighborBatch`]). The paper uses an R-tree here; any exact range index
+//! gives the same sample, and the grid is the faster one on this workload.
 //!
 //! A static **k-d tree** ([`KdTree`]) serves the nearest-neighbour pass of
 //! the density embedding extension (Section V). We also provide a **uniform
@@ -31,15 +26,11 @@
 pub mod grid;
 pub mod hashgrid;
 pub mod kdtree;
-pub mod locality;
 pub mod partition;
-pub mod rtree;
 pub mod snapshot;
 
 pub use grid::UniformGrid;
-pub use hashgrid::{GridOccupancy, HashGrid};
+pub use hashgrid::{GridOccupancy, HashGrid, NeighborBatch};
 pub use kdtree::KdTree;
-pub use locality::{AnyLocalityIndex, LocalityBackend, LocalityIndex, NeighborBatch};
 pub use partition::ShardPartitioner;
-pub use rtree::RTree;
 pub use snapshot::{SnapshotError, SnapshotReader};

@@ -17,7 +17,7 @@
 //!
 //! Mapping *cells*, not raw points, keeps each shard spatially coherent at
 //! the cell granularity (neighbours within a kernel cutoff usually share a
-//! cell), which is what makes the per-shard `LocalityIndex` effective; the
+//! cell), which is what makes the per-shard `HashGrid` effective; the
 //! hash reduction spreads cells evenly so no shard starves.
 //!
 //! **Totality.** The assignment never fails or branches on data quality:
@@ -232,7 +232,7 @@ mod tests {
         let part = ShardPartitioner::new(2, 0.37);
         let mut grid = HashGrid::with_cell_size(0.37);
         for (i, p) in grid_points().iter().enumerate() {
-            crate::LocalityIndex::insert(&mut grid, i, *p);
+            grid.insert(i, *p);
             assert_eq!(part.cell_of(p), grid.cell_of(p));
         }
     }

@@ -1,22 +1,15 @@
-//! Byte-exact snapshots of the locality backends, for checkpoint/resume.
+//! Byte-exact snapshots of the locality index, for checkpoint/resume.
 //!
-//! The sampler's determinism contract is pinned **per backend**: every
-//! backend produces a deterministic — but history-dependent — visitation
-//! order, so a checkpoint cannot simply store the live entries and rebuild
-//! the index from scratch; the rebuilt structure would visit neighbours in a
+//! The sampler's determinism contract pins the [`HashGrid`](crate::HashGrid)'s
+//! visitation order, which is deterministic but history-dependent: within a
+//! cell, entries sit in insertion order as `swap_remove` left it. A
+//! checkpoint therefore cannot simply store the live entries in any order
+//! and rebuild the grid; the rebuilt grid would visit neighbours in a
 //! different (equally valid) order and the resumed run would diverge bit by
-//! bit from an uninterrupted one. Instead each backend serializes exactly the
-//! state its future behaviour depends on:
-//!
-//! * [`RTree`](crate::RTree) — the full node tree, **including the stored
-//!   bounding boxes verbatim**. Boxes are maintained incrementally by
-//!   `extend` during inserts and drive future child choice via enlargement;
-//!   recomputing them on restore could flip a tie and change the shape of
-//!   future splits.
-//! * [`HashGrid`](crate::HashGrid) — the cell size bits plus every entry in
-//!   cell-grouped scan order; replaying the inserts reproduces each cell's
-//!   item vector exactly, and the geometric query path orders cells
-//!   row-major independent of table layout.
+//! bit from an uninterrupted one. The grid instead serializes its cell size
+//! bits plus every entry in cell-grouped scan order; replaying the inserts
+//! reproduces each cell's columns exactly, and the geometric query path
+//! orders cells row-major independent of table layout.
 //!
 //! All multi-byte values are little-endian; `f64`s travel as raw bits, so
 //! `-0.0`, subnormals and NaN payloads survive unchanged. The encoding has
@@ -25,8 +18,8 @@
 
 use std::fmt;
 
-/// A snapshot decode failure: truncated bytes, an unknown tag, or an
-/// internal-consistency violation (counts that do not add up).
+/// A snapshot decode failure: truncated bytes, trailing bytes, or a value
+/// the encoder never writes (such as a non-finite cell size).
 #[derive(Debug)]
 pub struct SnapshotError {
     /// What failed to decode.

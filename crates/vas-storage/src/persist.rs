@@ -308,6 +308,7 @@ fn read_sample_v1(path: &Path, entry: &LegacyManifestEntry) -> Result<Sample, Va
             path: path.display().to_string(),
             promised: entry.len as u64,
             found: rows,
+            unit: "points",
         });
     }
     let mut r = BufReader::new(file);

@@ -575,6 +575,7 @@ impl ChunkedReader {
                             path: self.path.display().to_string(),
                             promised: self.header.count,
                             found: self.read + self.skipped_points,
+                            unit: "points",
                         }
                         .into());
                     }
@@ -923,6 +924,7 @@ mod tests {
                 VasError::Truncated {
                     promised: 400,
                     found: 300,
+                    unit: "points",
                     ..
                 }
             ),

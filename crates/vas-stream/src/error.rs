@@ -62,14 +62,17 @@ pub enum VasError {
         /// Checksum computed over the bytes actually read.
         computed: u32,
     },
-    /// A stream ended with fewer points than its header promised.
+    /// A file or stream ended with less than its header promised.
     Truncated {
         /// File (or stream) that came up short.
         path: String,
-        /// Points the header promised.
+        /// How much the header promised, counted in `unit`.
         promised: u64,
-        /// Points actually decoded.
+        /// How much was actually there, in the same unit.
         found: u64,
+        /// What `promised` and `found` count: `"points"` for data files,
+        /// `"bytes"` for checkpoint containers.
+        unit: &'static str,
     },
     /// A resume/restore precondition did not hold (wrong source, wrong
     /// configuration, wrong chunk size).
@@ -128,9 +131,10 @@ impl fmt::Display for VasError {
                 path,
                 promised,
                 found,
+                unit,
             } => write!(
                 f,
-                "{path}: truncated: header promises {promised} points, found {found}"
+                "{path}: truncated: header promises {promised} {unit}, found {found}"
             ),
             VasError::Mismatch { expected, found } => {
                 write!(f, "mismatch: expected {expected}, found {found}")
@@ -259,12 +263,21 @@ mod tests {
             path: "a.vaschunk".into(),
             promised: 100,
             found: 42,
+            unit: "points",
         };
         let s = e.to_string();
         assert!(
-            s.contains("a.vaschunk") && s.contains("100") && s.contains("42"),
+            s.contains("a.vaschunk") && s.contains("promises 100 points") && s.contains("found 42"),
             "{s}"
         );
+        let e = VasError::Truncated {
+            path: "c.vascheckpt".into(),
+            promised: 4_096,
+            found: 24,
+            unit: "bytes",
+        };
+        let s = e.to_string();
+        assert!(s.contains("promises 4096 bytes"), "{s}");
 
         let e = VasError::ChecksumMismatch {
             path: "b.vaschunk".into(),

@@ -12,7 +12,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`data`] | dataset generators (Geolife-like GPS traces, SPLOM, Gaussian mixtures), points, zoom workloads |
-//! | [`spatial`] | the `LocalityIndex` trait with R-tree and spatial-hash backends, plus a static k-d tree and grid substrates |
+//! | [`spatial`] | the `HashGrid` spatial hash that ES+Loc keeps its sample in, plus a static k-d tree and grid substrates |
 //! | [`sampling`] | the [`Sampler`](sampling::Sampler) trait and the uniform / stratified baselines |
 //! | [`core`] | the VAS objective, the Interchange algorithm, density embedding |
 //! | [`obs`] | observability: typed counters, one phase probe feeding spans and latency histograms, a tracer storing spans and events with a post-mortem dump, JSON/Prometheus exporters |
@@ -85,10 +85,7 @@ pub mod prelude {
     pub use vas_sampling::{
         PoissonDiskSampler, Sample, Sampler, StratifiedSampler, UniformSampler,
     };
-    pub use vas_spatial::{
-        AnyLocalityIndex, GridOccupancy, HashGrid, KdTree, LocalityBackend, LocalityIndex, RTree,
-        ShardPartitioner, UniformGrid,
-    };
+    pub use vas_spatial::{GridOccupancy, HashGrid, KdTree, ShardPartitioner, UniformGrid};
     pub use vas_storage::{SampleCatalog, Table, VizEngine, VizQuery};
     pub use vas_stream::{
         spill_dataset, spill_source, ChunkedReader, ChunkedWriter, CsvSource, DatasetSource,

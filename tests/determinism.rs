@@ -1,6 +1,6 @@
 //! Regression tests pinning down determinism: the same seed must produce
 //! byte-identical output across independent runs of every generator and
-//! sampler. Future PRs that parallelize the hot loops (Interchange, R-tree
+//! sampler. Future PRs that parallelize the hot loops (Interchange, grid
 //! queries, dataset generation) must preserve this property — these tests
 //! are the tripwire.
 
@@ -67,40 +67,26 @@ fn stratified_sampler_is_deterministic_per_seed() {
 fn vas_sampler_is_deterministic() {
     // The Interchange algorithm is seedless (fully determined by the input
     // stream), so two runs over the same dataset must agree exactly — for
-    // every strategy and every locality backend.
+    // every strategy.
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
-    let mut cases = vec![(
-        InterchangeStrategy::ExpandShrink,
-        LocalityBackend::default(),
-    )];
-    for backend in LocalityBackend::ALL {
-        cases.push((InterchangeStrategy::ExpandShrinkLocality, backend));
-    }
-    for (strategy, backend) in cases {
-        let config = VasConfig::new(300)
-            .with_strategy(strategy)
-            .with_locality_backend(backend);
+    for strategy in oracle_cases() {
+        let config = VasConfig::new(300).with_strategy(strategy);
         let a = VasSampler::from_dataset(&data, config.clone()).sample_dataset(&data);
         let b = VasSampler::from_dataset(&data, config).sample_dataset(&data);
         assert_points_bitwise_equal(
             &a.points,
             &b.points,
-            &format!("VasSampler ({}, {backend})", strategy.label()),
+            &format!("VasSampler ({})", strategy.label()),
         );
     }
 }
 
-/// The strategies the reference oracle covers: plain ES, and ES+Loc on
-/// every locality backend.
-fn oracle_cases() -> Vec<(InterchangeStrategy, LocalityBackend)> {
-    let mut cases = vec![(
+/// The strategies the reference oracle covers: plain ES and ES+Loc.
+fn oracle_cases() -> [InterchangeStrategy; 2] {
+    [
         InterchangeStrategy::ExpandShrink,
-        LocalityBackend::default(),
-    )];
-    for backend in LocalityBackend::ALL {
-        cases.push((InterchangeStrategy::ExpandShrinkLocality, backend));
-    }
-    cases
+        InterchangeStrategy::ExpandShrinkLocality,
+    ]
 }
 
 fn assert_matches_oracle(sampler: &VasSampler, oracle: &Oracle, what: impl Fn() -> String) {
@@ -126,12 +112,9 @@ fn lock_step_against_oracle(
     data: &Dataset,
     k: usize,
     strategy: InterchangeStrategy,
-    backend: LocalityBackend,
     passes: usize,
 ) {
-    let config = VasConfig::new(k)
-        .with_strategy(strategy)
-        .with_locality_backend(backend);
+    let config = VasConfig::new(k).with_strategy(strategy);
     let mut sampler = VasSampler::from_dataset(data, config.clone());
     let mut oracle = Oracle::new(data, &config);
     for pass in 0..passes {
@@ -139,19 +122,19 @@ fn lock_step_against_oracle(
             sampler.observe(*p);
             oracle.observe(*p);
             assert_matches_oracle(&sampler, &oracle, || {
-                format!("{}/{backend}, pass {pass}, tuple {t}", strategy.label())
+                format!("{}, pass {pass}, tuple {t}", strategy.label())
             });
         }
     }
     assert!(
         oracle.replacements > 1_000,
-        "{}/{backend}: only {} replacements; the lock-step is nearly vacuous",
+        "{}: only {} replacements; the lock-step is nearly vacuous",
         strategy.label(),
         oracle.replacements
     );
     if strategy == InterchangeStrategy::ExpandShrinkLocality {
         assert_cache_certified(sampler.recorder().registry(), || {
-            format!("{}/{backend} lock-step", strategy.label())
+            format!("{} lock-step", strategy.label())
         });
     }
 }
@@ -203,13 +186,11 @@ fn optimized_inner_loop_is_bit_identical_to_the_legacy_implementation() {
     // filter, batched kernel lanes, cached cutoff radius) is a pure
     // speed-up over the paper's naive loop, which lives on only as the
     // test-side reference oracle. On the seeds pinned here, plain ES and
-    // ES+Loc on every backend must land on the oracle's sample bit for bit.
+    // ES+Loc must land on the oracle's sample bit for bit.
     for seed in [21u64, 99] {
         let data = GeolifeGenerator::with_size(10_000, seed).generate();
-        for (strategy, backend) in oracle_cases() {
-            let config = VasConfig::new(300)
-                .with_strategy(strategy)
-                .with_locality_backend(backend);
+        for strategy in oracle_cases() {
+            let config = VasConfig::new(300).with_strategy(strategy);
             let optimized = VasSampler::from_dataset(&data, config.clone()).sample_dataset(&data);
             let mut legacy = Oracle::new(&data, &config);
             for p in data.iter() {
@@ -219,7 +200,7 @@ fn optimized_inner_loop_is_bit_identical_to_the_legacy_implementation() {
                 &optimized.points,
                 &legacy.points,
                 &format!(
-                    "VasSampler optimized vs legacy oracle ({}, {backend}, seed {seed})",
+                    "VasSampler optimized vs legacy oracle ({}, seed {seed})",
                     strategy.label()
                 ),
             );
@@ -231,13 +212,12 @@ fn optimized_inner_loop_is_bit_identical_to_the_legacy_implementation() {
 fn es_loc_over_hashgrid_is_bit_identical_to_the_legacy_loop_per_tuple() {
     // Algorithm 1's contract: the optimized loop (block-max Shrink, bounded
     // rejection filter, batched kernel lanes) performs exactly the valid
-    // replacements of the paper's rule, on the spatial hash as on every
-    // other backend. Lock-step the sampler against the naive reference
-    // oracle after *every* tuple, over two passes, for plain ES and ES+Loc
-    // on every backend.
+    // replacements of the paper's rule. Lock-step the sampler against the
+    // naive reference oracle after *every* tuple, over two passes, for
+    // plain ES and ES+Loc.
     let data = GeolifeGenerator::with_size(6_000, 47).generate();
-    for (strategy, backend) in oracle_cases() {
-        lock_step_against_oracle(&data, 200, strategy, backend, 2);
+    for strategy in oracle_cases() {
+        lock_step_against_oracle(&data, 200, strategy, 2);
     }
 }
 
@@ -247,13 +227,7 @@ fn es_loc_matches_the_reference_oracle_past_one_dirty_word() {
     // word of its dirty mask. K = 4200 makes 66 blocks, so an accept's marks
     // and the winner search cross into the second word.
     let data = GeolifeGenerator::with_size(10_000, 47).generate();
-    lock_step_against_oracle(
-        &data,
-        4_200,
-        InterchangeStrategy::ExpandShrinkLocality,
-        LocalityBackend::HashGrid,
-        1,
-    );
+    lock_step_against_oracle(&data, 4_200, InterchangeStrategy::ExpandShrinkLocality, 1);
 }
 
 #[test]
@@ -269,16 +243,15 @@ fn chunked_interchange_matches_the_reference_oracle_per_pass_and_per_tuple() {
     // usually replaces them).
     let geolife = GeolifeGenerator::with_size(6_000, 47).generate();
     let gaussian = GaussianMixtureGenerator::paper_clustering_dataset(3, 6_000, 9).generate();
-    for (data, (strategy, backend)) in [&geolife, &gaussian]
+    for (data, strategy) in [&geolife, &gaussian]
         .into_iter()
-        .flat_map(|data| oracle_cases().into_iter().map(move |case| (data, case)))
+        .flat_map(|data| oracle_cases().map(move |strategy| (data, strategy)))
     {
         let config = VasConfig::new(200)
             .with_strategy(strategy)
-            .with_locality_backend(backend)
             .with_passes(2)
             .with_progress_every(1);
-        let what = format!("{}, {}/{backend}", data.name, strategy.label());
+        let what = format!("{}, {}", data.name, strategy.label());
         let trace = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&trace);
         let mut sampler = VasSampler::from_dataset(data, config.clone());
@@ -327,10 +300,9 @@ fn non_finite_points_are_skipped_like_the_reference_oracle() {
         points.insert(150 + 290 * i, bad);
     }
     let data = Dataset::from_points("nan-laced", points);
-    for (strategy, backend) in oracle_cases() {
+    for strategy in oracle_cases() {
         let config = VasConfig::new(200)
             .with_strategy(strategy)
-            .with_locality_backend(backend)
             .with_epsilon(eps);
         let mut sampler = VasSampler::from_dataset(&data, config.clone());
         let mut oracle = Oracle::new(&data, &config);
@@ -338,7 +310,7 @@ fn non_finite_points_are_skipped_like_the_reference_oracle() {
             sampler.observe(*p);
             oracle.observe(*p);
             assert_matches_oracle(&sampler, &oracle, || {
-                format!("{}/{backend}, tuple {t}", strategy.label())
+                format!("{}, tuple {t}", strategy.label())
             });
         }
         assert!(sampler.current_sample().iter().all(Point::is_finite));
@@ -407,8 +379,8 @@ fn chunked_spill_round_trip_is_bit_exact() {
 fn build_from_source_over_chunked_spill_is_bit_identical_to_build() {
     // The out-of-core contract: spilling a dataset to the chunked columnar
     // format and streaming it through `build_from_source` must reproduce
-    // `build()` over the in-memory dataset bit-for-bit — same seed, every
-    // locality backend's default (optimized) path, plus plain ES. The kernel
+    // `build()` over the in-memory dataset bit-for-bit — same seed, ES+Loc's
+    // default (optimized) path, plus plain ES. The kernel
     // bandwidth is left unset so the streaming ε-resolution pre-pass is part
     // of the pinned contract too.
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
@@ -418,17 +390,8 @@ fn build_from_source_over_chunked_spill_is_bit_identical_to_build() {
     ));
     spill_dataset(&data, &path, 1_024).unwrap();
 
-    let mut cases = vec![(
-        InterchangeStrategy::ExpandShrink,
-        LocalityBackend::default(),
-    )];
-    for backend in LocalityBackend::ALL {
-        cases.push((InterchangeStrategy::ExpandShrinkLocality, backend));
-    }
-    for (strategy, backend) in cases {
-        let config = VasConfig::new(300)
-            .with_strategy(strategy)
-            .with_locality_backend(backend);
+    for strategy in oracle_cases() {
+        let config = VasConfig::new(300).with_strategy(strategy);
         let reference = VasSampler::from_dataset(&data, config.clone()).build(&data);
         let mut reader = ChunkedReader::open(&path).unwrap();
         let streamed = VasSampler::new(config)
@@ -437,10 +400,7 @@ fn build_from_source_over_chunked_spill_is_bit_identical_to_build() {
         assert_points_bitwise_equal(
             &streamed.points,
             &reference.points,
-            &format!(
-                "build_from_source vs build ({}, {backend})",
-                strategy.label()
-            ),
+            &format!("build_from_source vs build ({})", strategy.label()),
         );
     }
     std::fs::remove_file(path).ok();
@@ -519,10 +479,10 @@ fn density_embedding_is_deterministic() {
 }
 
 #[test]
-fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
+fn kill_and_resume_is_bit_identical_per_strategy() {
     // The PR 7 contract: a streaming build killed at *any* chunk boundary
     // and resumed from its `.vascheckpt` must reproduce the uninterrupted
-    // sample bit for bit — on every locality backend. The checkpoint carries a byte-exact snapshot of the
+    // sample bit for bit. The checkpoint carries a byte-exact snapshot of the
     // locality index, so the restored index's future visitation order — and
     // with it every accept/reject decision — is exactly the original's.
     // Plain ES and No ES keep the sample out of the index, so they checkpoint
@@ -544,11 +504,8 @@ fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
             _ => {}
         }
     }
-    let backends: Vec<(String, VasConfig)> = LocalityBackend::ALL
-        .into_iter()
-        .map(|b| (b.to_string(), VasConfig::new(300).with_locality_backend(b)))
-        .collect();
-    let mut strategies = backends.clone();
+    let es_loc: Vec<(String, VasConfig)> = vec![("es_loc".into(), VasConfig::new(300))];
+    let mut strategies = es_loc.clone();
     strategies.push((
         "es".into(),
         VasConfig::new(300).with_strategy(InterchangeStrategy::ExpandShrink),
@@ -559,7 +516,7 @@ fn kill_and_resume_is_bit_identical_per_strategy_and_backend() {
     ));
     let inputs = [
         ("geolife", geolife, strategies),
-        ("nonfinite_values", non_finite, backends),
+        ("nonfinite_values", non_finite, es_loc),
     ];
     for (input, data, cases) in inputs {
         let path = std::env::temp_dir().join(format!(
@@ -640,7 +597,7 @@ fn instrumented_build_is_bit_identical_to_the_uninstrumented_build() {
     // The PR 8 contract: observability is off the data path. A build with a
     // timing-only recorder — live registry, phase timers, instrumented
     // reader, no tracer — must reproduce the detached-recorder build
-    // bit-for-bit, on every locality backend. The kernel bandwidth is left
+    // bit-for-bit. The kernel bandwidth is left
     // unset so the ε-resolution pre-pass streams through the instrumented
     // stack too.
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
@@ -650,46 +607,44 @@ fn instrumented_build_is_bit_identical_to_the_uninstrumented_build() {
     ));
     spill_dataset(&data, &path, 1_024).unwrap();
 
-    for backend in LocalityBackend::ALL {
-        let config = VasConfig::new(300).with_locality_backend(backend);
-        let uninstrumented = {
-            let mut reader = ChunkedReader::open(&path).unwrap();
-            VasSampler::new(config.clone())
-                .build_from_source(&mut reader)
-                .unwrap()
-        };
-        let registry = std::sync::Arc::new(MetricsRegistry::new());
-        let recorder = Recorder::new(std::sync::Arc::clone(&registry)).with_timing(true);
-        let instrumented = {
-            let mut reader = ChunkedReader::open(&path)
-                .unwrap()
-                .with_recorder(recorder.clone());
-            VasSampler::new(config)
-                .with_recorder(recorder.clone())
-                .build_from_source(&mut reader)
-                .unwrap()
-        };
-        assert_points_bitwise_equal(
-            &instrumented.points,
-            &uninstrumented.points,
-            &format!("instrumented vs uninstrumented build ({backend})"),
-        );
-        // The instrumentation must actually have been live. Build-scoped
-        // counters (accepts, rejects) reset when `finalize` ends the
-        // build, so the liveness probes are lifetime metrics: chunk
-        // decodes and the candidate-phase call histogram.
+    let config = VasConfig::new(300);
+    let uninstrumented = {
+        let mut reader = ChunkedReader::open(&path).unwrap();
+        VasSampler::new(config.clone())
+            .build_from_source(&mut reader)
+            .unwrap()
+    };
+    let registry = std::sync::Arc::new(MetricsRegistry::new());
+    let recorder = Recorder::new(std::sync::Arc::clone(&registry)).with_timing(true);
+    let instrumented = {
+        let mut reader = ChunkedReader::open(&path)
+            .unwrap()
+            .with_recorder(recorder.clone());
+        VasSampler::new(config)
+            .with_recorder(recorder.clone())
+            .build_from_source(&mut reader)
+            .unwrap()
+    };
+    assert_points_bitwise_equal(
+        &instrumented.points,
+        &uninstrumented.points,
+        "instrumented vs uninstrumented build",
+    );
+    // The instrumentation must actually have been live. Build-scoped
+    // counters (accepts, rejects) reset when `finalize` ends the
+    // build, so the liveness probes are lifetime metrics: chunk
+    // decodes and the candidate-phase call histogram.
+    assert!(
+        registry.get(Counter::StreamChunksDecoded) > 0,
+        "no chunk decodes recorded"
+    );
+    let snap = registry.snapshot();
+    for phase in [Phase::Fill, Phase::CandidateEval, Phase::ChunkDecode] {
         assert!(
-            registry.get(Counter::StreamChunksDecoded) > 0,
-            "no chunk decodes recorded ({backend})"
+            snap.phase_calls(phase) > 0,
+            "no {} timings recorded",
+            phase.name()
         );
-        let snap = registry.snapshot();
-        for phase in [Phase::Fill, Phase::CandidateEval, Phase::ChunkDecode] {
-            assert!(
-                snap.phase_calls(phase) > 0,
-                "no {} timings recorded ({backend})",
-                phase.name()
-            );
-        }
     }
     std::fs::remove_file(path).ok();
 }
@@ -700,7 +655,7 @@ fn traced_build_is_bit_identical_to_the_detached_build() {
     // span and event tracing — is off the data path too. A build with the
     // *entire* observability stack attached (registry, timers, tracer,
     // instrumented reader) must reproduce the detached-recorder build
-    // bit-for-bit, on every locality backend.
+    // bit-for-bit.
     let data = GeolifeGenerator::with_size(10_000, 23).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-determinism-trace-{}.vaschunk",
@@ -708,55 +663,48 @@ fn traced_build_is_bit_identical_to_the_detached_build() {
     ));
     spill_dataset(&data, &path, 1_024).unwrap();
 
-    for backend in LocalityBackend::ALL {
-        let config = VasConfig::new(300).with_locality_backend(backend);
-        let detached = {
-            let mut reader = ChunkedReader::open(&path).unwrap();
-            VasSampler::new(config.clone())
-                .build_from_source(&mut reader)
-                .unwrap()
-        };
-        let tracer = std::sync::Arc::new(Tracer::new());
-        let recorder = Recorder::new(std::sync::Arc::new(MetricsRegistry::new()))
-            .with_timing(true)
-            .with_tracer(std::sync::Arc::clone(&tracer));
-        let traced = {
-            let mut reader = ChunkedReader::open(&path)
-                .unwrap()
-                .with_recorder(recorder.clone());
-            VasSampler::new(config)
-                .with_recorder(recorder.clone())
-                .build_from_source(&mut reader)
-                .unwrap()
-        };
-        assert_points_bitwise_equal(
-            &traced.points,
-            &detached.points,
-            &format!("traced vs detached build ({backend})"),
-        );
-        // The causal layer must actually have been live: spans and
-        // events recorded, and the exported trace must survive its own
-        // parser.
-        assert!(!tracer.spans().is_empty(), "no spans recorded ({backend})");
-        assert!(
-            tracer.events().iter().any(|e| e.name == "phase_transition"),
-            "no events recorded ({backend})"
-        );
-        let parsed =
-            parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace must parse");
-        assert_eq!(
-            parsed.len(),
-            tracer.spans().len(),
-            "trace round trip lost spans ({backend})"
-        );
-    }
+    let config = VasConfig::new(300);
+    let detached = {
+        let mut reader = ChunkedReader::open(&path).unwrap();
+        VasSampler::new(config.clone())
+            .build_from_source(&mut reader)
+            .unwrap()
+    };
+    let tracer = std::sync::Arc::new(Tracer::new());
+    let recorder = Recorder::new(std::sync::Arc::new(MetricsRegistry::new()))
+        .with_timing(true)
+        .with_tracer(std::sync::Arc::clone(&tracer));
+    let traced = {
+        let mut reader = ChunkedReader::open(&path)
+            .unwrap()
+            .with_recorder(recorder.clone());
+        VasSampler::new(config)
+            .with_recorder(recorder.clone())
+            .build_from_source(&mut reader)
+            .unwrap()
+    };
+    assert_points_bitwise_equal(&traced.points, &detached.points, "traced vs detached build");
+    // The causal layer must actually have been live: spans and
+    // events recorded, and the exported trace must survive its own
+    // parser.
+    assert!(!tracer.spans().is_empty(), "no spans recorded");
+    assert!(
+        tracer.events().iter().any(|e| e.name == "phase_transition"),
+        "no events recorded"
+    );
+    let parsed = parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace must parse");
+    assert_eq!(
+        parsed.len(),
+        tracer.spans().len(),
+        "trace round trip lost spans"
+    );
     std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn sharded_build_is_bit_identical_across_threads_chunkings_and_s1_matches_unsharded() {
     // The ISSUE 10 contract: sharded sampling is a *deterministic* scale-out.
-    // For every locality backend and S ∈ {1, 2, 4}, `build_sharded` over the
+    // For S ∈ {1, 2, 4}, `build_sharded` over the
     // in-memory dataset is the reference; the streamed
     // `build_sharded_from_source`, whose S shard workers consume their
     // queues on threads of their own while the calling thread routes
@@ -766,33 +714,29 @@ fn sharded_build_is_bit_identical_across_threads_chunkings_and_s1_matches_unshar
     // carries the full budget with no oversampling, so the whole pipeline
     // must collapse to the plain unsharded `build()`, bit for bit.
     let data = GeolifeGenerator::with_size(6_000, 21).generate();
-    for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(200).with_locality_backend(backend);
-        let unsharded = VasSampler::from_dataset(&data, base.clone()).build(&data);
-        for shards in [1usize, 2, 4] {
-            let reference = ShardedSampler::new(base.clone(), shards)
-                .build_sharded(&data)
+    let base = VasConfig::new(200);
+    let unsharded = VasSampler::from_dataset(&data, base.clone()).build(&data);
+    for shards in [1usize, 2, 4] {
+        let reference = ShardedSampler::new(base.clone(), shards)
+            .build_sharded(&data)
+            .unwrap();
+        if shards == 1 {
+            assert_points_bitwise_equal(
+                &reference.points,
+                &unsharded.points,
+                "S = 1 sharded vs unsharded build",
+            );
+        }
+        for chunk in [613usize, 2_048] {
+            let mut source = DatasetSource::with_chunk_size(&data, chunk);
+            let streamed = ShardedSampler::new(base.clone(), shards)
+                .build_sharded_from_source(&mut source)
                 .unwrap();
-            if shards == 1 {
-                assert_points_bitwise_equal(
-                    &reference.points,
-                    &unsharded.points,
-                    &format!("S = 1 sharded vs unsharded build ({backend})"),
-                );
-            }
-            for chunk in [613usize, 2_048] {
-                let mut source = DatasetSource::with_chunk_size(&data, chunk);
-                let streamed = ShardedSampler::new(base.clone(), shards)
-                    .build_sharded_from_source(&mut source)
-                    .unwrap();
-                assert_points_bitwise_equal(
-                    &streamed.points,
-                    &reference.points,
-                    &format!(
-                        "sharded stream vs in-memory ({backend}, S = {shards}, chunk {chunk})"
-                    ),
-                );
-            }
+            assert_points_bitwise_equal(
+                &streamed.points,
+                &reference.points,
+                &format!("sharded stream vs in-memory (S = {shards}, chunk {chunk})"),
+            );
         }
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! The unsharded cells live next to what they exercise. Retried transient
 //! faults are `retried_transient_faults_leave_the_sample_bits_unchanged`
-//! and kill-and-resume per backend is
-//! `kill_and_resume_is_bit_identical_per_strategy_and_backend`, both in
+//! and kill-and-resume per strategy is
+//! `kill_and_resume_is_bit_identical_per_strategy`, both in
 //! `tests/determinism.rs`. A fatal fault that fails the build unretried,
 //! panic containment and the post-mortem dumps are in `tests/tracing.rs`.
 //! The retry budget and the CRC skip-mode accounting are unit tests of

@@ -9,8 +9,8 @@
 //! is every floating-point operation's order:
 //!
 //! * kernel values come from the scalar [`Kernel::eval_dist2`];
-//! * ES+Loc neighbourhoods come from an [`AnyLocalityIndex`] of the same
-//!   backend, through its `for_each_in_radius_with_dist2` visitor, so every
+//! * ES+Loc neighbourhoods come from a [`HashGrid`] with cutoff-sized
+//!   cells, through its `for_each_in_radius_with_dist2` visitor, so every
 //!   fold runs in the production lane order. Each neighbourhood is also
 //!   checked, as a set, against a brute-force scan over all slots;
 //! * ties in the Shrink step go to the candidate, then to the lowest slot
@@ -30,7 +30,7 @@ pub struct Oracle {
     /// Locality cutoff radius (ES+Loc only).
     cutoff: f64,
     /// The sample's neighbourhood index, for ES+Loc; `None` for plain ES.
-    index: Option<AnyLocalityIndex>,
+    index: Option<HashGrid>,
     /// Current sample, slot-indexed.
     pub points: Vec<Point>,
     /// `rsp[i] = Σ_{j≠i} κ̃(s_i, s_j)` over the pairs the strategy sees.
@@ -53,11 +53,7 @@ impl Oracle {
         let cutoff = kernel.effective_radius(config.locality_threshold);
         let index = match config.strategy {
             InterchangeStrategy::ExpandShrink => None,
-            InterchangeStrategy::ExpandShrinkLocality => {
-                let mut index = AnyLocalityIndex::new(config.locality_backend);
-                index.reset(cutoff);
-                Some(index)
-            }
+            InterchangeStrategy::ExpandShrinkLocality => Some(HashGrid::with_cell_size(cutoff)),
             InterchangeStrategy::Naive => panic!("the oracle covers ES and ES+Loc"),
         };
         Self {
