@@ -79,11 +79,15 @@ fn shuffle(points: &[Point]) -> Vec<Point> {
 }
 
 /// One accept's tracker bookkeeping at the 1M-point Geolife shape: K = 5000
-/// responsibilities (79 blocks, two dirty-mask words), ~430 scattered
-/// in-place deltas, each `mark`ed, then one `flush`.
+/// responsibilities (79 blocks, two dirty-mask words), ~240 scattered
+/// in-place raises (the candidate's neighbours), ~300 scattered lowerings
+/// (the removed point's neighbours), each reported with its value, then one
+/// `flush`. The raises and lowerings balance on average, so the values do
+/// not drift over the iterations.
 fn bench_tracker_accept(c: &mut Criterion) {
     const K: usize = 5_000;
-    const MARKS: usize = 430;
+    const RAISES: usize = 240;
+    const LOWERS: usize = 300;
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move || {
         state ^= state << 13;
@@ -92,21 +96,33 @@ fn bench_tracker_accept(c: &mut Criterion) {
         state
     };
     let mut rsp: Vec<f64> = (0..K).map(|_| (next() % 1_000) as f64 / 10.0).collect();
-    let batches: Vec<Vec<(usize, f64)>> = (0..64)
+    // Each batch: (slot, delta) raises with deltas in [0, 1.25], then
+    // lowerings with deltas in [0, 1].
+    type Batch = (Vec<(usize, f64)>, Vec<(usize, f64)>);
+    let batches: Vec<Batch> = (0..64)
         .map(|_| {
-            (0..MARKS)
-                .map(|_| (next() as usize % K, (next() % 201) as f64 / 100.0 - 1.0))
-                .collect()
+            let mut lanes = |n: usize, scale: f64| -> Vec<(usize, f64)> {
+                (0..n)
+                    .map(|_| (next() as usize % K, (next() % 101) as f64 / 100.0 * scale))
+                    .collect()
+            };
+            (lanes(RAISES, 1.25), lanes(LOWERS, 1.0))
         })
         .collect();
     let mut tracker = MaxTracker::new();
     tracker.rebuild(&rsp);
     let mut n = 0usize;
-    c.bench_function("interchange/tracker_mark_flush/5000", |b| {
+    c.bench_function("interchange/tracker_accept_batch/5000", |b| {
         b.iter(|| {
-            for &(i, delta) in &batches[n % batches.len()] {
+            let (raises, lowers) = &batches[n % batches.len()];
+            for &(i, delta) in raises {
                 rsp[i] += delta;
-                tracker.mark(i);
+                tracker.raised(i, rsp[i]);
+            }
+            for &(i, delta) in lowers {
+                let before = rsp[i];
+                rsp[i] = before - delta;
+                tracker.lowered(i, before);
             }
             tracker.flush(&rsp);
             n += 1;

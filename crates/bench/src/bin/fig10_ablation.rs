@@ -5,9 +5,11 @@
 //!
 //! * **No ES** — responsibilities recomputed from scratch per tuple,
 //! * **ES** — the Expand/Shrink incremental bookkeeping,
-//! * **ES+Loc** — Expand/Shrink plus the R-tree locality pruning,
+//! * **ES+Loc** — Expand/Shrink plus locality pruning, which the paper
+//!   does with an R-tree and this implementation with a `HashGrid` of
+//!   cutoff-sized cells,
 //!
-//! at a small sample size (100), where the R-tree overhead does not pay off,
+//! at a small sample size (100), where the index overhead does not pay off,
 //! and at a larger one (5K), where locality wins. As in the paper, the
 //! quadratic "No ES" variant is only run at the small sample size.
 

@@ -18,6 +18,22 @@
 //! payload; any single-bit corruption is rejected with a typed
 //! [`VasError`] before any state is restored.
 //!
+//! A payload that passes the CRC — a file re-sealed after an edit, say — is
+//! checked against itself before a resume: the sample must fit the budget,
+//! the index must hold every slot bit for bit, the counters must be able to
+//! keep counting, and the responsibilities and objective must follow from
+//! the points. The last check recomputes them under the restored kernel,
+//! cutoff-truncated for ES+Loc, and refuses the file when they differ by
+//! more than incremental maintenance drifts: `1e-6` per responsibility
+//! (plus the locality threshold under ES+Loc) and `1e-9` of the objective
+//! (plus twice the threshold per replacement). An edited responsibility or
+//! ε, or a moved point under the strategies without an index, is caught
+//! there. An edit small enough to stay within that drift, such as a flip in
+//! the low mantissa bits of ε or of one responsibility, is not, and it can
+//! still steer the resumed build to another sample. Closing that gap takes
+//! responsibilities that can be recomputed exactly rather than within a
+//! tolerance.
+//!
 //! ## File layout
 //!
 //! ```text

@@ -47,8 +47,11 @@
 //! walks the rings nearest-first until the certificate holds. Soundness
 //! depends neither on the ring radii nor on the grid's cell size, only on
 //! the visited lanes being lanes of the exact fold. Whatever the cache
-//! cannot certify runs the full gather, filter and exact path, so every
-//! stored value and every sample bit is the same as without it.
+//! cannot certify runs the gather and the exact path, so every stored value
+//! and every sample bit is the same as without it. An accept whose removed
+//! slot lies close to the cache's centre takes that slot's neighbourhood
+//! from the cache as well: the same lanes as a gather, each subtracted from
+//! its own slot, so no order-dependent fold sees them.
 //!
 //! One build is one sequential hill climb on the calling thread: every
 //! accept changes the responsibilities the next candidate is tested
@@ -259,6 +262,15 @@ impl std::fmt::Debug for VasSampler {
             .finish()
     }
 }
+
+/// The rounding drift a resume accepts between a restored responsibility
+/// and its recompute from the restored points, absolute. ES+Loc adds its
+/// truncation drift (see `VasSampler::restore`).
+const RSP_DRIFT: f64 = 1e-6;
+
+/// The rounding drift a resume accepts between a restored objective and its
+/// recompute, relative.
+const OBJECTIVE_DRIFT: f64 = 1e-9;
 
 /// Tag values for [`InterchangeStrategy`] in the checkpoint payload.
 fn strategy_tag(strategy: InterchangeStrategy) -> u8 {
@@ -764,6 +776,48 @@ impl VasSampler {
                 return inconsistent(format!("index does not hold slot {slot} at {p:?}"));
             }
         }
+        // `rsp` and the objective are incremental state that follows from
+        // the points under the kernel. Recompute them as a fresh build over
+        // these points would (see `initialize_state`) and refuse the file
+        // when they differ by more than incremental maintenance drifts. An
+        // altered ε, point or responsibility shows up here, unless it stays
+        // within that drift.
+        //
+        // Besides rounding, ES+Loc drifts by its truncation: an accept
+        // subtracts κ(t, removed) from the new slot even when the removed
+        // point lies beyond the cutoff, where κ is below the locality
+        // threshold. So each slot drifts by less than the threshold since its
+        // last replacement, and the objective by less than twice the
+        // threshold per replacement.
+        let truncation = if indexed {
+            config.locality_threshold
+        } else {
+            0.0
+        };
+        let mut fresh = VasSampler::new(config.clone());
+        fresh.install_kernel(GaussianKernel::new(epsilon));
+        fresh.points = points.clone();
+        fresh.initialize_state();
+        // False for a NaN gap, so a NaN is refused too.
+        let within =
+            |stored: f64, recomputed: f64, bound: f64| (stored - recomputed).abs() <= bound;
+        let rsp_bound = RSP_DRIFT + truncation;
+        if let Some(slot) = (0..rsp.len()).find(|&i| !within(rsp[i], fresh.rsp[i], rsp_bound)) {
+            return inconsistent(format!(
+                "slot {slot} carries responsibility {} where its points give {}",
+                rsp[slot], fresh.rsp[slot]
+            ));
+        }
+        // The rounding part is relative to the recomputed objective, or to 1
+        // (the kernel's peak lane) when it is smaller.
+        let objective_bound = OBJECTIVE_DRIFT * fresh.objective.abs().max(1.0)
+            + 2.0 * replacements as f64 * truncation;
+        if !within(objective, fresh.objective, objective_bound) {
+            return inconsistent(format!(
+                "objective {objective} where the points give {}",
+                fresh.objective
+            ));
+        }
 
         let mut sampler = VasSampler::new(config).with_recorder(recorder);
         sampler.install_kernel(GaussianKernel::new(epsilon));
@@ -1123,11 +1177,11 @@ impl VasSampler {
     /// A rejected candidate — the overwhelmingly common case once the sample
     /// has converged — costs only its neighbourhood kernel evaluations plus
     /// an `O(1)` read of the tracked maximum instead of an `O(K)` Shrink
-    /// scan. An accepted candidate additionally reduces each 64-slot block
-    /// its responsibility updates touched, then the `K/64` block maxima
-    /// (see [`MaxTracker`]).
+    /// scan. An accepted candidate additionally reduces the few 64-slot
+    /// blocks whose maximum its updates lowered, then the `K/64` block
+    /// maxima (see [`MaxTracker`]).
     ///
-    /// Two **rejection filters** run first, and both only certify: bounded
+    /// A **rejection filter** runs first, and it only certifies: bounded
     /// lanes ([`GaussianKernel::eval_dist2_batch_bounded`]) prove, when
     /// they can, that the exact Shrink would reject (see
     /// [`certifies_reject`]). Approximate lanes may only certify a
@@ -1136,20 +1190,20 @@ impl VasSampler {
     ///   recent candidate, see [`crate::neighbourhood`]) walks the cached
     ///   rings nearest-first and stops at the first ring after which a
     ///   *partial* certificate holds. No grid gather runs.
-    /// - Every other candidate, and every one the cache could not certify,
-    ///   gathers its neighbourhood from the index and tries the full
-    ///   certificate over all of its lanes.
+    /// - Every other candidate gathers its neighbourhood from the index and
+    ///   tries the full certificate over all of its lanes.
     ///
-    /// A certified candidate returns with no state touched; every other one
-    /// (accepts and rare near-ties) runs the exact lanes, fold and Shrink
-    /// below, so the sample is bit-identical to the unfiltered loop.
+    /// A certified candidate returns with no state touched. Every other one
+    /// (accepts and rare near-ties) gathers, if it has not, and runs the
+    /// exact lanes, fold and Shrink below, so the sample is bit-identical to
+    /// the unfiltered loop. A served candidate the walk could not certify
+    /// skips the full certificate: its lanes were already walked.
     fn candidate_es_locality(&mut self, point: Point) {
         let kernel = self.kernel.expect("kernel resolved");
         self.ensure_tracker();
         let tracked = self.max_tracker.max(&self.rsp).map(|(_, r)| r);
-        if self.cache.route(&point, &self.index, &self.points)
-            && self.cache_certifies_reject(&point, &kernel, tracked)
-        {
+        let served = self.cache.route(&point, &self.index, &self.points);
+        if served && self.cache_certifies_reject(&point, &kernel, tracked) {
             self.recorder.inc(Counter::CoreCacheCertifiedRejects, 1);
             return;
         }
@@ -1168,7 +1222,12 @@ impl VasSampler {
         vals.resize(gather.len(), 0.0);
         self.recorder
             .inc(Counter::CoreKernelLanes, gather.len() as u64);
-        if kernel.eval_dist2_batch_bounded(gather.dist2(), &mut vals)
+        // A candidate the cache served has already had its bounded lanes
+        // walked, so the filter below would repeat that work in vain: either
+        // every ring was walked, or a ring lane was out of the bounded range,
+        // and the gather holds that lane too.
+        if !served
+            && kernel.eval_dist2_batch_bounded(gather.dist2(), &mut vals)
             && certifies_reject(BOUNDED_LANE_DELTA, &self.rsp, tracked, gather.ids(), &vals)
         {
             self.gather = gather;
@@ -1277,11 +1336,11 @@ impl VasSampler {
 
         // --- Accept: replace slot `max_idx` ("s_j") with the candidate.
         // Every responsibility delta is written into `rsp` once, in place,
-        // and `mark`ed in the tracker (one dirty bit per 64-slot block); the
-        // maximum is restored once at the end (`flush`). One accept touches
-        // up to 2·|neighbourhood| slots scattered over the whole sample, so
-        // the flush reduces each dirty block once and then the `K/64` block
-        // maxima.
+        // and reported to the tracker with its value: a raise is absorbed
+        // into its block's maximum, a lowering dirties its block only when
+        // it lowers that maximum. The maximum is restored once at the end
+        // (`flush`), which reduces the few dirty blocks and then the `K/64`
+        // block maxima.
         let removed = self.points[max_idx];
         let removed_rsp = self.rsp[max_idx];
 
@@ -1289,27 +1348,45 @@ impl VasSampler {
         for (&i, &v) in ids.iter().zip(vals) {
             if i != max_idx {
                 self.rsp[i] += v;
-                self.max_tracker.mark(i);
+                self.max_tracker.raised(i, self.rsp[i]);
             }
         }
-        // Subtract the removed element's contributions from its neighbours:
-        // gathered and evaluated as SoA lanes like the Expand step, but not
-        // counted as candidate kernel lanes.
+        // Subtract the removed element's contributions from its neighbours,
+        // evaluated as SoA lanes like the Expand step but not counted as
+        // candidate kernel lanes. The lanes come from the neighbourhood
+        // cache when it covers the removed point, and from a gather
+        // otherwise: the same lanes with the same `dist2` bits, and each is
+        // one subtraction from its own slot, so their order is free.
         let kappa_t_removed = ids
             .iter()
             .position(|&i| i == max_idx)
             .map(|n| vals[n])
             .unwrap_or_else(|| kernel.eval(&point, &removed));
-        let (gather, kappas) = &mut self.removal;
-        self.index
-            .gather_in_radius_into(&removed, self.cutoff, gather);
+        let Self {
+            cache,
+            index,
+            removal: (gather, kappas),
+            rsp,
+            max_tracker,
+            cutoff,
+            cutoff2,
+            ..
+        } = self;
+        let (nbr_ids, nbr_dist2) = match cache.lanes_within(&removed, *cutoff2) {
+            Some(lanes) => lanes,
+            None => {
+                index.gather_in_radius_into(&removed, *cutoff, gather);
+                (gather.ids(), gather.dist2())
+            }
+        };
         kappas.clear();
-        kappas.resize(gather.len(), 0.0);
-        kernel.eval_dist2_batch(gather.dist2(), kappas);
-        for (&i, &v) in gather.ids().iter().zip(kappas.iter()) {
+        kappas.resize(nbr_ids.len(), 0.0);
+        kernel.eval_dist2_batch(nbr_dist2, kappas);
+        for (&i, &v) in nbr_ids.iter().zip(kappas.iter()) {
             if i != max_idx {
-                self.rsp[i] -= v;
-                self.max_tracker.mark(i);
+                let before = rsp[i];
+                rsp[i] = before - v;
+                max_tracker.lowered(i, before);
             }
         }
         // A failed removal would leave a ghost lane that every later gather
@@ -1325,7 +1402,8 @@ impl VasSampler {
         let new_rsp = cand_rsp - kappa_t_removed;
         self.points[max_idx] = point;
         self.rsp[max_idx] = new_rsp;
-        self.max_tracker.mark(max_idx);
+        self.max_tracker.lowered(max_idx, removed_rsp);
+        self.max_tracker.raised(max_idx, new_rsp);
         self.max_tracker.flush(&self.rsp);
         self.objective += new_rsp - removed_rsp;
         self.replacements += 1;
@@ -2307,14 +2385,41 @@ mod tests {
         }
     }
 
+    /// A random trip at ε = 1: one point per step, steps of 0.02ε to 0.62ε
+    /// in random directions, with occasional jumps across the domain.
+    fn trip(steps: &[(f64, f64, f64)]) -> Vec<Point> {
+        let (mut x, mut y) = (15.0, 15.0);
+        let mut points = Vec::with_capacity(steps.len());
+        for &(a, b, jump) in steps {
+            if jump < 0.05 {
+                (x, y) = (30.0 * a, 30.0 * b);
+            } else {
+                let (sin, cos) = (std::f64::consts::TAU * a).sin_cos();
+                let len = 0.02 + 0.6 * b;
+                (x, y) = (x + len * cos, y + len * sin);
+            }
+            points.push(Point::new(x, y));
+        }
+        points
+    }
+
+    /// `(slot, dist2 bits)` lanes, sorted, for comparing lane sets.
+    fn lane_set(ids: &[usize], dist2: &[f64]) -> Vec<(usize, u64)> {
+        let mut lanes: Vec<(usize, u64)> = ids
+            .iter()
+            .zip(dist2)
+            .map(|(&i, d)| (i, d.to_bits()))
+            .collect();
+        lanes.sort_unstable();
+        lanes
+    }
+
     proptest::proptest! {
-        /// The neighbourhood cache mirrors the index. Over random trips
-        /// (steps of 0.02ε to 0.62ε in random directions, with occasional
-        /// jumps across the domain), whenever a cache is
-        /// live after a tuple it holds exactly the slots within `reach` of
-        /// its anchor, each at its slot's current position and in the ring
-        /// its distance gives: after rebuilds, reuse, and the accepts that
-        /// patch it.
+        /// The neighbourhood cache mirrors the index. Over random trips,
+        /// whenever a cache is live after a tuple it holds exactly the slots
+        /// within `reach` of its anchor, each at its slot's current position
+        /// and in the ring its distance gives: after rebuilds, reuse, and
+        /// the accepts that patch it.
         #[test]
         fn neighbourhood_cache_holds_exactly_the_slots_within_reach(
             steps in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 300..600),
@@ -2322,18 +2427,10 @@ mod tests {
         ) {
             let config = VasConfig::new(k).with_epsilon(1.0);
             let mut s = VasSampler::new(config);
-            let (mut x, mut y) = (15.0, 15.0);
             let (mut live, mut live_accepts) = (0usize, 0usize);
-            for &(a, b, jump) in &steps {
-                if jump < 0.05 {
-                    (x, y) = (30.0 * a, 30.0 * b);
-                } else {
-                    let (sin, cos) = (std::f64::consts::TAU * a).sin_cos();
-                    let len = 0.02 + 0.6 * b;
-                    (x, y) = (x + len * cos, y + len * sin);
-                }
+            for p in trip(&steps) {
                 let before = s.replacements();
-                s.observe(Point::new(x, y));
+                s.observe(p);
                 let Some((anchor, reach2, entries)) = s.cache.contents() else {
                     continue;
                 };
@@ -2355,6 +2452,41 @@ mod tests {
                 }
             }
             proptest::prop_assert!(live > 0 && live_accepts > 0, "{} live, {} accepts", live, live_accepts);
+        }
+
+        /// Wherever the cache says it covers a point — the accept step asks
+        /// for the removed slot's point — its lanes are the index gather's
+        /// at the cutoff radius: the same `(slot, dist2)` set, with the same
+        /// `dist2` bits. Probed over random trips with accepts at the
+        /// anchor, the tuple just observed and every slot.
+        #[test]
+        fn cached_lanes_equal_the_gather_wherever_the_cache_covers(
+            steps in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 300..600),
+            k in 10usize..60,
+        ) {
+            let config = VasConfig::new(k).with_epsilon(1.0);
+            let mut s = VasSampler::new(config);
+            let mut gathered = NeighborBatch::new();
+            let (mut covered, mut accepts) = (0usize, 0usize);
+            for p in trip(&steps) {
+                let before = s.replacements();
+                s.observe(p);
+                let Some((anchor, _, _)) = s.cache.contents() else {
+                    continue;
+                };
+                accepts += usize::from(s.replacements() > before);
+                let probes: Vec<Point> = [anchor, p].into_iter().chain(s.points.iter().copied()).collect();
+                for probe in probes {
+                    let Some((ids, dist2)) = s.cache.lanes_within(&probe, s.cutoff2) else {
+                        continue;
+                    };
+                    covered += 1;
+                    let cached = lane_set(ids, dist2);
+                    s.index.gather_in_radius_into(&probe, s.cutoff, &mut gathered);
+                    proptest::prop_assert_eq!(cached, lane_set(gathered.ids(), gathered.dist2()), "probe {:?}", probe);
+                }
+            }
+            proptest::prop_assert!(covered > 0 && accepts > 0, "{} covered, {} accepts", covered, accepts);
         }
     }
 
@@ -2630,6 +2762,35 @@ mod tests {
     /// and `value` bits. A checkpoint whose slot differs from its index
     /// entry in the `value` bits alone would resume into a removal that
     /// finds nothing and leaves a ghost lane behind, so it is refused.
+    /// `rsp` and the objective follow from the points under the kernel, so a
+    /// checkpoint whose stored values disagree with a recompute — a doubled
+    /// responsibility, a nudged objective, another ε, or (for the strategies
+    /// without an index) a moved point — is refused, per strategy.
+    #[test]
+    fn resume_rejects_state_its_points_do_not_give() {
+        let d = GeolifeGenerator::with_size(2_000, 5).generate();
+        let loc = VasConfig::new(60);
+        let es = VasConfig::new(60).with_strategy(InterchangeStrategy::ExpandShrink);
+        let naive = VasConfig::new(60).with_strategy(InterchangeStrategy::Naive);
+        let all = [&loc, &es, &naive];
+        for config in all {
+            assert!(resume_tampered(&d, "untampered-state", config, &|_| {}).is_ok());
+        }
+        assert_refused(&d, "rsp-doubled", &all, &|s| s.rsp[7] *= 2.0);
+        assert_refused(&d, "objective-nudged", &all, &|s| {
+            s.objective *= 1.01;
+        });
+        assert_refused(&d, "epsilon-changed", &all, &|s| {
+            let epsilon = s.kernel.unwrap().epsilon();
+            s.install_kernel(GaussianKernel::new(epsilon * 1.01));
+        });
+        assert_refused(&d, "point-moved", &[&es, &naive], &|s| {
+            let epsilon = s.kernel.unwrap().epsilon();
+            let q = s.points[4];
+            s.points[3] = Point::with_value(q.x + 1e-3 * epsilon, q.y, q.value);
+        });
+    }
+
     #[test]
     fn resume_rejects_a_slot_whose_value_bits_its_index_entry_lacks() {
         let d = GeolifeGenerator::with_size(2_000, 5).generate();

@@ -8,25 +8,34 @@
 //! their neighbourhood kernel evaluations.
 //!
 //! The tracker holds no copy of the array. The caller owns it (the
-//! sampler's `rsp`), writes it in place, [`mark`](MaxTracker::mark)s every
-//! written slot, and hands it to [`flush`](MaxTracker::flush) and
-//! [`max`](MaxTracker::max). Each responsibility delta is therefore
-//! written once.
+//! sampler's `rsp`), writes it in place, reports every write with its
+//! value — [`raised`](MaxTracker::raised) for a slot that went up,
+//! [`lowered`](MaxTracker::lowered) for one that went down — and hands the
+//! array to [`flush`](MaxTracker::flush) and [`max`](MaxTracker::max). Each
+//! responsibility delta is therefore written once.
 //!
 //! ## Cost of an update
 //!
 //! Slots are grouped into fixed blocks of `BLOCK` (64) slots, and each block
 //! keeps its maximum **value**. An accepted replacement changes about
-//! 2·|neighbourhood| responsibilities (about 500 on dense data). Slot ids
-//! follow stream order, not space, so those slots are scattered over the
-//! whole array. [`mark`](MaxTracker::mark) only sets the slot's block bit in
-//! a dirty bitmask; [`flush`](MaxTracker::flush) recomputes each dirty
-//! block's maximum once, a contiguous reduction over at most `BLOCK` values
-//! with independent accumulators (it vectorizes, unlike an argmax scan),
-//! then reduces the `⌈K/BLOCK⌉` block maxima the same way and locates the
-//! winning slot by equality. One flush of `D` scattered marks therefore
-//! costs `O(BLOCK·min(D, K/BLOCK) + K/BLOCK + BLOCK)` sequential
-//! comparisons, with no sort and no pointer chasing.
+//! 2·|neighbourhood| responsibilities (about 500 on dense data): the
+//! candidate's neighbours go up, the removed point's neighbours go down.
+//! Slot ids follow stream order, not space, so those slots are scattered
+//! over the whole array, and a block-granular dirty bit would mark nearly
+//! every block. The updates are value-aware instead:
+//! - a raise is absorbed in place: the block maximum becomes the larger of
+//!   itself and the new value, which is exact while the block is clean;
+//! - a lowering only matters when the slot *was* its block's maximum, so
+//!   only then is the block's bit set in a dirty bitmask.
+//!
+//! [`flush`](MaxTracker::flush) recomputes each dirty block's maximum once,
+//! a contiguous reduction over at most `BLOCK` values with independent
+//! accumulators (it vectorizes, unlike an argmax scan), then reduces the
+//! `⌈K/BLOCK⌉` block maxima the same way and locates the winning slot by
+//! equality. A flush after `D` updates therefore costs `O(D)` for the
+//! updates, `O(BLOCK)` per block whose maximum fell (usually a handful)
+//! and `O(K/BLOCK + BLOCK)` for the winner, with no sort and no pointer
+//! chasing.
 //!
 //! ## Tie-breaking contract
 //!
@@ -53,7 +62,8 @@ pub struct MaxTracker {
     len: usize,
     /// `block_max[b]` is the largest value in block `b`.
     block_max: Vec<f64>,
-    /// One bit per block [`mark`](Self::mark)ed since the last flush.
+    /// One bit per block whose maximum was [`lowered`](Self::lowered) since
+    /// the last flush.
     dirty: Vec<u64>,
     /// The lowest index attaining the maximum, valid when nothing is dirty.
     best: usize,
@@ -75,21 +85,41 @@ impl MaxTracker {
         self.best = self.winner(values);
     }
 
-    /// Marks slot `i` as written, deferring its block's reduction to the
-    /// next [`flush`](Self::flush). An accepted Interchange replacement
-    /// marks every slot it writes, so a block hit by many of them is
-    /// reduced once.
+    /// Reports that slot `i` was raised to `new` (the value now in the
+    /// caller's array, at least the one it replaced): its block's maximum
+    /// absorbs `new` in place.
     ///
     /// # Panics
     /// Panics if `i >= len`.
-    pub fn mark(&mut self, i: usize) {
+    #[inline]
+    pub fn raised(&mut self, i: usize, new: f64) {
         assert!(i < self.len, "slot {i} out of bounds (len {})", self.len);
-        let b = i / BLOCK;
-        self.dirty[b / 64] |= 1 << (b % 64);
+        let m = &mut self.block_max[i / BLOCK];
+        if new > *m {
+            *m = new;
+        }
     }
 
-    /// Recomputes the maximum of every block marked since the last flush
-    /// (or rebuild) from `values`, then re-picks the overall winner.
+    /// Reports that slot `i` was lowered from `before`: if `before` was its
+    /// block's maximum, the block's reduction is deferred to the next
+    /// [`flush`](Self::flush); otherwise the maximum still stands. A slot
+    /// overwritten with an arbitrary value is `lowered` from its old value
+    /// and then `raised` to its new one.
+    ///
+    /// # Panics
+    /// Panics if `i >= len`.
+    #[inline]
+    pub fn lowered(&mut self, i: usize, before: f64) {
+        assert!(i < self.len, "slot {i} out of bounds (len {})", self.len);
+        let b = i / BLOCK;
+        if before == self.block_max[b] {
+            self.dirty[b / 64] |= 1 << (b % 64);
+        }
+    }
+
+    /// Recomputes the maximum of every block whose maximum was lowered since
+    /// the last flush (or rebuild) from `values`, then re-picks the overall
+    /// winner.
     pub fn flush(&mut self, values: &[f64]) {
         debug_assert_eq!(
             values.len(),
@@ -112,11 +142,11 @@ impl MaxTracker {
     /// the lowest index; `None` when empty.
     ///
     /// # Panics
-    /// Debug-panics if marks have not been flushed.
+    /// Debug-panics if lowered maxima have not been flushed.
     pub fn max(&self, values: &[f64]) -> Option<(usize, f64)> {
         debug_assert!(
             self.dirty.iter().all(|&w| w == 0),
-            "MaxTracker::max read with unflushed marks"
+            "MaxTracker::max read with unflushed updates"
         );
         (self.len > 0).then(|| (self.best, values[self.best]))
     }
@@ -168,11 +198,23 @@ mod tests {
         best
     }
 
-    /// Writes `value` into slot `i` of the caller's array and restores the
-    /// maximum at once, as an eager single-slot update.
-    fn set(t: &mut MaxTracker, values: &mut [f64], i: usize, value: f64) {
+    /// Writes `value` into slot `i` of the caller's array and reports it as
+    /// the sampler does: `raised` when it went up (or stayed), `lowered`
+    /// when it went down.
+    fn write(t: &mut MaxTracker, values: &mut [f64], i: usize, value: f64) {
+        let before = values[i];
         values[i] = value;
-        t.mark(i);
+        if value >= before {
+            t.raised(i, value);
+        } else {
+            t.lowered(i, before);
+        }
+    }
+
+    /// [`write`], then restores the maximum at once, as an eager
+    /// single-slot update.
+    fn set(t: &mut MaxTracker, values: &mut [f64], i: usize, value: f64) {
+        write(t, values, i, value);
         t.flush(values);
     }
 
@@ -224,9 +266,12 @@ mod tests {
         assert_eq!(i, 5);
         assert!(v == 0.0 && v.is_sign_negative());
         assert_eq!(Some(i), linear_argmax(&values).map(|(i, _)| i));
-        // Same after a flush that reduces both zero blocks again.
-        t.mark(130);
-        t.mark(5);
+        // Same after both zeros are overwritten with themselves (lowered,
+        // then raised) and their blocks reduced again.
+        for i in [130, 5] {
+            t.lowered(i, values[i]);
+            t.raised(i, values[i]);
+        }
         t.flush(&values);
         assert_eq!(t.max(&values).unwrap().0, 5);
     }
@@ -282,10 +327,8 @@ mod tests {
         t.rebuild(&values);
         // Marked high block first, so the later block is not just the one
         // flushed first.
-        values[150] = 5.0;
-        t.mark(150);
-        values[70] = 5.0;
-        t.mark(70);
+        write(&mut t, &mut values, 150, 5.0);
+        write(&mut t, &mut values, 70, 5.0);
         t.flush(&values);
         assert_eq!(t.max(&values), Some((70, 5.0)));
         set(&mut t, &mut values, 10, 5.0);
@@ -316,8 +359,8 @@ mod tests {
         for batch in 0..200 {
             for _ in 0..500 {
                 let i = next() as usize % n;
-                values[i] += (next() % 17) as f64 / 8.0 - 1.0;
-                t.mark(i);
+                let new = values[i] + (next() % 17) as f64 / 8.0 - 1.0;
+                write(&mut t, &mut values, i, new);
             }
             t.flush(&values);
             assert_eq!(t.max(&values), linear_argmax(&values), "batch {batch}");
@@ -326,10 +369,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn mark_checks_bounds() {
+    fn raised_checks_bounds() {
         let mut t = MaxTracker::new();
         t.rebuild(&[1.0, 2.0]);
-        t.mark(2);
+        t.raised(2, 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn lowered_checks_bounds() {
+        let mut t = MaxTracker::new();
+        t.rebuild(&[1.0, 2.0]);
+        t.lowered(2, 3.0);
     }
 
     proptest::proptest! {
@@ -359,11 +410,11 @@ mod tests {
             }
         }
 
-        /// Batches (write + `mark` × D, then one `flush`) reach the same
+        /// Batches (D reported writes, then one `flush`) reach the same
         /// state as eager per-slot updates — the lazy reduction an accepted
         /// replacement relies on.
         #[test]
-        fn batched_marks_match_eager_updates(
+        fn batched_updates_match_eager_updates(
             initial in proptest::collection::vec(-100.0f64..100.0, 1..100),
             batches in proptest::collection::vec(
                 proptest::collection::vec((0usize..100, -100.0f64..100.0), 1..25),
@@ -381,11 +432,53 @@ mod tests {
                     // Duplicate slots within a batch are allowed: the last
                     // write must win, exactly as with eager updates.
                     set(&mut eager, &mut eager_values, i, value);
-                    lazy_values[i] = value;
-                    lazy.mark(i);
+                    write(&mut lazy, &mut lazy_values, i, value);
                 }
                 lazy.flush(&lazy_values);
                 proptest::prop_assert_eq!(lazy.max(&lazy_values), eager.max(&eager_values));
+            }
+        }
+
+        /// Accept-shaped batches — raises, then lowerings, sometimes of the
+        /// standing maximum, then one flush — over a tie-heavy alphabet that
+        /// holds both zeros agree with a first-wins linear scan.
+        #[test]
+        fn raise_and_lower_batches_agree_with_linear_argmax(
+            initial in proptest::collection::vec(0usize..6, 1..200),
+            batches in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..200, 0usize..6), 0..20),
+                    proptest::bool::ANY,
+                    proptest::collection::vec((0usize..200, 0usize..6), 0..20),
+                ),
+                0..30,
+            ),
+        ) {
+            const LEVELS: [f64; 6] = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0];
+            let mut values: Vec<f64> = initial.iter().map(|&l| LEVELS[l]).collect();
+            let n = values.len();
+            let mut tracker = MaxTracker::new();
+            tracker.rebuild(&values);
+            for (ups, lower_the_max, downs) in batches {
+                for (slot, level) in ups {
+                    let i = slot % n;
+                    let new = if LEVELS[level] >= values[i] { LEVELS[level] } else { values[i] };
+                    values[i] = new;
+                    tracker.raised(i, new);
+                }
+                if lower_the_max {
+                    let (i, top) = linear_argmax(&values).unwrap();
+                    values[i] = top - 1.0;
+                    tracker.lowered(i, top);
+                }
+                for (slot, level) in downs {
+                    let i = slot % n;
+                    let before = values[i];
+                    values[i] = if LEVELS[level] <= before { LEVELS[level] } else { before - 0.5 };
+                    tracker.lowered(i, before);
+                }
+                tracker.flush(&values);
+                proptest::prop_assert_eq!(tracker.max(&values), linear_argmax(&values));
             }
         }
 

@@ -24,10 +24,23 @@
 //! certificate succeed sooner (see `Certificate` in the Interchange
 //! module).
 //!
+//! The accept step reuses the cache too. When the slot an accept removes
+//! lies within Δ of the anchor, its whole cutoff neighbourhood lies inside
+//! `reach`, and [`NeighbourhoodCache::lanes_within`] hands out that
+//! neighbourhood's `(slot, dist2)` lanes instead of a second grid gather.
+//! Here the cache must hold *every* slot within `reach`, not only a subset,
+//! and the proptest `cached_lanes_equal_the_gather_wherever_the_cache_covers`
+//! pins that the lanes equal the gather's as a set, with the same `dist2`
+//! bits. Their order is the rings', not the gather's, and that cannot
+//! change a sampled value: each removal lane is one subtraction from its
+//! own slot, and no fold runs over them.
+//!
 //! The cache is derived state. Nothing of it is checkpointed: a resumed
 //! build starts without one and builds it lazily. No sampled value depends
-//! on it, because the sampler only uses its lanes to certify rejections;
-//! everything else still runs the index's gather.
+//! on whether it is live: rejections it certifies are exact rejections,
+//! and the removal lanes it hands out are the gather's. Every fold whose
+//! order matters (a candidate's own responsibility, the Shrink scan) still
+//! runs over the index's gather.
 //!
 //! Δ and the ring bounds only trade rebuilds against entries scanned per
 //! candidate and certificate checks per walk. On the 1M-point Geolife
@@ -44,6 +57,14 @@ const RINGS: usize = 3;
 
 /// The reuse radius Δ, as a fraction of the cutoff radius.
 const DELTA: f64 = 0.1;
+
+/// The relative margin by which [`NeighbourhoodCache::lanes_within`]'s
+/// radius stays inside Δ. A point within Δ of the anchor has its cutoff
+/// disk inside `reach` in exact arithmetic; each computed squared distance
+/// is off by a few ulps, so `reach` must clear the disk by about
+/// `10·2⁻⁵³·reach`. A margin of `1e-9·Δ` (`1e-10` of the cutoff) covers that
+/// with room to spare and gives up no measurable coverage.
+const COVER_MARGIN: f64 = 1e-9;
 
 /// Outer radii of the two inner rings, as fractions of `reach`; the last
 /// ring ends at `reach` itself.
@@ -107,6 +128,32 @@ impl Ring {
     }
 }
 
+/// Writes the entries of `ring` within the cutoff of `t` as lanes at the
+/// front of `ids`/`dist2`, which must hold the whole ring, and returns how
+/// many. The index gather's branch-free fill: every entry is written at the
+/// cursor, which advances only past in-cutoff ones, and `dist2` is
+/// computed as `entry − centre`, so its bits are the gather's.
+#[inline]
+fn in_cutoff_lanes(
+    ring: &Ring,
+    t: &Point,
+    cutoff2: f64,
+    ids: &mut [usize],
+    dist2: &mut [f64],
+) -> usize {
+    let (slots, xs, ys) = ring.live();
+    let mut w = 0;
+    for ((&slot, &x), &y) in slots.iter().zip(xs).zip(ys) {
+        let dx = x - t.x;
+        let dy = y - t.y;
+        let d2 = dx * dx + dy * dy;
+        ids[w] = slot;
+        dist2[w] = d2;
+        w += usize::from(d2 <= cutoff2);
+    }
+    w
+}
+
 /// Ring of an entry at squared distance `d2 ≤ reach²` from the anchor,
 /// given the inner rings' squared outer radii.
 #[inline]
@@ -119,6 +166,9 @@ fn ring_of(bounds2: &[f64; RINGS - 1], d2: f64) -> usize {
 pub(crate) struct NeighbourhoodCache {
     /// `Δ²`.
     delta2: f64,
+    /// Squared radius around the anchor within which a point's whole cutoff
+    /// neighbourhood is cached: Δ less [`COVER_MARGIN`].
+    cover2: f64,
     reach: f64,
     /// `reach²`, computed as the index's gather computes its `r²`.
     reach2: f64,
@@ -141,6 +191,7 @@ impl Default for NeighbourhoodCache {
     fn default() -> Self {
         let mut cache = Self {
             delta2: 0.0,
+            cover2: 0.0,
             reach: 0.0,
             reach2: 0.0,
             bounds2: [0.0; RINGS - 1],
@@ -166,6 +217,8 @@ impl NeighbourhoodCache {
     pub(crate) fn configure(&mut self, cutoff: f64) {
         let delta = DELTA * cutoff;
         self.delta2 = delta * delta;
+        let cover = delta * (1.0 - COVER_MARGIN);
+        self.cover2 = cover * cover;
         self.reach = cutoff + delta;
         self.reach2 = self.reach * self.reach;
         for (b2, f) in self.bounds2.iter_mut().zip(RING_BOUNDS) {
@@ -264,30 +317,49 @@ impl NeighbourhoodCache {
         mut visit: impl FnMut(&[usize], &[f64]) -> ControlFlow<bool>,
     ) -> bool {
         debug_assert!(self.anchor.is_some(), "walk without a live cache");
+        let widest = self.rings.iter().map(|ring| ring.len).max().unwrap_or(0);
+        self.lane_room(widest);
         for ring in &self.rings {
-            let (ids, xs, ys) = ring.live();
-            let n = ids.len();
-            if self.lane_ids.len() < n {
-                self.lane_ids.resize(n, 0);
-                self.lane_dist2.resize(n, 0.0);
-            }
-            // The index gather's branch-free fill: every entry is written at
-            // the cursor, which advances only past in-cutoff ones.
-            let mut w = 0;
-            for ((&slot, &x), &y) in ids.iter().zip(xs).zip(ys) {
-                let dx = x - t.x;
-                let dy = y - t.y;
-                let d2 = dx * dx + dy * dy;
-                self.lane_ids[w] = slot;
-                self.lane_dist2[w] = d2;
-                w += usize::from(d2 <= cutoff2);
-            }
+            let w = in_cutoff_lanes(ring, t, cutoff2, &mut self.lane_ids, &mut self.lane_dist2);
             if let ControlFlow::Break(certified) = visit(&self.lane_ids[..w], &self.lane_dist2[..w])
             {
                 return certified;
             }
         }
         false
+    }
+
+    /// The lanes of `p` the index's gather at the cutoff radius returns —
+    /// every slot `j` with `dist2(j, p) ≤ cutoff2`, as `(slot ids, dist2)`
+    /// with the gather's `dist2` bits, in ring order — or `None` when the
+    /// cache does not cover `p`'s cutoff disk (no live cache, or `p` farther
+    /// than Δ from the anchor). Valid while the cache mirrors the index,
+    /// that is before the accept that removes `p` patches it.
+    pub(crate) fn lanes_within(&mut self, p: &Point, cutoff2: f64) -> Option<(&[usize], &[f64])> {
+        let anchor = self.anchor?;
+        if p.dist2(&anchor) > self.cover2 {
+            return None;
+        }
+        self.lane_room(self.rings.iter().map(|ring| ring.len).sum());
+        let mut w = 0;
+        for ring in &self.rings {
+            w += in_cutoff_lanes(
+                ring,
+                p,
+                cutoff2,
+                &mut self.lane_ids[w..],
+                &mut self.lane_dist2[w..],
+            );
+        }
+        Some((&self.lane_ids[..w], &self.lane_dist2[..w]))
+    }
+
+    /// Grows the lane scratch to at least `n` lanes.
+    fn lane_room(&mut self, n: usize) {
+        if self.lane_ids.len() < n {
+            self.lane_ids.resize(n, 0);
+            self.lane_dist2.resize(n, 0.0);
+        }
     }
 
     /// The live cache as `(anchor, reach², entries)`, for the invariant

@@ -9,9 +9,9 @@
 //! function gives a combined result that is bit-identical to the sequential
 //! left-to-right evaluation — the property the determinism suite pins.
 //!
-//! The core contains every worker panic and joins every worker. The pure
-//! maps ([`par_map_ordered`], [`par_chunk_fold_ordered`]) re-raise a panic
-//! on the caller; [`try_par_map_vec_ordered`] returns it as [`WorkerPanic`].
+//! The core contains every worker panic and joins every worker.
+//! [`par_chunk_fold_ordered`] re-raises a panic on the caller;
+//! [`try_par_map_vec_ordered`] returns it as [`WorkerPanic`].
 //! Each range counts one `par_tasks_executed` and runs inside a
 //! `worker_task` phase, parented under the caller's open span and carrying
 //! `stripe_start`/`stripe_len` attributes; a contained panic counts into
@@ -66,7 +66,7 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// is deterministic.
 ///
 /// A panic in `f` is re-raised on the caller after all workers have joined.
-pub fn par_map_ordered<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+fn par_map_ordered<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -24,9 +24,9 @@
 //!   in **range order**. Whatever the OS scheduler does, the fan-in observes
 //!   results in exactly the order a sequential loop would have produced
 //!   them, so a deterministic per-item function yields a deterministic
-//!   combined result at any thread count. [`par_map_ordered`] and
-//!   [`par_chunk_fold_ordered`] re-raise a worker panic on the caller;
-//!   [`try_par_map_vec_ordered`] returns it.
+//!   combined result at any thread count. [`par_chunk_fold_ordered`]
+//!   re-raises a worker panic on the caller; [`try_par_map_vec_ordered`]
+//!   returns it.
 //! * **A free-running scatter pipeline** ([`scatter`]) — the calling thread
 //!   produces, routing items to `S` consumer workers over bounded queues,
 //!   with fan-in in consumer order. The sharded sampling path fans out one
@@ -35,21 +35,18 @@
 //!   producer is already decoding and routing batch `b + 1`.
 //!
 //! Workers are **scoped**: they are joined before the call returns, so
-//! closures may borrow from the caller's stack (the catalog ladder hands
-//! each worker a sampler over the caller's dataset; a shard worker owns its
-//! sampler outright). A persistent pool would require either `'static`
+//! closures may borrow from the caller's stack (a loss-probe stripe reads
+//! the caller's dataset; a shard worker owns its sampler outright). A persistent pool would require either `'static`
 //! tasks or `unsafe` lifetime erasure; the workspace forbids `unsafe`, and
 //! thread spawn cost (~10µs) is noise at the granularity every caller fans
-//! out at (a shard's whole sub-stream, a catalog sample, a stripe of loss
-//! probes). The core is the only place the workspace starts a thread: the
+//! out at (a shard's whole sub-stream, a stripe of loss probes). The core is the only place the workspace starts a thread: the
 //! root `clippy.toml` rejects `std::thread::scope`, `std::thread::spawn`
 //! and `std::thread::Builder::spawn` everywhere else.
 //!
 //! One Interchange build is *not* fanned out: every accept changes the
 //! responsibilities the next candidate is tested against, so the hill
 //! climb runs on the calling thread, and parallelism lives where there is
-//! no sequential dependency — shards, loss probes, density counts and the
-//! catalog ladder.
+//! no sequential dependency — shards, loss probes and density counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,9 +55,6 @@ pub mod exec;
 mod fanout;
 pub mod scatter;
 
-pub use exec::{
-    effective_threads, par_chunk_fold_ordered, par_map_ordered, split_ranges,
-    try_par_map_vec_ordered,
-};
+pub use exec::{effective_threads, par_chunk_fold_ordered, split_ranges, try_par_map_vec_ordered};
 pub use fanout::WorkerPanic;
 pub use scatter::scatter_ordered;

@@ -64,72 +64,6 @@ impl SampleCatalog {
         catalog
     }
 
-    /// [`build`](Self::build) with the per-size sampler runs fanned out over
-    /// `threads` scoped workers (`0` = available parallelism).
-    ///
-    /// The samplers are constructed by `sampler_factory` on the calling
-    /// thread **in `sizes` order** (so a stateful factory — seeding, say —
-    /// behaves exactly as in the sequential build), each worker runs one
-    /// sampler over the shared dataset, and the finished samples are
-    /// inserted in `sizes` order — the ordered-index reduction that makes
-    /// the catalog bit-identical to the sequential build at any thread
-    /// count. Sampler runs over the same dataset are independent, so the
-    /// ladder build scales with its size count.
-    pub fn build_parallel<S, F>(
-        dataset: &Dataset,
-        sizes: &[usize],
-        sampler_factory: F,
-        threads: usize,
-    ) -> Self
-    where
-        S: Sampler + Send,
-        F: FnMut(usize) -> S,
-    {
-        Self::build_parallel_recorded(
-            dataset,
-            sizes,
-            sampler_factory,
-            threads,
-            &Recorder::detached(),
-        )
-    }
-
-    /// [`build_parallel`](Self::build_parallel) with a [`Recorder`]: the
-    /// fan-out counts worker tasks into the registry
-    /// ([`vas_par::try_par_map_vec_ordered`]), each per-size run counts
-    /// into `storage_catalog_samples_built` and, with timing enabled, feeds
-    /// the `catalog_build` phase histogram. A panicking sampler is
-    /// re-raised on the caller once every worker has joined.
-    pub fn build_parallel_recorded<S, F>(
-        dataset: &Dataset,
-        sizes: &[usize],
-        mut sampler_factory: F,
-        threads: usize,
-        recorder: &Recorder,
-    ) -> Self
-    where
-        S: Sampler + Send,
-        F: FnMut(usize) -> S,
-    {
-        let samplers: Vec<S> = sizes.iter().map(|&k| sampler_factory(k)).collect();
-        let samples =
-            vas_par::try_par_map_vec_ordered(recorder, threads, samplers, |i, mut sampler| {
-                let sample = {
-                    let mut phase = recorder.phase(Phase::CatalogBuild);
-                    phase.attr("size_index", i);
-                    sampler.sample_dataset(dataset)
-                };
-                recorder.inc(Counter::StorageCatalogSamplesBuilt, 1);
-                sample
-            })
-            .unwrap_or_else(|e| panic!("catalog ladder: {e}"));
-        let mut catalog = Self::new();
-        for sample in samples {
-            catalog.insert(sample);
-        }
-        catalog
-    }
-
     /// Builds a **nested** ladder: the largest sample is drawn from the full
     /// dataset, and every smaller sample is drawn from the next larger one,
     /// so `S_100 ⊆ S_1000 ⊆ S_10000 ⊆ D`.
@@ -258,27 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let d = dataset();
-        let sizes = [100usize, 400, 1_000, 2_500];
-        let sequential = SampleCatalog::build(&d, &sizes, |k| UniformSampler::new(k, 42));
-        for threads in [1usize, 2, 4] {
-            let parallel =
-                SampleCatalog::build_parallel(&d, &sizes, |k| UniformSampler::new(k, 42), threads);
-            assert_eq!(parallel.sizes(), sequential.sizes(), "threads {threads}");
-            for (a, b) in parallel.samples().iter().zip(sequential.samples()) {
-                assert_eq!(a.method, b.method);
-                assert_eq!(a.points.len(), b.points.len());
-                for (p, q) in a.points.iter().zip(&b.points) {
-                    assert_eq!(p.x.to_bits(), q.x.to_bits(), "threads {threads}");
-                    assert_eq!(p.y.to_bits(), q.y.to_bits(), "threads {threads}");
-                    assert_eq!(p.value.to_bits(), q.value.to_bits(), "threads {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn recorded_builds_count_samples_and_time_the_catalog_phase() {
         use std::sync::Arc;
         let d = dataset();
@@ -292,40 +205,7 @@ mod tests {
         );
         let snap = recorder.registry().snapshot();
         assert_eq!(snap.phase_calls(Phase::CatalogBuild), 3);
-
-        let parallel = SampleCatalog::build_parallel_recorded(
-            &d,
-            &sizes,
-            |k| UniformSampler::new(k, 42),
-            4,
-            &recorder,
-        );
-        assert_eq!(
-            recorder.registry().get(Counter::StorageCatalogSamplesBuilt),
-            6
-        );
-        assert!(recorder.registry().get(Counter::ParTasksExecuted) > 0);
-        for (a, b) in parallel.samples().iter().zip(sequential.samples()) {
-            assert_eq!(a.points.len(), b.points.len());
-        }
-    }
-
-    #[test]
-    fn parallel_build_calls_the_factory_in_sizes_order() {
-        // Stateful factories (e.g. deriving per-size seeds from a counter)
-        // must observe the same call sequence as the sequential build.
-        let d = dataset();
-        let mut calls = Vec::new();
-        let _ = SampleCatalog::build_parallel(
-            &d,
-            &[500, 100, 300],
-            |k| {
-                calls.push(k);
-                UniformSampler::new(k, 1)
-            },
-            4,
-        );
-        assert_eq!(calls, vec![500, 100, 300]);
+        assert_eq!(sequential.sizes(), vec![100, 400, 1_000]);
     }
 
     #[test]

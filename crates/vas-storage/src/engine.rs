@@ -177,33 +177,6 @@ impl VizEngine {
         Ok(())
     }
 
-    /// [`build_catalog`](Self::build_catalog) with the per-size sampler runs
-    /// fanned out over `threads` scoped workers
-    /// ([`SampleCatalog::build_parallel`]); the stored catalog is
-    /// bit-identical to the sequential build at any thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_catalog_parallel<S, F>(
-        &self,
-        table: &str,
-        x_col: &str,
-        y_col: &str,
-        value_col: Option<&str>,
-        sizes: &[usize],
-        sampler_factory: F,
-        threads: usize,
-    ) -> Result<(), EngineError>
-    where
-        S: Sampler + Send,
-        F: FnMut(usize) -> S,
-    {
-        let dataset = self.projected_dataset(table, x_col, y_col, value_col)?;
-        let catalog = SampleCatalog::build_parallel(&dataset, sizes, sampler_factory, threads);
-        self.catalogs
-            .write()
-            .insert(Self::projection_key(table, x_col, y_col), catalog);
-        Ok(())
-    }
-
     /// The sample sizes available for a projection (empty if no catalog).
     pub fn catalog_sizes(&self, table: &str, x_col: &str, y_col: &str) -> Vec<usize> {
         self.catalogs
@@ -345,45 +318,6 @@ mod tests {
             .query(&VizQuery::full(table_name()).with_budget(10))
             .unwrap();
         assert_eq!(r.source_size, 100);
-    }
-
-    #[test]
-    fn parallel_catalog_build_matches_sequential() {
-        let e = engine();
-        e.build_catalog(&table_name(), "x", "y", Some("value"), &[100, 500], |k| {
-            UniformSampler::new(k, 5)
-        })
-        .unwrap();
-        let sequential = e
-            .query(&VizQuery::full(table_name()).with_budget(500))
-            .unwrap();
-        e.build_catalog_parallel(
-            &table_name(),
-            "x",
-            "y",
-            Some("value"),
-            &[100, 500],
-            |k| UniformSampler::new(k, 5),
-            4,
-        )
-        .unwrap();
-        let parallel = e
-            .query(&VizQuery::full(table_name()).with_budget(500))
-            .unwrap();
-        assert_eq!(parallel.points, sequential.points);
-        assert!(matches!(
-            e.build_catalog_parallel(
-                &table_name(),
-                "x",
-                "bogus",
-                None,
-                &[10],
-                |k| UniformSampler::new(k, 0),
-                2,
-            )
-            .unwrap_err(),
-            EngineError::UnknownColumn(_)
-        ));
     }
 
     #[test]

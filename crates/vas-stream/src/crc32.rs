@@ -4,17 +4,27 @@
 //! guard their payloads with this checksum so that torn writes, truncation
 //! and bit rot are *detected* rather than silently decoded into garbage
 //! points. The polynomial is the ubiquitous reflected `0xEDB88320` (zlib,
-//! PNG, ethernet), computed byte-at-a-time over a 256-entry table built at
-//! first use — no external crate, no `unsafe`, and fast enough that the
-//! checksum is noise next to the `f64` decode it protects.
+//! PNG, ethernet). No external crate, no `unsafe`.
+//!
+//! The checksum sits on the spill's write and on every scan of it, so its
+//! speed shows in time to plot: computed one byte at a time it took ~80%
+//! of a scan pass over a 24 MB spill. [`Crc32::update`] therefore runs
+//! slicing-by-16: sixteen 256-entry tables, built once at first use, fold
+//! 16 input bytes per step with independent table lookups, and a
+//! byte-wise loop takes the tail. Same polynomial, same checksums; the
+//! byte-at-a-time loop is kept in the tests as the oracle.
 
 use std::sync::OnceLock;
 
-fn table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
+/// `TABLES[0]` is the classic byte-wise table; `TABLES[k][b]` is the CRC
+/// state contribution of byte `b` followed by `k` zero bytes.
+type Tables = [[u32; 256]; 16];
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Box<Tables>> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = Box::new([[0u32; 256]; 16]);
+        for i in 0..256 {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -23,7 +33,13 @@ fn table() -> &'static [u32; 256] {
                     c >> 1
                 };
             }
-            *entry = c;
+            t[0][i] = c;
+        }
+        for k in 1..16 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
         }
         t
     })
@@ -56,10 +72,31 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = table();
+        let t = tables();
         let mut c = self.state;
-        for &b in bytes {
-            c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            let at = |table: usize, byte: u8| t[table][byte as usize];
+            c = at(15, lo as u8)
+                ^ at(14, (lo >> 8) as u8)
+                ^ at(13, (lo >> 16) as u8)
+                ^ at(12, (lo >> 24) as u8)
+                ^ at(11, b[4])
+                ^ at(10, b[5])
+                ^ at(9, b[6])
+                ^ at(8, b[7])
+                ^ at(7, b[8])
+                ^ at(6, b[9])
+                ^ at(5, b[10])
+                ^ at(4, b[11])
+                ^ at(3, b[12])
+                ^ at(2, b[13])
+                ^ at(1, b[14])
+                ^ at(0, b[15]);
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -81,6 +118,36 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time definition, kept as the oracle for the sliced
+    /// [`Crc32::update`].
+    fn bytewise(state: u32, bytes: &[u8]) -> u32 {
+        let t = &tables()[0];
+        bytes.iter().fold(state, |c, &b| {
+            t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sliced_update_equals_the_bytewise_oracle_across_split_points(
+            data in proptest::collection::vec(0u16..256, 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..6),
+        ) {
+            let data: Vec<u8> = data.iter().map(|&b| b as u8).collect();
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Crc32::new();
+            let mut start = 0;
+            for &cut in cuts.iter().chain(std::iter::once(&data.len())) {
+                h.update(&data[start..cut]);
+                start = cut;
+            }
+            let oracle = bytewise(0xFFFF_FFFF, &data) ^ 0xFFFF_FFFF;
+            proptest::prop_assert_eq!(h.finish(), oracle);
+            proptest::prop_assert_eq!(crc32(&data), oracle);
+        }
+    }
 
     #[test]
     fn known_vectors() {
