@@ -1,7 +1,7 @@
 //! Shared infrastructure for the experiment harness binaries.
 //!
 //! Every table and figure of the paper has a dedicated binary in `src/bin/`,
-//! and `timing_gates` holds the two stopwatch gates. They all produce the
+//! and `timing_gates` holds the one stopwatch gate. They all produce the
 //! same kind of output:
 //! a human-readable table on stdout, plus a machine-readable JSON copy and a
 //! plain-text copy under `results/`. This module holds that plumbing so each
@@ -74,7 +74,7 @@ impl ReportTable {
 
 /// Where experiment outputs are written (`results/` at the workspace root,
 /// created on demand).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = workspace_root().join("results");
     fs::create_dir_all(&dir).expect("create results directory");
     dir
@@ -83,7 +83,7 @@ pub fn results_dir() -> PathBuf {
 /// Best-effort workspace root: walk up from the current directory until a
 /// `Cargo.toml` containing `[workspace]` is found; fall back to the current
 /// directory.
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
         let manifest = dir.join("Cargo.toml");

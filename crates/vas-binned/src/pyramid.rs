@@ -118,20 +118,12 @@ impl TilePyramid {
         self.levels.iter().map(HashMap::len).sum()
     }
 
-    /// Number of non-empty cells at one level.
-    pub fn cells_at(&self, level: u8) -> usize {
-        self.levels
-            .get(level as usize)
-            .map(HashMap::len)
-            .unwrap_or(0)
-    }
-
     /// The level whose cell size best matches rendering `region` onto a
     /// canvas `pixels` wide: the shallowest level whose cells are no larger
     /// than a pixel, capped at `max_level`. This is the "choose a bin size
     /// ahead of time" limitation in executable form — beyond `max_level` the
     /// answer stops getting sharper.
-    pub fn level_for(&self, region: &BoundingBox, pixels: usize) -> u8 {
+    fn level_for(&self, region: &BoundingBox, pixels: usize) -> u8 {
         let pixels = pixels.max(1) as f64;
         // Cell width at level l is extent_width / 2^l; we want it <= region_width / pixels.
         let mut level = 0u8;
@@ -151,8 +143,8 @@ impl TilePyramid {
     /// The non-empty cells at `level` that intersect `region`, together with
     /// their rectangles in data coordinates.
     ///
-    /// Thin allocating wrapper over [`query_into`](Self::query_into); callers
-    /// issuing one query per rendered frame should reuse a buffer instead.
+    /// Callers issuing one query per rendered frame should reuse a buffer
+    /// through [`query_for_render_into`](Self::query_for_render_into).
     pub fn query(&self, region: &BoundingBox, level: u8) -> Vec<(BoundingBox, TileCell)> {
         let mut out = Vec::new();
         self.query_into(region, level, &mut out);
@@ -163,12 +155,7 @@ impl TilePyramid {
     /// `out`, clearing it first. The buffer's capacity is retained across
     /// calls, so a reused buffer makes per-frame queries allocation-free in
     /// the steady state.
-    pub fn query_into(
-        &self,
-        region: &BoundingBox,
-        level: u8,
-        out: &mut Vec<(BoundingBox, TileCell)>,
-    ) {
+    fn query_into(&self, region: &BoundingBox, level: u8, out: &mut Vec<(BoundingBox, TileCell)>) {
         out.clear();
         let level = level.min(self.config.max_level);
         let cells = &self.levels[level as usize];
@@ -263,7 +250,7 @@ mod tests {
             assert_eq!(total, p.n_points(), "level {level}");
         }
         // Level 0 has exactly one cell containing everything.
-        assert_eq!(p.cells_at(0), 1);
+        assert_eq!(p.levels[0].len(), 1);
     }
 
     #[test]
@@ -286,11 +273,11 @@ mod tests {
         let p = pyramid(8);
         let mut prev = 0usize;
         for level in 0..=8u8 {
-            let cells = p.cells_at(level);
+            let cells = p.levels[level as usize].len();
             assert!(cells >= prev, "level {level} has fewer cells than {prev}");
             prev = cells;
         }
-        assert!(p.total_cells() > p.cells_at(8));
+        assert!(p.total_cells() > p.levels[8].len());
     }
 
     #[test]

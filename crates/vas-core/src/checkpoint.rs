@@ -51,9 +51,9 @@ use vas_stream::crc32::crc32;
 use vas_stream::VasError;
 
 /// Magic bytes opening every `.vascheckpt` file.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VASCKPT\0";
+const CHECKPOINT_MAGIC: [u8; 8] = *b"VASCKPT\0";
 /// Container version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 4;
+const CHECKPOINT_VERSION: u32 = 4;
 /// Container bytes before the payload (magic + version + payload length).
 const HEADER_LEN: usize = 8 + 4 + 8;
 

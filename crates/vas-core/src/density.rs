@@ -28,54 +28,20 @@ pub fn with_embedded_density(sample: Sample, dataset: &Dataset) -> Sample {
     sample.with_densities(counts)
 }
 
-/// Core of the pass, exposed for callers holding a raw point slice.
-pub fn density_counts(sample_points: &[Point], dataset: &Dataset) -> Vec<u64> {
-    density_counts_threaded(sample_points, dataset, 1)
-}
-
-/// [`density_counts`] over `threads` scoped workers: the dataset is split
-/// into contiguous stripes, each worker accumulates a private counter vector
-/// against the shared k-d tree, and the vectors are summed **in stripe
-/// order**. Counter addition over `u64` is exact, so the result is
-/// bit-identical to the sequential pass at any thread count (`0` = available
-/// parallelism).
-pub fn density_counts_threaded(
-    sample_points: &[Point],
-    dataset: &Dataset,
-    threads: usize,
-) -> Vec<u64> {
+/// Core of the pass over a raw point slice.
+fn density_counts(sample_points: &[Point], dataset: &Dataset) -> Vec<u64> {
     if sample_points.is_empty() {
         return Vec::new();
     }
     let tree = KdTree::from_points(sample_points);
-    let count_stripe = |points: &[Point]| {
-        let mut counts = vec![0u64; sample_points.len()];
-        for p in points {
-            let (idx, _) = tree
-                .nearest(p)
-                .expect("tree built from a non-empty sample always has a nearest point");
-            counts[idx] += 1;
-        }
-        counts
-    };
-    let threads = vas_par::effective_threads(threads);
-    if threads <= 1 || dataset.is_empty() {
-        return count_stripe(&dataset.points);
+    let mut counts = vec![0u64; sample_points.len()];
+    for p in &dataset.points {
+        let (idx, _) = tree
+            .nearest(p)
+            .expect("tree built from a non-empty sample always has a nearest point");
+        counts[idx] += 1;
     }
-    let stripe_len = dataset.len().div_ceil(threads);
-    vas_par::par_chunk_fold_ordered(
-        threads,
-        &dataset.points,
-        stripe_len,
-        |_, stripe| count_stripe(stripe),
-        |mut acc, stripe_counts| {
-            for (a, b) in acc.iter_mut().zip(&stripe_counts) {
-                *a += b;
-            }
-            acc
-        },
-    )
-    .unwrap_or_else(|| vec![0u64; sample_points.len()])
+    counts
 }
 
 #[cfg(test)]
@@ -128,19 +94,6 @@ mod tests {
         let counts = density_counts(&sample_points, &d);
         assert_eq!(counts[0], 900);
         assert_eq!(counts[1], 100);
-    }
-
-    #[test]
-    fn threaded_density_counts_match_sequential_exactly() {
-        let d = GeolifeGenerator::with_size(4_000, 27).generate();
-        let sample_points: Vec<Point> = d.points.iter().step_by(53).copied().collect();
-        let sequential = density_counts(&sample_points, &d);
-        for threads in [2usize, 3, 4, 8] {
-            let parallel = density_counts_threaded(&sample_points, &d, threads);
-            assert_eq!(parallel, sequential, "threads {threads}");
-        }
-        // Empty sample stays empty on the parallel path too.
-        assert!(density_counts_threaded(&[], &d, 4).is_empty());
     }
 
     #[test]

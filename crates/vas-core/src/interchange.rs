@@ -167,12 +167,6 @@ impl VasConfig {
         self.progress_every = every;
         self
     }
-
-    /// Sets the locality threshold used by `ExpandShrinkLocality`.
-    pub fn with_locality_threshold(mut self, threshold: f64) -> Self {
-        self.locality_threshold = threshold;
-        self
-    }
 }
 
 /// A snapshot of Interchange progress, reported periodically while scanning.
@@ -366,11 +360,6 @@ impl VasSampler {
     /// build-scoped counters (accepts, rejects, kernel lanes), so a
     /// registry shared across *concurrent* builds will see those views
     /// interleave — lifetime counters are unaffected.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
-    /// Builder-style [`Self::set_recorder`].
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -2655,7 +2644,10 @@ mod tests {
         // Wrong locality threshold.
         let err = VasSampler::restore(
             &path,
-            VasConfig::new(60).with_locality_threshold(1e-7),
+            VasConfig {
+                locality_threshold: 1e-7,
+                ..VasConfig::new(60)
+            },
             Recorder::detached(),
         )
         .unwrap_err();

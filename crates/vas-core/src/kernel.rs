@@ -1,4 +1,4 @@
-//! Proximity kernels.
+//! The proximity kernel.
 //!
 //! The paper measures how well a sampled point "covers" a location of the
 //! plot plane with a proximity function `κ(x, s) = exp(-‖x-s‖² / 2ε²)`
@@ -7,17 +7,16 @@
 //! is again a proximity function of the same form, and "in practice, it is
 //! sufficient to use any proximity function directly in place of κ̃".
 //!
-//! This module provides the Gaussian kernel used throughout the paper plus a
-//! few alternatives, all behind the [`Kernel`] trait, and the ε-selection
-//! rule from footnote 2 (`ε ≈ max pairwise distance / 100`).
+//! This module provides that Gaussian kernel behind the [`Kernel`] trait,
+//! and the ε-selection rule from footnote 2 (`ε ≈ max pairwise distance /
+//! 100`).
 //!
 //! ## Batched evaluation and the lane-order determinism rule
 //!
 //! The Interchange hot loop evaluates the kernel over a rejected candidate's
-//! whole neighbourhood (about 242 lanes per rejected candidate on the
-//! benchmark's 1M-point Geolife build at K = 5000, perfbench's
-//! `core.kernel_lanes_per_reject`), so kernels can also be evaluated over
-//! flat **lanes** of squared distances:
+//! neighbourhood (perfbench's `core.kernel_lanes_per_reject` reports how
+//! many lanes that is on its 1M-point Geolife build), so the kernel can also
+//! be evaluated over flat **lanes** of squared distances:
 //! [`Kernel::eval_dist2_batch`] maps `dist2[i] → out[i]` over plain `f64`
 //! slices that the compiler can autovectorize, fed by the spatial layer's
 //! `gather_in_radius_into` batch queries.
@@ -29,13 +28,14 @@
 //! 1. **Elementwise bit-identity** — `eval_dist2_batch` must produce, lane
 //!    for lane, exactly the bits `eval_dist2` would produce for that input
 //!    (including NaN payloads, `-0.0`, subnormals, and the Gaussian
-//!    underflow early-out). Overrides may restructure control flow (e.g.
-//!    branch-free select instead of an early return) but not the arithmetic.
+//!    underflow early-out). The batch body may restructure control flow
+//!    (e.g. branch-free select instead of an early return) but not the
+//!    arithmetic.
 //! 2. **Fixed lane order** — callers fill lanes in the exact visitation
 //!    order of the index's visitor and fold reductions left-to-right over
 //!    the lanes, so every floating-point sum associates in the same order
 //!    as a scalar loop over the visitor (the reference Interchange oracle in
-//!    `tests/determinism.rs` is that loop).
+//!    `tests/oracle/mod.rs` is that loop).
 //!
 //! The accept path's removed-neighbourhood subtraction is batched the same
 //! way: it gathers the removed point's neighbourhood and maps it with one
@@ -85,25 +85,12 @@ pub trait Kernel: Send + Sync {
     ///
     /// Each output lane must be **bit-identical** to the corresponding
     /// scalar [`eval_dist2`](Self::eval_dist2) call — see the module docs
-    /// for the lane-order determinism rule. The default is the scalar loop;
-    /// implementations may override it with a branch-free body that
-    /// autovectorizes, as [`GaussianKernel`] does.
+    /// for the lane-order determinism rule. [`GaussianKernel`]'s body is
+    /// branch-free so that it autovectorizes.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
-    #[inline]
-    fn eval_dist2_batch(&self, dist2: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            dist2.len(),
-            out.len(),
-            "kernel batch lanes must line up: {} dist2 vs {} out",
-            dist2.len(),
-            out.len()
-        );
-        for (o, &d2) in out.iter_mut().zip(dist2) {
-            *o = self.eval_dist2(d2);
-        }
-    }
+    fn eval_dist2_batch(&self, dist2: &[f64], out: &mut [f64]);
 
     /// Distance beyond which the kernel value drops below `threshold`.
     /// Returns `f64::INFINITY` if the kernel never drops below it.
@@ -111,19 +98,6 @@ pub trait Kernel: Send + Sync {
 
     /// The bandwidth parameter ε of the kernel.
     fn bandwidth(&self) -> f64;
-}
-
-/// Which kernel family to use; all are parameterized by a bandwidth ε.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KernelKind {
-    /// `exp(-d² / 2ε²)` — the kernel used in the paper.
-    Gaussian,
-    /// `exp(-d / ε)` — heavier tails than the Gaussian.
-    Laplacian,
-    /// `max(0, 1 - d²/ε²)` — compact support, zero beyond ε.
-    Epanechnikov,
-    /// `1 / (1 + d²/ε²)` — heavy polynomial tail.
-    InverseQuadratic,
 }
 
 /// The Gaussian proximity kernel `exp(-d² / 2ε²)`.
@@ -241,14 +215,6 @@ impl GaussianKernel {
         self.epsilon
     }
 
-    /// The convolved kernel `κ̃` obtained by integrating `κ(x,a)·κ(x,b)` over
-    /// the plane: another Gaussian with bandwidth `√2·ε`. The paper notes the
-    /// original kernel can be used directly; this constructor is provided for
-    /// callers that want the mathematically exact pairwise term.
-    pub fn convolved(&self) -> Self {
-        Self::new(self.epsilon * std::f64::consts::SQRT_2)
-    }
-
     /// Bounded approximation of [`eval_dist2_batch`](Kernel::eval_dist2_batch):
     /// writes each `out[i]` within relative error [`BOUNDED_LANE_DELTA`] of
     /// the libm value, without calling libm.
@@ -352,63 +318,6 @@ impl Kernel for GaussianKernel {
     }
 }
 
-/// A kernel of any [`KernelKind`] with a fixed bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GenericKernel {
-    kind: KernelKind,
-    epsilon: f64,
-}
-
-impl GenericKernel {
-    /// Creates a kernel of the given family and bandwidth.
-    ///
-    /// # Panics
-    /// Panics unless `epsilon` is finite and positive.
-    pub fn new(kind: KernelKind, epsilon: f64) -> Self {
-        assert!(
-            epsilon.is_finite() && epsilon > 0.0,
-            "kernel bandwidth must be positive and finite, got {epsilon}"
-        );
-        Self { kind, epsilon }
-    }
-
-    /// The kernel family.
-    pub fn kind(&self) -> KernelKind {
-        self.kind
-    }
-}
-
-impl Kernel for GenericKernel {
-    #[inline]
-    fn eval_dist2(&self, dist2: f64) -> f64 {
-        let e = self.epsilon;
-        match self.kind {
-            KernelKind::Gaussian => (-dist2 / (2.0 * e * e)).exp(),
-            KernelKind::Laplacian => (-(dist2.sqrt()) / e).exp(),
-            KernelKind::Epanechnikov => (1.0 - dist2 / (e * e)).max(0.0),
-            KernelKind::InverseQuadratic => 1.0 / (1.0 + dist2 / (e * e)),
-        }
-    }
-
-    fn effective_radius(&self, threshold: f64) -> f64 {
-        assert!(
-            threshold > 0.0 && threshold < 1.0,
-            "threshold must be in (0, 1)"
-        );
-        let e = self.epsilon;
-        match self.kind {
-            KernelKind::Gaussian => e * (2.0 * (1.0 / threshold).ln()).sqrt(),
-            KernelKind::Laplacian => e * (1.0 / threshold).ln(),
-            KernelKind::Epanechnikov => e, // exactly zero beyond ε
-            KernelKind::InverseQuadratic => e * (1.0 / threshold - 1.0).max(0.0).sqrt(),
-        }
-    }
-
-    fn bandwidth(&self) -> f64 {
-        self.epsilon
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,22 +350,15 @@ mod tests {
 
     #[test]
     fn effective_radius_bounds_kernel_value() {
-        for kind in [
-            KernelKind::Gaussian,
-            KernelKind::Laplacian,
-            KernelKind::Epanechnikov,
-            KernelKind::InverseQuadratic,
-        ] {
-            let k = GenericKernel::new(kind, 2.0);
-            let threshold = 1e-6;
-            let r = k.effective_radius(threshold);
-            assert!(r.is_finite());
-            let just_outside = r * 1.001;
-            assert!(
-                k.eval_dist2(just_outside * just_outside) <= threshold * 1.01,
-                "{kind:?}: value beyond effective radius too large"
-            );
-        }
+        let k = GaussianKernel::new(2.0);
+        let threshold = 1e-6;
+        let r = k.effective_radius(threshold);
+        assert!(r.is_finite());
+        let just_outside = r * 1.001;
+        assert!(
+            k.eval_dist2(just_outside * just_outside) <= threshold * 1.01,
+            "value beyond effective radius too large"
+        );
     }
 
     #[test]
@@ -502,7 +404,7 @@ mod tests {
         v
     }
 
-    fn assert_batch_matches_scalar<K: Kernel>(k: &K, dist2: &[f64], what: &str) {
+    fn assert_batch_matches_scalar(k: &GaussianKernel, dist2: &[f64], what: &str) {
         let mut out = vec![f64::NAN; dist2.len()];
         k.eval_dist2_batch(dist2, &mut out);
         for (i, (&d2, &got)) in dist2.iter().zip(&out).enumerate() {
@@ -520,14 +422,6 @@ mod tests {
         let edges = edge_dist2_values();
         assert_batch_matches_scalar(&GaussianKernel::new(1.0), &edges, "gaussian ε=1");
         assert_batch_matches_scalar(&GaussianKernel::new(0.013), &edges, "gaussian ε=0.013");
-        for kind in [
-            KernelKind::Gaussian,
-            KernelKind::Laplacian,
-            KernelKind::Epanechnikov,
-            KernelKind::InverseQuadratic,
-        ] {
-            assert_batch_matches_scalar(&GenericKernel::new(kind, 1.7), &edges, "generic");
-        }
     }
 
     #[test]
@@ -665,39 +559,6 @@ mod tests {
         assert_eq!(GaussianKernel::for_dataset(&d).bandwidth(), 1.0);
         let empty = Dataset::from_points("none", vec![]);
         assert_eq!(GaussianKernel::for_dataset(&empty).bandwidth(), 1.0);
-    }
-
-    #[test]
-    fn convolved_kernel_has_wider_bandwidth() {
-        let k = GaussianKernel::new(2.0);
-        let c = k.convolved();
-        assert!((c.bandwidth() - 2.0 * std::f64::consts::SQRT_2).abs() < 1e-12);
-        // Wider bandwidth ⇒ larger value at the same non-zero distance.
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, 0.0);
-        assert!(c.eval(&a, &b) > k.eval(&a, &b));
-    }
-
-    #[test]
-    fn epanechnikov_has_compact_support() {
-        let k = GenericKernel::new(KernelKind::Epanechnikov, 1.5);
-        let a = Point::new(0.0, 0.0);
-        assert_eq!(k.eval(&a, &Point::new(1.6, 0.0)), 0.0);
-        assert!(k.eval(&a, &Point::new(1.0, 0.0)) > 0.0);
-    }
-
-    #[test]
-    fn all_kernels_peak_at_zero_distance() {
-        for kind in [
-            KernelKind::Gaussian,
-            KernelKind::Laplacian,
-            KernelKind::Epanechnikov,
-            KernelKind::InverseQuadratic,
-        ] {
-            let k = GenericKernel::new(kind, 1.0);
-            assert_eq!(k.eval_dist2(0.0), 1.0, "{kind:?}");
-            assert!(k.eval_dist2(4.0) < 1.0, "{kind:?}");
-        }
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! i.e. picking `K` points that are as mutually spread-out as possible under
 //! the kernel. The problem is NP-hard; the paper's practical solver is the
 //! **Interchange** hill-climbing algorithm with *responsibility* bookkeeping
-//! (Expand/Shrink) and an R-tree locality optimization.
+//! (Expand/Shrink) and an R-tree locality optimization, which this crate
+//! runs on a `vas_spatial::HashGrid`.
 //!
 //! ## Crate layout
 //!
-//! * [`kernel`] — proximity kernels and bandwidth (ε) selection.
+//! * [`kernel`] — the Gaussian proximity kernel and bandwidth (ε) selection.
 //! * [`objective`](mod@objective) — the optimization objective and
 //!   responsibilities.
 //! * [`interchange`] — the Interchange algorithm in its three variants
@@ -73,10 +74,10 @@ pub mod outlier;
 pub mod shard;
 
 pub use checkpoint::{BuildOutcome, CheckpointPolicy};
-pub use density::{density_counts_threaded, embed_density};
+pub use density::embed_density;
 pub use interchange::{InterchangeStrategy, ProgressEvent, VasConfig, VasSampler};
-pub use kernel::{GaussianKernel, Kernel, KernelKind};
+pub use kernel::{GaussianKernel, Kernel};
 pub use max_tracker::MaxTracker;
-pub use objective::{objective, responsibilities, responsibility_of};
-pub use outlier::{find_outliers, with_outliers, Outlier};
-pub use shard::{shard_budgets, ShardedSampler};
+pub use objective::{objective, responsibilities};
+pub use outlier::with_outliers;
+pub use shard::ShardedSampler;

@@ -31,22 +31,6 @@ pub fn objective<K: Kernel + ?Sized>(kernel: &K, points: &[Point]) -> f64 {
     total
 }
 
-/// The responsibility `rsp_S(s_i) = ½ Σ_{j≠i} κ̃(s_i, s_j)` of element `idx`
-/// within `points`.
-///
-/// # Panics
-/// Panics if `idx` is out of bounds.
-pub fn responsibility_of<K: Kernel + ?Sized>(kernel: &K, points: &[Point], idx: usize) -> f64 {
-    assert!(idx < points.len(), "index out of bounds");
-    let mut sum = 0.0;
-    for (j, p) in points.iter().enumerate() {
-        if j != idx {
-            sum += kernel.eval(&points[idx], p);
-        }
-    }
-    0.5 * sum
-}
-
 /// Responsibilities of every element of `points` (quadratic reference
 /// implementation).
 pub fn responsibilities<K: Kernel + ?Sized>(kernel: &K, points: &[Point]) -> Vec<f64> {
@@ -60,16 +44,6 @@ pub fn responsibilities<K: Kernel + ?Sized>(kernel: &K, points: &[Point]) -> Vec
         }
     }
     rsp
-}
-
-/// The average pairwise objective `objective / (K·(K-1))` used by Theorem 3's
-/// approximation bound. Returns 0 for samples with fewer than two points.
-pub fn averaged_objective<K: Kernel + ?Sized>(kernel: &K, points: &[Point]) -> f64 {
-    let k = points.len();
-    if k < 2 {
-        return 0.0;
-    }
-    objective(kernel, points) / (k as f64 * (k as f64 - 1.0))
 }
 
 #[cfg(test)]
@@ -121,34 +95,6 @@ mod tests {
         let rsp = responsibilities(&k, &pts);
         let total: f64 = rsp.iter().sum();
         assert!((total - objective(&k, &pts)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn responsibility_of_matches_batch() {
-        let k = kernel();
-        let pts: Vec<Point> = (0..8)
-            .map(|i| Point::new(i as f64 * 0.5, (i as f64).sqrt()))
-            .collect();
-        let batch = responsibilities(&k, &pts);
-        for (i, expected) in batch.iter().enumerate() {
-            assert!((responsibility_of(&k, &pts, i) - expected).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn averaged_objective_handles_small_sets() {
-        let k = kernel();
-        assert_eq!(averaged_objective(&k, &[]), 0.0);
-        assert_eq!(averaged_objective(&k, &[Point::new(0.0, 0.0)]), 0.0);
-        let two = [Point::new(0.0, 0.0), Point::new(0.0, 0.0)];
-        // objective = 1 (single coincident pair), K(K-1) = 2
-        assert!((averaged_objective(&k, &two) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn responsibility_of_checks_bounds() {
-        let _ = responsibility_of(&kernel(), &[Point::new(0.0, 0.0)], 3);
     }
 
     proptest! {

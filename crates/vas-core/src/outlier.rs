@@ -14,25 +14,24 @@
 //! (e.g. GPS glitches), which are precisely the points an analyst doing
 //! outlier detection must see.
 
-use crate::kernel::Kernel;
 use vas_data::{Dataset, Point};
 use vas_sampling::Sample;
 use vas_spatial::KdTree;
 
 /// An outlier candidate discovered by [`find_outliers`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outlier {
+struct Outlier {
     /// The data point.
-    pub point: Point,
+    point: Point,
     /// Its distance to the nearest sampled point (the isolation score).
-    pub distance_to_sample: f64,
+    distance_to_sample: f64,
 }
 
 /// Returns the `budget` dataset points that are farthest from any point of
 /// `sample`, in decreasing order of isolation. Ties are resolved by scan
 /// order. Returns an empty vector when the sample is empty (every point is
 /// equally "uncovered" then, and augmentation is meaningless).
-pub fn find_outliers(sample: &[Point], dataset: &Dataset, budget: usize) -> Vec<Outlier> {
+fn find_outliers(sample: &[Point], dataset: &Dataset, budget: usize) -> Vec<Outlier> {
     if sample.is_empty() || budget == 0 || dataset.is_empty() {
         return Vec::new();
     }
@@ -85,18 +84,11 @@ pub fn with_outliers(
     sample
 }
 
-/// A sensible default isolation threshold: a multiple of the kernel's
-/// effective radius, i.e. "farther than the sample's notion of *near* by a
-/// wide margin".
-pub fn default_outlier_threshold<K: Kernel + ?Sized>(kernel: &K) -> f64 {
-    kernel.effective_radius(1e-6) * 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interchange::{VasConfig, VasSampler};
-    use crate::kernel::GaussianKernel;
+    use crate::kernel::{GaussianKernel, Kernel};
     use vas_data::GeolifeGenerator;
     use vas_sampling::Sampler;
 
@@ -138,7 +130,8 @@ mod tests {
         let kernel = GaussianKernel::for_dataset(&d);
         let sample = VasSampler::from_dataset(&d, VasConfig::new(100)).sample_dataset(&d);
         let before = sample.len();
-        let threshold = default_outlier_threshold(&kernel);
+        // Farther than the sample's notion of *near* by a wide margin.
+        let threshold = kernel.effective_radius(1e-6) * 2.0;
         let augmented = with_outliers(sample, &d, 5, threshold);
         // At least the glitches that the sample did not already contain are added.
         assert!(augmented.len() > before || glitches.iter().all(|g| augmented.points.contains(g)));

@@ -58,7 +58,7 @@ const SCATTER_DEPTH: usize = 4;
 /// a 50% border oversample when `S > 1` (see the module docs). `S = 1`
 /// gets exactly `K` — the invariant behind the `S = 1 ≡ unsharded`
 /// equivalence.
-pub fn shard_budgets(k: usize, shards: usize) -> Vec<usize> {
+fn shard_budgets(k: usize, shards: usize) -> Vec<usize> {
     let mut budgets = vec![0usize; shards];
     for (i, range) in split_ranges(k, shards).into_iter().enumerate() {
         budgets[i] = range.len();

@@ -116,14 +116,6 @@ impl Dataset {
         }
         self.points.iter().map(|p| p.value).sum::<f64>() / self.points.len() as f64
     }
-
-    /// Removes points with non-finite coordinates, returning how many were
-    /// dropped. Generators never produce such points but CSV imports might.
-    pub fn sanitize(&mut self) -> usize {
-        let before = self.points.len();
-        self.points.retain(|p| p.is_finite() && p.value.is_finite());
-        before - self.points.len()
-    }
 }
 
 impl<'a> IntoIterator for &'a Dataset {
@@ -186,16 +178,6 @@ mod tests {
         assert_eq!(t.points[1], d.points[1]);
         // truncating beyond the length is a no-op on the contents
         assert_eq!(d.truncated(100).len(), 4);
-    }
-
-    #[test]
-    fn sanitize_removes_non_finite() {
-        let mut d = sample_dataset();
-        d.points.push(Point::new(f64::NAN, 0.0));
-        d.points.push(Point::with_value(0.0, 0.0, f64::INFINITY));
-        let removed = d.sanitize();
-        assert_eq!(removed, 2);
-        assert_eq!(d.len(), 4);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct GaussianCluster {
 
 impl GaussianCluster {
     /// An isotropic cluster at `(cx, cy)` with standard deviation `sigma`.
-    pub fn isotropic(cx: f64, cy: f64, sigma: f64) -> Self {
+    fn isotropic(cx: f64, cy: f64, sigma: f64) -> Self {
         Self {
             cx,
             cy,
@@ -48,13 +48,13 @@ impl GaussianCluster {
     }
 
     /// Returns a copy with a different mixing weight.
-    pub fn with_weight(mut self, weight: f64) -> Self {
+    fn with_weight(mut self, weight: f64) -> Self {
         self.weight = weight;
         self
     }
 
     /// Returns a copy with anisotropic spread and rotation.
-    pub fn with_shape(mut self, sigma_x: f64, sigma_y: f64, rotation: f64) -> Self {
+    fn with_shape(mut self, sigma_x: f64, sigma_y: f64, rotation: f64) -> Self {
         self.sigma_x = sigma_x;
         self.sigma_y = sigma_y;
         self.rotation = rotation;

@@ -119,12 +119,6 @@ impl BoundingBox {
         }
     }
 
-    /// The degenerate box containing exactly one point.
-    #[inline]
-    pub fn from_point(p: &Point) -> Self {
-        Self::new(p.x, p.y, p.x, p.y)
-    }
-
     /// Smallest box containing every point of `points`; [`EMPTY`](Self::EMPTY)
     /// if the slice is empty.
     pub fn from_points(points: &[Point]) -> Self {

@@ -10,7 +10,7 @@
 //!   reports ρ ≈ −0.85).
 //! * [`similarity`] — a complementary, renderer-centric fidelity measure:
 //!   how similar the bitmap produced from a sample is to the bitmap produced
-//!   from the full data, across overview and zoomed viewports.
+//!   from the full data.
 //!
 //! Nothing here is needed to *build* a sample; this crate exists to measure
 //! how good samples are.
@@ -23,5 +23,4 @@ pub mod similarity;
 pub mod stats;
 
 pub use loss::{LossConfig, LossEstimator, LossReport};
-pub use similarity::{visual_similarity, SimilarityConfig, SimilarityReport};
-pub use stats::{mean, median, pearson, spearman, std_dev, Summary};
+pub use stats::{mean, median, pearson, spearman};

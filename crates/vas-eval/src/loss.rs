@@ -22,11 +22,6 @@ use vas_core::Kernel;
 use vas_data::{Dataset, Point};
 use vas_spatial::{HashGrid, KdTree, NeighborBatch};
 
-/// Probes per parallel work unit of [`LossEstimator::evaluate`]. Fixed (not
-/// derived from the thread count) so the chunk split — and with it every
-/// floating-point fold — is identical at every thread count.
-const PROBE_CHUNK: usize = 64;
-
 /// Configuration of the Monte-Carlo loss estimator.
 #[derive(Debug, Clone)]
 pub struct LossConfig {
@@ -41,11 +36,6 @@ pub struct LossConfig {
     /// Point-losses are clamped to this value to avoid infinities when a
     /// probe is far from every sampled point.
     pub max_point_loss: f64,
-    /// Worker threads for the M-probe loop of [`LossEstimator::evaluate`]
-    /// (`1` = sequential, `0` = available parallelism). Probes are
-    /// independent and fan in by probe index, so the estimate is
-    /// **bit-identical** at every thread count.
-    pub threads: usize,
 }
 
 impl Default for LossConfig {
@@ -55,17 +45,7 @@ impl Default for LossConfig {
             domain_radius_fraction: 0.03,
             seed: 7,
             max_point_loss: 1e300,
-            threads: 1,
         }
-    }
-}
-
-impl LossConfig {
-    /// Sets the worker-thread count for the probe loop (see
-    /// [`threads`](Self::threads)).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -146,11 +126,6 @@ impl LossEstimator {
         &self.probes
     }
 
-    /// Median point-loss of the full dataset (the log-loss-ratio denominator).
-    pub fn full_dataset_loss(&self) -> f64 {
-        self.full_dataset_median
-    }
-
     /// Estimates the loss of a sample.
     pub fn evaluate<K: Kernel + ?Sized>(&self, kernel: &K, sample: &[Point]) -> LossReport {
         if self.probes.is_empty() {
@@ -174,49 +149,30 @@ impl LossEstimator {
         // uses.
         let radius = kernel.effective_radius(1e-12).min(f64::MAX);
         let grid = HashGrid::from_entries(radius, sample.iter().copied().enumerate());
-        // Probes are mutually independent, so the M-probe loop fans out over
-        // scoped workers sharing the frozen grid; chunks fan in by probe
-        // order, making the estimate bit-identical to the sequential loop at
-        // any thread count (the chunk split depends only on the probe count,
-        // mean folds the same vector left-to-right, median sorts the same
-        // multiset). Each probe's kernel sum runs through the batched SoA
-        // path: the grid gathers the neighbourhood's squared distances as
-        // flat lanes in visitation order, one `eval_dist2_batch` sweep maps
-        // them, and the total folds the value lanes left-to-right — kernel
-        // for kernel the same bits as the scalar visitor (`p.dist2(probe)`
-        // is bit-identical to `probe.dist2(p)`: exact negation, same sum).
-        let losses: Vec<f64> = vas_par::par_chunk_fold_ordered(
-            self.config.threads,
-            &self.probes,
-            PROBE_CHUNK,
-            |_, chunk| {
-                // Per-chunk owned scratch, amortized over the chunk's probes.
-                let mut gather = NeighborBatch::new();
-                let mut vals: Vec<f64> = Vec::new();
-                let mut out = Vec::with_capacity(chunk.len());
-                for probe in chunk {
-                    grid.gather_in_radius_into(probe, radius, &mut gather);
-                    vals.clear();
-                    vals.resize(gather.len(), 0.0);
-                    kernel.eval_dist2_batch(gather.dist2(), &mut vals);
-                    let mut total = 0.0;
-                    for &v in &vals {
-                        total += v;
-                    }
-                    out.push(if total > 0.0 {
-                        (1.0 / total).min(self.config.max_point_loss)
-                    } else {
-                        self.config.max_point_loss
-                    });
-                }
-                out
-            },
-            |mut acc, mut next| {
-                acc.append(&mut next);
-                acc
-            },
-        )
-        .expect("probe set is non-empty");
+        // Each probe's kernel sum runs through the batched SoA path: the grid
+        // gathers the neighbourhood's squared distances as flat lanes in
+        // visitation order, one `eval_dist2_batch` sweep maps them, and the
+        // total folds the value lanes left-to-right — kernel for kernel the
+        // same bits as the scalar visitor (`p.dist2(probe)` is bit-identical
+        // to `probe.dist2(p)`: exact negation, same sum).
+        let mut gather = NeighborBatch::new();
+        let mut vals: Vec<f64> = Vec::new();
+        let mut losses = Vec::with_capacity(self.probes.len());
+        for probe in &self.probes {
+            grid.gather_in_radius_into(probe, radius, &mut gather);
+            vals.clear();
+            vals.resize(gather.len(), 0.0);
+            kernel.eval_dist2_batch(gather.dist2(), &mut vals);
+            let mut total = 0.0;
+            for &v in &vals {
+                total += v;
+            }
+            losses.push(if total > 0.0 {
+                (1.0 / total).min(self.config.max_point_loss)
+            } else {
+                self.config.max_point_loss
+            });
+        }
         let mean = losses.iter().sum::<f64>() / losses.len() as f64;
         let median = crate::stats::median(&losses);
         LossReport {
@@ -264,7 +220,7 @@ mod tests {
         let est = LossEstimator::new(&d, &kernel, LossConfig::default());
         let small = UniformSampler::new(200, 1).sample_dataset(&d);
         let small_loss = est.evaluate(&kernel, &small.points);
-        assert!(small_loss.median >= est.full_dataset_loss());
+        assert!(small_loss.median >= est.full_dataset_median);
         // log-loss-ratio of the full dataset itself is 0 by definition.
         let llr_full = est.log_loss_ratio(&kernel, &d.points);
         assert!(llr_full.abs() < 1e-9);
@@ -318,44 +274,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_probe_loop_is_bit_identical_to_sequential() {
-        let d = dataset();
-        let kernel = GaussianKernel::for_dataset(&d);
-        let sample = UniformSampler::new(400, 9).sample_dataset(&d);
-        let sequential = LossEstimator::new(&d, &kernel, LossConfig::default());
-        let seq = sequential.evaluate(&kernel, &sample.points);
-        for threads in [2usize, 4] {
-            let parallel =
-                LossEstimator::new(&d, &kernel, LossConfig::default().with_threads(threads));
-            assert_eq!(parallel.probes(), sequential.probes());
-            assert_eq!(
-                parallel.full_dataset_loss().to_bits(),
-                sequential.full_dataset_loss().to_bits(),
-                "threads {threads}: full-dataset loss diverged"
-            );
-            let par = parallel.evaluate(&kernel, &sample.points);
-            assert_eq!(par.mean.to_bits(), seq.mean.to_bits(), "threads {threads}");
-            assert_eq!(
-                par.median.to_bits(),
-                seq.median.to_bits(),
-                "threads {threads}"
-            );
-            assert_eq!(
-                parallel.log_loss_ratio(&kernel, &sample.points).to_bits(),
-                sequential.log_loss_ratio(&kernel, &sample.points).to_bits(),
-                "threads {threads}"
-            );
-        }
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let d = dataset();
         let kernel = GaussianKernel::for_dataset(&d);
         let a = LossEstimator::new(&d, &kernel, LossConfig::default());
         let b = LossEstimator::new(&d, &kernel, LossConfig::default());
         assert_eq!(a.probes(), b.probes());
-        assert_eq!(a.full_dataset_loss(), b.full_dataset_loss());
+        assert_eq!(a.full_dataset_median, b.full_dataset_median);
     }
 
     #[test]

@@ -4,98 +4,10 @@
 //! complementary, renderer-centric view asks: if the full dataset and the
 //! sample are rasterized into the same viewport, how similar are the two
 //! images a viewer actually sees? This module provides that measure — the
-//! Jaccard overlap and per-cell density correlation of the two bitmaps,
-//! averaged over a set of viewports (overview plus zoomed regions) — and is
-//! used by the ablation experiments as a sanity check that improvements in
-//! the abstract loss correspond to improvements on screen.
+//! Jaccard overlap and per-cell density correlation of the two bitmaps —
+//! which the `binned_comparison` experiment reports next to the loss.
 
-use vas_data::{Dataset, Point, ZoomLevel, ZoomWorkload};
-use vas_viz::{Canvas, Color, PlotStyle, ScatterRenderer, Viewport};
-
-/// Configuration of the bitmap-similarity evaluator.
-#[derive(Debug, Clone)]
-pub struct SimilarityConfig {
-    /// Canvas side length in pixels for every rendered comparison.
-    pub canvas_size: usize,
-    /// Number of deep-zoom viewports compared in addition to the overview.
-    pub zoom_viewports: usize,
-    /// Zoom level of those viewports.
-    pub zoom: ZoomLevel,
-    /// Side length of the coarse grid used for the density-correlation
-    /// component (each cell's ink fraction is one observation).
-    pub grid_side: usize,
-    /// Seed controlling viewport placement.
-    pub seed: u64,
-}
-
-impl Default for SimilarityConfig {
-    fn default() -> Self {
-        Self {
-            canvas_size: 256,
-            zoom_viewports: 4,
-            zoom: ZoomLevel::Deep,
-            grid_side: 16,
-            seed: 17,
-        }
-    }
-}
-
-/// The similarity of a sample's rendering to the full dataset's rendering.
-#[derive(Debug, Clone, Copy)]
-pub struct SimilarityReport {
-    /// Mean Jaccard overlap of inked pixels across the compared viewports
-    /// (1 = pixel-identical ink coverage, 0 = disjoint).
-    pub mean_jaccard: f64,
-    /// Mean Pearson correlation of coarse-cell ink fractions across the
-    /// compared viewports (how well relative density is preserved).
-    pub mean_density_correlation: f64,
-    /// Number of viewports compared.
-    pub viewports: usize,
-}
-
-/// Renders `sample` and the full `dataset` into the same set of viewports and
-/// reports how similar the images are.
-pub fn visual_similarity(
-    dataset: &Dataset,
-    sample: &[Point],
-    config: &SimilarityConfig,
-) -> SimilarityReport {
-    let renderer = ScatterRenderer::new(PlotStyle::default());
-    let mut viewports = Vec::new();
-    if !dataset.is_empty() {
-        let bounds = dataset.bounds();
-        viewports.push(bounds.padded(bounds.diagonal() * 0.01));
-        let workload = ZoomWorkload::new(config.seed);
-        viewports.extend(
-            workload
-                .regions(dataset, config.zoom, config.zoom_viewports)
-                .into_iter()
-                .map(|r| r.viewport),
-        );
-    }
-    if viewports.is_empty() {
-        return SimilarityReport {
-            mean_jaccard: 0.0,
-            mean_density_correlation: 0.0,
-            viewports: 0,
-        };
-    }
-
-    let mut jaccard_sum = 0.0;
-    let mut corr_sum = 0.0;
-    for region in &viewports {
-        let viewport = Viewport::new(*region, config.canvas_size, config.canvas_size);
-        let full = renderer.render_points(&dataset.points, &viewport);
-        let sampled = renderer.render_points(sample, &viewport);
-        jaccard_sum += ink_jaccard(&full, &sampled);
-        corr_sum += density_correlation(&full, &sampled, config.grid_side);
-    }
-    SimilarityReport {
-        mean_jaccard: jaccard_sum / viewports.len() as f64,
-        mean_density_correlation: corr_sum / viewports.len() as f64,
-        viewports: viewports.len(),
-    }
-}
+use vas_viz::{Canvas, Color};
 
 /// Jaccard overlap of the inked-pixel sets of two equally-sized canvases.
 pub fn ink_jaccard(a: &Canvas, b: &Canvas) -> f64 {
@@ -145,72 +57,6 @@ pub fn density_correlation(a: &Canvas, b: &Canvas, grid_side: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vas_data::GeolifeGenerator;
-    use vas_sampling::{Sampler, UniformSampler};
-
-    fn dataset() -> Dataset {
-        GeolifeGenerator::with_size(20_000, 81).generate()
-    }
-
-    #[test]
-    fn identical_images_have_perfect_scores() {
-        let d = dataset();
-        let report = visual_similarity(&d, &d.points, &SimilarityConfig::default());
-        assert!(report.mean_jaccard > 0.999);
-        assert!(report.mean_density_correlation > 0.999);
-        assert_eq!(report.viewports, 5);
-    }
-
-    #[test]
-    fn empty_sample_scores_near_zero() {
-        let d = dataset();
-        let report = visual_similarity(&d, &[], &SimilarityConfig::default());
-        assert!(report.mean_jaccard < 0.01);
-    }
-
-    #[test]
-    fn larger_samples_are_more_similar() {
-        let d = dataset();
-        let cfg = SimilarityConfig::default();
-        let small = UniformSampler::new(200, 1).sample_dataset(&d);
-        let large = UniformSampler::new(5_000, 1).sample_dataset(&d);
-        let s_small = visual_similarity(&d, &small.points, &cfg);
-        let s_large = visual_similarity(&d, &large.points, &cfg);
-        assert!(s_large.mean_jaccard > s_small.mean_jaccard);
-        assert!(s_large.mean_density_correlation >= s_small.mean_density_correlation);
-    }
-
-    #[test]
-    fn vas_zoomed_similarity_beats_uniform() {
-        use vas_core::{VasConfig, VasSampler};
-        // Any single dataset realization is noisy — a uniform sample that
-        // happens to land points in the compared zoom regions can win one
-        // draw — so the paper's directional claim is asserted strictly on
-        // the average across several realizations.
-        let cfg = SimilarityConfig {
-            zoom_viewports: 8,
-            ..SimilarityConfig::default()
-        };
-        let k = 500;
-        let mut vas_total = 0.0;
-        let mut uni_total = 0.0;
-        for seed in [81, 82, 83] {
-            let d = GeolifeGenerator::with_size(20_000, seed).generate();
-            let uni = UniformSampler::new(k, 2).sample_dataset(&d);
-            let vas = VasSampler::from_dataset(&d, VasConfig::new(k)).sample_dataset(&d);
-            uni_total += visual_similarity(&d, &uni.points, &cfg).mean_jaccard;
-            vas_total += visual_similarity(&d, &vas.points, &cfg).mean_jaccard;
-        }
-        assert!(
-            vas_total >= uni_total,
-            "VAS mean jaccard {0:?} vs uniform {1:?} across 3 realizations",
-            vas_total / 3.0,
-            uni_total / 3.0
-        );
-        // No density-correlation assertion here on purpose: VAS trades raw
-        // density fidelity for coverage (it flattens dense regions), which is
-        // exactly what the Section V density embedding compensates for.
-    }
 
     #[test]
     fn jaccard_edge_cases() {

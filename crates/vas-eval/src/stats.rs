@@ -13,15 +13,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation; 0 for slices with fewer than two values.
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64).sqrt()
-}
-
 /// Median (average of the two central elements for even lengths); 0 for an
 /// empty slice. Not resistant to NaN inputs — callers must pass finite data.
 pub fn median(values: &[f64]) -> f64 {
@@ -97,62 +88,19 @@ fn ranks(values: &[f64]) -> Vec<f64> {
     out
 }
 
-/// A five-number-ish summary of a series, handy for experiment logs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of values summarized.
-    pub count: usize,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median.
-    pub median: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-}
-
-impl Summary {
-    /// Summarizes a series. All fields are 0 for an empty slice.
-    pub fn of(values: &[f64]) -> Self {
-        if values.is_empty() {
-            return Self {
-                count: 0,
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-                median: 0.0,
-                std_dev: 0.0,
-            };
-        }
-        Self {
-            count: values.len(),
-            min: values.iter().copied().fold(f64::INFINITY, f64::min),
-            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            mean: mean(values),
-            median: median(values),
-            std_dev: std_dev(values),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
     #[test]
-    fn mean_median_std() {
+    fn mean_and_median() {
         let v = [1.0, 2.0, 3.0, 4.0, 100.0];
         assert_eq!(mean(&v), 22.0);
         assert_eq!(median(&v), 3.0);
-        assert!(std_dev(&v) > 38.0 && std_dev(&v) < 40.0);
         assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(median(&[]), 0.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
     }
 
     #[test]
@@ -192,18 +140,6 @@ mod tests {
         let a: Vec<f64> = (0..200).map(|i| ((i * 7919) % 104729) as f64).collect();
         let b: Vec<f64> = (0..200).map(|i| ((i * 104729) % 7919) as f64).collect();
         assert!(spearman(&a, &b).abs() < 0.2);
-    }
-
-    #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 8.0);
-        assert_eq!(s.mean, 5.0);
-        assert_eq!(s.median, 5.0);
-        let empty = Summary::of(&[]);
-        assert_eq!(empty.count, 0);
     }
 
     #[test]

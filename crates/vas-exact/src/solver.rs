@@ -36,13 +36,6 @@ impl ExactSolver {
         Self::default()
     }
 
-    /// Creates a solver that stops after exploring `limit` nodes.
-    pub fn with_node_limit(limit: u64) -> Self {
-        Self {
-            node_limit: Some(limit),
-        }
-    }
-
     /// Exhaustively enumerates every K-subset. Only feasible for very small
     /// instances (it is used to validate the branch-and-bound solver).
     ///
@@ -389,7 +382,10 @@ mod tests {
     fn node_limit_returns_feasible_solution() {
         let kernel = GaussianKernel::new(1.0);
         let points = random_points(30, 13);
-        let sol = ExactSolver::with_node_limit(50).solve(&kernel, &points, 5, None);
+        let sol = ExactSolver {
+            node_limit: Some(50),
+        }
+        .solve(&kernel, &points, 5, None);
         assert_eq!(sol.indices.len(), 5);
         assert!(sol.objective.is_finite());
     }

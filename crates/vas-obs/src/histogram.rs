@@ -2,7 +2,7 @@
 //! integer) distributions.
 //!
 //! The bucket layout is fixed at compile time so histograms can live in
-//! plain arrays, merge by bucket index, and round-trip through the
+//! plain arrays, subtract by bucket index, and round-trip through the
 //! exporters without any per-instance configuration: values `0..=3` get
 //! exact buckets, and every power-of-two octave above that is split into 4
 //! sub-buckets. The relative quantization error is therefore bounded at 25%
@@ -28,7 +28,7 @@ pub fn bucket_index(value: u64) -> usize {
 /// Returns the smallest value that lands in bucket `index`.
 ///
 /// Panics if `index >= HISTOGRAM_BUCKETS`.
-pub fn bucket_lower_bound(index: usize) -> u64 {
+fn bucket_lower_bound(index: usize) -> u64 {
     assert!(index < HISTOGRAM_BUCKETS, "bucket index out of range");
     if index < 4 {
         return index as u64;
@@ -41,7 +41,7 @@ pub fn bucket_lower_bound(index: usize) -> u64 {
 /// Returns the largest value that lands in bucket `index` (inclusive).
 ///
 /// Panics if `index >= HISTOGRAM_BUCKETS`.
-pub fn bucket_upper_bound(index: usize) -> u64 {
+fn bucket_upper_bound(index: usize) -> u64 {
     assert!(index < HISTOGRAM_BUCKETS, "bucket index out of range");
     if index + 1 == HISTOGRAM_BUCKETS {
         u64::MAX
@@ -154,15 +154,6 @@ impl Histogram {
         h.count = count;
         h.sum = sum;
         Ok(h)
-    }
-
-    /// Adds every observation of `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// The observations recorded since `earlier` was captured.
@@ -280,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_and_delta_subtracts() {
+    fn delta_subtracts_the_earlier_observations() {
         let mut a = Histogram::new();
         let mut b = Histogram::new();
         for v in [1u64, 10, 100] {
@@ -289,11 +280,13 @@ mod tests {
         for v in [2u64, 20] {
             b.record(v);
         }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), 5);
-        assert_eq!(merged.sum(), 133);
-        let d = merged.delta(&a);
+        let mut later = a.clone();
+        for v in [2u64, 20] {
+            later.record(v);
+        }
+        assert_eq!(later.count(), 5);
+        assert_eq!(later.sum(), 133);
+        let d = later.delta(&a);
         assert_eq!(d, b);
     }
 

@@ -42,10 +42,6 @@ pub enum Counter {
     StreamChunksDecoded,
     /// Chunk/header CRC mismatches detected.
     StreamCrcFailures,
-    /// Corrupt chunks skipped under `CorruptionPolicy::SkipChunks`.
-    StreamCorruptChunksSkipped,
-    /// Points lost to skipped corrupt chunks.
-    StreamPointsSkipped,
     /// Transient source errors absorbed by `RetryingSource`.
     StreamRetriesAbsorbed,
     /// Retry budgets exhausted (fatal `RetriesExhausted` surfaced).
@@ -69,7 +65,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 17] = [
         Counter::CoreAccepts,
         Counter::CoreRejects,
         Counter::CoreKernelLanes,
@@ -79,8 +75,6 @@ impl Counter {
         Counter::CoreCheckpointResumes,
         Counter::StreamChunksDecoded,
         Counter::StreamCrcFailures,
-        Counter::StreamCorruptChunksSkipped,
-        Counter::StreamPointsSkipped,
         Counter::StreamRetriesAbsorbed,
         Counter::StreamRetriesExhausted,
         Counter::ParTasksExecuted,
@@ -106,8 +100,6 @@ impl Counter {
             Counter::CoreCheckpointResumes => "core_checkpoint_resumes",
             Counter::StreamChunksDecoded => "stream_chunks_decoded",
             Counter::StreamCrcFailures => "stream_crc_failures",
-            Counter::StreamCorruptChunksSkipped => "stream_corrupt_chunks_skipped",
-            Counter::StreamPointsSkipped => "stream_points_skipped",
             Counter::StreamRetriesAbsorbed => "stream_retries_absorbed",
             Counter::StreamRetriesExhausted => "stream_retries_exhausted",
             Counter::ParTasksExecuted => "par_tasks_executed",
@@ -128,7 +120,7 @@ impl Counter {
     /// also survive: shard workers share one registry and each worker's
     /// finalize resets the per-build pair, so the sharded path accumulates
     /// into these lifetime counters *after* each worker finishes.
-    pub fn resets_with_build(self) -> bool {
+    fn resets_with_build(self) -> bool {
         matches!(
             self,
             Counter::CoreAccepts
@@ -250,7 +242,7 @@ impl ValueSeries {
 /// An atomic fixed-bucket histogram (the registry-resident twin of
 /// [`Histogram`]).
 #[derive(Debug)]
-pub struct AtomicHistogram {
+struct AtomicHistogram {
     counts: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -361,8 +353,8 @@ impl MetricsRegistry {
         self.phase_ns[phase.index()].load(Ordering::Relaxed)
     }
 
-    /// Zeroes the per-build counters (see [`Counter::resets_with_build`]);
-    /// everything else survives.
+    /// Zeroes the per-build counters: accepts, rejects, kernel lanes, exact
+    /// fallbacks and cache-certified rejects. Everything else survives.
     /// Called by `VasSampler::reset()` so registry-backed getters keep the
     /// exact semantics the plain-field counters had.
     pub fn reset_build_counters(&self) {

@@ -32,7 +32,7 @@
 //! Finished spans and events share one bounded ring
 //! ([`Tracer::with_capacity`]): once full, each new record evicts the
 //! oldest, counted in [`Tracer::dropped`]. [`Tracer::dump`] writes the
-//! newest [`DUMP_RECORDS`] of them to the path set by
+//! newest `DUMP_RECORDS` of them to the path set by
 //! [`Tracer::set_dump_path`] as JSONL — a `"kind":"flight_dump"` header,
 //! then one `"kind":"span"` or `"kind":"event"` line per record — so a run
 //! that dies still tells the story of its last moments. Records stay
@@ -54,10 +54,10 @@ use std::time::Instant;
 
 /// Default bound on the number of records (spans and events) a [`Tracer`]
 /// retains.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
+const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// How many of the newest records a post-mortem [`Tracer::dump`] writes.
-pub const DUMP_RECORDS: usize = 512;
+const DUMP_RECORDS: usize = 512;
 
 /// Tracer tokens are process-unique so a `SpanContext` can never be
 /// resolved against the wrong tracer.
@@ -375,17 +375,6 @@ impl Tracer {
         self.open(name, None, Instant::now())
     }
 
-    /// Opens a span with an explicit parent context (cross-thread
-    /// propagation). A `None` or foreign-tracer context falls back to the
-    /// implicit rules.
-    pub fn span_under(
-        self: &Arc<Self>,
-        name: &'static str,
-        parent: Option<SpanContext>,
-    ) -> SpanGuard {
-        self.open(name, parent, Instant::now())
-    }
-
     /// Opens a span that started at `start` (a clock reading the caller
     /// shares with its own timer).
     pub(crate) fn open(
@@ -451,7 +440,7 @@ impl Tracer {
         self.dumps.load(Ordering::Relaxed)
     }
 
-    /// Writes the newest [`DUMP_RECORDS`] records to the dump path as
+    /// Writes the newest `DUMP_RECORDS` records to the dump path as
     /// JSONL, preceded by a header line carrying `reason` and a dump
     /// sequence number. Returns the path written, or `None` when no dump
     /// path is set or the write failed. A re-dump never clobbers an earlier
@@ -712,7 +701,7 @@ mod tests {
         let ctx = root.context();
         let worker_tracer = Arc::clone(&tracer);
         std::thread::spawn(move || {
-            let _span = worker_tracer.span_under("worker", ctx);
+            let _span = worker_tracer.open("worker", ctx, Instant::now());
         })
         .join()
         .unwrap();
@@ -850,7 +839,7 @@ mod tests {
         let a = Arc::new(Tracer::new());
         let b = Arc::new(Tracer::new());
         let root_a = a.span("root-a");
-        let span_b = b.span_under("child-b", root_a.context());
+        let span_b = b.open("child-b", root_a.context(), Instant::now());
         drop(span_b);
         drop(root_a);
         let spans = b.spans();

@@ -7,9 +7,8 @@
 //! every shape shares one panic policy: a panic anywhere in a fan-out, the
 //! calling thread's own share included, is caught, every worker is joined,
 //! and the call returns [`WorkerPanic`]. What a `WorkerPanic` means is the
-//! caller's decision: the pure maps and the catalog ladder re-raise it, and
-//! the sharded build (its bounds scan, its feeding source and its shard
-//! workers) turns it into a typed error.
+//! caller's decision: the sharded build (its bounds scan, its feeding source
+//! and its shard workers) turns it into a typed error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vas_obs::{Counter, Phase, PhaseGuard, Recorder};

@@ -73,11 +73,6 @@ impl StratifiedSampler {
         Self::new(k, bounds, side, side, seed)
     }
 
-    /// Number of grid cells.
-    pub fn n_bins(&self) -> usize {
-        self.cols * self.rows
-    }
-
     fn bin_index(&self, p: &Point) -> usize {
         let fx = (p.x - self.bounds.min_x) / self.bounds.width();
         let fy = (p.y - self.bounds.min_y) / self.bounds.height();

@@ -76,11 +76,6 @@ impl UniformGrid {
         self.rows
     }
 
-    /// Number of cells (`cols × rows`).
-    pub fn n_cells(&self) -> usize {
-        self.cols * self.rows
-    }
-
     /// Number of inserted points.
     pub fn len(&self) -> usize {
         self.len
@@ -128,18 +123,13 @@ impl UniformGrid {
         &self.cells[self.cell_index(col, row)]
     }
 
-    /// Number of points per cell, iterated row-major.
-    pub fn cell_counts(&self) -> Vec<usize> {
-        self.cells.iter().map(Vec::len).collect()
-    }
-
     /// Number of cells that contain at least one point.
     pub fn occupied_cells(&self) -> usize {
         self.cells.iter().filter(|c| !c.is_empty()).count()
     }
 
     /// Iterates `(col, row, ids)` over all non-empty cells.
-    pub fn iter_occupied(&self) -> impl Iterator<Item = (usize, usize, &[usize])> {
+    fn iter_occupied(&self) -> impl Iterator<Item = (usize, usize, &[usize])> {
         self.cells.iter().enumerate().filter_map(move |(i, ids)| {
             if ids.is_empty() {
                 None
@@ -162,26 +152,12 @@ impl UniformGrid {
         )
     }
 
-    /// Ids of all points whose cell intersects `region`. This over-approximates
-    /// a precise region query (cells straddling the border are returned whole);
-    /// callers needing exactness filter by the original coordinates.
-    ///
-    /// Thin allocating wrapper over
-    /// [`query_region_cells_into`](Self::query_region_cells_into); callers
-    /// issuing one query per rendered frame should reuse a buffer instead.
-    pub fn query_region_cells(&self, region: &BoundingBox) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.query_region_cells_into(region, &mut out);
-        out
-    }
-
     /// Writes the ids of all points whose cell intersects `region` into
-    /// `out`, clearing it first. The buffer's capacity is retained across
-    /// calls, so a reused buffer makes per-frame queries allocation-free in
-    /// the steady state.
-    ///
-    /// Ids are produced in the same order as
-    /// [`query_region_cells`](Self::query_region_cells).
+    /// `out`, clearing it first. This over-approximates a precise region
+    /// query (cells straddling the border are returned whole); callers
+    /// needing exactness filter by the original coordinates. The buffer's
+    /// capacity is retained across calls, so a reused buffer makes per-frame
+    /// queries allocation-free in the steady state.
     pub fn query_region_cells_into(&self, region: &BoundingBox, out: &mut Vec<usize>) {
         out.clear();
         for (col, row, ids) in self.iter_occupied() {
@@ -210,8 +186,8 @@ mod tests {
         let pts = unit_points(1_000, 1);
         let g = UniformGrid::build(&pts, 10, 10);
         assert_eq!(g.len(), 1_000);
-        assert_eq!(g.n_cells(), 100);
-        assert_eq!(g.cell_counts().iter().sum::<usize>(), 1_000);
+        assert_eq!(g.cells.len(), 100);
+        assert_eq!(g.cells.iter().map(Vec::len).sum::<usize>(), 1_000);
         // With 1000 uniform points over 100 cells nearly every cell is occupied.
         assert!(g.occupied_cells() > 90);
     }
@@ -264,7 +240,8 @@ mod tests {
         let pts = unit_points(500, 2);
         let g = UniformGrid::build(&pts, 20, 20);
         let region = BoundingBox::new(0.2, 0.2, 0.4, 0.6);
-        let ids = g.query_region_cells(&region);
+        let mut ids = Vec::new();
+        g.query_region_cells_into(&region, &mut ids);
         // Every point truly inside the region must be returned.
         for (i, p) in pts.iter().enumerate() {
             if region.contains(p) {
@@ -274,18 +251,17 @@ mod tests {
     }
 
     #[test]
-    fn query_region_cells_into_matches_and_reuses_the_buffer() {
+    fn query_region_cells_into_reuses_the_buffer() {
         let pts = unit_points(400, 7);
         let g = UniformGrid::build(&pts, 16, 16);
         let region = BoundingBox::new(0.1, 0.1, 0.5, 0.9);
-        let allocated = g.query_region_cells(&region);
         let mut buf = Vec::new();
         g.query_region_cells_into(&region, &mut buf);
-        assert_eq!(buf, allocated);
+        let first = buf.len();
         let cap = buf.capacity();
         // A smaller follow-up query clears but does not shrink the buffer.
         g.query_region_cells_into(&BoundingBox::new(0.0, 0.0, 0.05, 0.05), &mut buf);
-        assert!(buf.len() < allocated.len());
+        assert!(buf.len() < first);
         assert_eq!(buf.capacity(), cap);
     }
 

@@ -47,11 +47,6 @@ pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-/// Appends a little-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a little-endian `u64`.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -103,12 +98,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(self.take(1, what)?[0])
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn take_u32(&mut self, what: &str) -> Result<u32, SnapshotError> {
-        let s = self.take(4, what)?;
-        Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
-    }
-
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self, what: &str) -> Result<u64, SnapshotError> {
         let s = self.take(8, what)?;
@@ -149,7 +138,6 @@ mod tests {
     fn round_trips_every_primitive() {
         let mut buf = Vec::new();
         put_u8(&mut buf, 0xAB);
-        put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 7);
         put_usize(&mut buf, 123_456);
         put_f64(&mut buf, -0.0);
@@ -158,7 +146,6 @@ mod tests {
 
         let mut r = SnapshotReader::new(&buf);
         assert_eq!(r.take_u8("a").unwrap(), 0xAB);
-        assert_eq!(r.take_u32("b").unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.take_u64("c").unwrap(), u64::MAX - 7);
         assert_eq!(r.take_usize("d").unwrap(), 123_456);
         assert_eq!(r.take_f64("e").unwrap().to_bits(), (-0.0f64).to_bits());
@@ -170,7 +157,7 @@ mod tests {
     #[test]
     fn truncation_and_trailing_bytes_are_errors() {
         let mut buf = Vec::new();
-        put_u32(&mut buf, 7);
+        buf.extend_from_slice(&[7, 0, 0, 0]);
         let mut r = SnapshotReader::new(&buf);
         let err = r.take_u64("needs eight").unwrap_err();
         assert!(err.to_string().contains("needs eight"), "{err}");

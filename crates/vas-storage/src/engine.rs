@@ -117,11 +117,6 @@ impl VizEngine {
         self.tables.insert(table.name().to_string(), table);
     }
 
-    /// Registered table names.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-
     /// Looks up a registered table.
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name)
@@ -377,7 +372,10 @@ mod tests {
     #[test]
     fn table_registration_and_lookup() {
         let e = engine();
-        assert_eq!(e.table_names(), vec![table_name()]);
+        assert_eq!(
+            e.tables.keys().cloned().collect::<Vec<_>>(),
+            vec![table_name()]
+        );
         assert!(e.table(&table_name()).is_some());
         assert!(e.table("missing").is_none());
     }

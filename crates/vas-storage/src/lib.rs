@@ -34,5 +34,5 @@ pub mod table;
 
 pub use catalog::SampleCatalog;
 pub use engine::{VizEngine, VizQuery, VizResult};
-pub use persist::{load_catalog, manifest_path, save_catalog, save_catalog_recorded};
-pub use table::{ColumnRef, Table};
+pub use persist::{load_catalog, save_catalog, save_catalog_recorded};
+pub use table::Table;

@@ -251,8 +251,8 @@ pub fn load_catalog(dir: impl AsRef<Path>) -> Result<SampleCatalog, VasError> {
     }
 }
 
-/// Path of the manifest inside a catalog directory (exposed for tooling).
-pub fn manifest_path(dir: impl AsRef<Path>) -> PathBuf {
+/// Path of the manifest inside a catalog directory.
+fn manifest_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(MANIFEST_FILE)
 }
 

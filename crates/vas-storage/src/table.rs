@@ -9,16 +9,6 @@
 use std::collections::BTreeMap;
 use vas_data::{BoundingBox, Dataset, Point};
 
-/// A named reference to a column of a [`Table`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ColumnRef(pub String);
-
-impl<T: Into<String>> From<T> for ColumnRef {
-    fn from(name: T) -> Self {
-        ColumnRef(name.into())
-    }
-}
-
 /// An immutable, column-major table of `f64` values.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -81,11 +71,6 @@ impl Table {
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.n_rows
-    }
-
-    /// Names of the columns, sorted.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.keys().map(String::as_str).collect()
     }
 
     /// The values of a column, or `None` if it does not exist.
@@ -160,7 +145,7 @@ mod tests {
         let t = table();
         assert_eq!(t.name(), "t");
         assert_eq!(t.n_rows(), 4);
-        assert_eq!(t.column_names(), vec!["alt", "x", "y"]);
+        assert!(t.columns.keys().eq(["alt", "x", "y"]));
         assert_eq!(t.column("x").unwrap(), &[0.0, 1.0, 2.0, 3.0]);
         assert!(t.column("missing").is_none());
     }

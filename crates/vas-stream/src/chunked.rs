@@ -49,13 +49,12 @@
 //! * a back-patched count that disagrees with the chunks actually present
 //!   fails with a [`VasError::Truncated`] naming both counts.
 //!
-//! By default corruption is a **hard error** — a sample built from silently
-//! dropped points is not the sample the caller asked for. For salvage
-//! workflows, [`ChunkedReader::set_corruption_policy`] opts into
-//! [`CorruptionPolicy::SkipChunks`]: chunks failing their checksum are
-//! skipped, each recorded as a [`CorruptChunkReport`], and the end-of-file
-//! accounting requires `read + skipped == promised` so the degraded stream
-//! still cannot *silently* lose data.
+//! * a length prefix that claims more column bytes than the file still
+//!   holds fails before anything is allocated for it, so a re-sealed header
+//!   cannot make the reader reserve memory the file does not back.
+//!
+//! Corruption is always a **hard error**: a sample built from silently
+//! dropped points is not the sample the caller asked for.
 
 use crate::crc32::Crc32;
 use crate::error::VasError;
@@ -125,33 +124,6 @@ pub struct ChunkedSummary {
     pub chunks: u64,
     /// Total file size in bytes.
     pub bytes: u64,
-}
-
-/// What a [`ChunkedReader`] does when a chunk fails its checksum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CorruptionPolicy {
-    /// Fail the read with a typed error (the default).
-    #[default]
-    Strict,
-    /// Skip the corrupt chunk, record a [`CorruptChunkReport`], and carry on
-    /// with the next chunk — explicit opt-in for salvage workflows. Only
-    /// meaningful for format v2 (v1 files carry no checksums).
-    SkipChunks,
-}
-
-/// One corrupt chunk skipped under [`CorruptionPolicy::SkipChunks`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorruptChunkReport {
-    /// Zero-based index of the chunk within the current scan.
-    pub chunk_index: u64,
-    /// Byte offset of the chunk's length prefix in the file.
-    pub byte_offset: u64,
-    /// Points the skipped chunk claimed to hold.
-    pub points_lost: u64,
-    /// Checksum stored in the file.
-    pub stored_crc: u32,
-    /// Checksum computed over the bytes actually read.
-    pub computed_crc: u32,
 }
 
 /// Streaming writer for the chunked columnar format (always writes v2).
@@ -347,12 +319,9 @@ pub struct ChunkedReader {
     /// Byte position within the data section (for error reports; only
     /// advanced through the sequential chunk reads).
     data_pos: u64,
-    policy: CorruptionPolicy,
-    /// Per-scan skip tally — data-path state (the end-of-file accounting
-    /// needs `read + skipped == promised`), cleared by [`Self::reset`]. The
-    /// attached recorder's registry carries the monotonic lifetime totals.
-    skipped_points: u64,
-    reports: Vec<CorruptChunkReport>,
+    /// Bytes in the data section, from the file's length at open: no chunk
+    /// may claim more column bytes than are left of it.
+    data_len: u64,
     col_buf: Vec<u8>,
     recorder: Recorder,
 }
@@ -450,6 +419,7 @@ impl ChunkedReader {
             }
             data_offset += 4;
         }
+        let data_len = file.get_ref().metadata()?.len().saturating_sub(data_offset);
         Ok(Self {
             file,
             path,
@@ -465,18 +435,15 @@ impl ChunkedReader {
             read: 0,
             chunk_index: 0,
             data_pos: 0,
-            policy: CorruptionPolicy::default(),
-            skipped_points: 0,
-            reports: Vec::new(),
+            data_len,
             col_buf: Vec::new(),
             recorder: Recorder::detached(),
         })
     }
 
-    /// Attaches a shared [`Recorder`]: decoded chunks, CRC failures and
-    /// corruption skips count into its registry, chunk decode latency feeds
-    /// the `chunk_decode` phase when timing is enabled, and skipped chunks
-    /// record `corrupt_chunk_skipped` events.
+    /// Attaches a shared [`Recorder`]: decoded chunks and CRC failures
+    /// count into its registry, and chunk decode latency feeds the
+    /// `chunk_decode` phase when timing is enabled.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -485,37 +452,6 @@ impl ChunkedReader {
     /// The parsed file header.
     pub fn header(&self) -> &ChunkedHeader {
         &self.header
-    }
-
-    /// Points consumed so far in the current scan.
-    pub fn points_read(&self) -> u64 {
-        self.read
-    }
-
-    /// Sets the corruption policy (see [`CorruptionPolicy`]).
-    pub fn set_corruption_policy(&mut self, policy: CorruptionPolicy) {
-        self.policy = policy;
-    }
-
-    /// Builder-style [`Self::set_corruption_policy`].
-    pub fn with_corruption_policy(mut self, policy: CorruptionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Corrupt chunks skipped in the current scan (empty under
-    /// [`CorruptionPolicy::Strict`]). The attached recorder's registry
-    /// additionally counts lifetime totals across scans
-    /// (`stream_corrupt_chunks_skipped`, `stream_crc_failures`).
-    pub fn corruption_reports(&self) -> &[CorruptChunkReport] {
-        &self.reports
-    }
-
-    /// Points lost to skipped chunks in the current scan (cleared by
-    /// [`Self::reset`]); `stream_points_skipped` in the attached recorder's
-    /// registry carries the monotonic lifetime total.
-    pub fn points_skipped(&self) -> u64 {
-        self.skipped_points
     }
 
     fn corrupt(&self, detail: impl Into<String>) -> io::Error {
@@ -541,9 +477,8 @@ impl ChunkedReader {
     }
 
     /// Reads the next chunk into `buf` (cleared first). `Ok(0)` at end of
-    /// data — at which point every promised point must be accounted for
-    /// (decoded, or skipped under [`CorruptionPolicy::SkipChunks`]) and no
-    /// trailing bytes may remain.
+    /// data — at which point every promised point must have been decoded and
+    /// no trailing bytes may remain.
     pub fn next_chunk(&mut self, buf: &mut Vec<Point>) -> io::Result<usize> {
         // The phase guard owns its handles, so it stays open across the
         // `&mut self` inner call.
@@ -562,135 +497,114 @@ impl ChunkedReader {
     }
 
     fn next_chunk_inner(&mut self, buf: &mut Vec<Point>) -> io::Result<usize> {
-        loop {
-            buf.clear();
-            let chunk_offset = self.data_offset + self.data_pos;
-            let mut len_bytes = [0u8; 4];
-            match self.file.read(&mut len_bytes)? {
-                0 => {
-                    // Clean end of file: every promised point must have
-                    // arrived (or been explicitly skipped).
-                    if self.read + self.skipped_points != self.header.count {
-                        return Err(VasError::Truncated {
-                            path: self.path.display().to_string(),
-                            promised: self.header.count,
-                            found: self.read + self.skipped_points,
-                            unit: "points",
-                        }
-                        .into());
+        buf.clear();
+        let mut len_bytes = [0u8; 4];
+        match self.file.read(&mut len_bytes)? {
+            0 => {
+                // Clean end of file: every promised point must have arrived.
+                if self.read != self.header.count {
+                    return Err(VasError::Truncated {
+                        path: self.path.display().to_string(),
+                        promised: self.header.count,
+                        found: self.read,
+                        unit: "points",
                     }
-                    return Ok(0);
+                    .into());
                 }
-                4 => {}
-                n => {
-                    let (chunk_index, read, promised) =
-                        (self.chunk_index, self.read, self.header.count);
-                    self.file.read_exact(&mut len_bytes[n..]).map_err(|_| {
-                        self.corrupt(format!(
-                            "chunk {chunk_index} torn in its length prefix \
-                             ({read} of {promised} promised points decoded so far)"
-                        ))
-                    })?;
-                }
+                return Ok(0);
             }
-            self.data_pos += 4;
-            let m = u32::from_le_bytes(len_bytes) as usize;
-            if m == 0 || m > self.header.chunk_size {
-                return Err(self.corrupt(format!(
-                    "chunk {} has corrupt length {m} (chunk size {}); cannot resync",
-                    self.chunk_index, self.header.chunk_size
-                )));
-            }
-            let mut stored_crc = 0u32;
-            if self.header.version >= 2 {
-                let mut crc_bytes = [0u8; 4];
-                let chunk_index = self.chunk_index;
-                self.file.read_exact(&mut crc_bytes).map_err(|_| {
-                    self.corrupt(format!("chunk {chunk_index} torn in its checksum field"))
+            4 => {}
+            n => {
+                let (chunk_index, read, promised) =
+                    (self.chunk_index, self.read, self.header.count);
+                self.file.read_exact(&mut len_bytes[n..]).map_err(|_| {
+                    self.corrupt(format!(
+                        "chunk {chunk_index} torn in its length prefix \
+                         ({read} of {promised} promised points decoded so far)"
+                    ))
                 })?;
-                self.data_pos += 4;
-                stored_crc = u32::from_le_bytes(crc_bytes);
             }
-            if self.read + self.skipped_points + m as u64 > self.header.count {
-                return Err(self.corrupt(format!(
-                    "chunk {} overruns the promised total: {} decoded + {} skipped + {m} \
-                     in this chunk > {} promised",
-                    self.chunk_index, self.read, self.skipped_points, self.header.count
-                )));
-            }
-            let mut crc = Crc32::new();
-            crc.update(&len_bytes);
-            self.read_column(m)?;
-            crc.update(&self.col_buf);
-            buf.extend(self.col_buf.chunks_exact(8).map(|b| {
-                Point::new(
-                    f64::from_le_bytes(b.try_into().expect("fixed-size slice")),
-                    0.0,
-                )
-            }));
-            self.read_column(m)?;
-            crc.update(&self.col_buf);
-            for (p, b) in buf.iter_mut().zip(self.col_buf.chunks_exact(8)) {
-                p.y = f64::from_le_bytes(b.try_into().expect("fixed-size slice"));
-            }
-            self.read_column(m)?;
-            crc.update(&self.col_buf);
-            for (p, b) in buf.iter_mut().zip(self.col_buf.chunks_exact(8)) {
-                p.value = f64::from_le_bytes(b.try_into().expect("fixed-size slice"));
-            }
-            if self.header.version >= 2 {
-                let computed = crc.finish();
-                if computed != stored_crc {
-                    self.recorder.inc(Counter::StreamCrcFailures, 1);
-                    match self.policy {
-                        CorruptionPolicy::Strict => {
-                            return Err(VasError::ChecksumMismatch {
-                                path: self.path.display().to_string(),
-                                region: format!("chunk {}", self.chunk_index),
-                                stored: stored_crc,
-                                computed,
-                            }
-                            .into());
-                        }
-                        CorruptionPolicy::SkipChunks => {
-                            self.reports.push(CorruptChunkReport {
-                                chunk_index: self.chunk_index,
-                                byte_offset: chunk_offset,
-                                points_lost: m as u64,
-                                stored_crc,
-                                computed_crc: computed,
-                            });
-                            self.skipped_points += m as u64;
-                            self.recorder.inc(Counter::StreamCorruptChunksSkipped, 1);
-                            self.recorder.inc(Counter::StreamPointsSkipped, m as u64);
-                            self.recorder.event(
-                                "corrupt_chunk_skipped",
-                                &[
-                                    ("chunk_index", self.chunk_index.into()),
-                                    ("points_lost", (m as u64).into()),
-                                ],
-                            );
-                            self.chunk_index += 1;
-                            continue;
-                        }
-                    }
-                }
-            }
-            self.read += m as u64;
-            self.chunk_index += 1;
-            return Ok(m);
         }
+        self.data_pos += 4;
+        let m = u32::from_le_bytes(len_bytes) as usize;
+        if m == 0 || m > self.header.chunk_size {
+            return Err(self.corrupt(format!(
+                "chunk {} has corrupt length {m} (chunk size {}); cannot resync",
+                self.chunk_index, self.header.chunk_size
+            )));
+        }
+        let mut stored_crc = 0u32;
+        if self.header.version >= 2 {
+            let mut crc_bytes = [0u8; 4];
+            let chunk_index = self.chunk_index;
+            self.file.read_exact(&mut crc_bytes).map_err(|_| {
+                self.corrupt(format!("chunk {chunk_index} torn in its checksum field"))
+            })?;
+            self.data_pos += 4;
+            stored_crc = u32::from_le_bytes(crc_bytes);
+        }
+        if self.read + m as u64 > self.header.count {
+            return Err(self.corrupt(format!(
+                "chunk {} overruns the promised total: {} decoded + {m} in this chunk > {} \
+                 promised",
+                self.chunk_index, self.read, self.header.count
+            )));
+        }
+        // Both `m` and the count come from bytes a re-sealed header can
+        // set; the file's own length bounds what the columns may allocate.
+        let column_bytes = 3 * 8 * m as u64;
+        let left = self.data_len.saturating_sub(self.data_pos);
+        if column_bytes > left {
+            return Err(self.corrupt(format!(
+                "chunk {} torn: its {m} points need {column_bytes} column bytes, the file \
+                 has {left} left ({} of {} promised points decoded so far)",
+                self.chunk_index, self.read, self.header.count
+            )));
+        }
+        let mut crc = Crc32::new();
+        crc.update(&len_bytes);
+        self.read_column(m)?;
+        crc.update(&self.col_buf);
+        buf.extend(self.col_buf.chunks_exact(8).map(|b| {
+            Point::new(
+                f64::from_le_bytes(b.try_into().expect("fixed-size slice")),
+                0.0,
+            )
+        }));
+        self.read_column(m)?;
+        crc.update(&self.col_buf);
+        for (p, b) in buf.iter_mut().zip(self.col_buf.chunks_exact(8)) {
+            p.y = f64::from_le_bytes(b.try_into().expect("fixed-size slice"));
+        }
+        self.read_column(m)?;
+        crc.update(&self.col_buf);
+        for (p, b) in buf.iter_mut().zip(self.col_buf.chunks_exact(8)) {
+            p.value = f64::from_le_bytes(b.try_into().expect("fixed-size slice"));
+        }
+        if self.header.version >= 2 {
+            let computed = crc.finish();
+            if computed != stored_crc {
+                self.recorder.inc(Counter::StreamCrcFailures, 1);
+                return Err(VasError::ChecksumMismatch {
+                    path: self.path.display().to_string(),
+                    region: format!("chunk {}", self.chunk_index),
+                    stored: stored_crc,
+                    computed,
+                }
+                .into());
+            }
+        }
+        self.read += m as u64;
+        self.chunk_index += 1;
+        Ok(m)
     }
 
-    /// Rewinds to the first chunk (clearing the current scan's corruption
-    /// reports).
+    /// Rewinds to the first chunk.
     pub fn reset(&mut self) -> io::Result<()> {
         self.file.seek(SeekFrom::Start(self.data_offset))?;
         self.read = 0;
         self.chunk_index = 0;
         self.data_pos = 0;
-        self.skipped_points = 0;
-        self.reports.clear();
         Ok(())
     }
 
@@ -1010,33 +924,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_policy_skips_and_reports_without_silent_loss() {
-        let d = vas_data::GeolifeGenerator::with_size(300, 5).generate();
-        let path = temp_path("skip.vaschunk");
-        spill_dataset(&d, &path, 100).unwrap();
-        let header_len = (HEADER_FIXED_LEN + d.name.len() + 4) as u64;
-        let second_chunk = header_len + 8 + 2_400;
-        crate::fault::flip_bit_in_file(&path, (second_chunk + 8 + 1_000) * 8 + 3).unwrap();
-
-        let mut reader = ChunkedReader::open(&path)
-            .unwrap()
-            .with_corruption_policy(CorruptionPolicy::SkipChunks);
-        let back = reader.read_dataset().unwrap();
-        assert_eq!(back.points.len(), 200, "one 100-point chunk dropped");
-        assert_bitwise_equal(&back.points[..100], &d.points[..100]);
-        assert_bitwise_equal(&back.points[100..], &d.points[200..]);
-        assert_eq!(reader.points_skipped(), 100);
-        let reports = reader.corruption_reports();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].chunk_index, 1);
-        assert_eq!(reports[0].points_lost, 100);
-        assert_eq!(reports[0].byte_offset, second_chunk);
-        assert_ne!(reports[0].stored_crc, reports[0].computed_crc);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn recorder_counts_decodes_and_records_corruption_skips() {
+    fn recorder_counts_decodes_and_crc_failures() {
         use std::sync::Arc;
         let d = vas_data::GeolifeGenerator::with_size(300, 5).generate();
         let path = temp_path("recorder.vaschunk");
@@ -1051,33 +939,54 @@ mod tests {
             .with_timing(true);
         let mut reader = ChunkedReader::open(&path)
             .unwrap()
-            .with_corruption_policy(CorruptionPolicy::SkipChunks)
             .with_recorder(recorder.clone());
-        reader.read_dataset().unwrap();
+        assert!(reader.read_dataset().is_err());
 
         let reg = recorder.registry();
-        assert_eq!(reg.get(Counter::StreamChunksDecoded), 2);
+        assert_eq!(reg.get(Counter::StreamChunksDecoded), 1);
         assert_eq!(reg.get(Counter::StreamCrcFailures), 1);
-        assert_eq!(reg.get(Counter::StreamCorruptChunksSkipped), 1);
-        assert_eq!(reg.get(Counter::StreamPointsSkipped), 100);
-        assert!(tracer
-            .events()
-            .iter()
-            .any(|e| e.name == "corrupt_chunk_skipped"));
-        // Timing was enabled, so every next_chunk call fed the decode phase,
-        // and each one also opened exactly one span.
+        // Timing was enabled, so both next_chunk calls (the good chunk and
+        // the failing one) fed the decode phase, each with one span.
         let calls = reg.snapshot().phase_calls(Phase::ChunkDecode);
-        assert!(calls >= 3);
+        assert_eq!(calls, 2);
         let spans = tracer.spans();
         let decode_spans = spans.iter().filter(|s| s.name == "chunk_decode").count();
         assert_eq!(decode_spans as u64, calls);
 
-        // A second scan keeps accumulating lifetime totals while the
-        // per-scan view resets.
+        // The registry keeps lifetime totals across scans.
         reader.reset().unwrap();
-        reader.read_dataset().unwrap();
-        assert_eq!(reader.points_skipped(), 100, "per-scan view");
-        assert_eq!(reg.get(Counter::StreamPointsSkipped), 200, "lifetime");
+        assert!(reader.read_dataset().is_err());
+        assert_eq!(reg.get(Counter::StreamCrcFailures), 2, "lifetime");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_resealed_header_cannot_size_an_allocation_past_the_file() {
+        // Header and first length prefix claim u32::MAX points of u32::MAX
+        // per chunk, with the header checksum re-sealed. Sizing the column
+        // scratch from that prefix would ask for 32 GiB; the reader must see
+        // that the file holds 24 column bytes and refuse before allocating.
+        let d = Dataset::from_points("p", vec![Point::new(1.0, 2.0)]);
+        let path = temp_path("resealed-huge.vaschunk");
+        spill_dataset(&d, &path, 1).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let crc_off = HEADER_FIXED_LEN + d.name.len();
+        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[20..28].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.update(&bytes[..crc_off]);
+        bytes[crc_off..crc_off + 4].copy_from_slice(&crc.finish().to_le_bytes());
+        bytes[crc_off + 4..crc_off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut reader = ChunkedReader::open(&path).unwrap();
+        assert_eq!(reader.header().count, u64::from(u32::MAX));
+        let mut buf = Vec::new();
+        let err = reader.next_chunk(&mut buf).unwrap_err();
+        let typed = VasError::from_io_chain(&err).expect("typed");
+        assert!(matches!(typed, VasError::Corrupt { .. }), "{typed}");
+        assert!(err.to_string().contains("the file has 24 left"), "{err}");
+        assert!(buf.is_empty());
         std::fs::remove_file(path).ok();
     }
 

@@ -5,7 +5,7 @@
 //! injector here is driven by a seed and a counter, never by wall-clock or
 //! OS entropy, so a failing matrix cell replays exactly.
 //!
-//! Three layers of injection:
+//! Two layers of injection:
 //!
 //! * [`FaultInjectorSource`] — wraps any [`PointSource`] and makes
 //!   `next_chunk` fail with a **transient** error (`ErrorKind::Interrupted`)
@@ -13,15 +13,11 @@
 //!   configured number of times before the call succeeds — the workload
 //!   `RetryingSource` must absorb. A separate `fatal_after_chunks` knob
 //!   injects a **permanent** error to prove fatal errors are *not* retried.
-//! * [`FaultyRead`] — wraps any [`io::Read`] and injects interrupts, short
-//!   reads, and in-flight bit flips at configured byte offsets, for testing
-//!   readers below the `PointSource` level.
-//! * [`flip_bit_in_file`] / [`truncate_file`] — on-disk corruption helpers
-//!   simulating bit rot and torn writes, the inputs to the CRC-detection
-//!   matrix cells.
+//! * [`flip_bit_in_file`] — an on-disk corruption helper simulating bit
+//!   rot, the input to the CRC-detection matrix cells.
 
 use crate::source::PointSource;
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 use vas_data::{DatasetKind, Point};
 
@@ -179,75 +175,6 @@ impl<S: PointSource> PointSource for FaultInjectorSource<S> {
     }
 }
 
-/// Where and how a [`FaultyRead`] misbehaves.
-#[derive(Debug, Clone, Default)]
-pub struct ReadFaults {
-    /// Byte offsets at which one `ErrorKind::Interrupted` is injected (each
-    /// fires once, when the read position first reaches it).
-    pub interrupt_at: Vec<u64>,
-    /// Cap on bytes returned per `read` call (`0` = uncapped), simulating
-    /// short reads.
-    pub max_read: usize,
-    /// `(byte_offset, xor_mask)` pairs: as the stream passes each offset,
-    /// the byte is XORed with the mask — in-flight bit corruption.
-    pub flip: Vec<(u64, u8)>,
-}
-
-/// An [`io::Read`] wrapper injecting interrupts, short reads and bit flips
-/// at configured byte offsets.
-#[derive(Debug)]
-pub struct FaultyRead<R> {
-    inner: R,
-    faults: ReadFaults,
-    pos: u64,
-    fired: Vec<bool>,
-}
-
-impl<R: Read> FaultyRead<R> {
-    /// Wraps `inner` with the given fault configuration.
-    pub fn new(inner: R, faults: ReadFaults) -> Self {
-        let fired = vec![false; faults.interrupt_at.len()];
-        Self {
-            inner,
-            faults,
-            pos: 0,
-            fired,
-        }
-    }
-
-    /// Bytes consumed from the inner reader so far.
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-}
-
-impl<R: Read> Read for FaultyRead<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        for (i, &off) in self.faults.interrupt_at.iter().enumerate() {
-            if !self.fired[i] && self.pos >= off {
-                self.fired[i] = true;
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    format!("injected interrupt at byte {off}"),
-                ));
-            }
-        }
-        let cap = if self.faults.max_read > 0 {
-            buf.len().min(self.faults.max_read)
-        } else {
-            buf.len()
-        };
-        let n = self.inner.read(&mut buf[..cap])?;
-        for &(off, mask) in &self.faults.flip {
-            if off >= self.pos && off < self.pos + n as u64 {
-                buf[(off - self.pos) as usize] ^= mask;
-            }
-        }
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
 /// Flips one bit of the file at `path` (bit `bit_offset` counted from the
 /// start of the file, LSB-first within each byte). Simulates bit rot for the
 /// CRC-detection matrix.
@@ -267,13 +194,6 @@ pub fn flip_bit_in_file(path: impl AsRef<Path>, bit_offset: u64) -> io::Result<(
     }
     bytes[byte] ^= 1 << (bit_offset % 8);
     std::fs::write(path, bytes)
-}
-
-/// Truncates the file at `path` to `keep` bytes, simulating a torn write.
-pub fn truncate_file(path: impl AsRef<Path>, keep: u64) -> io::Result<()> {
-    let f = std::fs::OpenOptions::new().write(true).open(path)?;
-    f.set_len(keep)?;
-    f.sync_all()
 }
 
 #[cfg(test)]
@@ -343,34 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_read_flips_and_interrupts() {
-        let data: Vec<u8> = (0..100u8).collect();
-        let faults = ReadFaults {
-            interrupt_at: vec![0, 50],
-            max_read: 7,
-            flip: vec![(10, 0b0000_0100), (99, 0b1000_0000)],
-        };
-        let mut r = FaultyRead::new(&data[..], faults);
-        let mut out = Vec::new();
-        let mut buf = [0u8; 32];
-        loop {
-            match r.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    assert!(n <= 7, "short-read cap violated");
-                    out.extend_from_slice(&buf[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(out.len(), 100);
-        assert_eq!(out[10], 10 ^ 0b0000_0100);
-        assert_eq!(out[99], 99 ^ 0b1000_0000);
-        assert_eq!(out[11], 11, "neighbouring bytes untouched");
-    }
-
-    #[test]
     fn file_corruption_helpers() {
         let dir = std::env::temp_dir().join(format!("vas-fault-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -380,8 +272,6 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes[3], 1 << 5);
         assert!(flip_bit_in_file(&path, 16 * 8).is_err(), "past-EOF flip");
-        truncate_file(&path, 4).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap().len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

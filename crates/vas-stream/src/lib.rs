@@ -25,8 +25,8 @@
 //!   trailing garbage are detected, and reading holds one chunk plus one
 //!   column of scratch bytes at a time.
 //!
-//! On top sit [`StreamStats`] (the one-pass bounds/moments pre-pass that
-//! resolves the kernel bandwidth without materializing anything) and
+//! On top sit [`StreamStats`] (the one-pass bounds pre-pass that resolves
+//! the kernel bandwidth without materializing anything) and
 //! [`TrackingSource`] (a transparent wrapper recording peak chunk size and
 //! streamed-point counts, used by `tests/end_to_end.rs` to *measure* the
 //! resident-memory bound rather than assume it).
@@ -39,13 +39,13 @@
 //!   reports through (I/O vs corruption vs truncation vs retry exhaustion),
 //!   with a shared transient-vs-fatal classification;
 //! * the `.vaschunk` v2 format carries CRC-32 checksums over the header and
-//!   every chunk ([`crc32`]), so torn writes and bit rot are detected, with
-//!   an opt-in skip-and-report degraded mode ([`CorruptionPolicy`]);
+//!   every chunk ([`crc32`]), so torn writes and bit rot are detected, and a
+//!   bad checksum is always a [`VasError::ChecksumMismatch`];
 //! * [`RetryingSource`] absorbs transient I/O errors with a bounded,
 //!   deterministic retry budget ([`RetryPolicy`]); fatal errors pass through
 //!   untouched;
-//! * [`FaultInjectorSource`], [`FaultyRead`] and the file-corruption helpers
-//!   ([`fault`]) inject *deterministic, seeded* faults so every recovery
+//! * [`FaultInjectorSource`] and the file-corruption helper
+//!   [`flip_bit_in_file`] inject *deterministic, seeded* faults so every recovery
 //!   claim is tested (`tests/faults.rs`) rather than asserted;
 //! * [`write_atomic`] replaces durable files via temp + fsync + rename so a
 //!   crash never leaves a torn artifact.
@@ -108,13 +108,10 @@ pub mod stats;
 pub use atomic::{commit_staged, staging_sibling, write_atomic};
 pub use chunked::{
     spill_dataset, spill_source, ChunkedHeader, ChunkedReader, ChunkedSummary, ChunkedWriter,
-    CorruptChunkReport, CorruptionPolicy,
 };
 pub use csv::CsvSource;
 pub use error::{io_error_is_transient, VasError};
-pub use fault::{
-    flip_bit_in_file, truncate_file, FaultInjectorSource, FaultPlan, FaultyRead, ReadFaults,
-};
+pub use fault::{flip_bit_in_file, FaultInjectorSource, FaultPlan};
 pub use generate::{GaussianMixtureSource, GeolifeSource, SplomSource};
 pub use retry::{RetryPolicy, RetryingSource};
 pub use source::{DatasetSource, PointSource, TrackingSource, DEFAULT_CHUNK_SIZE};

@@ -88,17 +88,6 @@ impl<S: PointSource> RetryingSource<S> {
         self.recorder.registry().get(Counter::StreamRetriesAbsorbed)
     }
 
-    /// Calls that failed even after the full retry budget.
-    ///
-    /// Thin view over the metrics registry
-    /// (`Counter::StreamRetriesExhausted`); kept for compatibility — new
-    /// code should read the registry of the attached recorder directly.
-    pub fn exhausted(&self) -> u64 {
-        self.recorder
-            .registry()
-            .get(Counter::StreamRetriesExhausted)
-    }
-
     /// Unwraps the inner source.
     pub fn into_inner(self) -> S {
         self.inner
@@ -212,7 +201,10 @@ mod tests {
             );
         }
         assert!(src.retries() > 0, "faults were scheduled");
-        assert_eq!(src.exhausted(), 0);
+        assert_eq!(
+            src.recorder.registry().get(Counter::StreamRetriesExhausted),
+            0
+        );
 
         // A second scan hits the same schedule and recovers again.
         PointSource::reset(&mut src).unwrap();
@@ -257,7 +249,10 @@ mod tests {
             matches!(typed, VasError::RetriesExhausted { attempts: 3, .. }),
             "{typed}"
         );
-        assert_eq!(src.exhausted(), 1);
+        assert_eq!(
+            src.recorder.registry().get(Counter::StreamRetriesExhausted),
+            1
+        );
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl PointSource for DatasetSource<'_> {
 }
 
 /// Transparent [`PointSource`] wrapper that records what actually flowed
-/// through: chunk count, point count and the largest chunk ever buffered.
+/// through: the chunk count and the largest chunk ever buffered.
 ///
 /// The resident-point bound test in `tests/end_to_end.rs` wraps its sources
 /// in this to *measure* the peak resident point count instead of trusting
@@ -192,7 +192,6 @@ impl PointSource for DatasetSource<'_> {
 pub struct TrackingSource<S> {
     inner: S,
     chunks: u64,
-    points: u64,
     max_chunk_len: usize,
 }
 
@@ -202,7 +201,6 @@ impl<S: PointSource> TrackingSource<S> {
         Self {
             inner,
             chunks: 0,
-            points: 0,
             max_chunk_len: 0,
         }
     }
@@ -210,11 +208,6 @@ impl<S: PointSource> TrackingSource<S> {
     /// Number of non-empty chunks streamed so far.
     pub fn chunks(&self) -> u64 {
         self.chunks
-    }
-
-    /// Number of points streamed so far (across resets).
-    pub fn points_streamed(&self) -> u64 {
-        self.points
     }
 
     /// Largest chunk (in points) ever handed to a caller — the measured
@@ -250,7 +243,6 @@ impl<S: PointSource> PointSource for TrackingSource<S> {
         let n = self.inner.next_chunk(buf)?;
         if n > 0 {
             self.chunks += 1;
-            self.points += n as u64;
             self.max_chunk_len = self.max_chunk_len.max(n);
         }
         Ok(n)
@@ -312,13 +304,12 @@ mod tests {
         let seen = tracked.for_each_point(|_| count += 1).unwrap();
         assert_eq!(seen, 250);
         assert_eq!(count, 250);
-        assert_eq!(tracked.points_streamed(), 250);
         assert_eq!(tracked.chunks(), 3); // 100 + 100 + 50
         assert_eq!(tracked.max_chunk_len(), 100);
         // Counters accumulate across resets.
         tracked.reset().unwrap();
         tracked.for_each_point(|_| {}).unwrap();
-        assert_eq!(tracked.points_streamed(), 500);
+        assert_eq!(tracked.chunks(), 6);
         assert_eq!(tracked.name(), d.name);
         assert_eq!(tracked.len_hint(), Some(250));
     }

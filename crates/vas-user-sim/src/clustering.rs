@@ -45,13 +45,6 @@ impl ClusteringTask {
         }
     }
 
-    /// Overrides the perception configuration (exposed for sensitivity
-    /// experiments).
-    pub fn with_perception(mut self, perception: PerceptionConfig) -> Self {
-        self.perception = perception;
-        self
-    }
-
     /// The number of clusters the simulated user perceives in a plot of
     /// `sample`.
     pub fn perceived_clusters(&self, sample: &Sample) -> usize {

@@ -57,7 +57,7 @@ impl RegressionTask {
         let regions = workload.regions(dataset, ZoomLevel::Deep, n_questions);
 
         let values: Vec<f64> = dataset.points.iter().map(|p| p.value).collect();
-        let value_std = std_dev(&values).max(1e-9);
+        let value_sigma = std_dev(&values).max(1e-9);
 
         // Every candidate mark probes a small neighbourhood of the dataset;
         // a uniform grid plus one id buffer reused across all probes replaces
@@ -99,7 +99,7 @@ impl RegressionTask {
                 }
                 let truth = local_average_value(dataset, &grid, &mut cell_ids, &query, radius);
                 let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-                let decoys = [truth + sign * value_std, truth - sign * 2.0 * value_std];
+                let decoys = [truth + sign * value_sigma, truth - sign * 2.0 * value_sigma];
                 RegressionQuestion {
                     region: r.viewport,
                     query,

@@ -29,7 +29,7 @@ impl Color {
     }
 
     /// Linear interpolation between two colors (`t` clamped to `[0, 1]`).
-    pub fn lerp(a: Color, b: Color, t: f64) -> Color {
+    fn lerp(a: Color, b: Color, t: f64) -> Color {
         let t = t.clamp(0.0, 1.0);
         let mix = |x: u8, y: u8| (x as f64 + (y as f64 - x as f64) * t).round() as u8;
         Color::new(mix(a.r, b.r), mix(a.g, b.g), mix(a.b, b.b))

@@ -8,16 +8,11 @@
 //! using that relationship.
 //!
 //! This reproduction cannot run Tableau, so [`LatencyModel`] provides the
-//! substitute: `time(n) = fixed_overhead + n × per_tuple_cost`. The model can
-//! either be constructed from published-order-of-magnitude constants
-//! ([`LatencyModel::tableau_like`], [`LatencyModel::mathgl_like`]) or
-//! **calibrated** against this crate's own rasterizer by timing real renders
-//! ([`LatencyModel::calibrate`]), which is what the Figure 2/4 harness does.
+//! substitute: `time(n) = fixed_overhead + n × per_tuple_cost`, constructed
+//! from published-order-of-magnitude constants
+//! ([`LatencyModel::tableau_like`], [`LatencyModel::mathgl_like`]).
 
-use crate::scatter::ScatterRenderer;
-use crate::viewport::Viewport;
-use std::time::{Duration, Instant};
-use vas_data::Point;
+use std::time::Duration;
 
 /// A linear visualization-latency model: `time(n) = overhead + n · per_tuple`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,52 +47,6 @@ impl LatencyModel {
         }
     }
 
-    /// Calibrates a model against this crate's rasterizer by rendering
-    /// `calibration_sizes` synthetic point sets and fitting the linear model
-    /// through the two extreme measurements.
-    pub fn calibrate(
-        renderer: &ScatterRenderer,
-        viewport: &Viewport,
-        calibration_sizes: &[usize],
-    ) -> Self {
-        assert!(
-            calibration_sizes.len() >= 2,
-            "calibration needs at least two sizes"
-        );
-        let mut sizes = calibration_sizes.to_vec();
-        sizes.sort_unstable();
-        let measure = |n: usize| -> Duration {
-            let region = viewport.region();
-            let points: Vec<Point> = (0..n)
-                .map(|i| {
-                    // Low-discrepancy-ish deterministic fill of the viewport.
-                    let t = i as f64 + 0.5;
-                    Point::new(
-                        region.min_x + (t * 0.754_877_666).fract() * region.width(),
-                        region.min_y + (t * 0.569_840_291).fract() * region.height(),
-                    )
-                })
-                .collect();
-            let start = Instant::now();
-            let canvas = renderer.render_points(&points, viewport);
-            let elapsed = start.elapsed();
-            std::hint::black_box(canvas.ink(crate::color::Color::WHITE));
-            elapsed
-        };
-        let n_lo = sizes[0];
-        let n_hi = sizes[sizes.len() - 1];
-        let t_lo = measure(n_lo);
-        let t_hi = measure(n_hi);
-        let span = (n_hi - n_lo).max(1) as f64;
-        let per_tuple_secs = ((t_hi.as_secs_f64() - t_lo.as_secs_f64()) / span).max(1e-12);
-        let overhead_secs = (t_lo.as_secs_f64() - per_tuple_secs * n_lo as f64).max(0.0);
-        Self {
-            overhead: Duration::from_secs_f64(overhead_secs),
-            per_tuple: Duration::from_secs_f64(per_tuple_secs),
-            label: "rasterizer",
-        }
-    }
-
     /// Predicted time to visualize `n` tuples.
     pub fn time_for(&self, n: usize) -> Duration {
         self.overhead + Duration::from_secs_f64(self.per_tuple.as_secs_f64() * n as f64)
@@ -121,8 +70,6 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter::PlotStyle;
-    use vas_data::BoundingBox;
 
     #[test]
     fn time_is_linear_in_tuple_count() {
@@ -160,24 +107,5 @@ mod tests {
         }
         // A budget below the fixed overhead admits no tuples.
         assert_eq!(m.tuples_within(Duration::from_millis(1)), 0);
-    }
-
-    #[test]
-    fn calibration_produces_a_positive_linear_model() {
-        let renderer = ScatterRenderer::new(PlotStyle::default());
-        let viewport = Viewport::new(BoundingBox::new(0.0, 0.0, 1.0, 1.0), 200, 200);
-        let m = LatencyModel::calibrate(&renderer, &viewport, &[1_000, 50_000]);
-        assert!(m.per_tuple > Duration::ZERO);
-        assert_eq!(m.label, "rasterizer");
-        // Predictions grow with n.
-        assert!(m.time_for(100_000) > m.time_for(10_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two sizes")]
-    fn calibration_requires_two_sizes() {
-        let renderer = ScatterRenderer::new(PlotStyle::default());
-        let viewport = Viewport::new(BoundingBox::new(0.0, 0.0, 1.0, 1.0), 50, 50);
-        let _ = LatencyModel::calibrate(&renderer, &viewport, &[10]);
     }
 }

@@ -142,7 +142,7 @@ impl ScatterRenderer {
     }
 
     /// Core rendering routine.
-    pub fn render_with_densities(
+    fn render_with_densities(
         &self,
         points: &[Point],
         densities: Option<&[u64]>,

@@ -74,17 +74,6 @@ impl Viewport {
         (x, y)
     }
 
-    /// Maps pixel coordinates back to the data-space location of the pixel
-    /// centre.
-    pub fn to_data(&self, x: usize, y: usize) -> Point {
-        let fx = x as f64 / (self.width - 1).max(1) as f64;
-        let fy = 1.0 - y as f64 / (self.height - 1).max(1) as f64;
-        Point::new(
-            self.region.min_x + fx * self.region.width(),
-            self.region.min_y + fy * self.region.height(),
-        )
-    }
-
     /// Is this data point visible in the viewport?
     pub fn contains(&self, p: &Point) -> bool {
         self.region.contains(p)
@@ -110,25 +99,6 @@ impl Viewport {
             self.height,
         )
     }
-
-    /// A new viewport translated by `(dx, dy)` in data coordinates.
-    pub fn panned(&self, dx: f64, dy: f64) -> Viewport {
-        Viewport::new(
-            BoundingBox::new(
-                self.region.min_x + dx,
-                self.region.min_y + dy,
-                self.region.max_x + dx,
-                self.region.max_y + dy,
-            ),
-            self.width,
-            self.height,
-        )
-    }
-
-    /// Data-space area covered by one pixel.
-    pub fn pixel_area(&self) -> f64 {
-        self.region.area() / (self.width * self.height) as f64
-    }
 }
 
 #[cfg(test)]
@@ -145,15 +115,6 @@ mod tests {
         assert_eq!(v.to_pixel(&Point::new(0.0, 0.0)), (0, 200)); // bottom-left
         assert_eq!(v.to_pixel(&Point::new(10.0, 20.0)), (100, 0)); // top-right
         assert_eq!(v.to_pixel(&Point::new(5.0, 10.0)), (50, 100)); // centre
-    }
-
-    #[test]
-    fn to_data_inverts_to_pixel() {
-        let v = viewport();
-        for &(x, y) in &[(0usize, 0usize), (50, 100), (100, 200), (33, 77)] {
-            let p = v.to_data(x, y);
-            assert_eq!(v.to_pixel(&p), (x as isize, y as isize));
-        }
     }
 
     #[test]
@@ -191,21 +152,6 @@ mod tests {
         // Zooming out grows the region.
         let out = v.zoomed(&Point::new(5.0, 10.0), 0.5);
         assert!(out.region().width() > v.region().width());
-    }
-
-    #[test]
-    fn pan_translates_the_region() {
-        let v = viewport();
-        let p = v.panned(1.0, -2.0);
-        assert_eq!(p.region().min_x, 1.0);
-        assert_eq!(p.region().max_y, 18.0);
-    }
-
-    #[test]
-    fn pixel_area_scales_with_zoom() {
-        let v = viewport();
-        let z = v.zoomed(&Point::new(5.0, 10.0), 2.0);
-        assert!((v.pixel_area() / z.pixel_area() - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -68,15 +68,14 @@ pub use vas_viz as viz;
 pub mod prelude {
     pub use vas_binned::{TilePyramid, TilePyramidConfig};
     pub use vas_core::{
-        density::with_embedded_density, embed_density, shard_budgets, BuildOutcome,
-        CheckpointPolicy, GaussianKernel, InterchangeStrategy, Kernel, ShardedSampler, VasConfig,
-        VasSampler,
+        density::with_embedded_density, embed_density, BuildOutcome, CheckpointPolicy,
+        GaussianKernel, InterchangeStrategy, Kernel, ShardedSampler, VasConfig, VasSampler,
     };
     pub use vas_data::{
         BoundingBox, Dataset, GaussianMixtureGenerator, GeolifeGenerator, Point, SplomGenerator,
         ZoomLevel, ZoomWorkload,
     };
-    pub use vas_eval::{visual_similarity, LossConfig, LossEstimator, SimilarityConfig};
+    pub use vas_eval::{LossConfig, LossEstimator};
     pub use vas_exact::ExactSolver;
     pub use vas_obs::{
         parse_chrome_trace, Counter, EventRecord, EventValue, MetricsRegistry, MetricsSnapshot,
